@@ -16,16 +16,9 @@ import argparse
 import sys
 import time
 
-from fedanon.config import EXPERIMENT_FAMILIES, ConfigError, build_config, config_hash
-from fedanon.experiments import run_experiment
+from fedanon.config import ConfigError, build_config, config_hash
+from fedanon.experiments import EXPERIMENT_FAMILIES, run_experiment
 from fedanon.reporting import write_report
-
-# cheap families first so an interrupted run still produces most reports
-ORDER = [
-    "reid_closed", "matching_closed", "iid_control", "bias_profile", "layer_sweep",
-    "train_amount", "open_world", "epoch_grid", "dataspace", "prior_amount", "mitigation",
-]
-assert set(ORDER) == set(EXPERIMENT_FAMILIES)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,7 +30,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out-dir", default="results", metavar="DIR")
     parser.add_argument(
-        "--families", nargs="+", choices=ORDER, default=ORDER, metavar="FAMILY",
+        "--families", nargs="+", choices=EXPERIMENT_FAMILIES, default=EXPERIMENT_FAMILIES,
+        metavar="FAMILY",
         help="subset of experiment families (default: all)",
     )
     parser.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -57,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
 
     formats = ("json", "csv") if args.format == "both" else (args.format,)
     print(f"config {config_hash(cfg)} seed {cfg.seed} -> {args.out_dir}")
-    for family in (f for f in ORDER if f in args.families):
+    for family in (f for f in EXPERIMENT_FAMILIES if f in args.families):
         started = time.perf_counter()
         report = run_experiment(cfg, family)
         paths = write_report(report, args.out_dir, formats)

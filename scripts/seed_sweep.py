@@ -15,8 +15,8 @@ import argparse
 import sys
 import time
 
-from fedanon.config import EXPERIMENT_FAMILIES, ConfigError, build_config
-from fedanon.experiments import run_experiment
+from fedanon.config import ConfigError, build_config
+from fedanon.experiments import EXPERIMENT_FAMILIES, run_experiment
 from fedanon.reporting import Report, Table, write_report
 
 

@@ -3,8 +3,9 @@ defenses, and a reproducible experiment harness."""
 
 __version__ = "0.1.0"
 
-from .config import EXPERIMENT_FAMILIES, ConfigError, ExperimentConfig, build_config
+from .config import ConfigError, ExperimentConfig, build_config
 from .deltastore import DeltaManifest, ReprConfig, read_records, represent_delta, write_records
+from .experiments import EXPERIMENT_FAMILIES
 from .federated import DeltaRecord, DeviceState, RoundConfig, run_federated
 from .metrics import ScoredPredictions, average_precision, increase_over_chance, mean_ap
 from .mitigation import MitigationConfig, TradeoffPoint, tradeoff_curve

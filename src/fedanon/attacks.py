@@ -86,7 +86,6 @@ def build_attack_dataset(
     train_epoch_range: tuple[int, int] | None = None,
     test_epoch_range: tuple[int, int] | None = None,
     max_train_per_user: int | None = None,
-    max_test_per_user: int | None = None,
     seed: int = 0,
     require_closed_world: bool = True,
 ) -> AttackDataset:
@@ -97,13 +96,7 @@ def build_attack_dataset(
         max_per_user=max_train_per_user,
         seed=seed_from(seed, "train-side"),
     )
-    test_recs = filter_records(
-        records,
-        epoch_range=test_epoch_range,
-        roles=(ROLE_ANONYMOUS,),
-        max_per_user=max_test_per_user,
-        seed=seed_from(seed, "test-side"),
-    )
+    test_recs = filter_records(records, epoch_range=test_epoch_range, roles=(ROLE_ANONYMOUS,))
     if not train_recs or not test_recs:
         raise ValueError("attack dataset needs at least one record on each side")
     train_x = np.stack([represent_delta(r, repr_cfg) for r in train_recs])
@@ -221,7 +214,6 @@ class MlpReid:
             input_dim=train_x.shape[1],
             output_dim=len(classes),
             hidden_dim=MLP_HIDDEN,
-            head="softmax_ce",
         )
         params = nn.init_params(spec, seed_from(seed, "mlp-init"))
         params = nn.train(
@@ -260,11 +252,6 @@ def train_reid(ds: AttackDataset, method: str, seed: int = 0) -> ReidModel:
     return MlpReid.fit(ds.train_x, y, classes, seed)
 
 
-def predict_reid(model: ReidModel, features: np.ndarray) -> np.ndarray:
-    """Score matrix over the model's classes for one or more feature rows."""
-    return model.predict(features)
-
-
 @dataclass
 class ReidEvaluation:
     preds: ScoredPredictions
@@ -276,12 +263,12 @@ class ReidEvaluation:
     skipped: tuple[int, ...]
 
 
-def evaluate_reid(model: ReidModel, ds: AttackDataset) -> ReidEvaluation:
-    scores = model.predict(ds.test_x)
-    labels = ds.encode(ds.test_users, model.classes)
+def _score_reid(scores: np.ndarray, labels: np.ndarray, n_classes: int) -> ReidEvaluation:
+    """Mean AP, chance AP and top-k accuracy of a score matrix against the
+    true class index of each row."""
     preds = ScoredPredictions(scores=scores, labels=labels)
     result = mean_ap(preds)
-    _, chance = chance_level(labels, len(model.classes))
+    _, chance = chance_level(preds.labels, n_classes)
     return ReidEvaluation(
         preds=preds,
         mean_ap=result.mean_ap,
@@ -291,6 +278,11 @@ def evaluate_reid(model: ReidModel, ds: AttackDataset) -> ReidEvaluation:
         top5=topk_accuracy(preds, 5),
         skipped=result.skipped,
     )
+
+
+def evaluate_reid(model: ReidModel, ds: AttackDataset) -> ReidEvaluation:
+    scores = model.predict(ds.test_x)
+    return _score_reid(scores, ds.encode(ds.test_users, model.classes), len(model.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +461,6 @@ def train_matcher(ds: AttackDataset, method: str, seed: int = 0) -> MatchModel:
     return SiameseMatcher.fit(ds.rows_by_user("train"), seed)
 
 
-def match_pair(model: MatchModel, f_i: np.ndarray, f_j: np.ndarray) -> float:
-    return float(model.predict_pairs(np.atleast_2d(f_i), np.atleast_2d(f_j))[0])
-
-
 @dataclass
 class MatchEvaluation:
     ap: float
@@ -574,18 +562,7 @@ def evaluate_reid_openworld(
     if not rows:
         raise ValueError("no evaluation rows for this split")
     scores = model.predict(np.stack(rows))
-    preds = ScoredPredictions(scores=scores, labels=np.asarray(labels, dtype=np.int64))
-    result = mean_ap(preds)
-    _, chance = chance_level(preds.labels, len(model.classes))
-    return ReidEvaluation(
-        preds=preds,
-        mean_ap=result.mean_ap,
-        chance_ap=chance,
-        ioc=increase_over_chance(result.mean_ap, chance),
-        top1=topk_accuracy(preds, 1),
-        top5=topk_accuracy(preds, 5),
-        skipped=result.skipped,
-    )
+    return _score_reid(scores, np.asarray(labels, dtype=np.int64), len(model.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -641,19 +618,7 @@ def dataspace_reid(
     if mode == "single":
         set_size = 1
     x, labels = dataspace_sets(bundle, set_size, seed)
-    scores = model.predict(x)
-    preds = ScoredPredictions(scores=scores, labels=labels)
-    result = mean_ap(preds)
-    _, chance = chance_level(labels, len(model.classes))
-    return model, ReidEvaluation(
-        preds=preds,
-        mean_ap=result.mean_ap,
-        chance_ap=chance,
-        ioc=increase_over_chance(result.mean_ap, chance),
-        top1=topk_accuracy(preds, 1),
-        top5=topk_accuracy(preds, 5),
-        skipped=result.skipped,
-    )
+    return model, _score_reid(model.predict(x), labels, len(model.classes))
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import EXPERIMENT_FAMILIES, ConfigError, ExperimentConfig, build_config
+from .config import ConfigError, ExperimentConfig, build_config, world_config_from
 from .deltastore import manifest_for, write_records
-from .experiments import (
-    model_spec_from,
-    round_config_from,
-    run_experiment,
-    world_config_from,
-)
-from .federated import run_federated
-from .reporting import Table, report_from_json, table_to_csv, write_report
+from .experiments import EXPERIMENT_FAMILIES, run_experiment, run_pipeline, utility_table
+from .reporting import report_from_json, table_to_csv, write_report
 from .world import gen_world, save_bundle
 
 
@@ -61,18 +55,11 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
 
 def _cmd_federate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    bundle = gen_world(world_config_from(cfg))
-    spec = model_spec_from(cfg)
-    run = run_federated(bundle, spec, round_config_from(cfg))
+    arts = run_pipeline(cfg)
+    run = arts.run
     out = Path(cfg.out_dir)
-    manifest = manifest_for(run.records, spec.layout(), cfg.rounds)
-    write_records(out, manifest, run.records)
-    utility = Table(
-        name="utility",
-        columns=["round", "task_score"],
-        rows=[[t + 1, float(s)] for t, s in enumerate(run.utility)],
-    )
-    (out / "utility.csv").write_text(table_to_csv(utility), encoding="utf-8", newline="")
+    write_records(out, manifest_for(run.records, arts.spec.layout(), cfg.rounds), run.records)
+    (out / "utility.csv").write_text(table_to_csv(utility_table(run)), encoding="utf-8", newline="")
     print(
         f"wrote {out}/manifest.json, deltas.bin, utility.csv "
         f"({len(run.records)} records, final score {run.utility[-1]:.3f})"

@@ -3,7 +3,8 @@
 Config files are plain `key = value` lines (# comments allowed); every key
 has a same-named --flag on the command line. Precedence is flags > file >
 defaults. Unknown keys and out-of-range values are rejected with the
-offending key named.
+offending key named. The world, federation and model keys are checked by
+the component configs built from them here; this module checks the rest.
 """
 
 from __future__ import annotations
@@ -13,21 +14,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .world import PRIOR_KINDS
-
-EXPERIMENT_FAMILIES = (
-    "reid_closed",
-    "matching_closed",
-    "open_world",
-    "prior_amount",
-    "train_amount",
-    "layer_sweep",
-    "epoch_grid",
-    "iid_control",
-    "dataspace",
-    "bias_profile",
-    "mitigation",
-)
+from .attacks import MATCH_METHODS, REID_METHODS
+from .deltastore import ReprConfig
+from .federated import RoundConfig
+from .mitigation import STRATEGIES
+from .nn import ModelSpec
+from .world import WorldConfig
 
 
 class ConfigError(ValueError):
@@ -127,7 +119,9 @@ def snapshot(cfg: ExperimentConfig) -> dict[str, str]:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    text = "\n".join(f"{k} = {v}" for k, v in snapshot(cfg).items())
+    """Hash of every key that can change results; `out_dir` only says where
+    they are written."""
+    text = "\n".join(f"{k} = {v}" for k, v in snapshot(cfg).items() if k != "out_dir")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -148,49 +142,80 @@ def read_config_file(path) -> dict[str, str]:
     return out
 
 
+def world_config_from(cfg: ExperimentConfig) -> WorldConfig:
+    return WorldConfig(
+        users=cfg.users,
+        classes=cfg.classes,
+        feature_dim=cfg.feature_dim,
+        n_per_user=cfg.n_per_user,
+        concentration=cfg.beta,
+        feature_noise=cfg.sigma_x,
+        drift=cfg.drift,
+        albums_per_user=cfg.albums_per_user,
+        test_fraction=cfg.test_fraction,
+        background_size=cfg.background_size,
+        prior_kind=cfg.prior_kind,
+        prior_fraction=cfg.prior_fraction,
+        profile_class=cfg.profile_class if cfg.profile_class >= 0 else None,
+        seed=cfg.seed,
+    )
+
+
+def model_spec_from(cfg: ExperimentConfig) -> ModelSpec:
+    return ModelSpec(
+        kind=cfg.model_kind,
+        input_dim=cfg.feature_dim,
+        output_dim=cfg.classes,
+        hidden_dim=cfg.hidden_dim if cfg.model_kind == "mlp1" else 0,
+    )
+
+
+def round_config_from(cfg: ExperimentConfig) -> RoundConfig:
+    return RoundConfig(
+        fraction_c=cfg.client_fraction,
+        local_epochs=cfg.local_epochs,
+        batch_size=cfg.batch_size,
+        eta=cfg.eta,
+        rounds=cfg.rounds,
+        seed=cfg.seed,
+    )
+
+
+def repr_config_from(cfg: ExperimentConfig) -> ReprConfig:
+    return ReprConfig(layer_name=cfg.attack_layer, normalize=cfg.normalize)
+
+
+# component field -> config key, where the two names differ
+_KEY_OF_FIELD = {
+    "concentration": "beta",
+    "feature_noise": "sigma_x",
+    "fraction_c": "client_fraction",
+    "kind": "model_kind",
+}
+
+
 def _require(cond: bool, key: str, message: str, value: Any) -> None:
     if not cond:
         raise ConfigError(f"config key {key!r}: {message} (got {value!r})")
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    _require(cfg.users >= 2, "users", "must be >= 2", cfg.users)
-    _require(cfg.classes >= 2, "classes", "must be >= 2", cfg.classes)
-    _require(cfg.feature_dim >= 1, "feature_dim", "must be >= 1", cfg.feature_dim)
-    _require(cfg.n_per_user >= 4, "n_per_user", "must be >= 4", cfg.n_per_user)
-    _require(cfg.beta > 0, "beta", "must be > 0", cfg.beta)
-    _require(cfg.sigma_x > 0, "sigma_x", "must be > 0", cfg.sigma_x)
-    _require(0.0 <= cfg.drift <= 1.0, "drift", "must be in [0, 1]", cfg.drift)
-    _require(cfg.albums_per_user >= 1, "albums_per_user", "must be >= 1", cfg.albums_per_user)
-    _require(0.0 < cfg.test_fraction < 1.0, "test_fraction", "must be in (0, 1)", cfg.test_fraction)
-    _require(cfg.background_size >= 1, "background_size", "must be >= 1", cfg.background_size)
-    _require(cfg.prior_kind in PRIOR_KINDS, "prior_kind", f"must be one of {PRIOR_KINDS}", cfg.prior_kind)
-    _require(
-        0.0 < cfg.prior_fraction < 1.0, "prior_fraction", "must be in (0, 1)", cfg.prior_fraction
-    )
-    if cfg.prior_kind == "profile":
-        _require(
-            0 <= cfg.profile_class < cfg.classes,
-            "profile_class",
-            "must name a class when prior_kind = profile",
-            cfg.profile_class,
-        )
-    _require(cfg.model_kind in ("linear", "mlp1"), "model_kind", "must be linear or mlp1", cfg.model_kind)
-    _require(cfg.hidden_dim >= 1, "hidden_dim", "must be >= 1", cfg.hidden_dim)
-    _require(cfg.rounds >= 1, "rounds", "must be >= 1", cfg.rounds)
-    _require(
-        0.0 < cfg.client_fraction <= 1.0, "client_fraction", "must be in (0, 1]", cfg.client_fraction
-    )
-    _require(cfg.local_epochs >= 1, "local_epochs", "must be >= 1", cfg.local_epochs)
-    _require(cfg.batch_size >= 1, "batch_size", "must be >= 1", cfg.batch_size)
-    _require(cfg.eta > 0, "eta", "must be > 0", cfg.eta)
+    """Check every key: the world, federation and model keys by building
+    the component configs that own them, the remaining keys here."""
+    for build in (world_config_from, round_config_from, model_spec_from):
+        try:
+            build(cfg)
+        except ValueError as err:
+            # component checks start their message with the field they reject
+            field = str(err).split()[0]
+            raise ConfigError(f"config key {_KEY_OF_FIELD.get(field, field)!r}: {err}") from None
     _require(cfg.epoch_ranges >= 1, "epoch_ranges", "must be >= 1", cfg.epoch_ranges)
     _require(cfg.clusters_m >= 1, "clusters_m", "must be >= 1", cfg.clusters_m)
     _require(cfg.seed >= 0, "seed", "must be >= 0", cfg.seed)
     for key, values, allowed in (
-        ("attack_methods", cfg.attack_methods, ("chance", "knn", "svm", "mlp")),
-        ("match_methods", cfg.match_methods, ("chance", "mlp_product", "siamese")),
-        ("mitigation_strategies", cfg.mitigation_strategies, ("noise", "bkg_repl", "rand_aug", "mm_aug")),
+        ("attack_methods", cfg.attack_methods, REID_METHODS),
+        ("match_methods", cfg.match_methods, MATCH_METHODS),
+        ("mitigation_strategies", cfg.mitigation_strategies, STRATEGIES),
     ):
         _require(len(values) > 0, key, "must not be empty", values)
         for v in values:

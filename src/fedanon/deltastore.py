@@ -10,13 +10,14 @@ restores float64 arrays whose values are exactly the stored float32 ones.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .federated import DeltaRecord
+from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from .nn import ParamVector
 from .seeding import rng_from
 
@@ -33,7 +34,8 @@ class DeltaStoreError(Exception):
 
 
 class CorruptHeaderError(DeltaStoreError):
-    """Bad magic bytes or an unusable manifest."""
+    """Bad magic bytes, an unusable manifest, or payload bytes that the
+    record index does not account for."""
 
 
 class ShapeMismatchError(DeltaStoreError):
@@ -84,7 +86,9 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
     """Write manifest.json + deltas.bin into the directory `path`.
 
     The record index (offsets) is recomputed here; the returned manifest is
-    the one that was written.
+    the one that was written. Both files are serialized in full, written
+    under temporary names and only then renamed into place, so a failed
+    write leaves the previous log readable.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
@@ -107,7 +111,6 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
         for _, arr in r.delta.layers:
             chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         offset += size
-    (directory / PAYLOAD_NAME).write_bytes(b"".join(chunks))
 
     written = DeltaManifest(
         version=manifest.version,
@@ -124,13 +127,27 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
         "devices": [[d, u, role, n] for d, u, role, n in written.devices],
         "index": [[t, d, off] for t, d, off in written.index],
     }
-    (directory / MANIFEST_NAME).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    contents = {PAYLOAD_NAME: b"".join(chunks), MANIFEST_NAME: json.dumps(doc, indent=1).encode()}
+    temps = {name: directory / f".{name}.tmp" for name in contents}
+    try:
+        for name, data in contents.items():
+            temps[name].write_bytes(data)
+        for name, temp in temps.items():
+            os.replace(temp, directory / name)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
     return written
 
 
 def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
     """Load a log directory back into memory, validating header, shapes and
-    payload length with distinct errors for each failure mode."""
+    payload length with distinct errors for each failure mode.
+
+    The device table must list each device once, with a known role and
+    n_k >= 1; every indexed record must fall in rounds [1, rounds] and sit
+    at its slot on the record grid, and the payload must end after the
+    last record."""
     directory = Path(path)
     try:
         doc = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
@@ -154,15 +171,32 @@ def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
         if any(d < 1 for d in shape):
             raise ShapeMismatchError(f"manifest layer shapes must be positive, got {shape}")
 
+    by_device = {d: (u, role, n) for d, u, role, n in manifest.devices}
+    if len(by_device) != len(manifest.devices):
+        raise CorruptHeaderError("device table lists a device id more than once")
+    for d, _, role, n_k in manifest.devices:
+        if role not in (ROLE_ANONYMOUS, ROLE_SHADOW):
+            raise CorruptHeaderError(f"device {d} has unknown role {role!r}")
+        if n_k < 1:
+            raise CorruptHeaderError(f"device {d} has n_k {n_k}, expected >= 1")
+
     payload = (directory / PAYLOAD_NAME).read_bytes()
     if payload[: len(MAGIC)] != MAGIC:
         raise CorruptHeaderError("wrong magic bytes in deltas.bin")
     size = manifest.record_nbytes()
-    by_device = {d: (u, role, n) for d, u, role, n in manifest.devices}
+    expected = len(MAGIC) + len(manifest.index) * size
+    if len(payload) > expected:
+        raise CorruptHeaderError(
+            f"deltas.bin has {len(payload) - expected} bytes past the last indexed record"
+        )
     records: list[DeltaRecord] = []
-    for round_t, device_id, offset in manifest.index:
-        if offset < len(MAGIC):
-            raise CorruptHeaderError(f"record offset {offset} overlaps the header")
+    for i, (round_t, device_id, offset) in enumerate(manifest.index):
+        if offset != len(MAGIC) + i * size:
+            raise CorruptHeaderError(
+                f"record {i} sits at offset {offset}, expected {len(MAGIC) + i * size}"
+            )
+        if not 1 <= round_t <= manifest.rounds:
+            raise CorruptHeaderError(f"record {i} has round {round_t} outside [1, {manifest.rounds}]")
         if offset + size > len(payload):
             raise TruncatedPayloadError(
                 f"record (round {round_t}, device {device_id}) needs bytes "

@@ -27,65 +27,22 @@ from .attacks import (
     train_reid_openworld,
     user_bias_profiles,
 )
-from .config import EXPERIMENT_FAMILIES, ExperimentConfig, config_hash, snapshot
+from .config import (
+    ExperimentConfig,
+    config_hash,
+    model_spec_from,
+    repr_config_from,
+    round_config_from,
+    snapshot,
+    world_config_from,
+)
 from .deltastore import ReprConfig
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, RoundConfig, run_federated
 from .mitigation import MitigationConfig, tradeoff_curve
 from .nn import ModelSpec
 from .reporting import Report, Table
 from .seeding import seed_from
-from .world import (
-    DatasetBundle,
-    WorldConfig,
-    gen_world,
-    intra_inter_distances,
-    limit_prior,
-    make_iid_control,
-)
-
-
-def world_config_from(cfg: ExperimentConfig) -> WorldConfig:
-    return WorldConfig(
-        users=cfg.users,
-        classes=cfg.classes,
-        feature_dim=cfg.feature_dim,
-        n_per_user=cfg.n_per_user,
-        concentration=cfg.beta,
-        feature_noise=cfg.sigma_x,
-        drift=cfg.drift,
-        albums_per_user=cfg.albums_per_user,
-        test_fraction=cfg.test_fraction,
-        background_size=cfg.background_size,
-        prior_kind=cfg.prior_kind,
-        prior_fraction=cfg.prior_fraction,
-        profile_class=cfg.profile_class if cfg.profile_class >= 0 else None,
-        seed=cfg.seed,
-    )
-
-
-def model_spec_from(cfg: ExperimentConfig) -> ModelSpec:
-    return ModelSpec(
-        kind=cfg.model_kind,
-        input_dim=cfg.feature_dim,
-        output_dim=cfg.classes,
-        hidden_dim=cfg.hidden_dim if cfg.model_kind == "mlp1" else 0,
-        head="softmax_ce",
-    )
-
-
-def round_config_from(cfg: ExperimentConfig) -> RoundConfig:
-    return RoundConfig(
-        fraction_c=cfg.client_fraction,
-        local_epochs=cfg.local_epochs,
-        batch_size=cfg.batch_size,
-        eta=cfg.eta,
-        rounds=cfg.rounds,
-        seed=cfg.seed,
-    )
-
-
-def repr_config_from(cfg: ExperimentConfig) -> ReprConfig:
-    return ReprConfig(layer_name=cfg.attack_layer, normalize=cfg.normalize)
+from .world import DatasetBundle, gen_world, intra_inter_distances, limit_prior, make_iid_control
 
 
 @dataclass
@@ -110,8 +67,13 @@ def attack_dataset_from(cfg: ExperimentConfig, arts: PipelineArtifacts, **kwargs
     return build_attack_dataset(arts.run.records, repr_config_from(cfg), **kwargs)
 
 
-def _f(value: float) -> float:
-    return float(value)
+def utility_table(run: FederatedRun) -> Table:
+    """Held-out task score after each round."""
+    return Table(
+        name="utility",
+        columns=["round", "task_score"],
+        rows=[[t + 1, float(s)] for t, s in enumerate(run.utility)],
+    )
 
 
 def _reid_closed(cfg: ExperimentConfig) -> list[Table]:
@@ -122,20 +84,15 @@ def _reid_closed(cfg: ExperimentConfig) -> list[Table]:
         model = train_reid(ds, method, seed_from(cfg.seed, "attack", method))
         ev = evaluate_reid(model, ds)
         rows.append(
-            [method, _f(ev.mean_ap), _f(ev.chance_ap), _f(ev.ioc), _f(ev.top1), _f(ev.top5),
-             len(ev.skipped)]
+            [method, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc), float(ev.top1),
+             float(ev.top5), len(ev.skipped)]
         )
     table = Table(
         name="reid",
         columns=["method", "ap", "chance_ap", "ioc", "top1", "top5", "skipped_labels"],
         rows=rows,
     )
-    utility = Table(
-        name="utility",
-        columns=["round", "task_score"],
-        rows=[[t + 1, _f(s)] for t, s in enumerate(arts.run.utility)],
-    )
-    return [table, utility]
+    return [table, utility_table(arts.run)]
 
 
 def _matching_closed(cfg: ExperimentConfig) -> list[Table]:
@@ -149,7 +106,7 @@ def _matching_closed(cfg: ExperimentConfig) -> list[Table]:
         ev = evaluate_matching(
             model, shadow_rows, anon_rows, seed=seed_from(cfg.seed, "match-eval", method)
         )
-        rows.append([method, _f(ev.ap), _f(ev.chance_ap), _f(ev.ioc), ev.n_pairs])
+        rows.append([method, float(ev.ap), float(ev.chance_ap), float(ev.ioc), ev.n_pairs])
     return [Table(name="matching", columns=["method", "ap", "chance_ap", "ioc", "n_pairs"], rows=rows)]
 
 
@@ -177,9 +134,9 @@ def _open_world(cfg: ExperimentConfig) -> list[Table]:
         )
         rows.append(
             [
-                _f(fraction), len(split.seen), len(split.unseen), len(split.holdout),
-                _f(reid_ap), _f(reid_chance), _f(reid_ioc),
-                _f(ev_match.ap), _f(ev_match.chance_ap), _f(ev_match.ioc),
+                float(fraction), len(split.seen), len(split.unseen), len(split.holdout),
+                float(reid_ap), float(reid_chance), float(reid_ioc),
+                float(ev_match.ap), float(ev_match.chance_ap), float(ev_match.ioc),
             ]
         )
     return [
@@ -206,7 +163,7 @@ def _prior_amount(cfg: ExperimentConfig) -> list[Table]:
         ds = attack_dataset_from(cfg, arts)
         model = train_reid(ds, "mlp", seed_from(cfg.seed, "prior-attack", m))
         ev = evaluate_reid(model, ds)
-        rows.append([m, _f(ev.mean_ap), _f(ev.chance_ap), _f(ev.ioc)])
+        rows.append([m, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
     return [
         Table(name="prior_amount", columns=["prior_examples", "ap", "chance_ap", "ioc"], rows=rows)
     ]
@@ -222,7 +179,7 @@ def _train_amount(cfg: ExperimentConfig) -> list[Table]:
         )
         model = train_reid(ds, "mlp", seed_from(cfg.seed, "train-attack", k))
         ev = evaluate_reid(model, ds)
-        rows.append([k, ds.train_x.shape[0], _f(ev.mean_ap), _f(ev.chance_ap), _f(ev.ioc)])
+        rows.append([k, ds.train_x.shape[0], float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
     return [
         Table(
             name="train_amount",
@@ -241,7 +198,7 @@ def _layer_sweep(cfg: ExperimentConfig) -> list[Table]:
         model = train_reid(ds, "mlp", seed_from(cfg.seed, "layer", layer))
         ev = evaluate_reid(model, ds)
         rows.append(
-            [layer, int(np.prod(shape)), _f(ev.mean_ap), _f(ev.chance_ap), _f(ev.ioc)]
+            [layer, int(np.prod(shape)), float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)]
         )
     return [Table(name="layers", columns=["layer", "dim", "ap", "chance_ap", "ioc"], rows=rows)]
 
@@ -270,7 +227,7 @@ def _epoch_grid(cfg: ExperimentConfig) -> list[Table]:
             rows.append(
                 [
                     train_range[0], train_range[1], eval_range[0], eval_range[1],
-                    _f(ev.mean_ap), _f(ev.chance_ap), _f(ev.ioc),
+                    float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc),
                 ]
             )
     return [
@@ -292,7 +249,7 @@ def _iid_control(cfg: ExperimentConfig) -> list[Table]:
         ds = attack_dataset_from(cfg, arts)
         model = train_reid(ds, "mlp", seed_from(cfg.seed, "iid-attack", variant))
         ev = evaluate_reid(model, ds)
-        rows.append([variant, _f(ev.mean_ap), _f(ev.chance_ap), _f(ev.ioc)])
+        rows.append([variant, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
     return [Table(name="iid_control", columns=["world", "ap", "chance_ap", "ioc"], rows=rows)]
 
 
@@ -302,11 +259,11 @@ def _dataspace(cfg: ExperimentConfig) -> list[Table]:
     ds = attack_dataset_from(cfg, arts)
     model = train_reid(ds, "mlp", seed_from(cfg.seed, "dataspace-delta"))
     ev = evaluate_reid(model, ds)
-    rows = [["delta", 0, _f(ev.mean_ap), _f(ev.chance_ap), _f(ev.ioc)]]
+    rows = [["delta", 0, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)]]
     for size in cfg.dataspace_set_sizes:
         mode = "single" if size == 1 else "set"
         _, ev = dataspace_reid(arts.bundle, mode, size, seed_from(cfg.seed, "dataspace"))
-        rows.append([f"data_{mode}", size, _f(ev.mean_ap), _f(ev.chance_ap), _f(ev.ioc)])
+        rows.append([f"data_{mode}", size, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
     return [
         Table(name="dataspace", columns=["input", "set_size", "ap", "chance_ap", "ioc"], rows=rows)
     ]
@@ -325,16 +282,16 @@ def _bias_profile(cfg: ExperimentConfig) -> list[Table]:
             if v != u
         ]
         cons_self[u] = own
-        rows.append([u, _f(own), _f(float(np.mean(cross)))])
+        rows.append([u, float(own), float(np.mean(cross))])
     consistency = Table(
         name="consistency", columns=["user", "self_consistency", "mean_cross_consistency"], rows=rows
     )
     dist = intra_inter_distances(arts.bundle, seed=seed_from(cfg.seed, "distances"))
-    distance_rows = [[u, _f(dist[u][0]), _f(dist[u][1])] for u in users]
+    distance_rows = [[u, float(dist[u][0]), float(dist[u][1])] for u in users]
     distances = Table(name="distances", columns=["user", "intra_median", "inter_median"], rows=distance_rows)
     profile_rows = []
     for (u, role) in sorted(profiles):
-        profile_rows.append([u, role] + [_f(v) for v in profiles[(u, role)]])
+        profile_rows.append([u, role] + [float(v) for v in profiles[(u, role)]])
     profile_table = Table(
         name="profiles",
         columns=["user", "role"] + [f"class_{c}" for c in range(cfg.classes)],
@@ -369,8 +326,8 @@ def _mitigation(cfg: ExperimentConfig) -> list[Table]:
     )
     rows = [
         [
-            p.strategy, _f(p.value), _f(p.attacker_ap), _f(p.chance_ap), _f(p.privacy_ioc),
-            _f(p.task_score), _f(p.utility),
+            p.strategy, float(p.value), float(p.attacker_ap), float(p.chance_ap),
+            float(p.privacy_ioc), float(p.task_score), float(p.utility),
         ]
         for p in points
     ]
@@ -384,27 +341,28 @@ def _mitigation(cfg: ExperimentConfig) -> list[Table]:
     ]
 
 
-_FAMILY_FUNCS = {
+# cheap families first, so an interrupted run over all of them still leaves
+# most reports behind
+FAMILIES = {
     "reid_closed": _reid_closed,
     "matching_closed": _matching_closed,
-    "open_world": _open_world,
-    "prior_amount": _prior_amount,
-    "train_amount": _train_amount,
-    "layer_sweep": _layer_sweep,
-    "epoch_grid": _epoch_grid,
     "iid_control": _iid_control,
-    "dataspace": _dataspace,
     "bias_profile": _bias_profile,
+    "layer_sweep": _layer_sweep,
+    "train_amount": _train_amount,
+    "open_world": _open_world,
+    "epoch_grid": _epoch_grid,
+    "dataspace": _dataspace,
+    "prior_amount": _prior_amount,
     "mitigation": _mitigation,
 }
-
-assert set(_FAMILY_FUNCS) == set(EXPERIMENT_FAMILIES)
+EXPERIMENT_FAMILIES = tuple(FAMILIES)
 
 
 def run_experiment(cfg: ExperimentConfig, family: str) -> Report:
-    if family not in _FAMILY_FUNCS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown experiment family {family!r}; expected one of {EXPERIMENT_FAMILIES}")
-    tables = _FAMILY_FUNCS[family](cfg)
+    tables = FAMILIES[family](cfg)
     return Report(
         experiment=family,
         config=snapshot(cfg),

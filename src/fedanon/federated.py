@@ -10,14 +10,12 @@ over the sampled subset).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import nn
-from .metrics import average_precision
 from .nn import ModelSpec, ParamVector
 from .seeding import rng_from, seed_from
 from .world import DatasetBundle, Example, features_of, labels_of
@@ -91,7 +89,6 @@ class FederatedRun:
     final_params: ParamVector
     records: list[DeltaRecord]
     utility: list[float]  # per-round held-out task score
-    seconds: float = 0.0
 
 
 def build_devices(bundle: DatasetBundle) -> list[DeviceState]:
@@ -174,20 +171,9 @@ def server_round(
 
 
 def evaluate_task(spec: ModelSpec, params: ParamVector, x: np.ndarray, y: np.ndarray) -> float:
-    """Held-out task score: top-1 accuracy (softmax head), mean one-vs-rest
-    AP (sigmoid head), or negative mean absolute error (mse head)."""
+    """Held-out task score: top-1 accuracy."""
     scores = nn.predict_proba(spec, params, x)
-    if spec.head == "softmax_ce":
-        return float((scores.argmax(axis=1) == np.asarray(y)).mean())
-    if spec.head == "sigmoid_bce":
-        y = np.asarray(y, dtype=np.float64)
-        aps = [
-            average_precision(scores[:, c], y[:, c] > 0.5)
-            for c in range(spec.output_dim)
-            if (y[:, c] > 0.5).any()
-        ]
-        return float(np.mean(aps))
-    return float(-np.abs(scores - np.asarray(y, dtype=np.float64)).mean())
+    return float((scores.argmax(axis=1) == np.asarray(y)).mean())
 
 
 def run_federated(
@@ -198,7 +184,6 @@ def run_federated(
 ) -> FederatedRun:
     """Full run: T rounds over the bundle's device population, evaluating on
     the global test split each round and logging every delta."""
-    started = time.perf_counter()
     devices = build_devices(bundle)
     params = nn.init_params(spec, seed_from(cfg.seed, "init"))
     test_x = features_of(bundle.test)
@@ -210,9 +195,4 @@ def run_federated(
         params.validate_finite()
         records.extend(round_records)
         utility.append(evaluate_task(spec, params, test_x, test_y))
-    return FederatedRun(
-        final_params=params,
-        records=records,
-        utility=utility,
-        seconds=time.perf_counter() - started,
-    )
+    return FederatedRun(final_params=params, records=records, utility=utility)

@@ -61,18 +61,15 @@ def average_precision(scores, positives) -> float:
     return float((precision * ranked_hits).sum() / n_pos)
 
 
-def mean_ap(preds: ScoredPredictions, n_labels: int | None = None) -> MeanApResult:
-    """One-vs-rest AP per label, averaged over labels that have positives.
+def mean_ap(preds: ScoredPredictions) -> MeanApResult:
+    """One-vs-rest AP per score column, averaged over labels that have
+    positives.
 
     Labels with no positive rows are skipped and reported in the result.
     """
-    if n_labels is None:
-        n_labels = preds.n_labels
-    if n_labels != preds.n_labels:
-        raise ValueError(f"preds carry {preds.n_labels} score columns, asked for {n_labels}")
     per_label: dict[int, float] = {}
     skipped: list[int] = []
-    for label in range(n_labels):
+    for label in range(preds.n_labels):
         positives = preds.labels == label
         if not positives.any():
             skipped.append(label)

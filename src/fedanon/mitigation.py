@@ -264,23 +264,3 @@ def tradeoff_curve(
         p.utility = p.task_score / anchor_score if anchor_score != 0.0 else float("nan")
     return points
 
-
-def default_grid(
-    noise_grid: Sequence[float] = (1e-2, 1e-1, 1.0, 1e1, 1e2),
-    repl_grid: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    aug_grid: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
-    clusters_m: int = DEFAULT_CLUSTERS,
-    seed: int = 0,
-) -> list[MitigationConfig]:
-    """Reference sweep: the no-mitigation anchor, the noise variance grid,
-    and the three data-strategy strength grids."""
-    grid = [MitigationConfig("noise", sigma2=0.0, seed=seed)]
-    grid += [MitigationConfig("noise", sigma2=s, seed=seed) for s in noise_grid]
-    grid += [MitigationConfig("bkg_repl", alpha=a, seed=seed) for a in repl_grid if a > 0.0]
-    grid += [MitigationConfig("rand_aug", alpha=a, seed=seed) for a in aug_grid if a > 0.0]
-    grid += [
-        MitigationConfig("mm_aug", alpha=a, clusters_m=clusters_m, seed=seed)
-        for a in aug_grid
-        if a > 0.0
-    ]
-    return grid

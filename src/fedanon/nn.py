@@ -2,54 +2,45 @@
 
 Everything runs on float64 numpy arrays; 32-bit floats appear only at the
 persistence boundary (see deltastore). Two architectures are supported: a
-linear map and a one-hidden-layer ReLU network, each with a configurable
-loss head. Gradients are written out explicitly and checked against central
-finite differences in the test suite.
+linear map and a one-hidden-layer ReLU network, both trained with softmax
+cross-entropy. Gradients are written out explicitly and checked against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .seeding import rng_from
 
-Head = Literal["softmax_ce", "sigmoid_bce", "identity_mse"]
-
-# probability clamp applied before any log() in the cross-entropy heads
+# probability clamp applied before any log() of a predicted probability
 PROB_EPS = 1e-7
 
-HEADS = ("softmax_ce", "sigmoid_bce", "identity_mse")
 KINDS = ("linear", "mlp1")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture plus loss head; the parameter layout is a pure function
-    of this description, so two models built from equal specs are always
-    parameter-compatible."""
+    """Architecture of a softmax classifier; the parameter layout is a pure
+    function of this description, so two models built from equal specs are
+    always parameter-compatible."""
 
     kind: Literal["linear", "mlp1"]
     input_dim: int
     output_dim: int
     hidden_dim: int = 0
-    activation: Literal["relu"] = "relu"
-    head: Head = "softmax_ce"
     bias: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.head not in HEADS:
-            raise ValueError(f"unknown head {self.head!r}")
-        if self.activation != "relu":
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be >= 1")
         if self.kind == "mlp1" and self.hidden_dim < 1:
-            raise ValueError("mlp1 requires hidden_dim >= 1")
+            raise ValueError("hidden_dim must be >= 1 for mlp1")
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         """Ordered (name, shape) pairs defining the parameter vector."""
@@ -117,15 +108,9 @@ class ParamVector:
     def copy(self) -> "ParamVector":
         return ParamVector([(n, a.copy()) for n, a in self.layers])
 
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector([(n, np.zeros_like(a)) for n, a in self.layers])
-
     def flat(self) -> np.ndarray:
         """Concatenation of all layers in order (row-major per layer)."""
         return np.concatenate([a.ravel() for _, a in self.layers])
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for _, a in self.layers)
 
     def validate_finite(self) -> None:
         for n, a in self.layers:
@@ -214,14 +199,6 @@ def forward_batch(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.nda
     return _affine(a1, params.get("W2"), params.get("b2") if spec.bias else None)
 
 
-def forward(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Logits for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d input, got shape {x.shape}")
-    return forward_batch(spec, params, x[None, :])[0]
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax."""
     z = z - z.max(axis=-1, keepdims=True)
@@ -239,68 +216,40 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _coerce_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
-    """Accept either (X, Y) arrays or an iterable of (x, y) pairs."""
-    if isinstance(batch, tuple) and len(batch) == 2 and isinstance(batch[0], np.ndarray):
-        x, y = batch
-    else:
-        pairs = list(batch)
-        if not pairs:
-            raise ValueError("empty batch")
-        x = np.stack([np.asarray(p[0], dtype=np.float64) for p in pairs])
-        if spec.head == "softmax_ce":
-            y = np.asarray([p[1] for p in pairs])
-        else:
-            y = np.stack([np.asarray(p[1], dtype=np.float64) for p in pairs])
+    """Check an (X, Y) pair: a non-empty (n, d) input batch and one class
+    index per row."""
+    x, y = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"expected a non-empty (n, d) input batch, got shape {x.shape}")
-    if spec.head == "softmax_ce":
-        y = np.asarray(y)
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValueError("softmax_ce targets must be a class index per example")
-        if not np.issubdtype(y.dtype, np.integer):
-            if not np.all(np.equal(np.mod(y, 1), 0)):
-                raise ValueError("softmax_ce targets must be integer class indices")
-            y = y.astype(np.int64)
-        if y.min() < 0 or y.max() >= spec.output_dim:
-            raise ValueError(f"class index out of range [0, {spec.output_dim})")
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (x.shape[0], spec.output_dim):
-            raise ValueError(
-                f"{spec.head} targets must have shape (n, {spec.output_dim}), got {y.shape}"
-            )
+    y = np.asarray(y)
+    if y.ndim != 1 or y.shape[0] != x.shape[0]:
+        raise ValueError("targets must be a class index per example")
+    if not np.issubdtype(y.dtype, np.integer):
+        if not np.all(np.equal(np.mod(y, 1), 0)):
+            raise ValueError("targets must be integer class indices")
+        y = y.astype(np.int64)
+    if y.min() < 0 or y.max() >= spec.output_dim:
+        raise ValueError(f"class index out of range [0, {spec.output_dim})")
     return x, y
 
 
-def _head_loss_and_grad(
-    spec: ModelSpec, z: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and its gradient w.r.t. the logits."""
+def _loss_and_grad(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the batch and its gradient w.r.t.
+    the logits."""
     n = z.shape[0]
-    if spec.head == "softmax_ce":
-        p = softmax(z)
-        picked = np.clip(p[np.arange(n), y], PROB_EPS, 1.0 - PROB_EPS)
-        loss = float(-np.log(picked).mean())
-        grad = p.copy()
-        grad[np.arange(n), y] -= 1.0
-        return loss, grad / n
-    if spec.head == "sigmoid_bce":
-        p = sigmoid(z)
-        pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-        per = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean(axis=1)
-        # analytic gradient ignores the clamp; the clamp only bites at |z| > ~16
-        return float(per.mean()), (p - y) / (n * z.shape[1])
-    # identity_mse: 0.5 * ||z - y||^2 per example
-    diff = z - y
-    loss = float(0.5 * (diff**2).sum(axis=1).mean())
-    return loss, diff / n
+    p = softmax(z)
+    picked = np.clip(p[np.arange(n), y], PROB_EPS, 1.0 - PROB_EPS)
+    loss = float(-np.log(picked).mean())
+    grad = p.copy()
+    grad[np.arange(n), y] -= 1.0
+    return loss, grad / n
 
 
 def compute_loss(spec: ModelSpec, params: ParamVector, batch) -> float:
     x, y = _coerce_batch(spec, batch)
     z = forward_batch(spec, params, x)
-    loss, _ = _head_loss_and_grad(spec, z, y)
+    loss, _ = _loss_and_grad(z, y)
     return loss
 
 
@@ -309,7 +258,7 @@ def backward(spec: ModelSpec, params: ParamVector, batch) -> ParamVector:
     x, y = _coerce_batch(spec, batch)
     if spec.kind == "linear":
         z = _affine(x, params.get("W"), params.get("b") if spec.bias else None)
-        _, dz = _head_loss_and_grad(spec, z, y)
+        _, dz = _loss_and_grad(z, y)
         grads = [("W", dz.T @ x)]
         if spec.bias:
             grads.append(("b", dz.sum(axis=0)))
@@ -318,7 +267,7 @@ def backward(spec: ModelSpec, params: ParamVector, batch) -> ParamVector:
     z1 = _affine(x, w1, params.get("b1") if spec.bias else None)
     a1 = np.maximum(z1, 0.0)
     z2 = _affine(a1, w2, params.get("b2") if spec.bias else None)
-    _, dz2 = _head_loss_and_grad(spec, z2, y)
+    _, dz2 = _loss_and_grad(z2, y)
     da1 = dz2 @ w2
     dz1 = da1 * (z1 > 0.0)
     grads = [("W1", dz1.T @ x)]
@@ -372,8 +321,8 @@ def train(
 ) -> ParamVector:
     """Minibatch training with a deterministic per-epoch shuffle.
 
-    `data` is either (X, Y) arrays or an iterable of (x, y) pairs. The last
-    partial batch is included. Returns the trained parameters; the inputs
+    `data` is an (X, Y) pair of inputs and class indices. The last partial
+    batch is included. Returns the trained parameters; the inputs
     are left untouched.
     """
     if epochs < 0:
@@ -396,10 +345,5 @@ def train(
 
 
 def predict_proba(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Head-transformed outputs for a batch (softmax rows, sigmoids, or raw)."""
-    z = forward_batch(spec, params, x)
-    if spec.head == "softmax_ce":
-        return softmax(z)
-    if spec.head == "sigmoid_bce":
-        return sigmoid(z)
-    return z
+    """Softmax class probabilities for a batch, one row per input."""
+    return softmax(forward_batch(spec, params, x))

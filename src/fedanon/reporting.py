@@ -97,13 +97,6 @@ def table_to_csv(table: Table) -> str:
     return buf.getvalue()
 
 
-def table_from_csv(text: str, name: str) -> Table:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise ValueError("empty csv")
-    return Table(name=name, columns=rows[0], rows=[list(r) for r in rows[1:]])
-
-
 def write_report(
     report: Report, out_dir, formats: Sequence[str] = ("json", "csv")
 ) -> list[Path]:

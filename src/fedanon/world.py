@@ -66,11 +66,13 @@ class WorldConfig:
         if self.background_size < 1:
             raise ValueError("background_size must be >= 1")
         if self.prior_kind not in PRIOR_KINDS:
-            raise ValueError(f"prior_kind must be one of {PRIOR_KINDS}")
+            raise ValueError(f"prior_kind must be one of {PRIOR_KINDS}, got {self.prior_kind!r}")
         if not 0.0 < self.prior_fraction < 1.0:
             raise ValueError("prior_fraction must be in (0, 1)")
-        if self.prior_kind == "profile" and self.profile_class is None:
-            raise ValueError("profile prior requires profile_class")
+        if self.prior_kind == "profile" and not (
+            self.profile_class is not None and 0 <= self.profile_class < self.classes
+        ):
+            raise ValueError("profile_class must name a class when prior_kind = profile")
 
 
 @dataclass
@@ -346,13 +348,6 @@ def features_of(examples: Iterable[Example]) -> np.ndarray:
 
 def labels_of(examples: Iterable[Example]) -> np.ndarray:
     return np.asarray([e.y for e in examples], dtype=np.int64)
-
-
-def class_histogram(examples: Iterable[Example], classes: int) -> np.ndarray:
-    counts = np.zeros(classes, dtype=np.int64)
-    for e in examples:
-        counts[e.y] += 1
-    return counts
 
 
 def intra_inter_distances(

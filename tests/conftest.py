@@ -28,7 +28,7 @@ SMALL_WORLD = WorldConfig(
 )
 
 SMALL_SPEC = ModelSpec(
-    kind="mlp1", input_dim=16, hidden_dim=8, output_dim=5, head="softmax_ce"
+    kind="mlp1", input_dim=16, hidden_dim=8, output_dim=5
 )
 
 SMALL_ROUNDS = RoundConfig(

@@ -124,7 +124,7 @@ def test_criterion_01_federation_equals_pooled_descent():
 
 def test_criterion_02_gradients_match_finite_differences():
     rng = np.random.default_rng(2024)
-    worst, checked = 0.0, 0
+    worst, checked, combos = 0.0, 0, set()
     while checked < 100:
         spec = random_spec(rng)
         params = nn.init_params(spec, seed=int(rng.integers(1 << 30)))
@@ -135,8 +135,14 @@ def test_criterion_02_gradients_match_finite_differences():
         numeric = numeric_grad(spec, params, batch)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8)
         worst = max(worst, float(rel))
+        combos.add((spec.kind, spec.bias))
         checked += 1
-    verdict(2, worst <= 1e-4, f"100 cases, worst_rel_err={worst:.2e} (<=1e-4)")
+    verdict(
+        2,
+        worst <= 1e-4 and len(combos) == len(nn.KINDS) * 2,
+        f"100 cases over {len(combos)} kind x bias combinations, "
+        f"worst_rel_err={worst:.2e} (<=1e-4)",
+    )
 
 
 def test_criterion_03_average_precision_oracle():

@@ -26,7 +26,6 @@ from fedanon.attacks import (
     evaluate_matching,
     evaluate_reid,
     evaluate_reid_openworld,
-    match_pair,
     open_world_split,
     sample_balanced_pairs,
     train_matcher,
@@ -263,7 +262,7 @@ def test_mlp_product_matcher_hand_values():
     pa = _StubReid([[0.6, 0.4]])
     matcher = MlpProductMatcher(pa)
     # same stub on both branches: max(0.6*0.6, 0.4*0.4) = 0.36
-    assert match_pair(matcher, np.zeros(2), np.zeros(2)) == pytest.approx(0.36)
+    assert matcher.predict_pairs(np.zeros(2), np.zeros(2))[0] == pytest.approx(0.36)
     mixed = MlpProductMatcher(_StubReid([[1.0, 0.0], [0.0, 1.0]]))
     scores = mixed.predict_pairs(np.zeros((2, 2)), np.zeros((2, 2)))
     # both rows come from the same stub; row products are [1, 1]
@@ -290,7 +289,7 @@ def test_siamese_is_symmetric_and_constant_on_self():
         model.predict_pairs(a, b), model.predict_pairs(b, a), atol=1e-12
     )
     # distance 0 collapses the head to sigmoid(out_b), whatever the input
-    self_scores = [match_pair(model, row, row) for row in a]
+    self_scores = model.predict_pairs(a, a)
     expect = 1.0 / (1.0 + np.exp(-float(params.get("out_b")[0])))
     np.testing.assert_allclose(self_scores, expect, atol=1e-12)
 

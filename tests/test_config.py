@@ -91,11 +91,17 @@ def test_range_violations_name_the_key():
         build_config(overrides={"prior_fraction": "1.0"})
     with pytest.raises(ConfigError, match="'attack_methods'"):
         build_config(overrides={"attack_methods": "chance, ouija"})
+    # keys whose component field has another name
+    for key, bad in (("beta", "0"), ("sigma_x", "-1"), ("model_kind", "cnn")):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            build_config(overrides={key: bad})
 
 
 def test_profile_kind_requires_profile_class():
     with pytest.raises(ConfigError, match="'profile_class'"):
         build_config(overrides={"prior_kind": "profile"})
+    with pytest.raises(ConfigError, match="'profile_class'"):
+        build_config(overrides={"prior_kind": "profile", "profile_class": "10"})
     cfg = build_config(overrides={"prior_kind": "profile", "profile_class": "3"})
     assert cfg.profile_class == 3
 
@@ -127,6 +133,9 @@ def test_config_hash_stability_and_sensitivity():
     assert len(a) == 16
     assert config_hash(ExperimentConfig(seed=1)) != a
     assert config_hash(ExperimentConfig(eta=0.81)) != a
+    # where reports are written does not change them
+    assert config_hash(ExperimentConfig(out_dir="elsewhere")) == a
+    assert snapshot(ExperimentConfig(out_dir="elsewhere"))["out_dir"] == "elsewhere"
 
 
 def test_round_trip_through_snapshot(tmp_path):

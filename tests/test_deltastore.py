@@ -2,10 +2,12 @@
 identical, and each corruption mode must raise its own error type."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fedanon import deltastore
 from fedanon.deltastore import (
     MAGIC,
     CorruptHeaderError,
@@ -153,24 +155,103 @@ def test_read_rejects_foreign_manifest(tmp_path):
         read_records(tmp_path / "log")
 
 
-def test_read_rejects_unknown_version(tmp_path):
-    write_log(tmp_path, make_records())
+def edit_manifest(tmp_path, change):
     path = tmp_path / "log" / "manifest.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["version"] = 99
+    change(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_read_rejects_unknown_version(tmp_path):
+    write_log(tmp_path, make_records())
+    edit_manifest(tmp_path, lambda doc: doc.__setitem__("version", 99))
     with pytest.raises(CorruptHeaderError):
         read_records(tmp_path / "log")
 
 
 def test_read_rejects_unknown_device_reference(tmp_path):
     write_log(tmp_path, make_records())
-    path = tmp_path / "log" / "manifest.json"
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["index"][0][1] = 777  # device id that the table does not list
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    # device id that the table does not list
+    edit_manifest(tmp_path, lambda doc: doc["index"][0].__setitem__(1, 777))
     with pytest.raises(CorruptHeaderError):
         read_records(tmp_path / "log")
+
+
+def test_read_rejects_trailing_payload_bytes(tmp_path):
+    write_log(tmp_path, make_records())
+    bin_path = tmp_path / "log" / "deltas.bin"
+    bin_path.write_bytes(bin_path.read_bytes() + b"\0\0\0\0")
+    with pytest.raises(CorruptHeaderError, match="past the last"):
+        read_records(tmp_path / "log")
+
+
+def _set_offset(doc, i, offset):
+    doc["index"][i][2] = offset
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda doc: _set_offset(doc, 1, doc["index"][0][2]), id="duplicate"),
+        pytest.param(lambda doc: _set_offset(doc, 1, doc["index"][1][2] + 4), id="misaligned"),
+        pytest.param(lambda doc: _set_offset(doc, 0, doc["index"][1][2]), id="out_of_order"),
+    ],
+)
+def test_read_rejects_offsets_off_the_record_grid(tmp_path, change):
+    write_log(tmp_path, make_records())
+    edit_manifest(tmp_path, change)
+    with pytest.raises(CorruptHeaderError, match="offset"):
+        read_records(tmp_path / "log")
+
+
+def test_read_rejects_unknown_role(tmp_path):
+    write_log(tmp_path, make_records())
+    edit_manifest(tmp_path, lambda doc: doc["devices"][0].__setitem__(2, "bogus"))
+    with pytest.raises(CorruptHeaderError, match="bogus"):
+        read_records(tmp_path / "log")
+
+
+@pytest.mark.parametrize("n_k", [0, -5])
+def test_read_rejects_n_k_below_one(tmp_path, n_k):
+    write_log(tmp_path, make_records())
+    edit_manifest(tmp_path, lambda doc: doc["devices"][0].__setitem__(3, n_k))
+    with pytest.raises(CorruptHeaderError, match="n_k"):
+        read_records(tmp_path / "log")
+
+
+def test_read_rejects_duplicate_device_id(tmp_path):
+    write_log(tmp_path, make_records())
+    edit_manifest(tmp_path, lambda doc: doc["devices"].append([0, 1, ROLE_SHADOW, 99]))
+    with pytest.raises(CorruptHeaderError, match="more than once"):
+        read_records(tmp_path / "log")
+
+
+@pytest.mark.parametrize("round_t", [0, 4])
+def test_read_rejects_round_outside_the_run(tmp_path, round_t):
+    write_log(tmp_path, make_records(n_rounds=3), rounds=3)
+    edit_manifest(tmp_path, lambda doc: doc["index"][0].__setitem__(0, round_t))
+    with pytest.raises(CorruptHeaderError, match="outside"):
+        read_records(tmp_path / "log")
+
+
+def test_failed_write_leaves_previous_log(tmp_path, monkeypatch):
+    first = make_records(seed=0)
+    write_log(tmp_path, first)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("manifest serialization failed")
+
+    monkeypatch.setattr(deltastore, "json", SimpleNamespace(dumps=fail))
+    with pytest.raises(RuntimeError):
+        write_log(tmp_path, make_records(seed=1))
+    monkeypatch.undo()
+    _, loaded = read_records(tmp_path / "log")
+    assert len(loaded) == len(first)
+    for orig, back in zip(first, loaded):
+        np.testing.assert_array_equal(
+            back.delta.flat(), orig.delta.flat().astype(np.float32).astype(np.float64)
+        )
+    assert sorted(p.name for p in (tmp_path / "log").iterdir()) == ["deltas.bin", "manifest.json"]
 
 
 def test_error_types_are_distinct():

@@ -6,8 +6,9 @@ import math
 import pytest
 
 from fedanon import __version__
-from fedanon.config import EXPERIMENT_FAMILIES, ExperimentConfig, config_hash, snapshot
+from fedanon.config import ExperimentConfig, config_hash, snapshot
 from fedanon.experiments import (
+    EXPERIMENT_FAMILIES,
     attack_dataset_from,
     epoch_ranges,
     run_experiment,

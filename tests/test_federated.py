@@ -36,7 +36,7 @@ def two_class_device(n=2, device_id=0):
     return DeviceState(device_id=device_id, user_id=0, role=ROLE_ANONYMOUS, examples=examples)
 
 
-LINEAR2 = ModelSpec(kind="linear", input_dim=1, output_dim=2, head="softmax_ce", bias=False)
+LINEAR2 = ModelSpec(kind="linear", input_dim=1, output_dim=2, bias=False)
 
 
 def zero_params():
@@ -163,7 +163,7 @@ def test_federated_matches_pooled_gradient_descent():
     """With one local epoch, full batches, and every device sampled, T rounds
     of federation must equal T pooled full-batch gradient steps."""
     bundle = gen_world(small_cfg())
-    spec = ModelSpec(kind="mlp1", input_dim=12, hidden_dim=6, output_dim=5, head="softmax_ce")
+    spec = ModelSpec(kind="mlp1", input_dim=12, hidden_dim=6, output_dim=5)
     cfg = RoundConfig(
         fraction_c=1.0, local_epochs=1, batch_size=10_000, eta=0.5, rounds=5, seed=3
     )
@@ -182,14 +182,13 @@ def test_federated_matches_pooled_gradient_descent():
 
 def test_run_federated_shapes_and_determinism():
     bundle = gen_world(small_cfg())
-    spec = ModelSpec(kind="mlp1", input_dim=12, hidden_dim=6, output_dim=5, head="softmax_ce")
+    spec = ModelSpec(kind="mlp1", input_dim=12, hidden_dim=6, output_dim=5)
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.5, rounds=4, seed=3)
     run = run_federated(bundle, spec, cfg)
     assert len(run.utility) == cfg.rounds
     assert len(run.records) == cfg.rounds * 2 * len(bundle.user_ids())
     assert all(0.0 <= u <= 1.0 for u in run.utility)
-    assert run.final_params.all_finite()
-    assert run.seconds > 0.0
+    assert np.isfinite(run.final_params.flat()).all()
     assert {r.round_t for r in run.records} == set(range(1, cfg.rounds + 1))
 
     again = run_federated(bundle, spec, cfg)
@@ -199,7 +198,7 @@ def test_run_federated_shapes_and_determinism():
 
 def test_run_federated_zero_hook_freezes_model():
     bundle = gen_world(small_cfg())
-    spec = ModelSpec(kind="linear", input_dim=12, output_dim=5, head="softmax_ce")
+    spec = ModelSpec(kind="linear", input_dim=12, output_dim=5)
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.5, rounds=2, seed=3)
     run = run_federated(bundle, spec, cfg, delta_hook=lambda t, d, delta: delta.scale(0.0))
     init = nn.init_params(spec, seed_from(cfg.seed, "init"))
@@ -207,19 +206,11 @@ def test_run_federated_zero_hook_freezes_model():
 
 
 def test_evaluate_task_softmax_accuracy():
-    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2, head="softmax_ce", bias=False)
+    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2, bias=False)
     params = ParamVector([("W", np.array([[1.0, 0.0], [0.0, 1.0]]))])
     x = np.array([[3.0, 0.0], [0.0, 3.0], [2.0, 1.0]])
     y = np.array([0, 1, 1])  # third row argmaxes to class 0: wrong
     assert evaluate_task(spec, params, x, y) == pytest.approx(2 / 3)
-
-
-def test_evaluate_task_mse_is_negative_mae():
-    spec = ModelSpec(kind="linear", input_dim=1, output_dim=1, head="identity_mse", bias=False)
-    params = ParamVector([("W", np.array([[2.0]]))])
-    x = np.array([[1.0], [2.0]])
-    y = np.array([[1.0], [5.0]])  # predictions 2 and 4 -> abs errors 1 and 1
-    assert evaluate_task(spec, params, x, y) == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize(

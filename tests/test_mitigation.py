@@ -12,7 +12,6 @@ from fedanon.mitigation import (
     MitigationConfig,
     apply_data_strategy,
     cluster_background,
-    default_grid,
     make_noise_hook,
     mitigate_bundle,
     noise_perturb,
@@ -282,7 +281,7 @@ def test_mm_aug_with_one_cluster_equals_rand_aug():
 
 def tiny_setup():
     bundle = gen_world(small_cfg(users=6, n_per_user=40, background_size=100))
-    spec = ModelSpec(kind="linear", input_dim=12, output_dim=5, head="softmax_ce")
+    spec = ModelSpec(kind="linear", input_dim=12, output_dim=5)
     fed = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.5, rounds=3, seed=0)
     return bundle, spec, fed, ReprConfig("W", normalize=True)
 
@@ -324,14 +323,3 @@ def test_tradeoff_reuses_single_baseline_run():
     assert points[0].attacker_ap == points[1].attacker_ap
     assert points[0].utility == points[1].utility == 1.0
 
-
-def test_default_grid_composition():
-    grid = default_grid()
-    assert sum(cfg.is_identity() for cfg in grid) == 1
-    by_strategy = {}
-    for cfg in grid:
-        by_strategy.setdefault(cfg.strategy, []).append(cfg.value)
-    assert by_strategy["noise"] == [0.0, 1e-2, 1e-1, 1.0, 1e1, 1e2]
-    assert by_strategy["bkg_repl"] == [0.25, 0.5, 0.75, 1.0]
-    assert by_strategy["rand_aug"] == [0.5, 1.0, 2.0]
-    assert by_strategy["mm_aug"] == [0.5, 1.0, 2.0]

@@ -15,25 +15,16 @@ RELU_KINK_GUARD = 1e-4  # keep finite-difference probes away from max(0, .) kink
 
 def random_spec(rng):
     kind = rng.choice(["linear", "mlp1"])
-    head = rng.choice(["softmax_ce", "sigmoid_bce", "identity_mse"])
     in_dim = int(rng.integers(1, 6))
     out_dim = int(rng.integers(1, 5))
     hid = int(rng.integers(1, 6)) if kind == "mlp1" else 0
     bias = bool(rng.integers(0, 2))
-    return ModelSpec(
-        kind=kind, input_dim=in_dim, hidden_dim=hid, output_dim=out_dim,
-        head=head, bias=bias,
-    )
+    return ModelSpec(kind=kind, input_dim=in_dim, hidden_dim=hid, output_dim=out_dim, bias=bias)
 
 
 def random_batch(rng, spec, n):
     x = rng.normal(size=(n, spec.input_dim))
-    if spec.head == "softmax_ce":
-        y = rng.integers(0, spec.output_dim, size=n)
-    elif spec.head == "sigmoid_bce":
-        y = rng.integers(0, 2, size=(n, spec.output_dim)).astype(float)
-    else:
-        y = rng.normal(size=(n, spec.output_dim))
+    y = rng.integers(0, spec.output_dim, size=n)
     return x, y
 
 
@@ -123,15 +114,6 @@ def test_softmax_ce_loss_uniform_prediction():
     params = ParamVector([("W", np.zeros((4, 2))), ("b", np.zeros(4))])
     loss = nn.compute_loss(spec, params, (np.ones((3, 2)), np.array([0, 1, 3])))
     assert loss == pytest.approx(np.log(4.0), abs=1e-12)
-
-
-def test_identity_mse_hand_value():
-    # 0.5 * ||z - y||^2 per example, averaged
-    spec = ModelSpec(kind="linear", input_dim=1, output_dim=2, head="identity_mse", bias=False)
-    params = ParamVector([("W", np.array([[1.0], [2.0]]))])
-    x = np.array([[1.0]])
-    y = np.array([[0.0, 0.0]])
-    assert nn.compute_loss(spec, params, (x, y)) == pytest.approx(2.5)
 
 
 def test_sgd_momentum_two_steps():
