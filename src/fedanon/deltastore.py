@@ -10,6 +10,7 @@ restores float64 arrays whose values are exactly the stored float32 ones.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,8 +35,8 @@ class DeltaStoreError(Exception):
 
 
 class CorruptHeaderError(DeltaStoreError):
-    """Bad magic bytes, an unusable manifest, or payload bytes that the
-    record index does not account for."""
+    """Bad magic bytes, an unusable or non-canonical manifest, payload bytes
+    that the record index does not account for, or a non-finite value."""
 
 
 class ShapeMismatchError(DeltaStoreError):
@@ -55,7 +56,19 @@ class DeltaManifest:
     index: list[tuple[int, int, int]]  # (round_t, device_id, byte offset)
 
     def record_nbytes(self) -> int:
-        return sum(int(np.prod(shape)) * 4 for _, shape in self.layers)
+        return sum(math.prod(shape) * 4 for _, shape in self.layers)
+
+    def to_json(self) -> bytes:
+        """The manifest.json bytes the writer emits for this manifest."""
+        doc = {
+            "format": FORMAT_NAME,
+            "version": self.version,
+            "rounds": self.rounds,
+            "layers": [[n, list(s)] for n, s in self.layers],
+            "devices": [[d, u, role, n] for d, u, role, n in self.devices],
+            "index": [[t, d, off] for t, d, off in self.index],
+        }
+        return json.dumps(doc, indent=1).encode()
 
 
 @dataclass(frozen=True)
@@ -86,9 +99,10 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
     """Write manifest.json + deltas.bin into the directory `path`.
 
     The record index (offsets) is recomputed here; the returned manifest is
-    the one that was written. Both files are serialized in full, written
-    under temporary names and only then renamed into place, so a failed
-    write leaves the previous log readable.
+    the one that was written. Every delta value must be finite in float32.
+    Both files are serialized in full, written under temporary names and
+    only then renamed into place, so a failed write leaves the previous log
+    readable.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
@@ -112,6 +126,10 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
             chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         offset += size
 
+    payload = b"".join(chunks)
+    if not np.isfinite(np.frombuffer(payload, dtype="<f4", offset=len(MAGIC))).all():
+        raise ValueError("delta values must be finite in float32")
+
     written = DeltaManifest(
         version=manifest.version,
         layers=layout,
@@ -119,15 +137,7 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
         devices=list(manifest.devices),
         index=index,
     )
-    doc = {
-        "format": FORMAT_NAME,
-        "version": written.version,
-        "rounds": written.rounds,
-        "layers": [[n, list(s)] for n, s in written.layers],
-        "devices": [[d, u, role, n] for d, u, role, n in written.devices],
-        "index": [[t, d, off] for t, d, off in written.index],
-    }
-    contents = {PAYLOAD_NAME: b"".join(chunks), MANIFEST_NAME: json.dumps(doc, indent=1).encode()}
+    contents = {PAYLOAD_NAME: payload, MANIFEST_NAME: written.to_json()}
     temps = {name: directory / f".{name}.tmp" for name in contents}
     try:
         for name, data in contents.items():
@@ -144,14 +154,17 @@ def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
     """Load a log directory back into memory, validating header, shapes and
     payload length with distinct errors for each failure mode.
 
-    The device table must list each device once, with a known role and
-    n_k >= 1; every indexed record must fall in rounds [1, rounds] and sit
-    at its slot on the record grid, and the payload must end after the
-    last record."""
+    The layer names must be distinct and the device table must list each
+    device once, with a known role and n_k >= 1; every indexed record must
+    fall in rounds [1, rounds] and sit at its slot on the record grid, the
+    payload must end after the last record and hold only finite values,
+    and manifest.json must be byte for byte the JSON the writer emits for
+    its contents. So every log this returns is rewritten byte-identically."""
     directory = Path(path)
     try:
-        doc = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+        raw = (directory / MANIFEST_NAME).read_bytes()
+        doc = json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError) as err:
         raise CorruptHeaderError(f"unreadable manifest: {err}") from err
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise CorruptHeaderError(f"not a {FORMAT_NAME} manifest")
@@ -165,11 +178,14 @@ def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
             devices=[(int(d), int(u), str(role), int(n)) for d, u, role, n in doc["devices"]],
             index=[(int(t), int(d), int(off)) for t, d, off in doc["index"]],
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CorruptHeaderError(f"malformed manifest: {err}") from err
     for _, shape in manifest.layers:
         if any(d < 1 for d in shape):
             raise ShapeMismatchError(f"manifest layer shapes must be positive, got {shape}")
+    names = [name for name, _ in manifest.layers]
+    if len(set(names)) != len(names):
+        raise CorruptHeaderError(f"manifest lists a layer name more than once: {names}")
 
     by_device = {d: (u, role, n) for d, u, role, n in manifest.devices}
     if len(by_device) != len(manifest.devices):
@@ -206,9 +222,13 @@ def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
             raise CorruptHeaderError(f"record references unknown device {device_id}")
         user_id, role, n_k = by_device[device_id]
         flat = np.frombuffer(payload, dtype="<f4", count=size // 4, offset=offset)
+        if not np.isfinite(flat).all():
+            raise CorruptHeaderError(
+                f"record (round {round_t}, device {device_id}) holds non-finite values"
+            )
         layers, pos = [], 0
         for name, shape in manifest.layers:
-            count = int(np.prod(shape))
+            count = math.prod(shape)
             layers.append((name, flat[pos : pos + count].astype(np.float64).reshape(shape)))
             pos += count
         records.append(
@@ -221,6 +241,8 @@ def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
                 n_k=n_k,
             )
         )
+    if raw != manifest.to_json():
+        raise CorruptHeaderError("manifest.json is not in the form the writer emits")
     return manifest, records
 
 

@@ -2,8 +2,9 @@
 
 Every user contributes two devices to the same run: an anonymous device
 holding the private split and a shadow device holding the adversary's prior
-split. The server samples devices per round, each runs local minibatch SGD,
-and the global model moves by the data-weighted average of the local
+split. The server samples devices per round, the sampled devices run their
+local minibatch SGD in lockstep (one stacked computation per step), and
+the global model moves by the data-weighted average of the local
 parameter deltas (delta = local minus global; the weights are normalized
 over the sampled subset).
 """
@@ -104,38 +105,6 @@ def build_devices(bundle: DatasetBundle) -> list[DeviceState]:
     return devices
 
 
-def device_update(
-    spec: ModelSpec,
-    device: DeviceState,
-    global_params: ParamVector,
-    cfg: RoundConfig,
-    round_t: int,
-    delta_hook: Optional[DeltaHook] = None,
-) -> DeltaRecord:
-    """Local epochs of plain minibatch SGD from the global model; the delta
-    is local-minus-global."""
-    local = nn.train(
-        spec,
-        global_params,
-        (device.x, device.y),
-        epochs=cfg.local_epochs,
-        batch_size=min(cfg.batch_size, device.n_k),
-        config=nn.sgd(cfg.eta),
-        seed=seed_from(cfg.seed, "device-update", round_t, device.device_id),
-    )
-    delta = local - global_params
-    if delta_hook is not None:
-        delta = delta_hook(round_t, device, delta)
-    return DeltaRecord(
-        round_t=round_t,
-        device_id=device.device_id,
-        user_id=device.user_id,
-        role=device.role,
-        delta=delta,
-        n_k=device.n_k,
-    )
-
-
 def aggregate(global_params: ParamVector, records: list[DeltaRecord]) -> ParamVector:
     """Apply the data-weighted average of the deltas to the global model.
     Weights n_k / sum(n_k) are normalized over the participating records."""
@@ -156,17 +125,44 @@ def server_round(
     round_t: int,
     delta_hook: Optional[DeltaHook] = None,
 ) -> tuple[ParamVector, list[DeltaRecord]]:
-    """Sample max(1, round(C*K)) devices without replacement, collect their
-    updates in ascending device id order, and aggregate."""
+    """Sample max(1, round(C*K)) devices without replacement, train them all
+    from the global model in one lockstep local SGD run, apply the delta
+    hook in ascending device id order, and aggregate.
+
+    Each device runs local_epochs of plain minibatch SGD on its own data
+    (batches of min(batch_size, n_k) rows, shuffled by the device's
+    ("device-update", round, device id) stream); its delta is local minus
+    global. Every sampled device's data is checked before any training."""
     k = len(devices)
     if k == 0:
         raise ValueError("no devices")
     m = max(1, int(round(cfg.fraction_c * k)))
     rng = rng_from(cfg.seed, "sample", round_t)
-    chosen = np.sort(rng.choice(k, size=m, replace=False))
-    records = [
-        device_update(spec, devices[i], global_params, cfg, round_t, delta_hook) for i in chosen
-    ]
+    sampled = [devices[i] for i in np.sort(rng.choice(k, size=m, replace=False))]
+    trained = nn._train_lockstep(
+        spec,
+        global_params,
+        [(d.x, d.y) for d in sampled],
+        epochs=cfg.local_epochs,
+        batch_size=cfg.batch_size,
+        config=nn.sgd(cfg.eta),
+        seeds=[seed_from(cfg.seed, "device-update", round_t, d.device_id) for d in sampled],
+    )
+    records = []
+    for device, local in zip(sampled, trained):
+        delta = local - global_params
+        if delta_hook is not None:
+            delta = delta_hook(round_t, device, delta)
+        records.append(
+            DeltaRecord(
+                round_t=round_t,
+                device_id=device.device_id,
+                user_id=device.user_id,
+                role=device.role,
+                delta=delta,
+                n_k=device.n_k,
+            )
+        )
     return aggregate(global_params, records), records
 
 

@@ -216,12 +216,14 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _coerce_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
-    """Check an (X, Y) pair: a non-empty (n, d) input batch and one class
-    index per row."""
+    """Check an (X, Y) pair against the spec: a non-empty (n, input_dim)
+    input batch and one class index in [0, output_dim) per row."""
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"expected a non-empty (n, d) input batch, got shape {x.shape}")
+    if x.shape[1] != spec.input_dim:
+        raise ValueError(f"expected inputs of shape (n, {spec.input_dim}), got {x.shape}")
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != x.shape[0]:
         raise ValueError("targets must be a class index per example")
@@ -234,49 +236,75 @@ def _coerce_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _loss_and_grad(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch and its gradient w.r.t.
-    the logits."""
-    n = z.shape[0]
-    p = softmax(z)
-    picked = np.clip(p[np.arange(n), y], PROB_EPS, 1.0 - PROB_EPS)
-    loss = float(-np.log(picked).mean())
-    grad = p.copy()
-    grad[np.arange(n), y] -= 1.0
-    return loss, grad / n
-
-
 def compute_loss(spec: ModelSpec, params: ParamVector, batch) -> float:
+    """Mean softmax cross-entropy of one batch."""
     x, y = _coerce_batch(spec, batch)
-    z = forward_batch(spec, params, x)
-    loss, _ = _loss_and_grad(z, y)
-    return loss
+    p = softmax(forward_batch(spec, params, x))
+    picked = np.clip(p[np.arange(x.shape[0]), y], PROB_EPS, 1.0 - PROB_EPS)
+    return float(-np.log(picked).mean())
+
+
+def _dlogits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of each model's mean softmax cross-entropy w.r.t. its
+    logits; z is (G, r, output_dim) and y is (G, r)."""
+    g, r = y.shape
+    p = softmax(z)
+    p[np.arange(g)[:, None], np.arange(r), y] -= 1.0
+    return p / r
+
+
+def _stack_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    z = np.matmul(x, w.transpose(0, 2, 1))
+    if b is not None:
+        z = z + b[:, None, :]
+    return z
+
+
+def _stack_grads(
+    spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, y: np.ndarray
+) -> list[np.ndarray]:
+    """Gradient of each model's mean minibatch loss.
+
+    `layers` holds one (G, *shape) array per entry of `spec.layout()`, x is
+    (G, r, input_dim) and y is (G, r). Each model's slice goes through the
+    same 2-D products and row reductions as a lone model's would, so its
+    gradient does not depend on which other models share the stack."""
+    p = dict(zip((name for name, _ in spec.layout()), layers))
+    if spec.kind == "linear":
+        dz = _dlogits(_stack_affine(x, p["W"], p.get("b")), y)
+        grads = [np.matmul(dz.transpose(0, 2, 1), x)]
+        if spec.bias:
+            grads.append(dz.sum(axis=1))
+        return grads
+    z1 = _stack_affine(x, p["W1"], p.get("b1"))
+    a1 = np.maximum(z1, 0.0)
+    dz2 = _dlogits(_stack_affine(a1, p["W2"], p.get("b2")), y)
+    dz1 = np.matmul(dz2, p["W2"]) * (z1 > 0.0)
+    grads = [np.matmul(dz1.transpose(0, 2, 1), x)]
+    if spec.bias:
+        grads.append(dz1.sum(axis=1))
+    grads.append(np.matmul(dz2.transpose(0, 2, 1), a1))
+    if spec.bias:
+        grads.append(dz2.sum(axis=1))
+    return grads
 
 
 def backward(spec: ModelSpec, params: ParamVector, batch) -> ParamVector:
-    """Gradient of the mean batch loss, laid out like the parameters."""
+    """Gradient of the mean batch loss, laid out like the parameters: the
+    one-model case of the gradient the training kernel uses."""
     x, y = _coerce_batch(spec, batch)
-    if spec.kind == "linear":
-        z = _affine(x, params.get("W"), params.get("b") if spec.bias else None)
-        _, dz = _loss_and_grad(z, y)
-        grads = [("W", dz.T @ x)]
-        if spec.bias:
-            grads.append(("b", dz.sum(axis=0)))
-        return ParamVector(grads)
-    w1, w2 = params.get("W1"), params.get("W2")
-    z1 = _affine(x, w1, params.get("b1") if spec.bias else None)
-    a1 = np.maximum(z1, 0.0)
-    z2 = _affine(a1, w2, params.get("b2") if spec.bias else None)
-    _, dz2 = _loss_and_grad(z2, y)
-    da1 = dz2 @ w2
-    dz1 = da1 * (z1 > 0.0)
-    grads = [("W1", dz1.T @ x)]
-    if spec.bias:
-        grads.append(("b1", dz1.sum(axis=0)))
-    grads.append(("W2", dz2.T @ a1))
-    if spec.bias:
-        grads.append(("b2", dz2.sum(axis=0)))
-    return ParamVector(grads)
+    names = [name for name, _ in spec.layout()]
+    grads = _stack_grads(spec, [params.get(n)[None] for n in names], x[None], y[None])
+    return ParamVector([(n, g[0]) for n, g in zip(names, grads)])
+
+
+def _sgd_velocity(
+    config: OptimizerConfig, velocity: np.ndarray, grad: np.ndarray, iteration: int
+) -> np.ndarray:
+    """Momentum SGD: the new velocity mu*v - lr_t*g, with lr_t =
+    lr / (1 + decay*iteration); the parameters then move by it."""
+    lr_t = config.learning_rate / (1.0 + config.lr_decay * iteration)
+    return config.momentum * velocity - lr_t * grad
 
 
 def init_optimizer_state(params: ParamVector) -> dict[str, np.ndarray]:
@@ -297,9 +325,8 @@ def optimizer_step(
     new_layers: list[tuple[str, np.ndarray]] = []
     new_state: dict[str, np.ndarray] = {}
     if config.kind == "sgd":
-        lr_t = config.learning_rate / (1.0 + config.lr_decay * iteration)
         for (name, w), (_, g) in zip(params.layers, grad.layers):
-            v = config.momentum * state[name] - lr_t * g
+            v = _sgd_velocity(config, state[name], g, iteration)
             new_state[name] = v
             new_layers.append((name, w + v))
     else:  # rmsprop
@@ -308,6 +335,72 @@ def optimizer_step(
             new_state[name] = s
             new_layers.append((name, w - config.learning_rate * g / (np.sqrt(s) + config.epsilon)))
     return ParamVector(new_layers), new_state
+
+
+def _train_lockstep(
+    spec: ModelSpec,
+    params: ParamVector,
+    data: Sequence[tuple[np.ndarray, np.ndarray]],
+    epochs: int,
+    batch_size: int,
+    config: OptimizerConfig,
+    seeds: Sequence[int],
+) -> list[ParamVector]:
+    """Momentum SGD for len(data) models of one spec, all starting from
+    `params`, run in lockstep.
+
+    Model k trains on the (X, Y) pair data[k] for `epochs` epochs, in
+    minibatches of min(batch_size, n_k) rows with the last partial batch
+    included; each epoch visits the rows in a fresh permutation drawn from
+    rng_from(seeds[k]). Its t-th step uses iteration t of the schedule. At
+    each step the models whose minibatches have the same row count form
+    one stack; nothing is padded, so every model ends exactly where it
+    would have trained alone. All data is checked before the first step.
+    Returns fresh parameters, one per model; the inputs are left untouched.
+    """
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if config.kind != "sgd":
+        raise ValueError(f"training runs momentum SGD, got optimizer {config.kind!r}")
+    pairs = [_coerce_batch(spec, d) for d in data]
+    n = np.array([x.shape[0] for x, _ in pairs])
+    batch = np.minimum(batch_size, n)
+    steps_per_epoch = -(-n // batch)
+    steps = epochs * steps_per_epoch
+    x = np.concatenate([x for x, _ in pairs])
+    y = np.concatenate([y for _, y in pairs])
+    offsets = np.cumsum(n) - n
+    # visit[k, e, :n_k]: the rows of x that model k visits in epoch e, in order
+    visit = np.zeros((len(pairs), epochs, n.max()), dtype=np.intp)
+    for k, seed in enumerate(seeds):
+        rng = rng_from(seed)
+        for e in range(epochs):
+            visit[k, e, : n[k]] = offsets[k] + rng.permutation(int(n[k]))
+
+    names = [name for name, _ in spec.layout()]
+    layers = [np.repeat(params.get(name)[None], len(pairs), axis=0) for name in names]
+    velocity = [np.zeros_like(a) for a in layers]
+    for t in range(int(steps.max())):
+        live = np.flatnonzero(steps > t)
+        epoch, j = np.divmod(t, steps_per_epoch[live])
+        start = j * batch[live]
+        rows = np.minimum(batch[live], n[live] - start)
+        for r in np.unique(rows):
+            pick = rows == r
+            models = live[pick]
+            # all models in one stack: update the layers in place rather than
+            # gathering and scattering them (a one-model fit's hidden layer
+            # is large next to its minibatch)
+            sel = slice(None) if models.size == len(pairs) else models
+            idx = visit[models[:, None], epoch[pick][:, None], start[pick][:, None] + np.arange(r)]
+            grads = _stack_grads(spec, [a[sel] for a in layers], x[idx], y[idx])
+            for a, v, g in zip(layers, velocity, grads):
+                step = _sgd_velocity(config, v[sel], g, t)
+                v[sel] = step
+                a[sel] += step
+    return [ParamVector([(name, a[k]) for name, a in zip(names, layers)]) for k in range(len(pairs))]
 
 
 def train(
@@ -319,29 +412,14 @@ def train(
     config: OptimizerConfig,
     seed: int,
 ) -> ParamVector:
-    """Minibatch training with a deterministic per-epoch shuffle.
+    """Minibatch momentum SGD with a deterministic per-epoch shuffle: the
+    one-model case of the lockstep kernel.
 
     `data` is an (X, Y) pair of inputs and class indices. The last partial
-    batch is included. Returns the trained parameters; the inputs
+    batch is included. Returns freshly allocated parameters; the inputs
     are left untouched.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    x, y = _coerce_batch(spec, data)
-    n = x.shape[0]
-    rng = rng_from(seed)
-    state = init_optimizer_state(params)
-    iteration = 0
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            grad = backward(spec, params, (x[idx], y[idx]))
-            params, state = optimizer_step(state, params, grad, config, iteration)
-            iteration += 1
-    return params
+    return _train_lockstep(spec, params, [data], epochs, batch_size, config, [seed])[0]
 
 
 def predict_proba(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:

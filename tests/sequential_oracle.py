@@ -1,0 +1,84 @@
+"""Reference for local training: every model trains alone, one minibatch
+at a time, through plain 2-D products, the way fedanon trained before its
+devices ran in lockstep. The lockstep kernel in `fedanon.nn` must agree
+with it bit for bit (`np.array_equal`), because it stacks models without
+padding and so performs the same float operations on each model."""
+
+import numpy as np
+
+from fedanon import nn
+from fedanon.federated import DeltaRecord, aggregate
+from fedanon.nn import ParamVector
+from fedanon.seeding import rng_from, seed_from
+
+
+def oracle_backward(spec, params, x, y):
+    """Gradient of the mean softmax cross-entropy of one (x, y) batch."""
+    n = x.shape[0]
+
+    def affine(inp, w, b):
+        z = inp @ params.get(w).T
+        return z + params.get(b) if spec.bias else z
+
+    def dlogits(z):
+        p = nn.softmax(z)
+        p[np.arange(n), y] -= 1.0
+        return p / n
+
+    if spec.kind == "linear":
+        dz = dlogits(affine(x, "W", "b"))
+        grads = [("W", dz.T @ x)] + ([("b", dz.sum(axis=0))] if spec.bias else [])
+        return ParamVector(grads)
+    z1 = affine(x, "W1", "b1")
+    a1 = np.maximum(z1, 0.0)
+    dz2 = dlogits(affine(a1, "W2", "b2"))
+    dz1 = (dz2 @ params.get("W2")) * (z1 > 0.0)
+    grads = [("W1", dz1.T @ x)]
+    if spec.bias:
+        grads.append(("b1", dz1.sum(axis=0)))
+    grads.append(("W2", dz2.T @ a1))
+    if spec.bias:
+        grads.append(("b2", dz2.sum(axis=0)))
+    return ParamVector(grads)
+
+
+def oracle_train(spec, params, x, y, epochs, batch_size, config, seed):
+    """Per-model minibatch loop: one permutation per epoch from
+    rng_from(seed), last partial batch included."""
+    rng = rng_from(seed)
+    state = None
+    iteration = 0
+    for _ in range(epochs):
+        perm = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], batch_size):
+            idx = perm[start : start + batch_size]
+            grad = oracle_backward(spec, params, x[idx], y[idx])
+            params, state = nn.optimizer_step(state, params, grad, config, iteration)
+            iteration += 1
+    return params
+
+
+def oracle_server_round(spec, global_params, devices, cfg, round_t, delta_hook=None):
+    """One FedAvg round that trains the sampled devices one after another."""
+    rng = rng_from(cfg.seed, "sample", round_t)
+    m = max(1, int(round(cfg.fraction_c * len(devices))))
+    records = []
+    for i in np.sort(rng.choice(len(devices), size=m, replace=False)):
+        device = devices[i]
+        local = oracle_train(
+            spec,
+            global_params,
+            device.x,
+            device.y,
+            epochs=cfg.local_epochs,
+            batch_size=min(cfg.batch_size, device.n_k),
+            config=nn.sgd(cfg.eta),
+            seed=seed_from(cfg.seed, "device-update", round_t, device.device_id),
+        )
+        delta = local - global_params
+        if delta_hook is not None:
+            delta = delta_hook(round_t, device, delta)
+        records.append(
+            DeltaRecord(round_t, device.device_id, device.user_id, device.role, delta, device.n_k)
+        )
+    return aggregate(global_params, records), records

@@ -2,10 +2,14 @@
 identical, and each corruption mode must raise its own error type."""
 
 import json
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedanon import deltastore
 from fedanon.deltastore import (
@@ -349,3 +353,138 @@ def test_filter_keeps_log_order():
     original_order = [(r.round_t, r.device_id) for r in records]
     positions = [original_order.index(k) for k in keys]
     assert positions == sorted(positions)
+
+
+def set_manifest(key, value, *path):
+    def edit(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (set_manifest("extra", 1), CorruptHeaderError),
+        (set_manifest("rounds", 3.0), CorruptHeaderError),
+        (set_manifest("rounds", float("inf")), CorruptHeaderError),
+        (set_manifest(1, "32", "layers", 0), CorruptHeaderError),
+        (set_manifest(0, "W1", "layers", 1), CorruptHeaderError),
+        (set_manifest(1, [2**62, 4], "layers", 0), TruncatedPayloadError),
+    ],
+    ids=["extra-key", "float-rounds", "infinite-rounds", "string-shape", "duplicate-layer",
+         "overflowing-shape"],
+)
+def test_read_rejects_manifests_that_would_not_round_trip(tmp_path, edit, error):
+    write_log(tmp_path, make_records())
+    path = tmp_path / "log" / "manifest.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    with pytest.raises(error):
+        read_records(tmp_path / "log")
+
+
+def test_read_rejects_signaling_nan_payload(tmp_path):
+    # a float32 signaling NaN comes back quiet from float64, so it cannot
+    # be rewritten byte-identically
+    write_log(tmp_path, make_records())
+    path = tmp_path / "log" / "deltas.bin"
+    payload = bytearray(path.read_bytes())
+    payload[len(MAGIC) : len(MAGIC) + 4] = np.array([0x7FA00000], dtype="<u4").tobytes()
+    path.write_bytes(bytes(payload))
+    with pytest.raises(CorruptHeaderError, match="non-finite"):
+        read_records(tmp_path / "log")
+
+
+def test_write_rejects_non_finite_deltas(tmp_path):
+    records = make_records()
+    records[1].delta.get("W2")[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        write_log(tmp_path, records)
+    assert not (tmp_path / "log" / "deltas.bin").exists()
+
+
+# --- reader fuzzing ----------------------------------------------------------
+
+TYPED_ERRORS = (CorruptHeaderError, ShapeMismatchError, TruncatedPayloadError)
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 40)
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def mutate_field(doc, data):
+    """Replace, delete or add one value somewhere in the manifest tree."""
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = data.draw(st.sampled_from(keys))
+        if not isinstance(node[key], (dict, list)) or not data.draw(st.booleans()):
+            break
+        node = node[key]
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "add" or not keys:
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from([*doc, "extra"]))] = data.draw(json_values)
+        else:
+            node.insert(data.draw(st.integers(0, len(node))), data.draw(json_values))
+    elif action == "delete":
+        del node[key]
+    else:
+        node[key] = data.draw(json_values)
+
+
+def mutate_bytes(payload, data):
+    """Flip, truncate or insert bytes anywhere, magic header included."""
+    buf = bytearray(payload)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+        pos = data.draw(st.integers(0, len(buf)))
+        if kind == "flip" and pos < len(buf):
+            buf[pos] ^= data.draw(st.integers(1, 255))
+        elif kind == "truncate":
+            del buf[pos:]
+        else:
+            buf[pos:pos] = data.draw(st.binary(min_size=1, max_size=8))
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_read_of_a_mutated_log_raises_a_typed_error_or_round_trips(data):
+    """Any mutation of deltas.bin or manifest.json either fails with one of
+    the three typed errors or reads back records that rewrite to the same
+    bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log"
+        write_records(log, manifest_for(make_records(2, 3), LAYOUT, rounds=2), make_records(2, 3))
+        target = data.draw(st.sampled_from(["payload", "manifest", "both"]))
+        if target in ("payload", "both"):
+            payload = log / "deltas.bin"
+            payload.write_bytes(mutate_bytes(payload.read_bytes(), data))
+        if target in ("manifest", "both"):
+            doc = json.loads((log / "manifest.json").read_text(encoding="utf-8"))
+            for _ in range(data.draw(st.integers(1, 3))):
+                mutate_field(doc, data)
+            (log / "manifest.json").write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        try:
+            manifest, records = read_records(log)
+        except TYPED_ERRORS:
+            return
+        again = Path(tmp) / "again"
+        write_records(again, manifest, records)
+        for name in ("deltas.bin", "manifest.json"):
+            assert (again / name).read_bytes() == (log / name).read_bytes(), name

@@ -1,5 +1,6 @@
 """Federation mechanics: device update hand values, the aggregation rule,
-sampling arithmetic, and the equivalence oracle (one round of full-batch
+sampling arithmetic, agreement of the lockstep round with the sequential
+per-device oracle, and the equivalence oracle (one round of full-batch
 single-epoch federation over all devices must equal one pooled gradient
 step on the union of their data)."""
 
@@ -15,7 +16,6 @@ from fedanon.federated import (
     RoundConfig,
     aggregate,
     build_devices,
-    device_update,
     evaluate_task,
     run_federated,
     server_round,
@@ -24,6 +24,7 @@ from fedanon.nn import ModelSpec, ParamVector
 from fedanon.seeding import seed_from
 from fedanon.world import Example, gen_world
 
+from sequential_oracle import oracle_server_round
 from test_world import small_cfg
 
 
@@ -43,11 +44,18 @@ def zero_params():
     return ParamVector([("W", np.zeros((2, 1)))])
 
 
+def one_device_record(device, cfg, round_t=1, delta_hook=None):
+    """The record of a round whose only device is `device`."""
+    _, records = server_round(LINEAR2, zero_params(), [device], cfg, round_t, delta_hook)
+    (rec,) = records
+    return rec
+
+
 def test_device_update_one_epoch_hand_value():
     # softmax of zero logits is exactly [0.5, 0.5], so one full-batch step
     # moves W by eta * [0.5, -0.5]
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.8, rounds=1, seed=0)
-    rec = device_update(LINEAR2, two_class_device(), zero_params(), cfg, round_t=1)
+    rec = one_device_record(two_class_device(), cfg)
     np.testing.assert_allclose(rec.delta.get("W"), [[0.4], [-0.4]], atol=1e-15)
     assert rec.n_k == 2
     assert rec.round_t == 1
@@ -58,7 +66,7 @@ def test_device_update_two_epochs_hand_value():
     # second step sees logits [0.4, -0.4]; p0 = sigmoid(0.8), so
     # W gains another eta * (1 - p0) in each coordinate
     cfg = RoundConfig(fraction_c=1.0, local_epochs=2, batch_size=8, eta=0.8, rounds=1, seed=0)
-    rec = device_update(LINEAR2, two_class_device(), zero_params(), cfg, round_t=1)
+    rec = one_device_record(two_class_device(), cfg)
     p0 = 1.0 / (1.0 + np.exp(-0.8))
     expect = 0.4 + 0.8 * (1.0 - p0)
     np.testing.assert_allclose(rec.delta.get("W"), [[expect], [-expect]], atol=1e-12)
@@ -67,7 +75,7 @@ def test_device_update_two_epochs_hand_value():
 def test_device_update_caps_batch_at_device_size():
     # batch_size far above n_k must degrade to full-batch, not crash
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=10_000, eta=0.8, rounds=1, seed=0)
-    rec = device_update(LINEAR2, two_class_device(), zero_params(), cfg, round_t=1)
+    rec = one_device_record(two_class_device(), cfg)
     np.testing.assert_allclose(rec.delta.get("W"), [[0.4], [-0.4]], atol=1e-15)
 
 
@@ -79,9 +87,113 @@ def test_device_update_delta_hook_applied():
         seen["args"] = (round_t, device.device_id)
         return delta.scale(0.0)
 
-    rec = device_update(LINEAR2, two_class_device(device_id=7), zero_params(), cfg, 3, spy)
+    rec = one_device_record(two_class_device(device_id=7), cfg, 3, spy)
     assert seen["args"] == (3, 7)
     np.testing.assert_array_equal(rec.delta.get("W"), np.zeros((2, 1)))
+
+
+# device sizes against batch_size 4: 1, 2 and 3 are below it, 5, 9 and 13
+# are 1 (mod 4) and end each epoch on a one-row batch, 8 and 12 split evenly
+ORACLE_SIZES = (13, 1, 8, 5, 2, 9, 3, 12)
+
+
+def assorted_devices(spec, sizes=ORACLE_SIZES, seed=0):
+    rng = np.random.default_rng(seed)
+    devices = []
+    for i, n in enumerate(sizes):
+        examples = [
+            Example(x=rng.normal(size=spec.input_dim), y=int(rng.integers(spec.output_dim)),
+                    timestamp=0.0, album_id=0, user_id=i // 2)
+            for _ in range(n)
+        ]
+        role = ROLE_ANONYMOUS if i % 2 == 0 else ROLE_SHADOW
+        devices.append(DeviceState(device_id=i, user_id=i // 2, role=role, examples=examples))
+    return devices
+
+
+def assert_params_equal(a, b):
+    assert a.layout() == b.layout()
+    for (_, x), (_, y) in zip(a.layers, b.layers):
+        assert np.array_equal(x, y)
+
+
+def assert_rounds_equal(got, want):
+    (got_params, got_records), (want_params, want_records) = got, want
+    assert_params_equal(got_params, want_params)
+    assert [(r.round_t, r.device_id, r.user_id, r.role, r.n_k) for r in got_records] == [
+        (r.round_t, r.device_id, r.user_id, r.role, r.n_k) for r in want_records
+    ]
+    for g, w in zip(got_records, want_records):
+        assert_params_equal(g.delta, w.delta)
+
+
+ORACLE_SPECS = [
+    ModelSpec(kind="linear", input_dim=5, output_dim=3, bias=True),
+    ModelSpec(kind="linear", input_dim=5, output_dim=3, bias=False),
+    ModelSpec(kind="mlp1", input_dim=5, hidden_dim=4, output_dim=3, bias=True),
+    ModelSpec(kind="mlp1", input_dim=5, hidden_dim=4, output_dim=3, bias=False),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.kind}-bias{int(s.bias)}")
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        dict(fraction_c=1.0, local_epochs=1),
+        dict(fraction_c=1.0, local_epochs=2),
+        dict(fraction_c=0.5, local_epochs=1),
+    ],
+    ids=["all-1epoch", "all-2epochs", "half-1epoch"],
+)
+def test_server_round_matches_sequential_oracle(spec, schedule):
+    devices = assorted_devices(spec)
+    cfg = RoundConfig(batch_size=4, eta=0.8, rounds=3, seed=11, **schedule)
+    params = nn.init_params(spec, seed=5)
+    for round_t in range(1, cfg.rounds + 1):
+        got = server_round(spec, params, devices, cfg, round_t)
+        want = oracle_server_round(spec, params, devices, cfg, round_t)
+        assert_rounds_equal(got, want)
+        params = got[0]
+
+
+def test_delta_hook_sees_each_sampled_device_once_in_id_order():
+    spec = ORACLE_SPECS[2]
+    devices = assorted_devices(spec)
+    cfg = RoundConfig(fraction_c=0.5, local_epochs=1, batch_size=4, eta=0.8, rounds=1, seed=2)
+    params = nn.init_params(spec, seed=5)
+    calls = []
+
+    def spy(round_t, device, delta):
+        calls.append((round_t, device.device_id, device.role, delta.copy()))
+        return delta.scale(0.5)
+
+    got = server_round(spec, params, devices, cfg, 4, spy)
+    want = oracle_server_round(spec, params, devices, cfg, 4)
+    assert [c[1] for c in calls] == [r.device_id for r in want[1]]
+    assert len(calls) == 4
+    for (round_t, device_id, role, delta), rec in zip(calls, want[1]):
+        assert (round_t, role) == (4, devices[device_id].role)
+        assert_params_equal(delta, rec.delta)
+    halved = oracle_server_round(spec, params, devices, cfg, 4, lambda t, d, dl: dl.scale(0.5))
+    assert_rounds_equal(got, halved)
+
+
+@pytest.mark.parametrize("bad_label", [-1, 3])
+def test_server_round_rejects_bad_labels_before_training(bad_label):
+    spec = ORACLE_SPECS[0]  # output_dim 3
+    devices = assorted_devices(spec, sizes=(4, 4, 4))
+    devices[-1].y = devices[-1].y.copy()
+    devices[-1].y[0] = bad_label
+    cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=4, eta=0.8, rounds=1, seed=0)
+    calls = []
+
+    def spy(round_t, device, delta):
+        calls.append(device.device_id)
+        return delta
+
+    with pytest.raises(ValueError, match="class index out of range"):
+        server_round(spec, nn.init_params(spec, seed=0), devices, cfg, 1, spy)
+    assert calls == []
 
 
 def fake_record(delta_w, n_k, device_id=0):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fedanon import nn
 from fedanon.nn import ModelSpec, OptimizerConfig, ParamVector
+from sequential_oracle import oracle_train
 
 RELU_KINK_GUARD = 1e-4  # keep finite-difference probes away from max(0, .) kinks
 
@@ -172,6 +173,41 @@ def test_train_is_deterministic():
     assert np.array_equal(a.flat(), b.flat())
     c = nn.train(spec, params, (x, y), epochs=3, batch_size=7, config=nn.sgd(0.05), seed=10)
     assert not np.array_equal(a.flat(), c.flat())
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp1"])
+def test_train_matches_sequential_oracle(kind):
+    # momentum, lr decay and a last partial batch of one row (41 = 5*8 + 1)
+    rng = np.random.default_rng(8)
+    spec = ModelSpec(kind=kind, input_dim=4, hidden_dim=6 if kind == "mlp1" else 0, output_dim=3)
+    x = rng.normal(size=(41, 4))
+    y = rng.integers(0, 3, size=41)
+    params = nn.init_params(spec, seed=3)
+    config = nn.sgd(0.05, momentum=0.9, lr_decay=1e-2)
+    got = nn.train(spec, params, (x, y), epochs=3, batch_size=8, config=config, seed=4)
+    want = oracle_train(spec, params, x, y, epochs=3, batch_size=8, config=config, seed=4)
+    assert got.layout() == want.layout()
+    for (_, a), (_, b) in zip(got.layers, want.layers):
+        assert np.array_equal(a, b)
+
+
+def test_train_zero_epochs_returns_fresh_arrays():
+    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
+    params = nn.init_params(spec, seed=1)
+    x, y = np.ones((3, 2)), np.array([0, 1, 1])
+    out = nn.train(spec, params, (x, y), epochs=0, batch_size=2, config=nn.sgd(0.1), seed=0)
+    assert out is not params
+    for (_, a), (_, b) in zip(out.layers, params.layers):
+        assert np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
+
+
+def test_train_rejects_non_sgd_optimizer():
+    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
+    params = nn.init_params(spec, seed=1)
+    with pytest.raises(ValueError, match="momentum SGD"):
+        nn.train(spec, params, (np.ones((3, 2)), np.array([0, 1, 1])), epochs=1,
+                 batch_size=2, config=nn.rmsprop(1e-3), seed=0)
 
 
 def test_predict_proba_rows_sum_to_one(small_bundle):
