@@ -10,7 +10,7 @@ from .federated import DeltaRecord, DeviceState, RoundConfig, run_federated
 from .metrics import ScoredPredictions, average_precision, increase_over_chance, mean_ap
 from .mitigation import MitigationConfig, TradeoffPoint, tradeoff_curve
 from .nn import ModelSpec, OptimizerConfig, ParamVector
-from .world import DatasetBundle, Example, UserProfile, WorldConfig, gen_world
+from .world import DatasetBundle, UserProfile, WorldConfig, gen_world
 
 __all__ = [
     "EXPERIMENT_FAMILIES",
@@ -37,7 +37,6 @@ __all__ = [
     "OptimizerConfig",
     "ParamVector",
     "DatasetBundle",
-    "Example",
     "UserProfile",
     "WorldConfig",
     "gen_world",

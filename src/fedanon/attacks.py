@@ -29,7 +29,7 @@ from .metrics import (
 )
 from .nn import ModelSpec, ParamVector
 from .seeding import rng_from, seed_from
-from .world import DatasetBundle, features_of
+from .world import DatasetBundle
 
 REID_METHODS = ("chance", "knn", "svm", "mlp")
 MATCH_METHODS = ("chance", "mlp_product", "siamese")
@@ -573,7 +573,7 @@ def train_dataspace_model(bundle: DatasetBundle, seed: int = 0) -> MlpReid:
     """Same classifier recipe as the delta-space MLP, but on raw prior
     example features labeled by user."""
     users = bundle.user_ids()
-    rows = [features_of(bundle.prior[u]) for u in users]
+    rows = [bundle.x[bundle.prior[u]] for u in users]
     labels = np.concatenate(
         [np.full(r.shape[0], i, dtype=np.int64) for i, r in enumerate(rows)]
     )
@@ -593,7 +593,7 @@ def dataspace_sets(
         raise ValueError("set_size must be >= 1")
     feats, labels = [], []
     for i, u in enumerate(bundle.user_ids()):
-        x = features_of(bundle.private[u])
+        x = bundle.x[bundle.private[u]]
         n = x.shape[0]
         rng = rng_from(seed, "dataspace-sets", u)
         if set_size > n:

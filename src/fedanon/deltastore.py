@@ -99,10 +99,10 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
     """Write manifest.json + deltas.bin into the directory `path`.
 
     The record index (offsets) is recomputed here; the returned manifest is
-    the one that was written. Every delta value must be finite in float32.
-    Both files are serialized in full, written under temporary names and
-    only then renamed into place, so a failed write leaves the previous log
-    readable.
+    the one that was written. A (round, device) pair may appear only once,
+    and every delta value must be finite in float32. Both files are
+    serialized in full, written under temporary names and only then renamed
+    into place, so a failed write leaves the previous log readable.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
@@ -116,6 +116,9 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
                 f"record (round {r.round_t}, device {r.device_id}) layout "
                 f"{r.delta.layout()} does not match manifest layout {layout}"
             )
+    keys = [(r.round_t, r.device_id) for r in records]
+    if len(set(keys)) != len(keys):
+        raise ValueError("a (round, device) pair appears more than once in the records")
     size = manifest.record_nbytes()
     index = []
     chunks = [MAGIC]
@@ -156,10 +159,11 @@ def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
 
     The layer names must be distinct and the device table must list each
     device once, with a known role and n_k >= 1; every indexed record must
-    fall in rounds [1, rounds] and sit at its slot on the record grid, the
-    payload must end after the last record and hold only finite values,
-    and manifest.json must be byte for byte the JSON the writer emits for
-    its contents. So every log this returns is rewritten byte-identically."""
+    fall in rounds [1, rounds], name a (round, device) pair no other record
+    names and sit at its slot on the record grid, the payload must end
+    after the last record and hold only finite values, and manifest.json
+    must be byte for byte the JSON the writer emits for its contents. So
+    every log this returns is rewritten byte-identically."""
     directory = Path(path)
     try:
         raw = (directory / MANIFEST_NAME).read_bytes()
@@ -206,6 +210,7 @@ def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
             f"deltas.bin has {len(payload) - expected} bytes past the last indexed record"
         )
     records: list[DeltaRecord] = []
+    seen: set[tuple[int, int]] = set()
     for i, (round_t, device_id, offset) in enumerate(manifest.index):
         if offset != len(MAGIC) + i * size:
             raise CorruptHeaderError(
@@ -220,6 +225,11 @@ def read_records(path) -> tuple[DeltaManifest, list[DeltaRecord]]:
             )
         if device_id not in by_device:
             raise CorruptHeaderError(f"record references unknown device {device_id}")
+        if (round_t, device_id) in seen:
+            raise CorruptHeaderError(
+                f"device {device_id} has more than one record in round {round_t}"
+            )
+        seen.add((round_t, device_id))
         user_id, role, n_k = by_device[device_id]
         flat = np.frombuffer(payload, dtype="<f4", count=size // 4, offset=offset)
         if not np.isfinite(flat).all():

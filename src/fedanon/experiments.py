@@ -240,11 +240,10 @@ def _epoch_grid(cfg: ExperimentConfig) -> list[Table]:
 
 
 def _iid_control(cfg: ExperimentConfig) -> list[Table]:
+    biased = gen_world(world_config_from(cfg))
+    worlds = {"biased": biased, "iid": make_iid_control(biased, seed_from(cfg.seed, "iid-control"))}
     rows = []
-    for variant in ("biased", "iid"):
-        bundle = gen_world(world_config_from(cfg))
-        if variant == "iid":
-            bundle = make_iid_control(bundle, seed_from(cfg.seed, "iid-control"))
+    for variant, bundle in worlds.items():
         arts = run_pipeline(cfg, bundle=bundle)
         ds = attack_dataset_from(cfg, arts)
         model = train_reid(ds, "mlp", seed_from(cfg.seed, "iid-attack", variant))

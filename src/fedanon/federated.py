@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .nn import ModelSpec, ParamVector
 from .seeding import rng_from, seed_from
-from .world import DatasetBundle, Example, features_of, labels_of
+from .world import DatasetBundle
 
 ROLE_ANONYMOUS = "anonymous"
 ROLE_SHADOW = "shadow_prior"
@@ -60,19 +60,18 @@ class DeviceState:
     device_id: int
     user_id: int
     role: str
-    examples: list[Example]
+    x: np.ndarray  # (n_k, input_dim) features
+    y: np.ndarray  # (n_k,) class labels
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_ANONYMOUS, ROLE_SHADOW):
             raise ValueError(f"unknown device role {self.role!r}")
-        if not self.examples:
+        if not len(self.y):
             raise ValueError(f"device {self.device_id} has no data")
-        self.x = features_of(self.examples)
-        self.y = labels_of(self.examples)
 
     @property
     def n_k(self) -> int:
-        return len(self.examples)
+        return len(self.y)
 
 
 @dataclass
@@ -96,12 +95,11 @@ def build_devices(bundle: DatasetBundle) -> list[DeviceState]:
     """Two devices per user: anonymous ids 0..U-1, shadow ids U..2U-1."""
     order = bundle.user_ids()
     devices = []
-    for i, u in enumerate(order):
-        devices.append(DeviceState(device_id=i, user_id=u, role=ROLE_ANONYMOUS,
-                                   examples=bundle.private[u]))
-    for i, u in enumerate(order):
-        devices.append(DeviceState(device_id=len(order) + i, user_id=u, role=ROLE_SHADOW,
-                                   examples=bundle.prior[u]))
+    for role, split in ((ROLE_ANONYMOUS, bundle.private), (ROLE_SHADOW, bundle.prior)):
+        for u in order:
+            rows = split[u]
+            devices.append(DeviceState(device_id=len(devices), user_id=u, role=role,
+                                       x=bundle.x[rows], y=bundle.y[rows]))
     return devices
 
 
@@ -182,8 +180,7 @@ def run_federated(
     the global test split each round and logging every delta."""
     devices = build_devices(bundle)
     params = nn.init_params(spec, seed_from(cfg.seed, "init"))
-    test_x = features_of(bundle.test)
-    test_y = labels_of(bundle.test)
+    test_x, test_y = bundle.x[bundle.test], bundle.y[bundle.test]
     records: list[DeltaRecord] = []
     utility: list[float] = []
     for round_t in range(1, cfg.rounds + 1):

@@ -26,7 +26,7 @@ from .federated import (
 )
 from .nn import ModelSpec, ParamVector
 from .seeding import rng_from, seed_from
-from .world import DatasetBundle, Example, features_of
+from .world import DatasetBundle
 
 STRATEGIES = ("noise", "bkg_repl", "rand_aug", "mm_aug")
 
@@ -147,36 +147,35 @@ def cluster_background(features: np.ndarray, m: int, seed: int = 0) -> KMeansRes
 
 
 def apply_data_strategy(
-    examples: list[Example],
+    rows: np.ndarray,
     strategy: str,
     alpha: float,
-    pool: list[Example],
+    pool: np.ndarray,
     seed: int,
-) -> list[Example]:
-    """Rewrite one device's data. bkg_repl swaps floor(alpha*n) examples for
-    pool draws (size preserved); rand_aug and mm_aug append floor(alpha*n)
-    pool draws. The pool is the full background or one cluster of it."""
+) -> np.ndarray:
+    """Rewrite one device's row indices. bkg_repl swaps floor(alpha*n) rows
+    for pool draws (size preserved); rand_aug and mm_aug append
+    floor(alpha*n) pool draws. The pool is the background rows or one
+    cluster of them."""
     if strategy not in ("bkg_repl", "rand_aug", "mm_aug"):
         raise ValueError(f"not a data strategy: {strategy!r}")
     if strategy == "bkg_repl" and not 0.0 <= alpha <= 1.0:
         raise ValueError("bkg_repl alpha must be in [0, 1]")
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
-    n = len(examples)
+    n = len(rows)
     k = int(np.floor(alpha * n))
     if k == 0:
-        return list(examples)
-    if not pool:
+        return rows
+    if not len(pool):
         raise ValueError("empty draw pool")
     rng = rng_from(seed, "data-strategy")
-    draw_idx = rng.choice(len(pool), size=k, replace=k > len(pool))
-    draws = [pool[i] for i in draw_idx]
+    draws = pool[rng.choice(len(pool), size=k, replace=k > len(pool))]
     if strategy == "bkg_repl":
-        out = list(examples)
-        for slot, drawn in zip(rng.choice(n, size=k, replace=False), draws):
-            out[slot] = drawn
+        out = rows.copy()
+        out[rng.choice(n, size=k, replace=False)] = draws
         return out
-    return list(examples) + draws
+    return np.concatenate([rows, draws])
 
 
 def mitigate_bundle(bundle: DatasetBundle, cfg: MitigationConfig) -> DatasetBundle:
@@ -186,20 +185,16 @@ def mitigate_bundle(bundle: DatasetBundle, cfg: MitigationConfig) -> DatasetBund
     if cfg.strategy == "noise" or cfg.is_identity():
         return bundle
     order = bundle.user_ids()
-    pools: dict[int, list[Example]] = {}
+    pools: dict[int, np.ndarray] = {}
     if cfg.strategy == "mm_aug":
         result = cluster_background(
-            features_of(bundle.background), cfg.clusters_m, seed_from(cfg.seed, "mm-clusters")
+            bundle.x[bundle.background], cfg.clusters_m, seed_from(cfg.seed, "mm-clusters")
         )
-        clusters = [
-            [bundle.background[i] for i in np.flatnonzero(result.assignments == j)]
-            for j in range(cfg.clusters_m)
-        ]
         for u in order:
             # each user commits to one randomly assigned cluster
             pick = int(rng_from(cfg.seed, "mm-pick", u).integers(cfg.clusters_m))
-            chosen = clusters[pick]
-            pools[u] = chosen if chosen else bundle.background
+            chosen = bundle.background[result.assignments == pick]
+            pools[u] = chosen if len(chosen) else bundle.background
     else:
         for u in order:
             pools[u] = bundle.background

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable
-
 import numpy as np
 
 from .seeding import rng_from, seed_from
@@ -76,15 +74,6 @@ class WorldConfig:
 
 
 @dataclass
-class Example:
-    x: np.ndarray
-    y: int
-    timestamp: float
-    album_id: int
-    user_id: int
-
-
-@dataclass
 class UserProfile:
     user_id: int
     pref_start: np.ndarray  # class preference at t=0
@@ -94,13 +83,23 @@ class UserProfile:
 
 @dataclass
 class DatasetBundle:
+    """Every generated example once, as columns: the user rows in generation
+    order, then the background rows (t = 0, album = -1, user = -1). Each
+    split is an int64 array of row indices into the columns, so a profile
+    prior indexes background rows."""
+
     config: WorldConfig
     users: list[UserProfile]
-    user_examples: dict[int, list[Example]]  # per-user pool after the test holdout
-    prior: dict[int, list[Example]]
-    private: dict[int, list[Example]]
-    test: list[Example]
-    background: list[Example]
+    x: np.ndarray  # (N, feature_dim) float64
+    y: np.ndarray  # (N,) int64 class
+    t: np.ndarray  # (N,) float64 position in the owner's timeline, in [0, 1]
+    album: np.ndarray  # (N,) int64
+    user: np.ndarray  # (N,) int64 owner
+    user_examples: dict[int, np.ndarray]  # per-user pool after the test holdout
+    prior: dict[int, np.ndarray]
+    private: dict[int, np.ndarray]
+    test: np.ndarray
+    background: np.ndarray
     prototypes: np.ndarray  # (classes, feature_dim)
 
     def user_ids(self) -> list[int]:
@@ -140,124 +139,105 @@ def gen_background(
     prototypes: np.ndarray,
     feature_noise: float,
     seed: int,
-) -> list[Example]:
-    """Uniform-class pool with the same feature model as user data."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform-class pool with the same feature model as user data: (x, y)."""
     if count < 1:
         raise ValueError("background count must be >= 1")
     rng = rng_from(seed, "background")
-    out = []
-    for _ in range(count):
-        y = int(rng.integers(classes))
-        x = prototypes[y] + rng.normal(0.0, feature_noise, size=feature_dim)
-        out.append(Example(x=x, y=y, timestamp=0.0, album_id=-1, user_id=-1))
-    return out
+    x = np.empty((count, feature_dim))
+    y = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        y[i] = rng.integers(classes)
+        x[i] = prototypes[y[i]] + rng.normal(0.0, feature_noise, size=feature_dim)
+    return x, y
 
 
 def _gen_user_examples(
     rng: np.random.Generator, profile: UserProfile, cfg: WorldConfig, prototypes: np.ndarray
-) -> list[Example]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One user's rows in timeline order: (x, y, t, album)."""
     n, albums = cfg.n_per_user, cfg.albums_per_user
-    out = []
+    position = np.arange(n, dtype=np.int64)
+    t = position / (n - 1)
+    album = np.minimum(position * albums // n, albums - 1)
+    x = np.empty((n, cfg.feature_dim))
+    y = np.empty(n, dtype=np.int64)
     for i in range(n):
-        t = i / (n - 1)
-        album = min(i * albums // n, albums - 1)
-        pref = user_pref_at(profile, t, cfg.drift)
-        mix = (1.0 - ALBUM_BLEND) * pref + ALBUM_BLEND * profile.albums[album]
+        pref = user_pref_at(profile, t[i], cfg.drift)
+        mix = (1.0 - ALBUM_BLEND) * pref + ALBUM_BLEND * profile.albums[album[i]]
         mix = mix / mix.sum()
-        y = int(rng.choice(cfg.classes, p=mix))
-        x = prototypes[y] + rng.normal(0.0, cfg.feature_noise, size=cfg.feature_dim)
-        out.append(Example(x=x, y=y, timestamp=t, album_id=album, user_id=profile.user_id))
-    return out
+        y[i] = rng.choice(cfg.classes, p=mix)
+        x[i] = prototypes[y[i]] + rng.normal(0.0, cfg.feature_noise, size=cfg.feature_dim)
+    return x, y, t, album
 
 
 def split_prior(
-    examples: list[Example],
+    bundle: DatasetBundle,
+    rows: np.ndarray,
     kind: str,
     fraction: float,
     *,
     profile_class: int | None = None,
-    background: list[Example] | None = None,
     seed: int = 0,
-) -> tuple[list[Example], list[Example]]:
-    """Divide one user's pool into the adversary's prior and the on-device
-    private set.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Divide one user's pool rows into the adversary's prior and the
+    on-device private set; both keep the order of `rows`.
 
     random: seeded IID partition. chrono: earliest fraction by timestamp.
-    photoset: whole albums until the fraction is reached. profile: curated
-    examples of `profile_class` drawn from the background stand in as the
-    prior and the full user pool stays private.
+    photoset: whole albums until the fraction is reached. profile: seeded
+    draws from the background rows of `profile_class` stand in as the prior
+    and the full user pool stays private.
     """
     if kind not in PRIOR_KINDS:
         raise ValueError(f"unknown prior kind {kind!r}")
     if not 0.0 < fraction < 1.0:
         raise ValueError("prior fraction must be in (0, 1)")
-    n = len(examples)
+    n = len(rows)
     if n < 2:
         raise ValueError("need at least 2 examples to split")
     rng = rng_from(seed, "split", kind)
     n_prior = min(max(int(round(fraction * n)), 1), n - 1)
 
+    if kind == "profile":
+        if profile_class is None:
+            raise ValueError("profile split requires profile_class")
+        candidates = bundle.background[bundle.y[bundle.background] == profile_class]
+        if not candidates.size:
+            raise ValueError(f"background holds no examples of class {profile_class}")
+        idx = rng.choice(len(candidates), size=n_prior, replace=len(candidates) < n_prior)
+        return candidates[np.sort(idx)], rows.copy()
+
+    chosen = np.zeros(n, dtype=bool)
     if kind == "random":
-        perm = rng.permutation(n)
-        chosen = np.zeros(n, dtype=bool)
-        chosen[perm[:n_prior]] = True
-        prior = [examples[i] for i in range(n) if chosen[i]]
-        private = [examples[i] for i in range(n) if not chosen[i]]
-        return prior, private
-
-    if kind == "chrono":
-        order = np.argsort([e.timestamp for e in examples], kind="stable")
-        prior_idx = set(order[:n_prior].tolist())
-        prior = [examples[i] for i in sorted(prior_idx)]
-        private = [examples[i] for i in range(n) if i not in prior_idx]
-        return prior, private
-
-    if kind == "photoset":
-        album_ids = sorted({e.album_id for e in examples})
+        chosen[rng.permutation(n)[:n_prior]] = True
+    elif kind == "chrono":
+        chosen[np.argsort(bundle.t[rows], kind="stable")[:n_prior]] = True
+    else:  # photoset
+        albums = bundle.album[rows]
+        album_ids = np.unique(albums)
         if len(album_ids) < 2:
             raise ValueError("photoset split needs at least 2 albums per user")
-        order = [album_ids[i] for i in rng.permutation(len(album_ids))]
-        chosen_albums: set[int] = set()
-        size = 0
-        for album in order:
-            if len(chosen_albums) == len(album_ids) - 1:
-                break  # always leave at least one whole album private
-            if size >= n_prior:
+        for taken, album in enumerate(album_ids[rng.permutation(len(album_ids))]):
+            # always leave at least one whole album private
+            if taken == len(album_ids) - 1 or chosen.sum() >= n_prior:
                 break
-            chosen_albums.add(album)
-            size += sum(1 for e in examples if e.album_id == album)
-        prior = [e for e in examples if e.album_id in chosen_albums]
-        private = [e for e in examples if e.album_id not in chosen_albums]
-        return prior, private
-
-    # profile: curated class examples from the background, private = all user data
-    if profile_class is None:
-        raise ValueError("profile split requires profile_class")
-    if background is None:
-        raise ValueError("profile split requires a background pool")
-    candidates = [e for e in background if e.y == profile_class]
-    if not candidates:
-        raise ValueError(f"background holds no examples of class {profile_class}")
-    replace_draws = len(candidates) < n_prior
-    idx = rng.choice(len(candidates), size=n_prior, replace=replace_draws)
-    prior = [candidates[i] for i in np.sort(idx)]
-    return prior, list(examples)
+            chosen |= albums == album
+    return rows[chosen], rows[~chosen]
 
 
 def gen_world(cfg: WorldConfig) -> DatasetBundle:
-    """Build the full bundle: profiles, per-user pools, the prior/private
-    split, a global test holdout, and the background pool."""
+    """Build the full bundle: profiles, the user rows and their test
+    holdout, the background rows, and the prior/private split."""
     prototypes = _draw_prototypes(rng_from(cfg.seed, "prototypes"), cfg.classes, cfg.feature_dim)
-    background = gen_background(
+    bkg_x, bkg_y = gen_background(
         cfg.background_size, cfg.classes, cfg.feature_dim, prototypes, cfg.feature_noise, cfg.seed
     )
 
+    n = cfg.n_per_user
     users: list[UserProfile] = []
-    user_examples: dict[int, list[Example]] = {}
-    prior: dict[int, list[Example]] = {}
-    private: dict[int, list[Example]] = {}
-    test: list[Example] = []
-
+    columns: list[tuple[np.ndarray, ...]] = []
+    user_examples: dict[int, np.ndarray] = {}
+    test: list[np.ndarray] = []
     for u in range(cfg.users):
         rng_u = rng_from(cfg.seed, "user", u)
         pref_start = _draw_pref(rng_u, cfg.classes, cfg.concentration)
@@ -269,59 +249,59 @@ def gen_world(cfg: WorldConfig) -> DatasetBundle:
             albums.append(album_pref / album_pref.sum())
         profile = UserProfile(user_id=u, pref_start=pref_start, pref_end=pref_end, albums=albums)
         users.append(profile)
+        columns.append(_gen_user_examples(rng_u, profile, cfg, prototypes))
 
-        examples = _gen_user_examples(rng_u, profile, cfg, prototypes)
-        n_test = int(round(cfg.test_fraction * len(examples)))
-        n_test = min(max(n_test, 1), len(examples) - 2)
-        holdout = set(
-            rng_from(cfg.seed, "holdout", u).choice(len(examples), size=n_test, replace=False).tolist()
-        )
-        pool = [examples[i] for i in range(len(examples)) if i not in holdout]
-        test.extend(examples[i] for i in sorted(holdout))
-        user_examples[u] = pool
-        prior[u], private[u] = split_prior(
-            pool,
+        n_test = min(max(int(round(cfg.test_fraction * n)), 1), n - 2)
+        held = np.zeros(n, dtype=bool)
+        held[rng_from(cfg.seed, "holdout", u).choice(n, size=n_test, replace=False)] = True
+        rows = np.arange(u * n, (u + 1) * n, dtype=np.int64)
+        test.append(rows[held])
+        user_examples[u] = rows[~held]
+
+    x, y, t, album = (np.concatenate(c) for c in zip(*columns))
+    m = cfg.background_size
+    no_owner = np.full(m, -1, dtype=np.int64)
+    bundle = DatasetBundle(
+        config=cfg,
+        users=users,
+        x=np.concatenate([x, bkg_x]),
+        y=np.concatenate([y, bkg_y]),
+        t=np.concatenate([t, np.zeros(m)]),
+        album=np.concatenate([album, no_owner]),
+        user=np.concatenate([np.repeat(np.arange(cfg.users, dtype=np.int64), n), no_owner]),
+        user_examples=user_examples,
+        prior={},
+        private={},
+        test=np.concatenate(test),
+        background=np.arange(len(x), len(x) + m, dtype=np.int64),
+        prototypes=prototypes,
+    )
+    for u, rows in user_examples.items():
+        bundle.prior[u], bundle.private[u] = split_prior(
+            bundle,
+            rows,
             cfg.prior_kind,
             cfg.prior_fraction,
             profile_class=cfg.profile_class,
-            background=background,
             seed=seed_from(cfg.seed, "prior", u),
         )
-
-    return DatasetBundle(
-        config=cfg,
-        users=users,
-        user_examples=user_examples,
-        prior=prior,
-        private=private,
-        test=test,
-        background=background,
-        prototypes=prototypes,
-    )
+    return bundle
 
 
 def make_iid_control(bundle: DatasetBundle, seed: int | None = None) -> DatasetBundle:
     """Unbias device data: permute the pooled union of all prior and private
-    examples back into the same per-device slots, so every device keeps its
+    rows back into the same per-device slots, so every device keeps its
     example count but loses its owner's class bias."""
     if seed is None:
         seed = seed_from(bundle.config.seed, "iid")
     order = bundle.user_ids()
-    slots: list[tuple[int, str]] = []
-    pool: list[Example] = []
-    for u in order:
-        for e in bundle.prior[u]:
-            slots.append((u, "prior"))
-            pool.append(e)
-        for e in bundle.private[u]:
-            slots.append((u, "private"))
-            pool.append(e)
-    perm = rng_from(seed, "iid-permute").permutation(len(pool))
-    prior: dict[int, list[Example]] = {u: [] for u in order}
-    private: dict[int, list[Example]] = {u: [] for u in order}
-    for (u, side), i in zip(slots, perm):
-        (prior if side == "prior" else private)[u].append(pool[i])
-    user_examples = {u: prior[u] + private[u] for u in order}
+    slots = [side[u] for u in order for side in (bundle.prior, bundle.private)]
+    pool = np.concatenate(slots)
+    shuffled = pool[rng_from(seed, "iid-permute").permutation(len(pool))]
+    parts = np.split(shuffled, np.cumsum([len(s) for s in slots])[:-1])
+    prior = {u: parts[2 * i] for i, u in enumerate(order)}
+    private = {u: parts[2 * i + 1] for i, u in enumerate(order)}
+    user_examples = {u: np.concatenate([prior[u], private[u]]) for u in order}
     return replace(bundle, user_examples=user_examples, prior=prior, private=private)
 
 
@@ -331,23 +311,15 @@ def limit_prior(bundle: DatasetBundle, max_examples: int, seed: int | None = Non
         raise ValueError("max_examples must be >= 1")
     if seed is None:
         seed = seed_from(bundle.config.seed, "limit-prior")
-    prior: dict[int, list[Example]] = {}
+    prior: dict[int, np.ndarray] = {}
     for u in bundle.user_ids():
         full = bundle.prior[u]
         if len(full) <= max_examples:
-            prior[u] = list(full)
+            prior[u] = full
             continue
         idx = rng_from(seed, "limit", u).choice(len(full), size=max_examples, replace=False)
-        prior[u] = [full[i] for i in np.sort(idx)]
+        prior[u] = full[np.sort(idx)]
     return replace(bundle, prior=prior)
-
-
-def features_of(examples: Iterable[Example]) -> np.ndarray:
-    return np.stack([e.x for e in examples])
-
-
-def labels_of(examples: Iterable[Example]) -> np.ndarray:
-    return np.asarray([e.y for e in examples], dtype=np.int64)
 
 
 def intra_inter_distances(
@@ -362,15 +334,15 @@ def intra_inter_distances(
     if seed is None:
         seed = seed_from(bundle.config.seed, "distances")
     order = bundle.user_ids()
-    everything = [e for u in order for e in bundle.user_examples[u]]
-    all_feats = _normalize_rows(features_of(everything))
+    everything = np.concatenate([bundle.user_examples[u] for u in order])
+    all_feats = _normalize_rows(bundle.x[everything])
     k = min(sample_size, all_feats.shape[0])
     sample_idx = rng_from(seed, "dist-sample").choice(all_feats.shape[0], size=k, replace=False)
     sample = all_feats[sample_idx]
 
     out: dict[int, tuple[float, float]] = {}
     for u in order:
-        feats = _normalize_rows(features_of(bundle.user_examples[u]))
+        feats = _normalize_rows(bundle.x[bundle.user_examples[u]])
         if feats.shape[0] < 2:
             raise ValueError(f"user {u} needs >= 2 examples for distance stats")
         diffs = feats[:, None, :] - feats[None, :, :]
@@ -389,55 +361,22 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bundle (de)serialization: single .npz with one section per split
+# bundle (de)serialization: one .npz of the columns and every split's row
+# indices (README: "World bundle format")
 
-
-def _pack_examples(examples: list[Example], dim: int) -> dict[str, np.ndarray]:
-    n = len(examples)
-    return {
-        "x": np.stack([e.x for e in examples]) if n else np.zeros((0, dim)),
-        "y": np.asarray([e.y for e in examples], dtype=np.int64),
-        "t": np.asarray([e.timestamp for e in examples], dtype=np.float64),
-        "album": np.asarray([e.album_id for e in examples], dtype=np.int64),
-        "user": np.asarray([e.user_id for e in examples], dtype=np.int64),
-    }
-
-
-def _unpack_examples(data: dict[str, np.ndarray]) -> list[Example]:
-    return [
-        Example(
-            x=data["x"][i].copy(),
-            y=int(data["y"][i]),
-            timestamp=float(data["t"][i]),
-            album_id=int(data["album"][i]),
-            user_id=int(data["user"][i]),
-        )
-        for i in range(data["y"].shape[0])
-    ]
+_COLUMNS = ("x", "y", "t", "album", "user")
+_USER_SPLITS = ("user_examples", "prior", "private")
+_BUNDLE_KEYS = (
+    "config_json", "prototypes", "pref_start", "pref_end", "album_prefs", *_COLUMNS,
+    *(k for side in _USER_SPLITS for k in (side, f"{side}_counts")), "test", "background",
+)
 
 
 def save_bundle(path, bundle: DatasetBundle) -> None:
-    """Write the bundle as a .npz file; identity sharing between the pool and
-    the prior/private sides is encoded as per-slot side codes."""
+    """Write the bundle as a .npz file; a per-user split is stored as one
+    flat index array (users in id order) plus its per-user row counts."""
     cfg = bundle.config
     order = bundle.user_ids()
-    pool = [e for u in order for e in bundle.user_examples[u]]
-    slot_user = np.asarray(
-        [u for u in order for _ in bundle.user_examples[u]], dtype=np.int64
-    )
-    by_id = {id(e): i for i, e in enumerate(pool)}
-    side = np.full(len(pool), -1, dtype=np.int64)
-    curated: list[Example] = []
-    curated_user: list[int] = []
-    for u in order:
-        for e in bundle.prior[u]:
-            if id(e) in by_id:
-                side[by_id[id(e)]] = 0
-            else:
-                curated.append(e)  # profile priors live outside the pool
-                curated_user.append(u)
-        for e in bundle.private[u]:
-            side[by_id[id(e)]] = 1
     arrays: dict[str, np.ndarray] = {
         "config_json": np.frombuffer(
             json.dumps(
@@ -449,66 +388,78 @@ def save_bundle(path, bundle: DatasetBundle) -> None:
         "pref_start": np.stack([p.pref_start for p in bundle.users]),
         "pref_end": np.stack([p.pref_end for p in bundle.users]),
         "album_prefs": np.stack([np.stack(p.albums) for p in bundle.users]),
-        "pool_side": side,
-        "pool_slot_user": slot_user,
-        "curated_slot_user": np.asarray(curated_user, dtype=np.int64),
+        **{name: getattr(bundle, name) for name in _COLUMNS},
+        "test": bundle.test,
+        "background": bundle.background,
     }
-    for name, examples in (
-        ("pool", pool),
-        ("curated", curated),
-        ("test", bundle.test),
-        ("bkg", bundle.background),
-    ):
-        for key, arr in _pack_examples(examples, cfg.feature_dim).items():
-            arrays[f"{name}_{key}"] = arr
+    for side in _USER_SPLITS:
+        parts = [getattr(bundle, side)[u] for u in order]
+        arrays[side] = np.concatenate(parts)
+        arrays[f"{side}_counts"] = np.asarray([len(p) for p in parts], dtype=np.int64)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_bundle(path) -> DatasetBundle:
+    """Read a bundle written by `save_bundle`. A missing key, a config that
+    is not a WorldConfig, profile arrays that disagree on the users, columns
+    of unequal length, a split index that is not an integer in [0, N), or
+    per-user counts that do not match the users or the split raise
+    ValueError."""
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
-    cfg_dict = json.loads(bytes(arrays["config_json"]).decode())
-    cfg = WorldConfig(**cfg_dict)
+    missing = [k for k in _BUNDLE_KEYS if k not in arrays]
+    if missing:
+        raise ValueError(f"bundle lacks the keys {missing}")
+    try:
+        cfg = WorldConfig(**json.loads(bytes(arrays["config_json"]).decode()))
+    except TypeError as err:
+        raise ValueError(f"bundle config is malformed: {err}") from err
+    pref_start, pref_end, albums = (arrays[k] for k in ("pref_start", "pref_end", "album_prefs"))
+    if (
+        pref_start.ndim != 2
+        or pref_end.shape != pref_start.shape
+        or albums.ndim != 3
+        or albums.shape[::2] != pref_start.shape
+    ):
+        raise ValueError("pref_start, pref_end and album_prefs disagree on users or classes")
+    n_users = pref_start.shape[0]
+    shapes = [arrays[name].shape for name in _COLUMNS]
+    if len(shapes[0]) != 2 or any(shape != shapes[0][:1] for shape in shapes[1:]):
+        raise ValueError(f"columns {_COLUMNS} need shapes (N, d) and (N,), got {shapes}")
+    n = shapes[0][0]
 
-    def section(name: str) -> list[Example]:
-        return _unpack_examples({k: arrays[f"{name}_{k}"] for k in ("x", "y", "t", "album", "user")})
+    def rows(name: str) -> np.ndarray:
+        idx = arrays[name]
+        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"split {name} must be a 1-d integer array, got {idx.dtype} {idx.shape}")
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise ValueError(f"split {name} indexes rows outside [0, {n})")
+        return idx.astype(np.int64)
 
-    pool = section("pool")
-    curated = section("curated")
-    test = section("test")
-    background = section("bkg")
-    side = arrays["pool_side"]
-    slot_user = arrays["pool_slot_user"]
-    curated_user = arrays["curated_slot_user"]
-
+    splits: dict[str, dict[int, np.ndarray]] = {}
+    for side in _USER_SPLITS:
+        flat, counts = rows(side), arrays[f"{side}_counts"]
+        if counts.shape != (n_users,) or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"{side}_counts must hold one integer per user ({n_users})")
+        if (counts < 0).any() or counts.sum() != flat.size:
+            raise ValueError(f"{side}_counts must be >= 0 and sum to the {flat.size} rows of {side}")
+        splits[side] = dict(enumerate(np.split(flat, np.cumsum(counts)[:-1])))
     users = [
         UserProfile(
             user_id=u,
-            pref_start=arrays["pref_start"][u].copy(),
-            pref_end=arrays["pref_end"][u].copy(),
-            albums=[arrays["album_prefs"][u, a].copy() for a in range(arrays["album_prefs"].shape[1])],
+            pref_start=pref_start[u],
+            pref_end=pref_end[u],
+            albums=list(albums[u]),
         )
-        for u in range(arrays["pref_start"].shape[0])
+        for u in range(n_users)
     ]
-    user_examples: dict[int, list[Example]] = {p.user_id: [] for p in users}
-    prior: dict[int, list[Example]] = {p.user_id: [] for p in users}
-    private: dict[int, list[Example]] = {p.user_id: [] for p in users}
-    for e, s, u in zip(pool, side, slot_user):
-        user_examples[int(u)].append(e)
-        if s == 0:
-            prior[int(u)].append(e)
-        elif s == 1:
-            private[int(u)].append(e)
-    for e, u in zip(curated, curated_user):
-        prior[int(u)].append(e)
     return DatasetBundle(
         config=cfg,
         users=users,
-        user_examples=user_examples,
-        prior=prior,
-        private=private,
-        test=test,
-        background=background,
-        prototypes=arrays["prototypes"].copy(),
+        **{name: arrays[name] for name in _COLUMNS},
+        **splits,
+        test=rows("test"),
+        background=rows("background"),
+        prototypes=arrays["prototypes"],
     )

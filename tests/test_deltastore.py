@@ -1,6 +1,7 @@
 """Log persistence: float32 round-trips must be exact, rewrites byte
 identical, and each corruption mode must raise its own error type."""
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -236,6 +237,22 @@ def test_read_rejects_round_outside_the_run(tmp_path, round_t):
     edit_manifest(tmp_path, lambda doc: doc["index"][0].__setitem__(0, round_t))
     with pytest.raises(CorruptHeaderError, match="outside"):
         read_records(tmp_path / "log")
+
+
+def test_read_rejects_a_repeated_round_and_device(tmp_path):
+    write_log(tmp_path, make_records(2, 2), rounds=2)
+    # record 1 is (round 1, device 1); name device 0 again
+    edit_manifest(tmp_path, lambda doc: doc["index"][1].__setitem__(1, 0))
+    with pytest.raises(CorruptHeaderError, match="more than one record"):
+        read_records(tmp_path / "log")
+
+
+def test_write_rejects_a_repeated_round_and_device(tmp_path):
+    records = make_records(2, 2)
+    records[1] = dataclasses.replace(records[0])
+    with pytest.raises(ValueError, match="more than once"):
+        write_log(tmp_path, records, rounds=2)
+    assert not (tmp_path / "log" / "deltas.bin").exists()
 
 
 def test_failed_write_leaves_previous_log(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from fedanon.federated import (
 )
 from fedanon.nn import ModelSpec, ParamVector
 from fedanon.seeding import seed_from
-from fedanon.world import Example, gen_world
+from fedanon.world import gen_world
 
 from sequential_oracle import oracle_server_round
 from test_world import small_cfg
@@ -30,11 +30,8 @@ from test_world import small_cfg
 
 def two_class_device(n=2, device_id=0):
     """n identical scalar examples of class 0 on one device."""
-    examples = [
-        Example(x=np.array([1.0]), y=0, timestamp=0.0, album_id=0, user_id=0)
-        for _ in range(n)
-    ]
-    return DeviceState(device_id=device_id, user_id=0, role=ROLE_ANONYMOUS, examples=examples)
+    return DeviceState(device_id=device_id, user_id=0, role=ROLE_ANONYMOUS,
+                       x=np.ones((n, 1)), y=np.zeros(n, dtype=np.int64))
 
 
 LINEAR2 = ModelSpec(kind="linear", input_dim=1, output_dim=2, bias=False)
@@ -101,13 +98,10 @@ def assorted_devices(spec, sizes=ORACLE_SIZES, seed=0):
     rng = np.random.default_rng(seed)
     devices = []
     for i, n in enumerate(sizes):
-        examples = [
-            Example(x=rng.normal(size=spec.input_dim), y=int(rng.integers(spec.output_dim)),
-                    timestamp=0.0, album_id=0, user_id=i // 2)
-            for _ in range(n)
-        ]
+        rows = [(rng.normal(size=spec.input_dim), rng.integers(spec.output_dim)) for _ in range(n)]
+        x, y = np.stack([r[0] for r in rows]), np.asarray([r[1] for r in rows], dtype=np.int64)
         role = ROLE_ANONYMOUS if i % 2 == 0 else ROLE_SHADOW
-        devices.append(DeviceState(device_id=i, user_id=i // 2, role=role, examples=examples))
+        devices.append(DeviceState(device_id=i, user_id=i // 2, role=role, x=x, y=y))
     return devices
 
 
@@ -233,18 +227,20 @@ def test_build_devices_layout():
     assert len(devices) == 2 * u
     for i, d in enumerate(devices[:u]):
         assert (d.device_id, d.user_id, d.role) == (i, i, ROLE_ANONYMOUS)
-        assert d.n_k == len(bundle.private[i])
+        np.testing.assert_array_equal(d.x, bundle.x[bundle.private[i]])
+        np.testing.assert_array_equal(d.y, bundle.y[bundle.private[i]])
     for i, d in enumerate(devices[u:]):
         assert (d.device_id, d.user_id, d.role) == (u + i, i, ROLE_SHADOW)
+        np.testing.assert_array_equal(d.x, bundle.x[bundle.prior[i]])
         assert d.n_k == len(bundle.prior[i])
 
 
 def test_device_state_rejects_bad_role_and_empty():
-    ex = [Example(x=np.zeros(2), y=0, timestamp=0.0, album_id=0, user_id=0)]
+    x, y = np.zeros((1, 2)), np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError):
-        DeviceState(device_id=0, user_id=0, role="spy", examples=ex)
+        DeviceState(device_id=0, user_id=0, role="spy", x=x, y=y)
     with pytest.raises(ValueError):
-        DeviceState(device_id=0, user_id=0, role=ROLE_ANONYMOUS, examples=[])
+        DeviceState(device_id=0, user_id=0, role=ROLE_ANONYMOUS, x=x[:0], y=y[:0])
 
 
 def test_server_round_samples_expected_count():

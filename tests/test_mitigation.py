@@ -19,7 +19,7 @@ from fedanon.mitigation import (
 )
 from fedanon.nn import ModelSpec, ParamVector
 from fedanon.seeding import seed_from
-from fedanon.world import Example, features_of, gen_world
+from fedanon.world import gen_world
 
 from test_world import small_cfg
 
@@ -76,8 +76,8 @@ def test_noise_is_seeded():
 
 
 def device_with_role(role):
-    ex = [Example(x=np.zeros(2), y=0, timestamp=0.0, album_id=0, user_id=0)]
-    return DeviceState(device_id=0, user_id=0, role=role, examples=ex)
+    return DeviceState(device_id=0, user_id=0, role=role,
+                       x=np.zeros((1, 2)), y=np.zeros(1, dtype=np.int64))
 
 
 def test_noise_hook_targets_anonymous_devices_only():
@@ -169,57 +169,55 @@ def test_kmeans_deterministic():
 # ----------------------------------------------------------- data rewrites
 
 
-def user_examples(n, user_id=0):
-    return [
-        Example(x=np.full(3, float(i)), y=0, timestamp=0.0, album_id=0, user_id=user_id)
-        for i in range(n)
-    ]
+# a device's own rows are 0..n-1 and pool rows start at POOL_START
+POOL_START = 1000
 
 
-def pool_examples(n):
-    return [
-        Example(x=np.full(3, 100.0 + i), y=1, timestamp=0.0, album_id=-1, user_id=-1)
-        for i in range(n)
-    ]
+def user_rows(n):
+    return np.arange(n, dtype=np.int64)
+
+
+def pool_rows(n):
+    return POOL_START + np.arange(n, dtype=np.int64)
 
 
 def test_zero_alpha_is_identity_for_all_strategies():
-    mine, pool = user_examples(20), pool_examples(10)
+    mine, pool = user_rows(20), pool_rows(10)
     for strategy in ("bkg_repl", "rand_aug", "mm_aug"):
         out = apply_data_strategy(mine, strategy, 0.0, pool, seed=0)
-        assert [e.user_id for e in out] == [0] * 20
+        np.testing.assert_array_equal(out, mine)
 
 
 def test_rand_aug_appends_floor_alpha_n():
-    mine, pool = user_examples(50), pool_examples(30)
+    mine, pool = user_rows(50), pool_rows(30)
     out = apply_data_strategy(mine, "rand_aug", 2.0, pool, seed=0)
     assert len(out) == 150
-    assert [e.user_id for e in out[:50]] == [0] * 50  # originals kept, in order
-    assert all(e.user_id == -1 for e in out[50:])  # appended rows are pool draws
+    np.testing.assert_array_equal(out[:50], mine)  # originals kept, in order
+    assert np.isin(out[50:], pool).all()  # appended rows are pool draws
 
 
 def test_bkg_repl_preserves_size_and_replaces_exactly():
-    mine, pool = user_examples(40), pool_examples(30)
+    mine, pool = user_rows(40), pool_rows(30)
     half = apply_data_strategy(mine, "bkg_repl", 0.5, pool, seed=0)
     assert len(half) == 40
-    assert sum(e.user_id == 0 for e in half) == 20
+    assert np.count_nonzero(half < POOL_START) == 20
     full = apply_data_strategy(mine, "bkg_repl", 1.0, pool, seed=0)
     assert len(full) == 40
-    assert all(e.user_id == -1 for e in full)  # no original survives
+    assert np.isin(full, pool).all()  # no original survives
 
 
 def test_data_strategy_validation():
-    mine, pool = user_examples(10), pool_examples(5)
+    mine, pool = user_rows(10), pool_rows(5)
     with pytest.raises(ValueError):
         apply_data_strategy(mine, "noise", 0.5, pool, seed=0)
     with pytest.raises(ValueError):
         apply_data_strategy(mine, "bkg_repl", 1.5, pool, seed=0)
     with pytest.raises(ValueError):
-        apply_data_strategy(mine, "rand_aug", 0.5, [], seed=0)
+        apply_data_strategy(mine, "rand_aug", 0.5, pool[:0], seed=0)
 
 
 def test_data_strategy_draws_with_replacement_when_pool_small():
-    mine, pool = user_examples(50), pool_examples(3)
+    mine, pool = user_rows(50), pool_rows(3)
     out = apply_data_strategy(mine, "rand_aug", 1.0, pool, seed=0)
     assert len(out) == 100  # 50 appended from a pool of 3
 
@@ -242,7 +240,7 @@ def test_mitigate_bundle_touches_only_private_splits():
     for u in bundle.user_ids():
         n = len(bundle.private[u])
         assert len(out.private[u]) == 2 * n
-        assert out.private[u][:n] == bundle.private[u]
+        np.testing.assert_array_equal(out.private[u][:n], bundle.private[u])
 
 
 def test_mitigate_bundle_mm_aug_draws_from_one_cluster_per_user():
@@ -250,17 +248,14 @@ def test_mitigate_bundle_mm_aug_draws_from_one_cluster_per_user():
     cfg = MitigationConfig("mm_aug", alpha=1.0, clusters_m=4, seed=5)
     out = mitigate_bundle(bundle, cfg)
     result = cluster_background(
-        features_of(bundle.background), 4, seed_from(cfg.seed, "mm-clusters")
+        bundle.x[bundle.background], 4, seed_from(cfg.seed, "mm-clusters")
     )
-    cluster_of = {
-        bundle.background[i].x.tobytes(): int(result.assignments[i])
-        for i in range(len(bundle.background))
-    }
+    cluster_of = dict(zip(bundle.background.tolist(), result.assignments.tolist()))
     used = set()
     for u in bundle.user_ids():
         appended = out.private[u][len(bundle.private[u]) :]
-        assert appended
-        picks = {cluster_of[e.x.tobytes()] for e in appended}
+        assert len(appended)
+        picks = {cluster_of[r] for r in appended.tolist()}
         assert len(picks) == 1  # every draw comes from the user's one cluster
         used |= picks
     assert len(used) >= 2  # different users land on different clusters
@@ -271,9 +266,7 @@ def test_mm_aug_with_one_cluster_equals_rand_aug():
     mm = mitigate_bundle(bundle, MitigationConfig("mm_aug", alpha=0.5, clusters_m=1, seed=3))
     rand = mitigate_bundle(bundle, MitigationConfig("rand_aug", alpha=0.5, seed=3))
     for u in bundle.user_ids():
-        np.testing.assert_array_equal(
-            features_of(mm.private[u]), features_of(rand.private[u])
-        )
+        np.testing.assert_array_equal(mm.private[u], rand.private[u])
 
 
 # ------------------------------------------------------------ tradeoff curve

@@ -213,7 +213,7 @@ def test_train_rejects_non_sgd_optimizer():
 def test_predict_proba_rows_sum_to_one(small_bundle):
     spec = ModelSpec(kind="mlp1", input_dim=16, hidden_dim=8, output_dim=5)
     params = nn.init_params(spec, seed=0)
-    x = np.stack([e.x for e in small_bundle.background[:20]])
+    x = small_bundle.x[small_bundle.background[:20]]
     p = nn.predict_proba(spec, params, x)
     assert p.shape == (20, 5)
     assert np.allclose(p.sum(axis=1), 1.0)

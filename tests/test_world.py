@@ -1,6 +1,9 @@
 """World generator checks: split bookkeeping for every prior kind, bias
 strength as a function of the Dirichlet concentration, the IID control,
-and exact save/load round-trips."""
+exact save/load round-trips, rejection of malformed bundles, and a pin of
+the generator's draws."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,10 +11,8 @@ import pytest
 from fedanon.world import (
     DatasetBundle,
     WorldConfig,
-    features_of,
     gen_world,
     intra_inter_distances,
-    labels_of,
     limit_prior,
     load_bundle,
     make_iid_control,
@@ -19,6 +20,8 @@ from fedanon.world import (
     split_prior,
     user_pref_at,
 )
+
+COLUMNS = ("x", "y", "t", "album", "user")
 
 
 def small_cfg(**overrides):
@@ -41,16 +44,11 @@ def small_cfg(**overrides):
     return WorldConfig(**base)
 
 
-def example_keys(examples):
-    # (user, timestamp) identifies an example: timestamps are i/(n-1)
-    return {(e.user_id, e.timestamp) for e in examples}
-
-
 def user_kl_from_uniform(bundle):
     c = bundle.config.classes
     kls = []
     for u in bundle.user_ids():
-        h = np.bincount(labels_of(bundle.user_examples[u]), minlength=c).astype(float)
+        h = np.bincount(bundle.y[bundle.user_examples[u]], minlength=c).astype(float)
         p = h / h.sum()
         nz = p > 0
         kls.append(float(np.sum(p[nz] * np.log(p[nz] * c))))
@@ -63,45 +61,68 @@ def user_kl_from_uniform(bundle):
 def test_world_structure_and_counts():
     cfg = small_cfg()
     b = gen_world(cfg)
+    n_rows = cfg.users * cfg.n_per_user + cfg.background_size
     n_test = round(cfg.test_fraction * cfg.n_per_user)
     assert b.user_ids() == list(range(cfg.users))
+    assert b.x.shape == (n_rows, cfg.feature_dim) and b.x.dtype == np.float64
+    for name, dtype in (("y", np.int64), ("t", np.float64), ("album", np.int64), ("user", np.int64)):
+        column = getattr(b, name)
+        assert column.shape == (n_rows,) and column.dtype == dtype
     assert len(b.test) == cfg.users * n_test
     assert len(b.background) == cfg.background_size
     assert b.prototypes.shape == (cfg.classes, cfg.feature_dim)
     np.testing.assert_allclose(np.linalg.norm(b.prototypes, axis=1), 1.0, atol=1e-12)
     for u in b.user_ids():
         pool = b.user_examples[u]
+        assert pool.dtype == np.int64
         assert len(pool) == cfg.n_per_user - n_test
         assert len(b.prior[u]) + len(b.private[u]) == len(pool)
-        assert all(e.user_id == u for e in pool)
+        assert np.all(b.user[pool] == u)
+
+
+def test_user_rows_come_first_then_background():
+    cfg = small_cfg()
+    b = gen_world(cfg)
+    n_user_rows = cfg.users * cfg.n_per_user
+    owners = np.repeat(np.arange(cfg.users), cfg.n_per_user)
+    np.testing.assert_array_equal(b.user[:n_user_rows], owners)
+    np.testing.assert_array_equal(b.background, np.arange(n_user_rows, len(b.y)))
+    # each user's rows run through its timeline in order
+    t = b.t[:n_user_rows].reshape(cfg.users, cfg.n_per_user)
+    timeline = np.arange(cfg.n_per_user) / (cfg.n_per_user - 1)
+    np.testing.assert_array_equal(t, np.tile(timeline, (cfg.users, 1)))
 
 
 def test_test_holdout_disjoint_from_pool():
-    b = gen_world(small_cfg())
-    pool_keys = set()
-    for u in b.user_ids():
-        pool_keys |= example_keys(b.user_examples[u])
-    assert pool_keys.isdisjoint(example_keys(b.test))
+    cfg = small_cfg()
+    b = gen_world(cfg)
+    pools = np.concatenate([b.user_examples[u] for u in b.user_ids()])
+    assert np.intersect1d(pools, b.test).size == 0
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate([pools, b.test])), np.arange(cfg.users * cfg.n_per_user)
+    )
 
 
 def test_background_is_roughly_uniform_and_anonymous():
     cfg = small_cfg(background_size=2000, classes=10, feature_dim=16)
     b = gen_world(cfg)
-    counts = np.bincount(labels_of(b.background), minlength=cfg.classes)
+    counts = np.bincount(b.y[b.background], minlength=cfg.classes)
     # multinomial with p=1/10: std ~ 13.4, allow ~6 sigma
     assert np.all(np.abs(counts - 200) < 80)
-    assert all(e.user_id == -1 and e.album_id == -1 for e in b.background)
+    assert np.all(b.user[b.background] == -1)
+    assert np.all(b.album[b.background] == -1)
+    assert np.all(b.t[b.background] == 0.0)
 
 
 def test_generation_is_deterministic():
     a = gen_world(small_cfg())
     b = gen_world(small_cfg())
     np.testing.assert_array_equal(a.prototypes, b.prototypes)
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for u in a.user_ids():
-        np.testing.assert_array_equal(
-            features_of(a.user_examples[u]), features_of(b.user_examples[u])
-        )
-        np.testing.assert_array_equal(labels_of(a.prior[u]), labels_of(b.prior[u]))
+        np.testing.assert_array_equal(a.user_examples[u], b.user_examples[u])
+        np.testing.assert_array_equal(a.prior[u], b.prior[u])
     c = gen_world(small_cfg(seed=99))
     assert not np.array_equal(a.prototypes, c.prototypes)
 
@@ -122,28 +143,24 @@ def test_user_pref_interpolation():
 def test_random_split_partitions_pool():
     b = gen_world(small_cfg(prior_kind="random"))
     for u in b.user_ids():
-        keys_pool = example_keys(b.user_examples[u])
-        keys_prior = example_keys(b.prior[u])
-        keys_priv = example_keys(b.private[u])
-        assert keys_prior | keys_priv == keys_pool
-        assert keys_prior.isdisjoint(keys_priv)
-        n = len(b.user_examples[u])
-        assert len(b.prior[u]) == min(max(round(0.3 * n), 1), n - 1)
+        pool, prior, private = b.user_examples[u], b.prior[u], b.private[u]
+        assert set(prior) | set(private) == set(pool)
+        assert set(prior).isdisjoint(private)
+        n = len(pool)
+        assert len(prior) == min(max(round(0.3 * n), 1), n - 1)
 
 
 def test_chrono_split_takes_earliest():
     b = gen_world(small_cfg(prior_kind="chrono"))
     for u in b.user_ids():
-        latest_prior = max(e.timestamp for e in b.prior[u])
-        earliest_priv = min(e.timestamp for e in b.private[u])
-        assert latest_prior <= earliest_priv
+        assert b.t[b.prior[u]].max() <= b.t[b.private[u]].min()
 
 
 def test_photoset_split_keeps_albums_whole():
     b = gen_world(small_cfg(prior_kind="photoset", albums_per_user=4))
     for u in b.user_ids():
-        prior_albums = {e.album_id for e in b.prior[u]}
-        priv_albums = {e.album_id for e in b.private[u]}
+        prior_albums = set(b.album[b.prior[u]])
+        priv_albums = set(b.album[b.private[u]])
         assert prior_albums.isdisjoint(priv_albums)
         assert priv_albums  # at least one whole album stays private
         assert len(b.prior[u]) >= 1
@@ -152,9 +169,10 @@ def test_photoset_split_keeps_albums_whole():
 def test_profile_prior_is_curated_from_background():
     b = gen_world(small_cfg(prior_kind="profile", profile_class=2))
     for u in b.user_ids():
-        assert all(e.y == 2 and e.user_id == -1 for e in b.prior[u])
+        assert np.isin(b.prior[u], b.background).all()
+        assert np.all(b.y[b.prior[u]] == 2)
         # the whole pool stays on the device
-        assert example_keys(b.private[u]) == example_keys(b.user_examples[u])
+        np.testing.assert_array_equal(b.private[u], b.user_examples[u])
 
 
 def test_profile_kind_requires_class():
@@ -166,19 +184,21 @@ def test_split_prior_rejects_bad_inputs():
     b = gen_world(small_cfg())
     pool = b.user_examples[0]
     with pytest.raises(ValueError):
-        split_prior(pool, "nope", 0.3)
+        split_prior(b, pool, "nope", 0.3)
     with pytest.raises(ValueError):
-        split_prior(pool, "random", 0.0)
+        split_prior(b, pool, "random", 0.0)
     with pytest.raises(ValueError):
-        split_prior(pool, "random", 1.0)
+        split_prior(b, pool, "random", 1.0)
     with pytest.raises(ValueError):
-        split_prior(pool[:1], "random", 0.5)
+        split_prior(b, pool[:1], "random", 0.5)
+    with pytest.raises(ValueError):
+        split_prior(b, pool, "profile", 0.3)
 
 
 def test_photoset_needs_multiple_albums():
     b = gen_world(small_cfg(albums_per_user=1))
     with pytest.raises(ValueError):
-        split_prior(b.user_examples[0], "photoset", 0.3)
+        split_prior(b, b.user_examples[0], "photoset", 0.3)
 
 
 # ------------------------------------------------------------ bias strength
@@ -200,17 +220,15 @@ def test_large_concentration_approaches_uniform():
 def test_iid_control_removes_user_bias():
     b = gen_world(small_cfg())
     iid = make_iid_control(b)
-    # same per-device example counts, same pooled label multiset
+    # same per-device example counts, and the same pooled rows
     for u in b.user_ids():
         assert len(iid.prior[u]) == len(b.prior[u])
         assert len(iid.private[u]) == len(b.private[u])
-    pooled = sorted(
-        e.y for u in b.user_ids() for e in b.prior[u] + b.private[u]
-    )
-    pooled_iid = sorted(
-        e.y for u in iid.user_ids() for e in iid.prior[u] + iid.private[u]
-    )
-    assert pooled == pooled_iid
+    def pooled(bundle):
+        return np.sort(np.concatenate([bundle.user_examples[u] for u in bundle.user_ids()]))
+
+    np.testing.assert_array_equal(pooled(iid), pooled(b))
+    assert iid.x is b.x
     assert user_kl_from_uniform(iid) < 0.3 * user_kl_from_uniform(b)
 
 
@@ -219,7 +237,7 @@ def test_iid_control_is_deterministic():
     x = make_iid_control(b)
     y = make_iid_control(b)
     for u in b.user_ids():
-        np.testing.assert_array_equal(features_of(x.prior[u]), features_of(y.prior[u]))
+        np.testing.assert_array_equal(x.prior[u], y.prior[u])
 
 
 # -------------------------------------------------------------- geometry
@@ -239,14 +257,62 @@ def test_limit_prior_caps_and_preserves():
     cut = limit_prior(b, 5)
     for u in b.user_ids():
         assert len(cut.prior[u]) == min(5, len(b.prior[u]))
-        assert example_keys(cut.prior[u]) <= example_keys(b.prior[u])
+        assert set(cut.prior[u]) <= set(b.prior[u])
         # private side untouched
-        assert example_keys(cut.private[u]) == example_keys(b.private[u])
+        np.testing.assert_array_equal(cut.private[u], b.private[u])
     big = limit_prior(b, 10_000)
     for u in b.user_ids():
-        assert example_keys(big.prior[u]) == example_keys(b.prior[u])
+        np.testing.assert_array_equal(big.prior[u], b.prior[u])
     with pytest.raises(ValueError):
         limit_prior(b, 0)
+
+
+# ------------------------------------------------------- pinned draws
+
+# sha256 over the x, y, t, album and user values of every split, computed
+# on the list-of-rows world that came before the columns; any change to a
+# generator, split, IID or limit_prior draw changes one of these
+WORLD_DIGESTS = {
+    "random": "981969550a98eb76c3b434ff3bf6533f8eff19d7063769f86263cfba6ca38fa4",
+    "chrono": "ee45c25868225dba24d914fc7dd70bf9f6605a89f1fcfa53ee993247172f376b",
+    "photoset": "55dba9274040ea62ab2603c2671e97ea75b73e5fe2f333c874edac7443b02fa7",
+    "profile": "5cbfbdcfb6c304fa813350927ec3dfe51a7ead3cf571df1d61610a1c0296507a",
+    "random_iid": "2fcdd65743c23acf2b1411a9e928bdcc61d753e4e34651e2fc25cddffeed2605",
+    "random_limit5": "bf967ae890386f5ba26367cc2a068ac1c07a8c82cdc0e604803a1794dd1a5bf1",
+}
+
+
+def world_digest(bundle):
+    """Per-user splits in user order, each as its per-user row counts then
+    the concatenated columns; then the test and background rows."""
+    h = hashlib.sha256()
+
+    def put(rows):
+        for name, dtype in zip(COLUMNS, ("<f8", "<i8", "<f8", "<i8", "<i8")):
+            h.update(np.ascontiguousarray(getattr(bundle, name)[rows], dtype=dtype).tobytes())
+
+    users = bundle.user_ids()
+    for side in ("user_examples", "prior", "private"):
+        rows = [getattr(bundle, side)[u] for u in users]
+        h.update(np.asarray([len(r) for r in rows], dtype="<i8").tobytes())
+        put(np.concatenate(rows))
+    for rows in (bundle.test, bundle.background):
+        h.update(np.asarray([len(rows)], dtype="<i8").tobytes())
+        put(rows)
+    return h.hexdigest()
+
+
+def test_world_draws_are_pinned():
+    base = gen_world(small_cfg())
+    worlds = {
+        "random": base,
+        "chrono": gen_world(small_cfg(prior_kind="chrono")),
+        "photoset": gen_world(small_cfg(prior_kind="photoset")),
+        "profile": gen_world(small_cfg(prior_kind="profile", profile_class=1)),
+        "random_iid": make_iid_control(base),
+        "random_limit5": limit_prior(base, 5),
+    }
+    assert {name: world_digest(b) for name, b in worlds.items()} == WORLD_DIGESTS
 
 
 # ------------------------------------------------------------ persistence
@@ -260,23 +326,18 @@ def assert_bundles_equal(a: DatasetBundle, b: DatasetBundle):
         np.testing.assert_array_equal(pa.pref_end, pb.pref_end)
         for aa, ab in zip(pa.albums, pb.albums):
             np.testing.assert_array_equal(aa, ab)
-    for u in a.user_ids():
-        for side in ("user_examples", "prior", "private"):
-            ea, eb = getattr(a, side)[u], getattr(b, side)[u]
-            assert len(ea) == len(eb)
-            for xa, xb in zip(ea, eb):
-                np.testing.assert_array_equal(xa.x, xb.x)
-                assert (xa.y, xa.timestamp, xa.album_id, xa.user_id) == (
-                    xb.y,
-                    xb.timestamp,
-                    xb.album_id,
-                    xb.user_id,
-                )
-    for section in ("test", "background"):
-        ea, eb = getattr(a, section), getattr(b, section)
-        assert len(ea) == len(eb)
-        np.testing.assert_array_equal(features_of(ea), features_of(eb))
-        np.testing.assert_array_equal(labels_of(ea), labels_of(eb))
+    for name in COLUMNS:
+        ca, cb = getattr(a, name), getattr(b, name)
+        assert ca.dtype == cb.dtype
+        np.testing.assert_array_equal(ca, cb)
+    assert a.user_ids() == b.user_ids()
+    for side in ("user_examples", "prior", "private"):
+        for u in a.user_ids():
+            ra, rb = getattr(a, side)[u], getattr(b, side)[u]
+            assert ra.dtype == rb.dtype == np.int64
+            np.testing.assert_array_equal(ra, rb)
+    for side in ("test", "background"):
+        np.testing.assert_array_equal(getattr(a, side), getattr(b, side))
 
 
 @pytest.mark.parametrize(
@@ -296,10 +357,13 @@ def test_save_load_round_trip(tmp_path, kind, extra):
 
 
 def test_save_load_round_trip_iid_control(tmp_path):
-    iid = make_iid_control(gen_world(small_cfg()))
-    path = tmp_path / "iid.npz"
-    save_bundle(path, iid)
-    assert_bundles_equal(iid, load_bundle(path))
+    # the IID control of a profile world puts background rows in private
+    # splits and repeats some of them across priors
+    for extra in ({}, {"prior_kind": "profile", "profile_class": 1}):
+        iid = make_iid_control(gen_world(small_cfg(**extra)))
+        path = tmp_path / "iid.npz"
+        save_bundle(path, iid)
+        assert_bundles_equal(iid, load_bundle(path))
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -308,6 +372,48 @@ def test_save_is_byte_deterministic(tmp_path):
     save_bundle(p1, b)
     save_bundle(p2, b)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _drop(arrays, key):
+    del arrays[key]
+
+
+def _set(arrays, key, value):
+    arrays[key] = value(arrays[key])
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        pytest.param(lambda a: _drop(a, "prior_counts"), "lacks", id="missing_key"),
+        pytest.param(lambda a: _set(a, "t", lambda v: v[:-1]), "shapes", id="short_column"),
+        pytest.param(lambda a: _set(a, "x", lambda v: v[:, 0]), "shapes", id="flat_x"),
+        pytest.param(lambda a: _set(a, "test", lambda v: np.append(v, len(a["y"]))), "outside",
+                     id="index_past_the_end"),
+        pytest.param(lambda a: _set(a, "prior", lambda v: np.where(np.arange(len(v)) == 0, -1, v)),
+                     "outside", id="negative_index"),
+        pytest.param(lambda a: _set(a, "background", lambda v: v.astype(np.float64)), "integer",
+                     id="float_index"),
+        pytest.param(lambda a: _set(a, "private_counts", lambda v: v + (np.arange(len(v)) == 0)),
+                     "sum", id="counts_off_by_one"),
+        pytest.param(lambda a: _set(a, "user_examples_counts", lambda v: np.append(v, 0)), "per user",
+                     id="counts_for_an_extra_user"),
+        pytest.param(lambda a: _set(a, "y", lambda v: v.astype(object)), "pickle", id="object_array"),
+        pytest.param(lambda a: _set(a, "album_prefs", lambda v: v[:-1]), "disagree",
+                     id="profiles_for_fewer_users"),
+        pytest.param(lambda a: _set(a, "config_json", lambda v: np.frombuffer(b"[]", dtype=np.uint8)),
+                     "config", id="config_not_an_object"),
+    ],
+)
+def test_load_rejects_a_malformed_bundle(tmp_path, corrupt, message):
+    path = tmp_path / "world.npz"
+    save_bundle(path, gen_world(small_cfg()))
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    corrupt(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message):
+        load_bundle(path)
 
 
 # ------------------------------------------------------------- validation
