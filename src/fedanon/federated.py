@@ -105,13 +105,16 @@ def build_devices(bundle: DatasetBundle) -> list[DeviceState]:
 
 def aggregate(global_params: ParamVector, records: list[DeltaRecord]) -> ParamVector:
     """Apply the data-weighted average of the deltas to the global model.
-    Weights n_k / sum(n_k) are normalized over the participating records."""
+    Weights n_k / sum(n_k) are normalized over the participating records,
+    and the weighted deltas are summed into one buffer in record order."""
     if not records:
         raise ValueError("cannot aggregate zero records")
     total = float(sum(r.n_k for r in records))
     update = records[0].delta.scale(records[0].n_k / total)
     for r in records[1:]:
-        update = update + r.delta.scale(r.n_k / total)
+        update._check_compatible(r.delta)
+        for (_, u), (_, d) in zip(update.layers, r.delta.layers):
+            u += d * (r.n_k / total)
     return global_params + update
 
 

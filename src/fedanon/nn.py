@@ -244,42 +244,46 @@ def compute_loss(spec: ModelSpec, params: ParamVector, batch) -> float:
     return float(-np.log(picked).mean())
 
 
-def _dlogits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _dlogits(z: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """Gradient of each model's mean softmax cross-entropy w.r.t. its
-    logits; z is (G, r, output_dim) and y is (G, r)."""
-    g, r = y.shape
-    p = softmax(z)
-    p[np.arange(g)[:, None], np.arange(r), y] -= 1.0
-    return p / r
+    logits, written over the logits z (G, r, output_dim); hit (G, r) holds
+    the flat position in z of each row's true-class logit."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    z.reshape(-1)[hit] -= 1.0
+    z /= hit.shape[1]
+    return z
 
 
 def _stack_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     z = np.matmul(x, w.transpose(0, 2, 1))
     if b is not None:
-        z = z + b[:, None, :]
+        z += b[:, None, :]
     return z
 
 
 def _stack_grads(
-    spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, y: np.ndarray
+    spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, hit: np.ndarray
 ) -> list[np.ndarray]:
-    """Gradient of each model's mean minibatch loss.
+    """Gradient of each model's mean minibatch loss, in fresh arrays.
 
     `layers` holds one (G, *shape) array per entry of `spec.layout()`, x is
-    (G, r, input_dim) and y is (G, r). Each model's slice goes through the
-    same 2-D products and row reductions as a lone model's would, so its
+    (G, r, input_dim), hit as in `_dlogits`. Each model's slice goes through
+    the same 2-D products and row reductions as a lone model's would, so its
     gradient does not depend on which other models share the stack."""
     p = dict(zip((name for name, _ in spec.layout()), layers))
     if spec.kind == "linear":
-        dz = _dlogits(_stack_affine(x, p["W"], p.get("b")), y)
+        dz = _dlogits(_stack_affine(x, p["W"], p.get("b")), hit)
         grads = [np.matmul(dz.transpose(0, 2, 1), x)]
         if spec.bias:
             grads.append(dz.sum(axis=1))
         return grads
-    z1 = _stack_affine(x, p["W1"], p.get("b1"))
-    a1 = np.maximum(z1, 0.0)
-    dz2 = _dlogits(_stack_affine(a1, p["W2"], p.get("b2")), y)
-    dz1 = np.matmul(dz2, p["W2"]) * (z1 > 0.0)
+    a1 = _stack_affine(x, p["W1"], p.get("b1"))
+    np.maximum(a1, 0.0, out=a1)
+    dz2 = _dlogits(_stack_affine(a1, p["W2"], p.get("b2")), hit)
+    dz1 = np.matmul(dz2, p["W2"])
+    dz1 *= a1 > 0.0
     grads = [np.matmul(dz1.transpose(0, 2, 1), x)]
     if spec.bias:
         grads.append(dz1.sum(axis=1))
@@ -294,17 +298,19 @@ def backward(spec: ModelSpec, params: ParamVector, batch) -> ParamVector:
     one-model case of the gradient the training kernel uses."""
     x, y = _coerce_batch(spec, batch)
     names = [name for name, _ in spec.layout()]
-    grads = _stack_grads(spec, [params.get(n)[None] for n in names], x[None], y[None])
+    hit = np.arange(y.size) * spec.output_dim + y
+    grads = _stack_grads(spec, [params.get(n)[None] for n in names], x[None], hit[None])
     return ParamVector([(n, g[0]) for n, g in zip(names, grads)])
 
 
 def _sgd_velocity(
     config: OptimizerConfig, velocity: np.ndarray, grad: np.ndarray, iteration: int
-) -> np.ndarray:
-    """Momentum SGD: the new velocity mu*v - lr_t*g, with lr_t =
-    lr / (1 + decay*iteration); the parameters then move by it."""
-    lr_t = config.learning_rate / (1.0 + config.lr_decay * iteration)
-    return config.momentum * velocity - lr_t * grad
+) -> None:
+    """Momentum SGD in place: velocity becomes mu*v - lr_t*g, with lr_t =
+    lr / (1 + decay*iteration), and grad ends scaled by lr_t."""
+    velocity *= config.momentum
+    grad *= config.learning_rate / (1.0 + config.lr_decay * iteration)
+    velocity -= grad
 
 
 def init_optimizer_state(params: ParamVector) -> dict[str, np.ndarray]:
@@ -326,7 +332,8 @@ def optimizer_step(
     new_state: dict[str, np.ndarray] = {}
     if config.kind == "sgd":
         for (name, w), (_, g) in zip(params.layers, grad.layers):
-            v = _sgd_velocity(config, state[name], g, iteration)
+            v = state[name].copy()
+            _sgd_velocity(config, v, g.copy(), iteration)
             new_state[name] = v
             new_layers.append((name, w + v))
     else:  # rmsprop
@@ -335,6 +342,43 @@ def optimizer_step(
             new_state[name] = s
             new_layers.append((name, w - config.learning_rate * g / (np.sqrt(s) + config.epsilon)))
     return ParamVector(new_layers), new_state
+
+
+def _plan(
+    n: np.ndarray, epochs: int, batch_size: int, seeds: Sequence[int], y: np.ndarray, classes: int
+) -> list[tuple[int, slice | np.ndarray, np.ndarray, np.ndarray]]:
+    """Every stack of the lockstep kernel in training order: its step, its
+    models (a slice when they are all of them), the (G, r) rows of x they
+    visit and the flat position of each row's true-class logit in the
+    stack's (G, r, classes) logits. Model k owns the next n[k] rows of x."""
+    batch = np.minimum(batch_size, n)
+    steps_per_epoch = -(-n // batch)
+    steps = epochs * steps_per_epoch
+    offsets = np.cumsum(n) - n
+    # the rows of x that each model visits, epoch after epoch
+    stream = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        o + rng.permutation(int(size))
+        for o, size, rng in zip(offsets, n, map(rng_from, seeds)) for _ in range(epochs)])
+    # one entry per minibatch, ordered by step, then row count, then model
+    k = np.repeat(np.arange(n.size), steps)
+    t = np.arange(k.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    epoch, j = np.divmod(t, steps_per_epoch[k])
+    rows = np.minimum(batch[k], n[k] - j * batch[k])
+    first = epochs * offsets[k] + epoch * n[k] + j * batch[k]
+    order = np.lexsort((k, rows, t))
+    k, t, rows, first = k[order], t[order], rows[order], first[order]
+    opens = np.r_[True, (t[1:] != t[:-1]) | (rows[1:] != rows[:-1])]
+    place = np.arange(k.size) - np.flatnonzero(opens)[np.cumsum(opens) - 1]
+    plan = []
+    for r in np.unique(rows):
+        m = np.flatnonzero(rows == r)
+        idx = stream[first[m, None] + np.arange(r)]
+        hit = (place[m, None] * r + np.arange(r)) * classes + y[idx]
+        bounds = np.r_[np.flatnonzero(opens[m]), m.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            models = slice(None) if hi - lo == n.size else k[m[lo:hi]]
+            plan.append((int(t[m[lo]]), models, idx[lo:hi], hit[lo:hi]))
+    return sorted(plan, key=lambda stack: stack[0])
 
 
 def _train_lockstep(
@@ -355,7 +399,7 @@ def _train_lockstep(
     rng_from(seeds[k]). Its t-th step uses iteration t of the schedule. At
     each step the models whose minibatches have the same row count form
     one stack; nothing is padded, so every model ends exactly where it
-    would have trained alone. All data is checked before the first step.
+    would have trained alone. All data is checked and all steps planned first.
     Returns fresh parameters, one per model; the inputs are left untouched.
     """
     if epochs < 0:
@@ -364,42 +408,27 @@ def _train_lockstep(
         raise ValueError("batch_size must be >= 1")
     if config.kind != "sgd":
         raise ValueError(f"training runs momentum SGD, got optimizer {config.kind!r}")
+    if len(data) == 0 or len(seeds) != len(data):
+        raise ValueError(f"need one seed per (X, Y) pair, got {len(seeds)} seeds for {len(data)} pairs")
     pairs = [_coerce_batch(spec, d) for d in data]
-    n = np.array([x.shape[0] for x, _ in pairs])
-    batch = np.minimum(batch_size, n)
-    steps_per_epoch = -(-n // batch)
-    steps = epochs * steps_per_epoch
     x = np.concatenate([x for x, _ in pairs])
     y = np.concatenate([y for _, y in pairs])
-    offsets = np.cumsum(n) - n
-    # visit[k, e, :n_k]: the rows of x that model k visits in epoch e, in order
-    visit = np.zeros((len(pairs), epochs, n.max()), dtype=np.intp)
-    for k, seed in enumerate(seeds):
-        rng = rng_from(seed)
-        for e in range(epochs):
-            visit[k, e, : n[k]] = offsets[k] + rng.permutation(int(n[k]))
+    n = np.array([x.shape[0] for x, _ in pairs])
+    plan = _plan(n, epochs, batch_size, seeds, y, spec.output_dim)
 
     names = [name for name, _ in spec.layout()]
     layers = [np.repeat(params.get(name)[None], len(pairs), axis=0) for name in names]
     velocity = [np.zeros_like(a) for a in layers]
-    for t in range(int(steps.max())):
-        live = np.flatnonzero(steps > t)
-        epoch, j = np.divmod(t, steps_per_epoch[live])
-        start = j * batch[live]
-        rows = np.minimum(batch[live], n[live] - start)
-        for r in np.unique(rows):
-            pick = rows == r
-            models = live[pick]
-            # all models in one stack: update the layers in place rather than
-            # gathering and scattering them (a one-model fit's hidden layer
-            # is large next to its minibatch)
-            sel = slice(None) if models.size == len(pairs) else models
-            idx = visit[models[:, None], epoch[pick][:, None], start[pick][:, None] + np.arange(r)]
-            grads = _stack_grads(spec, [a[sel] for a in layers], x[idx], y[idx])
-            for a, v, g in zip(layers, velocity, grads):
-                step = _sgd_velocity(config, v[sel], g, t)
-                v[sel] = step
-                a[sel] += step
+    for t, models, idx, hit in plan:
+        # views of the whole population, or a partial stack gathered once
+        stack, stack_velocity = [a[models] for a in layers], [v[models] for v in velocity]
+        grads = _stack_grads(spec, stack, x[idx], hit)
+        for a, v, g in zip(stack, stack_velocity, grads):
+            _sgd_velocity(config, v, g, t)
+            a += v
+        if not isinstance(models, slice):
+            for whole, part in zip(layers + velocity, stack + stack_velocity):
+                whole[models] = part
     return [ParamVector([(name, a[k]) for name, a in zip(names, layers)]) for k in range(len(pairs))]
 
 

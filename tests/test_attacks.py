@@ -33,6 +33,7 @@ from fedanon.attacks import (
     train_reid_openworld,
     user_bias_profiles,
 )
+from fedanon import nn
 from fedanon.deltastore import ReprConfig
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from fedanon.nn import ParamVector
@@ -187,6 +188,23 @@ def test_reid_determinism(cluster_ds):
     a = evaluate_reid(train_reid(cluster_ds, "mlp", seed=4), cluster_ds)
     b = evaluate_reid(train_reid(cluster_ds, "mlp", seed=4), cluster_ds)
     np.testing.assert_array_equal(a.preds.scores, b.preds.scores)
+
+
+def test_mlp_fit_trains_through_nn_train(cluster_ds, monkeypatch):
+    # the per-layer trace times attack fits by wrapping the module attribute
+    # nn.train, so an MLP fit must reach the kernel through it
+    calls = []
+    real_train = nn.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "train", counting_train)
+    y = cluster_ds.encode(cluster_ds.train_users, cluster_ds.users)
+    model = MlpReid.fit(cluster_ds.train_x, y, cluster_ds.users, seed=0)
+    assert isinstance(model, MlpReid)
+    assert len(calls) == 1
 
 
 def test_train_reid_rejects_unknown_method(cluster_ds):

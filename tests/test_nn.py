@@ -191,6 +191,68 @@ def test_train_matches_sequential_oracle(kind):
         assert np.array_equal(a, b)
 
 
+def uneven_models(spec, rng):
+    """Seven (X, Y) pairs for a batch of 4: a one-row model, one whose size
+    equals the batch, and sizes whose minibatches split a step into stacks
+    of 1, 2, 3 and 4 rows."""
+    sizes = [1, 4, 6, 7, 9, 13, 2]
+    return [(rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.output_dim, size=n))
+            for n in sizes]
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("kind", ["linear", "mlp1"])
+def test_lockstep_momentum_matches_sequential_oracle(kind, bias):
+    # partial stacks gather, update and write back both the layers and the
+    # momentum velocity; every model must still end where it trains alone
+    rng = np.random.default_rng(12)
+    spec = ModelSpec(kind=kind, input_dim=3, hidden_dim=5 if kind == "mlp1" else 0,
+                     output_dim=4, bias=bias)
+    params = nn.init_params(spec, seed=7)
+    data = uneven_models(spec, rng)
+    seeds = [100 + k for k in range(len(data))]
+    config = nn.sgd(0.05, momentum=0.9, lr_decay=1e-3)
+    got = nn._train_lockstep(spec, params, data, epochs=2, batch_size=4, config=config,
+                             seeds=seeds)
+    assert len(got) == len(data)
+    for (x, y), seed, model in zip(data, seeds, got):
+        want = oracle_train(spec, params, x, y, epochs=2, batch_size=4, config=config, seed=seed)
+        assert model.layout() == want.layout()
+        for (_, a), (_, b) in zip(model.layers, want.layers):
+            assert np.array_equal(a, b)
+
+
+def test_lockstep_leaves_inputs_untouched():
+    rng = np.random.default_rng(13)
+    spec = ModelSpec(kind="mlp1", input_dim=3, hidden_dim=5, output_dim=4)
+    params = nn.init_params(spec, seed=7)
+    data = uneven_models(spec, rng)
+    params_before = params.copy()
+    data_before = [(x.copy(), y.copy()) for x, y in data]
+    got = nn._train_lockstep(spec, params, data, epochs=2, batch_size=4,
+                             config=nn.sgd(0.05, momentum=0.9), seeds=range(len(data)))
+    for (_, a), (_, b) in zip(params.layers, params_before.layers):
+        assert np.array_equal(a, b)
+    for (x, y), (x0, y0) in zip(data, data_before):
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    arrays = [a for model in got for _, a in model.layers]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for _, b in params.layers)
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_lockstep_rejects_seed_count_mismatch_and_empty_data():
+    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
+    params = nn.init_params(spec, seed=1)
+    pair = (np.ones((3, 2)), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="1 seeds for 2 pairs"):
+        nn._train_lockstep(spec, params, [pair, pair], epochs=1, batch_size=2,
+                           config=nn.sgd(0.1), seeds=[0])
+    with pytest.raises(ValueError, match="0 seeds for 0 pairs"):
+        nn._train_lockstep(spec, params, [], epochs=1, batch_size=2,
+                           config=nn.sgd(0.1), seeds=[])
+
+
 def test_train_zero_epochs_returns_fresh_arrays():
     spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
     params = nn.init_params(spec, seed=1)
