@@ -7,7 +7,7 @@ Reproduces the full result set for a single seed:
 
 Families can be cherry-picked with --families; the heavyweight ones
 (mitigation, prior_amount) land last so partial runs still leave the cheap
-reports behind.
+reports behind. All families share one world and one default federated run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import time
 
 from fedanon.config import ConfigError, build_config, config_hash
-from fedanon.experiments import EXPERIMENT_FAMILIES, run_experiment
+from fedanon.experiments import EXPERIMENT_FAMILIES, Stages, run_experiment
 from fedanon.reporting import write_report
 
 
@@ -51,9 +51,10 @@ def main(argv: list[str] | None = None) -> int:
 
     formats = ("json", "csv") if args.format == "both" else (args.format,)
     print(f"config {config_hash(cfg)} seed {cfg.seed} -> {args.out_dir}")
+    stages = Stages(cfg)
     for family in (f for f in EXPERIMENT_FAMILIES if f in args.families):
         started = time.perf_counter()
-        report = run_experiment(cfg, family)
+        report = run_experiment(cfg, family, stages)
         paths = write_report(report, args.out_dir, formats)
         print(f"  {family:<16} {time.perf_counter() - started:6.1f}s  {len(paths)} files")
     return 0

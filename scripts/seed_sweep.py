@@ -2,9 +2,9 @@
 
 The headline numbers (attack AP over chance, mitigation trade-offs) move a
 fair bit between worlds, so single-seed tables overstate precision. This
-runs each requested family once per seed, writes the per-seed reports, and
-emits one summary table per result table with every float column replaced
-by its mean/lo/hi over seeds:
+runs each requested family once per seed on that seed's shared stages,
+writes the per-seed reports, and emits one summary table per result table
+with every float column replaced by its mean/lo/hi over seeds:
 
     python3 scripts/seed_sweep.py --families reid_closed matching_closed --seeds 0 1 2
 """
@@ -16,7 +16,7 @@ import sys
 import time
 
 from fedanon.config import ConfigError, build_config
-from fedanon.experiments import EXPERIMENT_FAMILIES, run_experiment
+from fedanon.experiments import EXPERIMENT_FAMILIES, Stages, run_experiment
 from fedanon.reporting import Report, Table, write_report
 
 
@@ -71,29 +71,29 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value.strip()
 
-    for family in args.families:
-        per_seed: list[Report] = []
-        for s in args.seeds:
-            try:
-                cfg = build_config(args.config, {**overrides, "seed": str(s)})
-            except ConfigError as err:
-                print(f"config error: {err}", file=sys.stderr)
-                return 2
+    per_seed: dict[str, list[Report]] = {family: [] for family in args.families}
+    for s in args.seeds:
+        try:
+            cfg = build_config(args.config, {**overrides, "seed": str(s)})
+        except ConfigError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 2
+        stages = Stages(cfg)
+        for family in args.families:
             started = time.perf_counter()
-            report = run_experiment(cfg, family)
+            report = run_experiment(cfg, family, stages)
             write_report(report, f"{args.out_dir}/seed{s}")
             print(f"{family} seed {s}: {time.perf_counter() - started:.1f}s")
-            per_seed.append(report)
+            per_seed[family].append(report)
 
+    for family, reports in per_seed.items():
         summary = Report(
             experiment=f"{family}_seedmean",
-            config=per_seed[0].config,
+            config=reports[0].config,
             seed=args.seeds[0],
-            version=per_seed[0].version,
-            config_hash=per_seed[0].config_hash,
-            tables=[
-                summarize([r.table(t.name) for r in per_seed]) for t in per_seed[0].tables
-            ],
+            version=reports[0].version,
+            config_hash=reports[0].config_hash,
+            tables=[summarize([r.table(t.name) for r in reports]) for t in reports[0].tables],
         )
         write_report(summary, args.out_dir)
         for t in summary.tables:

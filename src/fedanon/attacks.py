@@ -285,6 +285,13 @@ def evaluate_reid(model: ReidModel, ds: AttackDataset) -> ReidEvaluation:
     return _score_reid(scores, ds.encode(ds.test_users, model.classes), len(model.classes))
 
 
+def mlp_reid_scores(ds: AttackDataset, seed: int) -> list[float]:
+    """Fit the MLP re-identification attack on `ds` and return its
+    [mean AP, chance AP, increase over chance]."""
+    ev = evaluate_reid(train_reid(ds, "mlp", seed), ds)
+    return [float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)]
+
+
 # ---------------------------------------------------------------------------
 # matching
 
@@ -608,17 +615,14 @@ def dataspace_sets(
 
 
 def dataspace_reid(
-    bundle: DatasetBundle, mode: str, set_size: int = 1, seed: int = 0
-) -> tuple[MlpReid, ReidEvaluation]:
-    """Re-identification from raw examples: classify single private
-    examples, or the mean feature of same-user subsets."""
-    if mode not in ("single", "set"):
-        raise ValueError(f"mode must be 'single' or 'set', got {mode!r}")
+    bundle: DatasetBundle, set_sizes: Sequence[int], seed: int = 0
+) -> list[ReidEvaluation]:
+    """Re-identification from raw examples: one model classifies the mean
+    feature of same-user private subsets, once per set size (size 1 is
+    single examples)."""
     model = train_dataspace_model(bundle, seed)
-    if mode == "single":
-        set_size = 1
-    x, labels = dataspace_sets(bundle, set_size, seed)
-    return model, _score_reid(model.predict(x), labels, len(model.classes))
+    sets = (dataspace_sets(bundle, set_size, seed) for set_size in set_sizes)
+    return [_score_reid(model.predict(x), labels, len(model.classes)) for x, labels in sets]
 
 
 # ---------------------------------------------------------------------------

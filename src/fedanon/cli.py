@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, build_config, world_config_from
 from .deltastore import manifest_for, write_records
-from .experiments import EXPERIMENT_FAMILIES, run_experiment, run_pipeline, utility_table
+from .experiments import EXPERIMENT_FAMILIES, Stages, run_experiment, utility_table
 from .reporting import report_from_json, table_to_csv, write_report
 from .world import gen_world, save_bundle
 
@@ -55,10 +55,10 @@ def _cmd_gen_world(args: argparse.Namespace) -> int:
 
 def _cmd_federate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    arts = run_pipeline(cfg)
-    run = arts.run
+    stages = Stages(cfg)
+    run = stages.run
     out = Path(cfg.out_dir)
-    write_records(out, manifest_for(run.records, arts.spec.layout(), cfg.rounds), run.records)
+    write_records(out, manifest_for(run.records, stages.spec.layout(), cfg.rounds), run.records)
     (out / "utility.csv").write_text(table_to_csv(utility_table(run)), encoding="utf-8", newline="")
     print(
         f"wrote {out}/manifest.json, deltas.bin, utility.csv "

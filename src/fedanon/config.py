@@ -209,8 +209,19 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             # component checks start their message with the field they reject
             field = str(err).split()[0]
             raise ConfigError(f"config key {_KEY_OF_FIELD.get(field, field)!r}: {err}") from None
-    _require(cfg.epoch_ranges >= 1, "epoch_ranges", "must be >= 1", cfg.epoch_ranges)
-    _require(cfg.clusters_m >= 1, "clusters_m", "must be >= 1", cfg.clusters_m)
+    layers = [name for name, _ in model_spec_from(cfg).layout()]
+    _require(
+        cfg.attack_layer in layers, "attack_layer", f"must be a layer of the model {layers}",
+        cfg.attack_layer,
+    )
+    _require(
+        1 <= cfg.epoch_ranges <= cfg.rounds, "epoch_ranges", "must be in [1, rounds]",
+        cfg.epoch_ranges,
+    )
+    _require(
+        1 <= cfg.clusters_m <= cfg.background_size, "clusters_m",
+        "must be in [1, background_size]", cfg.clusters_m,
+    )
     _require(cfg.seed >= 0, "seed", "must be >= 0", cfg.seed)
     for key, values, allowed in (
         ("attack_methods", cfg.attack_methods, REID_METHODS),

@@ -1,13 +1,13 @@
 """Experiment families: generate world, federate, attack, report.
 
-Each family is a function from an ExperimentConfig to result tables; all
-randomness derives from the config seed, so identical configs reproduce
-identical tables.
+Each family is a function from the `Stages` of one ExperimentConfig to
+result tables; all randomness derives from the config seed, so identical
+configs reproduce identical tables, whether or not their stages are shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .attacks import (
     evaluate_matching,
     evaluate_reid,
     evaluate_reid_openworld,
+    mlp_reid_scores,
     open_world_split,
     train_matcher,
     train_reid,
@@ -37,34 +38,39 @@ from .config import (
     world_config_from,
 )
 from .deltastore import ReprConfig
-from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, RoundConfig, run_federated
+from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, run_federated
 from .mitigation import MitigationConfig, tradeoff_curve
-from .nn import ModelSpec
 from .reporting import Report, Table
 from .seeding import seed_from
 from .world import DatasetBundle, gen_world, intra_inter_distances, limit_prior, make_iid_control
 
 
-@dataclass
-class PipelineArtifacts:
-    bundle: DatasetBundle
-    spec: ModelSpec
-    fed_cfg: RoundConfig
-    run: FederatedRun
+class Stages:
+    """The stages every family starts from, for one config: the world and
+    the federated run on it, each built on first use and then shared.
+    Families derive variant worlds from `world` and never modify what they
+    are handed, so one `Stages` can serve every family in any order."""
 
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.spec = model_spec_from(cfg)
 
-def run_pipeline(cfg: ExperimentConfig, bundle: DatasetBundle | None = None) -> PipelineArtifacts:
-    """World generation plus the federated run every family starts from."""
-    if bundle is None:
-        bundle = gen_world(world_config_from(cfg))
-    spec = model_spec_from(cfg)
-    fed_cfg = round_config_from(cfg)
-    run = run_federated(bundle, spec, fed_cfg)
-    return PipelineArtifacts(bundle=bundle, spec=spec, fed_cfg=fed_cfg, run=run)
+    @cached_property
+    def world(self) -> DatasetBundle:
+        return gen_world(world_config_from(self.cfg))
 
+    @cached_property
+    def run(self) -> FederatedRun:
+        return self.federate(self.world)
 
-def attack_dataset_from(cfg: ExperimentConfig, arts: PipelineArtifacts, **kwargs) -> AttackDataset:
-    return build_attack_dataset(arts.run.records, repr_config_from(cfg), **kwargs)
+    def federate(self, bundle: DatasetBundle) -> FederatedRun:
+        """FedAvg at this config on `bundle`, a variant of `world`."""
+        return run_federated(bundle, self.spec, round_config_from(self.cfg))
+
+    def dataset(self, run: FederatedRun | None = None, **kwargs) -> AttackDataset:
+        """The attack dataset of `run`'s delta log (default: `self.run`)."""
+        records = (self.run if run is None else run).records
+        return build_attack_dataset(records, repr_config_from(self.cfg), **kwargs)
 
 
 def utility_table(run: FederatedRun) -> Table:
@@ -76,9 +82,9 @@ def utility_table(run: FederatedRun) -> Table:
     )
 
 
-def _reid_closed(cfg: ExperimentConfig) -> list[Table]:
-    arts = run_pipeline(cfg)
-    ds = attack_dataset_from(cfg, arts)
+def _reid_closed(stages: Stages) -> list[Table]:
+    cfg = stages.cfg
+    ds = stages.dataset()
     rows = []
     for method in cfg.attack_methods:
         model = train_reid(ds, method, seed_from(cfg.seed, "attack", method))
@@ -92,12 +98,12 @@ def _reid_closed(cfg: ExperimentConfig) -> list[Table]:
         columns=["method", "ap", "chance_ap", "ioc", "top1", "top5", "skipped_labels"],
         rows=rows,
     )
-    return [table, utility_table(arts.run)]
+    return [table, utility_table(stages.run)]
 
 
-def _matching_closed(cfg: ExperimentConfig) -> list[Table]:
-    arts = run_pipeline(cfg)
-    ds = attack_dataset_from(cfg, arts)
+def _matching_closed(stages: Stages) -> list[Table]:
+    cfg = stages.cfg
+    ds = stages.dataset()
     shadow_rows = ds.rows_by_user("train")
     anon_rows = ds.rows_by_user("test")
     rows = []
@@ -110,9 +116,9 @@ def _matching_closed(cfg: ExperimentConfig) -> list[Table]:
     return [Table(name="matching", columns=["method", "ap", "chance_ap", "ioc", "n_pairs"], rows=rows)]
 
 
-def _open_world(cfg: ExperimentConfig) -> list[Table]:
-    arts = run_pipeline(cfg)
-    ds = attack_dataset_from(cfg, arts, require_closed_world=False)
+def _open_world(stages: Stages) -> list[Table]:
+    cfg = stages.cfg
+    ds = stages.dataset(require_closed_world=False)
     rows = []
     for fraction in cfg.seen_fractions:
         split = open_world_split(ds.users, fraction, seed_from(cfg.seed, "ow-split"))
@@ -152,34 +158,28 @@ def _open_world(cfg: ExperimentConfig) -> list[Table]:
     ]
 
 
-def _prior_amount(cfg: ExperimentConfig) -> list[Table]:
+def _prior_amount(stages: Stages) -> list[Table]:
     """Shrink every user's prior data before the run (the shadow devices see
     fewer examples) and re-attack."""
-    base = gen_world(world_config_from(cfg))
+    cfg = stages.cfg
     rows = []
     for m in cfg.prior_grid:
-        bundle = limit_prior(base, m, seed_from(cfg.seed, "prior-amount", m))
-        arts = run_pipeline(cfg, bundle=bundle)
-        ds = attack_dataset_from(cfg, arts)
-        model = train_reid(ds, "mlp", seed_from(cfg.seed, "prior-attack", m))
-        ev = evaluate_reid(model, ds)
-        rows.append([m, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
+        bundle = limit_prior(stages.world, m, seed_from(cfg.seed, "prior-amount", m))
+        ds = stages.dataset(stages.federate(bundle))
+        rows.append([m, *mlp_reid_scores(ds, seed_from(cfg.seed, "prior-attack", m))])
     return [
         Table(name="prior_amount", columns=["prior_examples", "ap", "chance_ap", "ioc"], rows=rows)
     ]
 
 
-def _train_amount(cfg: ExperimentConfig) -> list[Table]:
+def _train_amount(stages: Stages) -> list[Table]:
     """Cap the number of shadow deltas per user available to the attack."""
-    arts = run_pipeline(cfg)
+    cfg = stages.cfg
     rows = []
     for k in cfg.train_grid:
-        ds = attack_dataset_from(
-            cfg, arts, max_train_per_user=k, seed=seed_from(cfg.seed, "train-amount", k)
-        )
-        model = train_reid(ds, "mlp", seed_from(cfg.seed, "train-attack", k))
-        ev = evaluate_reid(model, ds)
-        rows.append([k, ds.train_x.shape[0], float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
+        ds = stages.dataset(max_train_per_user=k, seed=seed_from(cfg.seed, "train-amount", k))
+        scores = mlp_reid_scores(ds, seed_from(cfg.seed, "train-attack", k))
+        rows.append([k, ds.train_x.shape[0], *scores])
     return [
         Table(
             name="train_amount",
@@ -189,17 +189,14 @@ def _train_amount(cfg: ExperimentConfig) -> list[Table]:
     ]
 
 
-def _layer_sweep(cfg: ExperimentConfig) -> list[Table]:
-    arts = run_pipeline(cfg)
+def _layer_sweep(stages: Stages) -> list[Table]:
+    cfg = stages.cfg
     rows = []
-    for layer, shape in arts.spec.layout():
+    for layer, shape in stages.spec.layout():
         repr_cfg = ReprConfig(layer_name=layer, normalize=cfg.normalize)
-        ds = build_attack_dataset(arts.run.records, repr_cfg)
-        model = train_reid(ds, "mlp", seed_from(cfg.seed, "layer", layer))
-        ev = evaluate_reid(model, ds)
-        rows.append(
-            [layer, int(np.prod(shape)), float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)]
-        )
+        ds = build_attack_dataset(stages.run.records, repr_cfg)
+        scores = mlp_reid_scores(ds, seed_from(cfg.seed, "layer", layer))
+        rows.append([layer, int(np.prod(shape)), *scores])
     return [Table(name="layers", columns=["layer", "dim", "ap", "chance_ap", "ioc"], rows=rows)]
 
 
@@ -211,25 +208,17 @@ def epoch_ranges(rounds: int, n_ranges: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_ranges)]
 
 
-def _epoch_grid(cfg: ExperimentConfig) -> list[Table]:
+def _epoch_grid(stages: Stages) -> list[Table]:
     """Train the attack on one round range of shadow deltas, evaluate on
     another range of anonymous deltas, for every range pair."""
-    arts = run_pipeline(cfg)
+    cfg = stages.cfg
     ranges = epoch_ranges(cfg.rounds, cfg.epoch_ranges)
     rows = []
     for train_range in ranges:
         for eval_range in ranges:
-            ds = attack_dataset_from(
-                cfg, arts, train_epoch_range=train_range, test_epoch_range=eval_range
-            )
-            model = train_reid(ds, "mlp", seed_from(cfg.seed, "grid", train_range[0], eval_range[0]))
-            ev = evaluate_reid(model, ds)
-            rows.append(
-                [
-                    train_range[0], train_range[1], eval_range[0], eval_range[1],
-                    float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc),
-                ]
-            )
+            ds = stages.dataset(train_epoch_range=train_range, test_epoch_range=eval_range)
+            scores = mlp_reid_scores(ds, seed_from(cfg.seed, "grid", train_range[0], eval_range[0]))
+            rows.append([*train_range, *eval_range, *scores])
     return [
         Table(
             name="epoch_grid",
@@ -239,39 +228,34 @@ def _epoch_grid(cfg: ExperimentConfig) -> list[Table]:
     ]
 
 
-def _iid_control(cfg: ExperimentConfig) -> list[Table]:
-    biased = gen_world(world_config_from(cfg))
-    worlds = {"biased": biased, "iid": make_iid_control(biased, seed_from(cfg.seed, "iid-control"))}
+def _iid_control(stages: Stages) -> list[Table]:
+    cfg = stages.cfg
+    iid = make_iid_control(stages.world, seed_from(cfg.seed, "iid-control"))
     rows = []
-    for variant, bundle in worlds.items():
-        arts = run_pipeline(cfg, bundle=bundle)
-        ds = attack_dataset_from(cfg, arts)
-        model = train_reid(ds, "mlp", seed_from(cfg.seed, "iid-attack", variant))
-        ev = evaluate_reid(model, ds)
-        rows.append([variant, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
+    for variant, run in (("biased", stages.run), ("iid", stages.federate(iid))):
+        ds = stages.dataset(run)
+        rows.append([variant, *mlp_reid_scores(ds, seed_from(cfg.seed, "iid-attack", variant))])
     return [Table(name="iid_control", columns=["world", "ap", "chance_ap", "ioc"], rows=rows)]
 
 
-def _dataspace(cfg: ExperimentConfig) -> list[Table]:
+def _dataspace(stages: Stages) -> list[Table]:
     """Raw-example attack next to the delta-space baseline."""
-    arts = run_pipeline(cfg)
-    ds = attack_dataset_from(cfg, arts)
-    model = train_reid(ds, "mlp", seed_from(cfg.seed, "dataspace-delta"))
-    ev = evaluate_reid(model, ds)
-    rows = [["delta", 0, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)]]
-    for size in cfg.dataspace_set_sizes:
-        mode = "single" if size == 1 else "set"
-        _, ev = dataspace_reid(arts.bundle, mode, size, seed_from(cfg.seed, "dataspace"))
-        rows.append([f"data_{mode}", size, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
+    cfg = stages.cfg
+    delta = mlp_reid_scores(stages.dataset(), seed_from(cfg.seed, "dataspace-delta"))
+    rows = [["delta", 0, *delta]]
+    sizes = cfg.dataspace_set_sizes
+    for size, ev in zip(sizes, dataspace_reid(stages.world, sizes, seed_from(cfg.seed, "dataspace"))):
+        label = "data_single" if size == 1 else "data_set"
+        rows.append([label, size, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
     return [
         Table(name="dataspace", columns=["input", "set_size", "ap", "chance_ap", "ioc"], rows=rows)
     ]
 
 
-def _bias_profile(cfg: ExperimentConfig) -> list[Table]:
-    arts = run_pipeline(cfg)
-    profiles = user_bias_profiles(arts.run.records, cfg.attack_layer)
-    users = arts.bundle.user_ids()
+def _bias_profile(stages: Stages) -> list[Table]:
+    cfg = stages.cfg
+    profiles = user_bias_profiles(stages.run.records, cfg.attack_layer)
+    users = stages.world.user_ids()
     rows, cons_self = [], {}
     for u in users:
         own = bias_consistency(profiles[(u, ROLE_SHADOW)], profiles[(u, ROLE_ANONYMOUS)])
@@ -285,7 +269,7 @@ def _bias_profile(cfg: ExperimentConfig) -> list[Table]:
     consistency = Table(
         name="consistency", columns=["user", "self_consistency", "mean_cross_consistency"], rows=rows
     )
-    dist = intra_inter_distances(arts.bundle, seed=seed_from(cfg.seed, "distances"))
+    dist = intra_inter_distances(stages.world, seed=seed_from(cfg.seed, "distances"))
     distance_rows = [[u, float(dist[u][0]), float(dist[u][1])] for u in users]
     distances = Table(name="distances", columns=["user", "intra_median", "inter_median"], rows=distance_rows)
     profile_rows = []
@@ -299,8 +283,8 @@ def _bias_profile(cfg: ExperimentConfig) -> list[Table]:
     return [consistency, distances, profile_table]
 
 
-def _mitigation(cfg: ExperimentConfig) -> list[Table]:
-    bundle = gen_world(world_config_from(cfg))
+def _mitigation(stages: Stages) -> list[Table]:
+    cfg = stages.cfg
     grid = [MitigationConfig("noise", sigma2=0.0, seed=cfg.seed)]
     if "noise" in cfg.mitigation_strategies:
         grid += [MitigationConfig("noise", sigma2=s, seed=cfg.seed) for s in cfg.noise_grid]
@@ -316,8 +300,8 @@ def _mitigation(cfg: ExperimentConfig) -> list[Table]:
                 if a > 0
             ]
     points = tradeoff_curve(
-        bundle,
-        model_spec_from(cfg),
+        stages.world,
+        stages.spec,
         round_config_from(cfg),
         repr_config_from(cfg),
         grid,
@@ -358,10 +342,16 @@ FAMILIES = {
 EXPERIMENT_FAMILIES = tuple(FAMILIES)
 
 
-def run_experiment(cfg: ExperimentConfig, family: str) -> Report:
+def run_experiment(cfg: ExperimentConfig, family: str, stages: Stages | None = None) -> Report:
+    """Run one family; `stages` shares the world and federation of `cfg`
+    across calls and is built fresh when not given."""
     if family not in FAMILIES:
         raise ValueError(f"unknown experiment family {family!r}; expected one of {EXPERIMENT_FAMILIES}")
-    tables = FAMILIES[family](cfg)
+    if stages is None:
+        stages = Stages(cfg)
+    elif stages.cfg != cfg:
+        raise ValueError("stages were built for another config")
+    tables = FAMILIES[family](stages)
     return Report(
         experiment=family,
         config=snapshot(cfg),

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import build_attack_dataset, evaluate_reid, train_reid
+from .attacks import build_attack_dataset, mlp_reid_scores
 from .deltastore import ReprConfig
 from .federated import (
     ROLE_ANONYMOUS,
@@ -230,9 +230,8 @@ def tradeoff_curve(
         hook = make_noise_hook(cfg.sigma2, cfg.seed) if cfg.strategy == "noise" else None
         run = run_federated(mitigate_bundle(bundle, cfg), spec, fed_cfg, delta_hook=hook)
         ds = build_attack_dataset(run.records, repr_cfg)
-        model = train_reid(ds, "mlp", seed_from(attack_seed, "tradeoff-attack"))
-        ev = evaluate_reid(model, ds)
-        return ev.mean_ap, ev.chance_ap, ev.ioc, run.utility[-1]
+        ap, chance, ioc = mlp_reid_scores(ds, seed_from(attack_seed, "tradeoff-attack"))
+        return ap, chance, ioc, run.utility[-1]
 
     points: list[TradeoffPoint] = []
     for cfg in grid:

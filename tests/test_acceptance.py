@@ -25,13 +25,12 @@ from fedanon.attacks import (
 from fedanon.config import ExperimentConfig
 from fedanon.deltastore import manifest_for, read_records, write_records
 from fedanon.experiments import (
-    attack_dataset_from,
+    Stages,
     epoch_ranges,
     model_spec_from,
     repr_config_from,
     round_config_from,
     run_experiment,
-    run_pipeline,
     world_config_from,
 )
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, RoundConfig, build_devices, server_round
@@ -77,18 +76,19 @@ def spearman(xs, ys) -> float:
 
 @pytest.fixture(scope="module")
 def pipelines():
-    """One default federated run per seed, with its build time."""
+    """The stages of one default federated run per seed, with its build time."""
     out = {}
     for s in SEEDS:
         started = time.perf_counter()
-        arts = run_pipeline(default_cfg(s))
-        out[s] = (arts, time.perf_counter() - started)
+        stages = Stages(default_cfg(s))
+        stages.run  # build the world and the federation inside the timing
+        out[s] = (stages, time.perf_counter() - started)
     return out
 
 
 @pytest.fixture(scope="module")
 def attack_sets(pipelines):
-    return {s: attack_dataset_from(default_cfg(s), arts) for s, (arts, _) in pipelines.items()}
+    return {s: stages.dataset() for s, (stages, _) in pipelines.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +190,9 @@ def test_criterion_04_reidentification_beats_chance(pipelines, attack_sets):
 def test_criterion_05_iid_control_kills_the_signal():
     iocs = []
     for s in SEEDS:
-        cfg = default_cfg(s)
-        bundle = make_iid_control(gen_world(world_config_from(cfg)), seed_from(s, "iid-control"))
-        arts = run_pipeline(cfg, bundle=bundle)
-        ds = attack_dataset_from(cfg, arts)
+        stages = Stages(default_cfg(s))
+        bundle = make_iid_control(stages.world, seed_from(s, "iid-control"))
+        ds = stages.dataset(stages.federate(bundle))
         model = train_reid(ds, "mlp", seed_from(s, "iid-attack", "iid"))
         iocs.append(evaluate_reid(model, ds).ioc)
     verdict(
@@ -230,13 +229,10 @@ def test_criterion_07_shadow_delta_budget_trend(pipelines):
     grid = (1, 2, 4, 8, 16)
     single_ok, rhos, singles = [], [], []
     for s in SEEDS:
-        cfg = default_cfg(s)
-        arts, _ = pipelines[s]
+        stages, _ = pipelines[s]
         aps = []
         for k in grid:
-            ds = attack_dataset_from(
-                cfg, arts, max_train_per_user=k, seed=seed_from(s, "train-amount", k)
-            )
+            ds = stages.dataset(max_train_per_user=k, seed=seed_from(s, "train-amount", k))
             model = train_reid(ds, "mlp", seed_from(s, "train-attack", k))
             ev = evaluate_reid(model, ds)
             aps.append(ev.mean_ap)
@@ -256,9 +252,8 @@ def test_criterion_07_shadow_delta_budget_trend(pipelines):
 def test_criterion_08_open_world(pipelines):
     half_iocs, zero_aps = [], []
     for s in SEEDS:
-        cfg = default_cfg(s)
-        arts, _ = pipelines[s]
-        ds = attack_dataset_from(cfg, arts, require_closed_world=False)
+        stages, _ = pipelines[s]
+        ds = stages.dataset(require_closed_world=False)
         split = open_world_split(ds.users, 0.5, seed_from(s, "ow-split"))
         model = train_reid_openworld(ds, split, seed_from(s, "ow-reid", repr(0.5)))
         half_iocs.append(evaluate_reid_openworld(model, ds, split).ioc)
@@ -285,11 +280,11 @@ def test_criterion_09_every_layer_leaks(pipelines):
     from fedanon.deltastore import ReprConfig
 
     cfg = default_cfg(0)
-    arts, _ = pipelines[0]
+    stages, _ = pipelines[0]
     iocs = {}
-    for layer, _shape in arts.spec.layout():
+    for layer, _shape in stages.spec.layout():
         ds = build_attack_dataset(
-            arts.run.records, ReprConfig(layer_name=layer, normalize=cfg.normalize)
+            stages.run.records, ReprConfig(layer_name=layer, normalize=cfg.normalize)
         )
         model = train_reid(ds, "mlp", seed_from(cfg.seed, "layer", layer))
         iocs[layer] = evaluate_reid(model, ds).ioc
@@ -303,14 +298,12 @@ def test_criterion_09_every_layer_leaks(pipelines):
 
 def test_criterion_10_round_range_grid(pipelines):
     cfg = default_cfg(0)
-    arts, _ = pipelines[0]
+    stages, _ = pipelines[0]
     ranges = epoch_ranges(cfg.rounds, 5)
     worst = np.inf
     for train_range in ranges:
         for eval_range in ranges:
-            ds = attack_dataset_from(
-                cfg, arts, train_epoch_range=train_range, test_epoch_range=eval_range
-            )
+            ds = stages.dataset(train_epoch_range=train_range, test_epoch_range=eval_range)
             model = train_reid(ds, "mlp", seed_from(cfg.seed, "grid", train_range[0], eval_range[0]))
             worst = min(worst, evaluate_reid(model, ds).ioc)
     verdict(10, worst > 2.0, f"5x5 grid worst_cell_ioc={worst:.2f} (>2.0)")
@@ -355,12 +348,12 @@ def test_criterion_11_matched_augmentation_beats_noise():
 def test_criterion_12_bias_signal_sanity(pipelines):
     win_fracs, own_means, gaps = [], [], []
     for s in SEEDS:
-        arts, _ = pipelines[s]
-        dist = intra_inter_distances(arts.bundle, seed=seed_from(s, "distances"))
+        stages, _ = pipelines[s]
+        dist = intra_inter_distances(stages.world, seed=seed_from(s, "distances"))
         wins = sum(1 for intra, inter in dist.values() if inter > intra)
         win_fracs.append(wins / len(dist))
-        profiles = user_bias_profiles(arts.run.records, "W2")
-        users = arts.bundle.user_ids()
+        profiles = user_bias_profiles(stages.run.records, "W2")
+        users = stages.world.user_ids()
         own = [
             bias_consistency(profiles[(u, ROLE_SHADOW)], profiles[(u, ROLE_ANONYMOUS)])
             for u in users
@@ -384,12 +377,13 @@ def test_criterion_12_bias_signal_sanity(pipelines):
 
 def test_criterion_13_determinism_and_persistence(tmp_path):
     cfg = default_cfg(0)
-    runs = [run_pipeline(cfg) for _ in range(2)]
+    # two independently built worlds and federations
+    runs = [Stages(cfg) for _ in range(2)]
     dirs = []
-    for i, arts in enumerate(runs):
-        manifest = manifest_for(arts.run.records, arts.spec.layout(), cfg.rounds)
+    for i, stages in enumerate(runs):
+        manifest = manifest_for(stages.run.records, stages.spec.layout(), cfg.rounds)
         out = tmp_path / f"log{i}"
-        write_records(out, manifest, arts.run.records)
+        write_records(out, manifest, stages.run.records)
         dirs.append(out)
     logs_equal = all(
         (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()

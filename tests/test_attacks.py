@@ -434,14 +434,23 @@ def test_dataspace_sets_partition_sizes():
         dataspace_sets(bundle, set_size=0)
 
 
-def test_dataspace_single_equals_set_size_one():
+def test_dataspace_reid_scores_every_set_size_with_one_model():
     bundle = gen_world(small_cfg())
-    _, single = dataspace_reid(bundle, "single", set_size=99, seed=0)
-    _, explicit = dataspace_reid(bundle, "set", set_size=1, seed=0)
-    assert single.mean_ap == explicit.mean_ap
-    assert single.top1 == explicit.top1
+    both = dataspace_reid(bundle, (1, 7), seed=0)
+    apart = dataspace_reid(bundle, (1,), seed=0) + dataspace_reid(bundle, (7,), seed=0)
+    assert [e.mean_ap for e in both] == [e.mean_ap for e in apart]
+    assert [e.top1 for e in both] == [e.top1 for e in apart]
+    assert both[0].preds.scores.shape[0] == sum(len(bundle.private[u]) for u in bundle.user_ids())
     with pytest.raises(ValueError):
-        dataspace_reid(bundle, "telepathy")
+        dataspace_reid(bundle, (0,))
+
+
+def test_dataspace_reid_trains_one_model_for_all_set_sizes(monkeypatch):
+    calls = []
+    fit = MlpReid.fit
+    monkeypatch.setattr(MlpReid, "fit", lambda *a, **k: calls.append(1) or fit(*a, **k))
+    assert len(dataspace_reid(gen_world(small_cfg()), (1, 4, 16), seed=0)) == 3
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------- bias profiles

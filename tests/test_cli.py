@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from fedanon import experiments
 from fedanon.cli import main
 from fedanon.deltastore import read_records
 from fedanon.reporting import report_from_json
@@ -20,6 +21,7 @@ TINY = [
     "--prior-fraction", "0.3",
     "--hidden-dim", "8",
     "--rounds", "4",
+    "--epoch-ranges", "2",
     "--batch-size", "8",
     "--eta", "0.5",
 ]
@@ -131,7 +133,7 @@ def test_report_reemits_csv(tmp_path):
 def test_config_file_and_flag_precedence(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("users = 8\nclasses = 5\nfeature_dim = 12\nn_per_user = 60\n"
-                        "background_size = 200\nhidden_dim = 8\nrounds = 3\n"
+                        "background_size = 200\nhidden_dim = 8\nrounds = 3\nepoch_ranges = 3\n"
                         "prior_fraction = 0.3\n", encoding="utf-8")
     out = tmp_path / "w"
     rc = main(
@@ -145,6 +147,23 @@ def test_config_error_exits_2(capsys):
     assert main(["gen-world", "--users", "1"]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["attack", "--family", "reid_closed", "--attack-methods", "ouija"]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, family, flags",
+    [
+        ("attack_layer", "reid_closed", ["--model-kind", "linear"]),
+        ("epoch_ranges", "epoch_grid", ["--rounds", "4", "--epoch-ranges", "5"]),
+        ("clusters_m", "mitigation", ["--background-size", "60", "--clusters-m", "61"]),
+    ],
+)
+def test_config_the_family_cannot_run_exits_2_before_any_world(
+    tmp_path, monkeypatch, capsys, key, family, flags
+):
+    monkeypatch.setattr(experiments, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    rc = main(["attack", "--family", family, *flags, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
 
 
 def test_operational_error_exits_1(tmp_path, capsys):

@@ -97,6 +97,28 @@ def test_range_violations_name_the_key():
             build_config(overrides={key: bad})
 
 
+def test_attack_layer_must_be_a_layer_of_the_model():
+    # the default attack layer W2 exists only in mlp1
+    with pytest.raises(ConfigError, match="'attack_layer'"):
+        build_config(overrides={"model_kind": "linear"})
+    with pytest.raises(ConfigError, match="'attack_layer'"):
+        build_config(overrides={"attack_layer": "W3"})
+    assert build_config(overrides={"model_kind": "linear", "attack_layer": "W"}).attack_layer == "W"
+    assert build_config(overrides={"attack_layer": "b1"}).attack_layer == "b1"
+
+
+def test_epoch_ranges_must_not_exceed_rounds():
+    with pytest.raises(ConfigError, match="'epoch_ranges'"):
+        build_config(overrides={"rounds": "4", "epoch_ranges": "5"})
+    assert build_config(overrides={"rounds": "4", "epoch_ranges": "4"}).epoch_ranges == 4
+
+
+def test_clusters_m_must_not_exceed_background_size():
+    with pytest.raises(ConfigError, match="'clusters_m'"):
+        build_config(overrides={"background_size": "60", "clusters_m": "61"})
+    assert build_config(overrides={"background_size": "60", "clusters_m": "60"}).clusters_m == 60
+
+
 def test_profile_kind_requires_profile_class():
     with pytest.raises(ConfigError, match="'profile_class'"):
         build_config(overrides={"prior_kind": "profile"})

@@ -1,6 +1,8 @@
 """Experiment driver: every family produces its documented table schema
-from one config object, and identical configs reproduce identical reports."""
+from one config object, identical configs reproduce identical reports, and
+sharing one config's stages across families changes no report byte."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,14 +11,13 @@ from fedanon import __version__
 from fedanon.config import ExperimentConfig, config_hash, snapshot
 from fedanon.experiments import (
     EXPERIMENT_FAMILIES,
-    attack_dataset_from,
+    Stages,
     epoch_ranges,
     run_experiment,
-    run_pipeline,
     world_config_from,
 )
 from fedanon.reporting import report_to_json
-from fedanon.world import gen_world
+from fedanon.world import gen_world, make_iid_control
 
 FAST = ExperimentConfig(
     users=6,
@@ -180,14 +181,42 @@ def test_reports_are_reproducible(family):
     assert report_to_json(a) == report_to_json(b)
 
 
-def test_run_pipeline_accepts_prebuilt_bundle():
-    bundle = gen_world(world_config_from(FAST))
-    arts = run_pipeline(FAST, bundle=bundle)
-    assert arts.bundle is bundle
-    assert len(arts.run.utility) == FAST.rounds
+@pytest.mark.parametrize("order", ["registry", "reverse"])
+def test_shared_stages_give_the_fresh_report_bytes(reports, order):
+    families = EXPERIMENT_FAMILIES if order == "registry" else EXPERIMENT_FAMILIES[::-1]
+    stages = Stages(FAST)
+    for family in families:
+        shared = run_experiment(FAST, family, stages)
+        assert report_to_json(shared) == report_to_json(reports[family]), family
 
 
-def test_attack_dataset_from_passes_kwargs():
-    arts = run_pipeline(FAST)
-    ds = attack_dataset_from(FAST, arts, max_train_per_user=2)
+def test_run_experiment_rejects_stages_of_another_config():
+    stages = Stages(FAST)
+    other = dataclasses.replace(FAST, seed=1)
+    with pytest.raises(ValueError, match="another config"):
+        run_experiment(other, "reid_closed", stages)
+    assert "world" not in vars(stages)  # rejected before any stage was built
+
+
+def test_stages_build_each_stage_once():
+    stages = Stages(FAST)
+    assert stages.world is stages.world
+    assert stages.run is stages.run
+    assert len(stages.run.utility) == FAST.rounds
+
+
+def test_stages_federate_accepts_prebuilt_bundle():
+    stages = Stages(FAST)
+    bundle = make_iid_control(gen_world(world_config_from(FAST)), seed=3)
+    run = stages.federate(bundle)
+    assert run is not stages.run
+    assert len(run.utility) == FAST.rounds
+    assert {r.user_id for r in run.records} == set(bundle.user_ids())
+
+
+def test_stages_dataset_passes_kwargs():
+    stages = Stages(FAST)
+    ds = stages.dataset(max_train_per_user=2)
     assert ds.train_x.shape[0] == 2 * FAST.users
+    other = stages.federate(stages.world)
+    assert stages.dataset(other, max_train_per_user=1).train_x.shape[0] == FAST.users
