@@ -7,7 +7,8 @@ Reproduces the full result set for a single seed:
 
 Families can be cherry-picked with --families; the heavyweight ones
 (mitigation, prior_amount) land last so partial runs still leave the cheap
-reports behind. All families share one world and one default federated run.
+reports behind. All families share one world, one default federated run and
+one reference MLP attack fit.
 """
 
 from __future__ import annotations

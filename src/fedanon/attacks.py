@@ -285,11 +285,17 @@ def evaluate_reid(model: ReidModel, ds: AttackDataset) -> ReidEvaluation:
     return _score_reid(scores, ds.encode(ds.test_users, model.classes), len(model.classes))
 
 
+def reid_scores(model: ReidModel, ds: AttackDataset) -> list[float]:
+    """[mean AP, chance AP, increase over chance] of a fitted
+    re-identification model on the test side of `ds`."""
+    ev = evaluate_reid(model, ds)
+    return [float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)]
+
+
 def mlp_reid_scores(ds: AttackDataset, seed: int) -> list[float]:
     """Fit the MLP re-identification attack on `ds` and return its
-    [mean AP, chance AP, increase over chance]."""
-    ev = evaluate_reid(train_reid(ds, "mlp", seed), ds)
-    return [float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)]
+    `reid_scores`."""
+    return reid_scores(train_reid(ds, "mlp", seed), ds)
 
 
 # ---------------------------------------------------------------------------

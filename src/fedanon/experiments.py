@@ -14,6 +14,8 @@ import numpy as np
 from . import __version__
 from .attacks import (
     AttackDataset,
+    MlpProductMatcher,
+    MlpReid,
     SiameseMatcher,
     bias_consistency,
     build_attack_dataset,
@@ -23,6 +25,7 @@ from .attacks import (
     evaluate_reid_openworld,
     mlp_reid_scores,
     open_world_split,
+    reid_scores,
     train_matcher,
     train_reid,
     train_reid_openworld,
@@ -46,10 +49,11 @@ from .world import DatasetBundle, gen_world, intra_inter_distances, limit_prior,
 
 
 class Stages:
-    """The stages every family starts from, for one config: the world and
-    the federated run on it, each built on first use and then shared.
-    Families derive variant worlds from `world` and never modify what they
-    are handed, so one `Stages` can serve every family in any order."""
+    """The stages every family starts from, for one config: the world, the
+    federated run on it, its attack dataset and the reference MLP attack
+    fit on that dataset, each built on first use and then shared. Families
+    derive variant worlds from `world` and never modify what they are
+    handed, so one `Stages` can serve every family in any order."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -62,6 +66,17 @@ class Stages:
     @cached_property
     def run(self) -> FederatedRun:
         return self.federate(self.world)
+
+    @cached_property
+    def attack_set(self) -> AttackDataset:
+        """The attack dataset of `run` at the config's representation."""
+        return self.dataset()
+
+    @cached_property
+    def reference_mlp(self) -> MlpReid:
+        """The MLP re-identification attack fit on `attack_set`: every
+        family that attacks the default dataset with the MLP reuses it."""
+        return train_reid(self.attack_set, "mlp", seed_from(self.cfg.seed, "attack", "mlp"))
 
     def federate(self, bundle: DatasetBundle) -> FederatedRun:
         """FedAvg at this config on `bundle`, a variant of `world`."""
@@ -84,10 +99,13 @@ def utility_table(run: FederatedRun) -> Table:
 
 def _reid_closed(stages: Stages) -> list[Table]:
     cfg = stages.cfg
-    ds = stages.dataset()
+    ds = stages.attack_set
     rows = []
     for method in cfg.attack_methods:
-        model = train_reid(ds, method, seed_from(cfg.seed, "attack", method))
+        if method == "mlp":
+            model = stages.reference_mlp
+        else:
+            model = train_reid(ds, method, seed_from(cfg.seed, "attack", method))
         ev = evaluate_reid(model, ds)
         rows.append(
             [method, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc), float(ev.top1),
@@ -103,12 +121,15 @@ def _reid_closed(stages: Stages) -> list[Table]:
 
 def _matching_closed(stages: Stages) -> list[Table]:
     cfg = stages.cfg
-    ds = stages.dataset()
+    ds = stages.attack_set
     shadow_rows = ds.rows_by_user("train")
     anon_rows = ds.rows_by_user("test")
     rows = []
     for method in cfg.match_methods:
-        model = train_matcher(ds, method, seed_from(cfg.seed, "match", method))
+        if method == "mlp_product":
+            model = MlpProductMatcher(stages.reference_mlp)
+        else:
+            model = train_matcher(ds, method, seed_from(cfg.seed, "match", method))
         ev = evaluate_matching(
             model, shadow_rows, anon_rows, seed=seed_from(cfg.seed, "match-eval", method)
         )
@@ -193,9 +214,12 @@ def _layer_sweep(stages: Stages) -> list[Table]:
     cfg = stages.cfg
     rows = []
     for layer, shape in stages.spec.layout():
-        repr_cfg = ReprConfig(layer_name=layer, normalize=cfg.normalize)
-        ds = build_attack_dataset(stages.run.records, repr_cfg)
-        scores = mlp_reid_scores(ds, seed_from(cfg.seed, "layer", layer))
+        if layer == cfg.attack_layer:
+            scores = reid_scores(stages.reference_mlp, stages.attack_set)
+        else:
+            repr_cfg = ReprConfig(layer_name=layer, normalize=cfg.normalize)
+            ds = build_attack_dataset(stages.run.records, repr_cfg)
+            scores = mlp_reid_scores(ds, seed_from(cfg.seed, "layer", layer))
         rows.append([layer, int(np.prod(shape)), *scores])
     return [Table(name="layers", columns=["layer", "dim", "ap", "chance_ap", "ioc"], rows=rows)]
 
@@ -210,15 +234,20 @@ def epoch_ranges(rounds: int, n_ranges: int) -> list[tuple[int, int]]:
 
 def _epoch_grid(stages: Stages) -> list[Table]:
     """Train the attack on one round range of shadow deltas, evaluate on
-    another range of anonymous deltas, for every range pair."""
+    another range of anonymous deltas, for every range pair. The model
+    depends only on the train range, so each is fit once, with the seed of
+    its diagonal cell, and scored on every eval range."""
     cfg = stages.cfg
     ranges = epoch_ranges(cfg.rounds, cfg.epoch_ranges)
     rows = []
-    for train_range in ranges:
+    for lo, hi in ranges:
+        model = None
         for eval_range in ranges:
-            ds = stages.dataset(train_epoch_range=train_range, test_epoch_range=eval_range)
-            scores = mlp_reid_scores(ds, seed_from(cfg.seed, "grid", train_range[0], eval_range[0]))
-            rows.append([*train_range, *eval_range, *scores])
+            # one dataset per cell, so every pair is checked for a closed world
+            ds = stages.dataset(train_epoch_range=(lo, hi), test_epoch_range=eval_range)
+            if model is None:
+                model = train_reid(ds, "mlp", seed_from(cfg.seed, "grid", lo, lo))
+            rows.append([lo, hi, *eval_range, *reid_scores(model, ds)])
     return [
         Table(
             name="epoch_grid",
@@ -231,18 +260,18 @@ def _epoch_grid(stages: Stages) -> list[Table]:
 def _iid_control(stages: Stages) -> list[Table]:
     cfg = stages.cfg
     iid = make_iid_control(stages.world, seed_from(cfg.seed, "iid-control"))
-    rows = []
-    for variant, run in (("biased", stages.run), ("iid", stages.federate(iid))):
-        ds = stages.dataset(run)
-        rows.append([variant, *mlp_reid_scores(ds, seed_from(cfg.seed, "iid-attack", variant))])
+    iid_ds = stages.dataset(stages.federate(iid))
+    rows = [
+        ["biased", *reid_scores(stages.reference_mlp, stages.attack_set)],
+        ["iid", *mlp_reid_scores(iid_ds, seed_from(cfg.seed, "iid-attack", "iid"))],
+    ]
     return [Table(name="iid_control", columns=["world", "ap", "chance_ap", "ioc"], rows=rows)]
 
 
 def _dataspace(stages: Stages) -> list[Table]:
     """Raw-example attack next to the delta-space baseline."""
     cfg = stages.cfg
-    delta = mlp_reid_scores(stages.dataset(), seed_from(cfg.seed, "dataspace-delta"))
-    rows = [["delta", 0, *delta]]
+    rows = [["delta", 0, *reid_scores(stages.reference_mlp, stages.attack_set)]]
     sizes = cfg.dataspace_set_sizes
     for size, ev in zip(sizes, dataspace_reid(stages.world, sizes, seed_from(cfg.seed, "dataspace"))):
         label = "data_single" if size == 1 else "data_set"
@@ -254,9 +283,9 @@ def _dataspace(stages: Stages) -> list[Table]:
 
 def _bias_profile(stages: Stages) -> list[Table]:
     cfg = stages.cfg
-    profiles = user_bias_profiles(stages.run.records, cfg.attack_layer)
+    profiles = user_bias_profiles(stages.run.records, stages.spec.output_weight)
     users = stages.world.user_ids()
-    rows, cons_self = [], {}
+    rows = []
     for u in users:
         own = bias_consistency(profiles[(u, ROLE_SHADOW)], profiles[(u, ROLE_ANONYMOUS)])
         cross = [
@@ -264,7 +293,6 @@ def _bias_profile(stages: Stages) -> list[Table]:
             for v in users
             if v != u
         ]
-        cons_self[u] = own
         rows.append([u, float(own), float(np.mean(cross))])
     consistency = Table(
         name="consistency", columns=["user", "self_consistency", "mean_cross_consistency"], rows=rows
@@ -306,6 +334,7 @@ def _mitigation(stages: Stages) -> list[Table]:
         repr_config_from(cfg),
         grid,
         attack_seed=seed_from(cfg.seed, "tradeoff"),
+        anchor_run=stages.run,
     )
     rows = [
         [

@@ -21,6 +21,7 @@ from .federated import (
     ROLE_ANONYMOUS,
     DeltaHook,
     DeviceState,
+    FederatedRun,
     RoundConfig,
     run_federated,
 )
@@ -214,12 +215,15 @@ def tradeoff_curve(
     repr_cfg: ReprConfig,
     grid: Sequence[MitigationConfig],
     attack_seed: int = 0,
+    anchor_run: FederatedRun | None = None,
 ) -> list[TradeoffPoint]:
     """Re-run the federation and the strongest closed-world attack for every
     grid point; utility is normalized to 1.0 at the no-mitigation anchor.
 
     The grid must contain a zero-strength config to anchor the
-    normalization.
+    normalization. `anchor_run`, when given, is the unmitigated federation
+    of `bundle` at `fed_cfg`, and the anchor attacks it instead of running
+    the federation again.
     """
     if not any(cfg.is_identity() for cfg in grid):
         raise ValueError("grid must include the no-mitigation point")
@@ -227,8 +231,11 @@ def tradeoff_curve(
     baseline: tuple[float, float, float, float] | None = None
 
     def run_point(cfg: MitigationConfig) -> tuple[float, float, float, float]:
-        hook = make_noise_hook(cfg.sigma2, cfg.seed) if cfg.strategy == "noise" else None
-        run = run_federated(mitigate_bundle(bundle, cfg), spec, fed_cfg, delta_hook=hook)
+        if cfg.is_identity() and anchor_run is not None:
+            run = anchor_run
+        else:
+            hook = make_noise_hook(cfg.sigma2, cfg.seed) if cfg.strategy == "noise" else None
+            run = run_federated(mitigate_bundle(bundle, cfg), spec, fed_cfg, delta_hook=hook)
         ds = build_attack_dataset(run.records, repr_cfg)
         ap, chance, ioc = mlp_reid_scores(ds, seed_from(attack_seed, "tradeoff-attack"))
         return ap, chance, ioc, run.utility[-1]

@@ -42,6 +42,11 @@ class ModelSpec:
         if self.kind == "mlp1" and self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1 for mlp1")
 
+    @property
+    def output_weight(self) -> str:
+        """Name of the output layer's (output_dim, inputs) weight matrix."""
+        return "W" if self.kind == "linear" else "W2"
+
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         """Ordered (name, shape) pairs defining the parameter vector."""
         if self.kind == "linear":

@@ -1,13 +1,15 @@
 """Experiment driver: every family produces its documented table schema
-from one config object, identical configs reproduce identical reports, and
-sharing one config's stages across families changes no report byte."""
+from one config object, identical configs reproduce identical reports,
+sharing one config's stages across families changes no report byte, and
+each stage runs the fewest times the families need."""
 
 import dataclasses
 import math
 
 import pytest
 
-from fedanon import __version__
+from fedanon import __version__, experiments, mitigation, nn
+from fedanon.attacks import MlpReid, reid_scores, train_reid
 from fedanon.config import ExperimentConfig, config_hash, snapshot
 from fedanon.experiments import (
     EXPERIMENT_FAMILIES,
@@ -17,6 +19,7 @@ from fedanon.experiments import (
     world_config_from,
 )
 from fedanon.reporting import report_to_json
+from fedanon.seeding import seed_from
 from fedanon.world import gen_world, make_iid_control
 
 FAST = ExperimentConfig(
@@ -198,11 +201,90 @@ def test_run_experiment_rejects_stages_of_another_config():
     assert "world" not in vars(stages)  # rejected before any stage was built
 
 
-def test_stages_build_each_stage_once():
+def count_calls(monkeypatch) -> dict[str, list]:
+    """Record every call of the four stage functions a family can repeat,
+    wherever the families reach them."""
+    calls = {name: [] for name in ("gen_world", "run_federated", "nn.train", "MlpReid.fit")}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(1)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(experiments, "gen_world", counted("gen_world", experiments.gen_world))
+    for module in (experiments, mitigation):
+        monkeypatch.setattr(module, "run_federated", counted("run_federated", module.run_federated))
+    monkeypatch.setattr(nn, "train", counted("nn.train", nn.train))
+    fit = counted("MlpReid.fit", MlpReid.fit)
+    monkeypatch.setattr(MlpReid, "fit", staticmethod(fit))
+    return calls
+
+
+def test_stages_build_each_stage_once(monkeypatch):
+    fits = count_calls(monkeypatch)["MlpReid.fit"]
     stages = Stages(FAST)
     assert stages.world is stages.world
     assert stages.run is stages.run
     assert len(stages.run.utility) == FAST.rounds
+    assert stages.attack_set is stages.attack_set
+    assert stages.reference_mlp is stages.reference_mlp
+    assert len(fits) == 1
+    assert stages.reference_mlp.classes == stages.attack_set.users
+
+
+def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch):
+    calls = count_calls(monkeypatch)
+    stages = Stages(FAST)
+    for family in EXPERIMENT_FAMILIES:
+        run_experiment(FAST, family, stages)
+    # federations: the default run, the IID control, one per prior_grid
+    # entry and one per mitigated grid point
+    # MLP fits: reference 1, iid_control 1, layer_sweep 3, train_amount 2,
+    # open_world 1, epoch_grid 2, dataspace 1, prior_amount 2, mitigation 5
+    assert {name: len(c) for name, c in calls.items()} == {
+        "gen_world": 1,
+        "run_federated": 8,
+        "nn.train": 18,
+        "MlpReid.fit": 18,
+    }
+
+
+def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):
+    stages = Stages(FAST)
+    stages.run
+    fits = count_calls(monkeypatch)["MlpReid.fit"]
+    table = run_experiment(FAST, "epoch_grid", stages).table("epoch_grid")
+    assert len(fits) == FAST.epoch_ranges
+    # every cell of a train row is scored by the one model fit with the
+    # seed of the row's diagonal cell
+    ranges = epoch_ranges(FAST.rounds, FAST.epoch_ranges)
+    expected = []
+    for lo, hi in ranges:
+        diagonal = stages.dataset(train_epoch_range=(lo, hi), test_epoch_range=(lo, hi))
+        model = train_reid(diagonal, "mlp", seed_from(FAST.seed, "grid", lo, lo))
+        for ev in ranges:
+            ds = stages.dataset(train_epoch_range=(lo, hi), test_epoch_range=ev)
+            expected.append([lo, hi, *ev, *reid_scores(model, ds)])
+    assert table.rows == expected
+
+
+def test_families_quote_the_one_reference_mlp_fit(reports):
+    def row(family, table, key):
+        t = reports[family].table(table)
+        return next(r for r in t.rows if r[0] == key)
+
+    reid = row("reid_closed", "reid", "mlp")[1:4]
+    assert row("dataspace", "dataspace", "delta")[2:] == reid
+    assert row("layer_sweep", "layers", FAST.attack_layer)[2:] == reid
+    assert row("iid_control", "iid_control", "biased")[1:] == reid
+
+
+@pytest.mark.parametrize("layer", ["W1", "b1", "b2"])
+def test_bias_profile_reads_the_output_weights_whatever_the_attack_layer(reports, layer):
+    report = run_experiment(dataclasses.replace(FAST, attack_layer=layer), "bias_profile")
+    assert report.tables == reports["bias_profile"].tables
 
 
 def test_stages_federate_accepts_prebuilt_bundle():

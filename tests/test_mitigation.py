@@ -5,8 +5,9 @@ utility anchoring."""
 import numpy as np
 import pytest
 
+from fedanon import mitigation
 from fedanon.deltastore import ReprConfig
-from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeviceState, RoundConfig
+from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeviceState, RoundConfig, run_federated
 from fedanon.mitigation import (
     KMeansResult,
     MitigationConfig,
@@ -316,3 +317,16 @@ def test_tradeoff_reuses_single_baseline_run():
     assert points[0].attacker_ap == points[1].attacker_ap
     assert points[0].utility == points[1].utility == 1.0
 
+
+def test_tradeoff_anchor_run_gives_the_points_of_a_fresh_anchor(monkeypatch):
+    bundle, spec, fed, repr_cfg = tiny_setup()
+    grid = [MitigationConfig("noise", sigma2=0.0), MitigationConfig("noise", sigma2=0.5)]
+    fresh = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0)
+    anchor_run = run_federated(bundle, spec, fed)
+    calls = []
+    monkeypatch.setattr(
+        mitigation, "run_federated", lambda *a, **k: calls.append(1) or run_federated(*a, **k)
+    )
+    reused = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0, anchor_run=anchor_run)
+    assert reused == fresh
+    assert len(calls) == 1  # only the noise point federates
