@@ -54,6 +54,8 @@ SIAMESE_EPOCHS = 50
 # memorizes them long before 50 epochs and stops transferring to new users
 SIAMESE_PAIRS_PER_EPOCH = 64
 SIAMESE_BATCH = 32
+SIAMESE_RMS_DECAY = 0.9
+SIAMESE_RMS_EPSILON = 1e-7
 
 UNSEEN_LABEL = -1  # sentinel class id for the open-world `unseen` bucket
 
@@ -87,7 +89,6 @@ def build_attack_dataset(
     test_epoch_range: tuple[int, int] | None = None,
     max_train_per_user: int | None = None,
     seed: int = 0,
-    require_closed_world: bool = True,
 ) -> AttackDataset:
     train_recs = filter_records(
         records,
@@ -103,19 +104,12 @@ def build_attack_dataset(
     test_x = np.stack([represent_delta(r, repr_cfg) for r in test_recs])
     train_users = np.asarray([r.user_id for r in train_recs], dtype=np.int64)
     test_users = np.asarray([r.user_id for r in test_recs], dtype=np.int64)
-    users = tuple(sorted(set(train_users.tolist())))
-    if require_closed_world:
-        missing = sorted(set(test_users.tolist()) - set(users))
-        if missing:
-            raise ValueError(
-                f"closed-world violation: test users {missing} have no training rows"
-            )
     return AttackDataset(
         train_x=train_x,
         train_users=train_users,
         test_x=test_x,
         test_users=test_users,
-        users=users,
+        users=tuple(sorted(set(train_users.tolist()))),
     )
 
 
@@ -125,8 +119,6 @@ def build_attack_dataset(
 
 class ChanceReid:
     """Uninformed baseline: uniform score over the known users."""
-
-    method = "chance"
 
     def __init__(self, classes: Sequence[int]):
         self.classes = tuple(classes)
@@ -139,8 +131,6 @@ class ChanceReid:
 class KnnReid:
     """K nearest neighbors by Euclidean distance; scores are vote fractions,
     distance ties resolved toward the lower training index."""
-
-    method = "knn"
 
     def __init__(self, train_x: np.ndarray, train_y: np.ndarray, classes: Sequence[int], k: int):
         self.train_x = train_x
@@ -166,8 +156,6 @@ class KnnReid:
 class SvmReid:
     """One-vs-rest linear scorers fit by full-batch hinge-loss gradient
     descent with L2 weight decay; scores are softmax over the margins."""
-
-    method = "svm"
 
     def __init__(self, w: np.ndarray, b: np.ndarray, classes: Sequence[int]):
         self.w = w
@@ -199,8 +187,6 @@ class SvmReid:
 class MlpReid:
     """Single-hidden-layer (128 unit) softmax classifier over delta vectors,
     trained with momentum SGD."""
-
-    method = "mlp"
 
     def __init__(self, spec: ModelSpec, params: ParamVector, classes: Sequence[int]):
         self.spec = spec
@@ -281,6 +267,11 @@ def _score_reid(scores: np.ndarray, labels: np.ndarray, n_classes: int) -> ReidE
 
 
 def evaluate_reid(model: ReidModel, ds: AttackDataset) -> ReidEvaluation:
+    """Score the test side of `ds`. Re-identification is closed-world:
+    every test user must be one of the model's classes."""
+    missing = sorted(set(ds.test_users.tolist()) - set(model.classes))
+    if missing:
+        raise ValueError(f"closed-world violation: test users {missing} have no training rows")
     scores = model.predict(ds.test_x)
     return _score_reid(scores, ds.encode(ds.test_users, model.classes), len(model.classes))
 
@@ -305,8 +296,6 @@ def mlp_reid_scores(ds: AttackDataset, seed: int) -> list[float]:
 class ChanceMatcher:
     """Seeded uniform match probability, independent of the inputs."""
 
-    method = "chance"
-
     def __init__(self, seed: int = 0):
         self._rng = rng_from(seed, "chance-matcher")
 
@@ -318,8 +307,6 @@ class ChanceMatcher:
 class MlpProductMatcher:
     """Match probability max_u P[i=u] * P[j=u] from a trained reid MLP."""
 
-    method = "mlp_product"
-
     def __init__(self, reid: MlpReid):
         self.reid = reid
 
@@ -329,12 +316,27 @@ class MlpProductMatcher:
         return (pa * pb).max(axis=1)
 
 
+def rmsprop_step(
+    params: ParamVector, grad: ParamVector, mean_square: dict[str, np.ndarray] | None
+) -> tuple[ParamVector, dict[str, np.ndarray]]:
+    """One RMSProp update at the siamese learning rate: each layer's running
+    mean square s of its gradient g becomes rho*s + (1-rho)*g^2, and the
+    layer moves by -lr*g/(sqrt(s)+eps). Returns fresh params and mean
+    squares (None starts them at zero); the inputs are left untouched."""
+    if mean_square is None:
+        mean_square = {name: np.zeros_like(w) for name, w in params.layers}
+    layers, new_square = [], {}
+    for (name, w), (_, g) in zip(params.layers, grad.layers):
+        s = SIAMESE_RMS_DECAY * mean_square[name] + (1.0 - SIAMESE_RMS_DECAY) * g**2
+        new_square[name] = s
+        layers.append((name, w - SIAMESE_LR * g / (np.sqrt(s) + SIAMESE_RMS_EPSILON)))
+    return ParamVector(layers), new_square
+
+
 class SiameseMatcher:
     """Shared dense encoder (128 units, ReLU) per branch, elementwise
     absolute difference, then a single sigmoid output; trained with BCE and
     RMSProp on balanced pairs that are resampled every epoch."""
-
-    method = "siamese"
 
     def __init__(self, params: ParamVector):
         self.params = params
@@ -394,17 +396,14 @@ class SiameseMatcher:
             raise ValueError("siamese training needs rows from at least 2 users")
         dim = next(iter(eligible.values())).shape[1]
         params = SiameseMatcher.init_params(dim, seed)
-        state = None
-        config = nn.rmsprop(SIAMESE_LR)
-        iteration = 0
+        mean_square = None
         for epoch in range(SIAMESE_EPOCHS):
             rng = rng_from(seed, "siamese-pairs", epoch)
             a, b, y = sample_balanced_pairs(eligible, eligible, SIAMESE_PAIRS_PER_EPOCH, rng)
             for start in range(0, a.shape[0], SIAMESE_BATCH):
                 sl = slice(start, start + SIAMESE_BATCH)
                 _, grad = SiameseMatcher.loss_and_grad(params, a[sl], b[sl], y[sl])
-                params, state = nn.optimizer_step(state, params, grad, config, iteration)
-                iteration += 1
+                params, mean_square = rmsprop_step(params, grad, mean_square)
         return SiameseMatcher(params)
 
     def predict_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -530,30 +529,30 @@ def open_world_split(users: Sequence[int], seen_fraction: float, seed: int = 0) 
     return OpenWorldSplit(seen=seen, unseen=unseen, holdout=holdout)
 
 
+def _open_world_rows(
+    x: np.ndarray, users: np.ndarray, split: OpenWorldSplit, other: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of seen users, labelled with their index in `split.seen`,
+    and of `other` users, labelled with the `unseen` class index
+    len(split.seen), in their original order."""
+    index = {u: len(split.seen) for u in other} | {u: i for i, u in enumerate(split.seen)}
+    keep = np.flatnonzero([int(u) in index for u in users])
+    return x[keep], np.asarray([index[int(u)] for u in users[keep]], dtype=np.int64)
+
+
 def train_reid_openworld(ds: AttackDataset, split: OpenWorldSplit, seed: int = 0) -> MlpReid:
     """MLP over |seen|+1 classes; holdout users' rows train the `unseen`
     class (sentinel id -1 in the class list)."""
     if not split.holdout:
         raise ValueError("open-world training needs a non-empty holdout")
-    classes = list(split.seen) + [UNSEEN_LABEL]
-    unseen_idx = len(split.seen)
-    rows, labels = [], []
-    seen_index = {u: i for i, u in enumerate(split.seen)}
-    for x, u in zip(ds.train_x, ds.train_users):
-        u = int(u)
-        if u in seen_index:
-            rows.append(x)
-            labels.append(seen_index[u])
-        elif u in split.holdout:
-            rows.append(x)
-            labels.append(unseen_idx)
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if not np.any(labels_arr == unseen_idx):
+    x, labels = _open_world_rows(ds.train_x, ds.train_users, split, split.holdout)
+    if not np.any(labels == len(split.seen)):
         raise ValueError("holdout users have no training rows")
+    trained = set(ds.train_users.tolist())
     for u in split.seen:
-        if u not in set(int(v) for v in ds.train_users):
+        if u not in trained:
             raise ValueError(f"seen user {u} has no training rows")
-    return MlpReid.fit(np.stack(rows), labels_arr, classes, seed)
+    return MlpReid.fit(x, labels, list(split.seen) + [UNSEEN_LABEL], seed)
 
 
 def evaluate_reid_openworld(
@@ -561,21 +560,10 @@ def evaluate_reid_openworld(
 ) -> ReidEvaluation:
     """Test on anonymous rows of seen and unseen users; unseen users' target
     is the `unseen` class. Holdout users stay out of the evaluation."""
-    seen_index = {u: i for i, u in enumerate(split.seen)}
-    unseen_idx = len(split.seen)
-    rows, labels = [], []
-    for x, u in zip(ds.test_x, ds.test_users):
-        u = int(u)
-        if u in seen_index:
-            rows.append(x)
-            labels.append(seen_index[u])
-        elif u in split.unseen:
-            rows.append(x)
-            labels.append(unseen_idx)
-    if not rows:
+    x, labels = _open_world_rows(ds.test_x, ds.test_users, split, split.unseen)
+    if labels.size == 0:
         raise ValueError("no evaluation rows for this split")
-    scores = model.predict(np.stack(rows))
-    return _score_reid(scores, np.asarray(labels, dtype=np.int64), len(model.classes))
+    return _score_reid(model.predict(x), labels, len(model.classes))
 
 
 # ---------------------------------------------------------------------------

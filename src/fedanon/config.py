@@ -215,6 +215,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         cfg.attack_layer,
     )
     _require(
+        cfg.rounds >= 2, "rounds",
+        "must be >= 2: the siamese matcher pairs two deltas of one device", cfg.rounds,
+    )
+    _require(
         1 <= cfg.epoch_ranges <= cfg.rounds, "epoch_ranges", "must be in [1, rounds]",
         cfg.epoch_ranges,
     )

@@ -139,7 +139,7 @@ def _matching_closed(stages: Stages) -> list[Table]:
 
 def _open_world(stages: Stages) -> list[Table]:
     cfg = stages.cfg
-    ds = stages.dataset(require_closed_world=False)
+    ds = stages.attack_set
     rows = []
     for fraction in cfg.seen_fractions:
         split = open_world_split(ds.users, fraction, seed_from(cfg.seed, "ow-split"))
@@ -234,20 +234,18 @@ def epoch_ranges(rounds: int, n_ranges: int) -> list[tuple[int, int]]:
 
 def _epoch_grid(stages: Stages) -> list[Table]:
     """Train the attack on one round range of shadow deltas, evaluate on
-    another range of anonymous deltas, for every range pair. The model
-    depends only on the train range, so each is fit once, with the seed of
-    its diagonal cell, and scored on every eval range."""
+    another range of anonymous deltas, for every range pair. Each range
+    gets one dataset, whose shadow side trains and whose anonymous side is
+    scored; each range's model is fit once, with the seed of its diagonal
+    cell, and scored on every range's dataset."""
     cfg = stages.cfg
     ranges = epoch_ranges(cfg.rounds, cfg.epoch_ranges)
+    sets = [stages.dataset(train_epoch_range=r, test_epoch_range=r) for r in ranges]
     rows = []
-    for lo, hi in ranges:
-        model = None
-        for eval_range in ranges:
-            # one dataset per cell, so every pair is checked for a closed world
-            ds = stages.dataset(train_epoch_range=(lo, hi), test_epoch_range=eval_range)
-            if model is None:
-                model = train_reid(ds, "mlp", seed_from(cfg.seed, "grid", lo, lo))
-            rows.append([lo, hi, *eval_range, *reid_scores(model, ds)])
+    for (lo, hi), train_ds in zip(ranges, sets):
+        model = train_reid(train_ds, "mlp", seed_from(cfg.seed, "grid", lo, lo))
+        for eval_range, eval_ds in zip(ranges, sets):
+            rows.append([lo, hi, *eval_range, *reid_scores(model, eval_ds)])
     return [
         Table(
             name="epoch_grid",
@@ -285,6 +283,11 @@ def _bias_profile(stages: Stages) -> list[Table]:
     cfg = stages.cfg
     profiles = user_bias_profiles(stages.run.records, stages.spec.output_weight)
     users = stages.world.user_ids()
+    missing = [f"user {u} ({role})" for u in users for role in (ROLE_SHADOW, ROLE_ANONYMOUS)
+               if (u, role) not in profiles]
+    if missing:
+        raise ValueError(f"bias_profile needs a delta from every device; none was logged for "
+                         f"{', '.join(missing)}")
     rows = []
     for u in users:
         own = bias_consistency(profiles[(u, ROLE_SHADOW)], profiles[(u, ROLE_ANONYMOUS)])
@@ -297,7 +300,7 @@ def _bias_profile(stages: Stages) -> list[Table]:
     consistency = Table(
         name="consistency", columns=["user", "self_consistency", "mean_cross_consistency"], rows=rows
     )
-    dist = intra_inter_distances(stages.world, seed=seed_from(cfg.seed, "distances"))
+    dist = intra_inter_distances(stages.world, seed_from(cfg.seed, "distances"))
     distance_rows = [[u, float(dist[u][0]), float(dist[u][1])] for u in users]
     distances = Table(name="distances", columns=["user", "intra_median", "inter_median"], rows=distance_rows)
     profile_rows = []

@@ -141,26 +141,19 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: Literal["sgd", "rmsprop"]
+    """Momentum SGD whose step t has learning rate lr / (1 + lr_decay*t)."""
+
     learning_rate: float
     momentum: float = 0.0
     lr_decay: float = 0.0
-    rho: float = 0.9
-    epsilon: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sgd", "rmsprop"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
 
 
 def sgd(learning_rate: float, momentum: float = 0.0, lr_decay: float = 0.0) -> OptimizerConfig:
-    return OptimizerConfig("sgd", learning_rate, momentum=momentum, lr_decay=lr_decay)
-
-
-def rmsprop(learning_rate: float, rho: float = 0.9, epsilon: float = 1e-7) -> OptimizerConfig:
-    return OptimizerConfig("rmsprop", learning_rate, rho=rho, epsilon=epsilon)
+    return OptimizerConfig(learning_rate, momentum=momentum, lr_decay=lr_decay)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -318,10 +311,6 @@ def _sgd_velocity(
     velocity -= grad
 
 
-def init_optimizer_state(params: ParamVector) -> dict[str, np.ndarray]:
-    return {n: np.zeros_like(a) for n, a in params.layers}
-
-
 def optimizer_step(
     state: dict[str, np.ndarray] | None,
     params: ParamVector,
@@ -329,23 +318,16 @@ def optimizer_step(
     config: OptimizerConfig,
     iteration: int,
 ) -> tuple[ParamVector, dict[str, np.ndarray]]:
-    """One update; returns fresh params and slot state (inputs untouched)."""
+    """One momentum SGD update of a lone model; returns fresh params and
+    velocities (None starts them at zero), leaving the inputs untouched."""
     params._check_compatible(grad)
-    if state is None:
-        state = init_optimizer_state(params)
     new_layers: list[tuple[str, np.ndarray]] = []
     new_state: dict[str, np.ndarray] = {}
-    if config.kind == "sgd":
-        for (name, w), (_, g) in zip(params.layers, grad.layers):
-            v = state[name].copy()
-            _sgd_velocity(config, v, g.copy(), iteration)
-            new_state[name] = v
-            new_layers.append((name, w + v))
-    else:  # rmsprop
-        for (name, w), (_, g) in zip(params.layers, grad.layers):
-            s = config.rho * state[name] + (1.0 - config.rho) * g**2
-            new_state[name] = s
-            new_layers.append((name, w - config.learning_rate * g / (np.sqrt(s) + config.epsilon)))
+    for (name, w), (_, g) in zip(params.layers, grad.layers):
+        v = np.zeros_like(w) if state is None else state[name].copy()
+        _sgd_velocity(config, v, g.copy(), iteration)
+        new_state[name] = v
+        new_layers.append((name, w + v))
     return ParamVector(new_layers), new_state
 
 
@@ -411,8 +393,6 @@ def _train_lockstep(
         raise ValueError("epochs must be >= 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if config.kind != "sgd":
-        raise ValueError(f"training runs momentum SGD, got optimizer {config.kind!r}")
     if len(data) == 0 or len(seeds) != len(data):
         raise ValueError(f"need one seed per (X, Y) pair, got {len(seeds)} seeds for {len(data)} pairs")
     pairs = [_coerce_batch(spec, d) for d in data]

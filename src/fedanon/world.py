@@ -24,6 +24,9 @@ ALBUM_BLEND = 0.5
 
 _PREF_FLOOR = 1e-6  # Dirichlet parameters must stay strictly positive
 
+# size of the global sample each user's inter-user distances are taken to
+DISTANCE_SAMPLE = 500
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -288,12 +291,10 @@ def gen_world(cfg: WorldConfig) -> DatasetBundle:
     return bundle
 
 
-def make_iid_control(bundle: DatasetBundle, seed: int | None = None) -> DatasetBundle:
+def make_iid_control(bundle: DatasetBundle, seed: int) -> DatasetBundle:
     """Unbias device data: permute the pooled union of all prior and private
     rows back into the same per-device slots, so every device keeps its
     example count but loses its owner's class bias."""
-    if seed is None:
-        seed = seed_from(bundle.config.seed, "iid")
     order = bundle.user_ids()
     slots = [side[u] for u in order for side in (bundle.prior, bundle.private)]
     pool = np.concatenate(slots)
@@ -305,12 +306,10 @@ def make_iid_control(bundle: DatasetBundle, seed: int | None = None) -> DatasetB
     return replace(bundle, user_examples=user_examples, prior=prior, private=private)
 
 
-def limit_prior(bundle: DatasetBundle, max_examples: int, seed: int | None = None) -> DatasetBundle:
+def limit_prior(bundle: DatasetBundle, max_examples: int, seed: int) -> DatasetBundle:
     """Cut every user's prior set down to at most `max_examples` (seeded)."""
     if max_examples < 1:
         raise ValueError("max_examples must be >= 1")
-    if seed is None:
-        seed = seed_from(bundle.config.seed, "limit-prior")
     prior: dict[int, np.ndarray] = {}
     for u in bundle.user_ids():
         full = bundle.prior[u]
@@ -322,21 +321,17 @@ def limit_prior(bundle: DatasetBundle, max_examples: int, seed: int | None = Non
     return replace(bundle, prior=prior)
 
 
-def intra_inter_distances(
-    bundle: DatasetBundle, sample_size: int = 500, seed: int | None = None
-) -> dict[int, tuple[float, float]]:
+def intra_inter_distances(bundle: DatasetBundle, seed: int) -> dict[int, tuple[float, float]]:
     """Per-user (intra, inter) median L2 distances on L2-normalized features.
 
     intra: median pairwise distance within the user's pool. inter: median
     distance from the user's pool to a seeded global sample of at most
-    `sample_size` examples.
+    DISTANCE_SAMPLE examples.
     """
-    if seed is None:
-        seed = seed_from(bundle.config.seed, "distances")
     order = bundle.user_ids()
     everything = np.concatenate([bundle.user_examples[u] for u in order])
     all_feats = _normalize_rows(bundle.x[everything])
-    k = min(sample_size, all_feats.shape[0])
+    k = min(DISTANCE_SAMPLE, all_feats.shape[0])
     sample_idx = rng_from(seed, "dist-sample").choice(all_feats.shape[0], size=k, replace=False)
     sample = all_feats[sample_idx]
 

@@ -253,7 +253,7 @@ def test_criterion_08_open_world(pipelines):
     half_iocs, zero_aps = [], []
     for s in SEEDS:
         stages, _ = pipelines[s]
-        ds = stages.dataset(require_closed_world=False)
+        ds = stages.attack_set
         split = open_world_split(ds.users, 0.5, seed_from(s, "ow-split"))
         model = train_reid_openworld(ds, split, seed_from(s, "ow-reid", repr(0.5)))
         half_iocs.append(evaluate_reid_openworld(model, ds, split).ioc)

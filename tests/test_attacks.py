@@ -27,6 +27,7 @@ from fedanon.attacks import (
     evaluate_reid,
     evaluate_reid_openworld,
     open_world_split,
+    rmsprop_step,
     sample_balanced_pairs,
     train_matcher,
     train_reid,
@@ -100,15 +101,21 @@ def test_build_dataset_max_train_per_user():
 
 
 def test_build_dataset_closed_world_violation():
-    # drop user 3's shadow rows: its anonymous rows become unattributable
+    # drop user 3's shadow rows: its anonymous rows become unattributable,
+    # which re-identification rejects when it scores them, while matching,
+    # which needs no user labels, still runs
     records = [
         r for r in cluster_records() if not (r.role == ROLE_SHADOW and r.user_id == 3)
     ]
-    with pytest.raises(ValueError, match="closed-world"):
-        build_attack_dataset(records, REPR)
-    ds = build_attack_dataset(records, REPR, require_closed_world=False)
+    ds = build_attack_dataset(records, REPR)
     assert ds.users == (0, 1, 2)
     assert 3 in set(ds.test_users.tolist())
+    violation = r"closed-world violation: test users \[3\] have no training rows"
+    with pytest.raises(ValueError, match=violation):
+        evaluate_reid(train_reid(ds, "knn"), ds)
+    matcher = train_matcher(ds, "siamese", seed=0)
+    ev = evaluate_matching(matcher, ds.rows_by_user("train"), ds.rows_by_user("test"), n_pairs=40)
+    assert 0.0 <= ev.ap <= 1.0
 
 
 def test_build_dataset_needs_both_sides():
@@ -296,6 +303,14 @@ def test_mlp_product_on_clusters(cluster_ds):
     assert ev.ap > 0.95
     assert ev.chance_ap == pytest.approx(0.5)
     assert ev.n_pairs == 400
+
+
+def test_rmsprop_first_step_value():
+    # s = 0.1*g^2 = 0.1; step = lr*g/(sqrt(0.1)+1e-7) ~= 0.0031623
+    params = ParamVector([("w", np.array([0.0]))])
+    grad = ParamVector([("w", np.array([1.0]))])
+    p, _ = rmsprop_step(params, grad, None)
+    assert p.flat()[0] == pytest.approx(-0.0031623, abs=1e-6)
 
 
 def test_siamese_is_symmetric_and_constant_on_self():

@@ -154,6 +154,7 @@ def test_config_error_exits_2(capsys):
     [
         ("attack_layer", "reid_closed", ["--model-kind", "linear"]),
         ("epoch_ranges", "epoch_grid", ["--rounds", "4", "--epoch-ranges", "5"]),
+        ("rounds", "matching_closed", ["--rounds", "1", "--epoch-ranges", "1"]),
         ("clusters_m", "mitigation", ["--background-size", "60", "--clusters-m", "61"]),
     ],
 )

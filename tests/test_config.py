@@ -91,6 +91,9 @@ def test_range_violations_name_the_key():
         build_config(overrides={"prior_fraction": "1.0"})
     with pytest.raises(ConfigError, match="'attack_methods'"):
         build_config(overrides={"attack_methods": "chance, ouija"})
+    # the siamese matcher's positive pairs are two deltas of one device
+    with pytest.raises(ConfigError, match="'rounds'"):
+        build_config(overrides={"rounds": "1", "epoch_ranges": "1"})
     # keys whose component field has another name
     for key, bad in (("beta", "0"), ("sigma_x", "-1"), ("model_kind", "cnn")):
         with pytest.raises(ConfigError, match=f"'{key}'"):

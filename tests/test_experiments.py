@@ -18,6 +18,7 @@ from fedanon.experiments import (
     run_experiment,
     world_config_from,
 )
+from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW
 from fedanon.reporting import report_to_json
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world, make_iid_control
@@ -202,9 +203,10 @@ def test_run_experiment_rejects_stages_of_another_config():
 
 
 def count_calls(monkeypatch) -> dict[str, list]:
-    """Record every call of the four stage functions a family can repeat,
+    """Record every call of the five stage functions a family can repeat,
     wherever the families reach them."""
-    calls = {name: [] for name in ("gen_world", "run_federated", "nn.train", "MlpReid.fit")}
+    names = ("gen_world", "run_federated", "build_attack_dataset", "nn.train", "MlpReid.fit")
+    calls = {name: [] for name in names}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -215,7 +217,8 @@ def count_calls(monkeypatch) -> dict[str, list]:
 
     monkeypatch.setattr(experiments, "gen_world", counted("gen_world", experiments.gen_world))
     for module in (experiments, mitigation):
-        monkeypatch.setattr(module, "run_federated", counted("run_federated", module.run_federated))
+        for name in ("run_federated", "build_attack_dataset"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(nn, "train", counted("nn.train", nn.train))
     fit = counted("MlpReid.fit", MlpReid.fit)
     monkeypatch.setattr(MlpReid, "fit", staticmethod(fit))
@@ -241,11 +244,14 @@ def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch)
         run_experiment(FAST, family, stages)
     # federations: the default run, the IID control, one per prior_grid
     # entry and one per mitigated grid point
+    # attack datasets: the shared one 1, iid_control 1, layer_sweep 3,
+    # train_amount 2, epoch_grid 2, prior_amount 2, mitigation 5
     # MLP fits: reference 1, iid_control 1, layer_sweep 3, train_amount 2,
     # open_world 1, epoch_grid 2, dataspace 1, prior_amount 2, mitigation 5
     assert {name: len(c) for name, c in calls.items()} == {
         "gen_world": 1,
         "run_federated": 8,
+        "build_attack_dataset": 16,
         "nn.train": 18,
         "MlpReid.fit": 18,
     }
@@ -254,9 +260,11 @@ def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch)
 def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):
     stages = Stages(FAST)
     stages.run
-    fits = count_calls(monkeypatch)["MlpReid.fit"]
+    calls = count_calls(monkeypatch)
     table = run_experiment(FAST, "epoch_grid", stages).table("epoch_grid")
-    assert len(fits) == FAST.epoch_ranges
+    # one dataset per range: its shadow side trains, its anonymous side is scored
+    assert len(calls["build_attack_dataset"]) == FAST.epoch_ranges
+    assert len(calls["MlpReid.fit"]) == FAST.epoch_ranges
     # every cell of a train row is scored by the one model fit with the
     # seed of the row's diagonal cell
     ranges = epoch_ranges(FAST.rounds, FAST.epoch_ranges)
@@ -285,6 +293,20 @@ def test_families_quote_the_one_reference_mlp_fit(reports):
 def test_bias_profile_reads_the_output_weights_whatever_the_attack_layer(reports, layer):
     report = run_experiment(dataclasses.replace(FAST, attack_layer=layer), "bias_profile")
     assert report.tables == reports["bias_profile"].tables
+
+
+def test_bias_profile_names_every_device_that_logged_no_delta():
+    # at this sampling rate some users' devices are never drawn
+    cfg = dataclasses.replace(FAST, client_fraction=0.25)
+    stages = Stages(cfg)
+    logged = {(r.user_id, r.role) for r in stages.run.records}
+    missing = [(u, role) for u in stages.world.user_ids() for role in (ROLE_SHADOW, ROLE_ANONYMOUS)
+               if (u, role) not in logged]
+    assert (1, ROLE_ANONYMOUS) in missing
+    with pytest.raises(ValueError, match="bias_profile needs a delta from every device") as err:
+        run_experiment(cfg, "bias_profile", stages)
+    for u, role in missing:
+        assert f"user {u} ({role})" in str(err.value)
 
 
 def test_stages_federate_accepts_prebuilt_bundle():

@@ -140,15 +140,6 @@ def test_sgd_lr_decay_schedule():
     assert p.flat()[0] == pytest.approx(-1.5)
 
 
-def test_rmsprop_first_step_value():
-    # s = 0.1*g^2 = 0.1; step = lr*g/(sqrt(0.1)+1e-7) ~= 0.0031623
-    cfg = nn.rmsprop(learning_rate=1e-3)
-    params = ParamVector([("w", np.array([0.0]))])
-    grad = ParamVector([("w", np.array([1.0]))])
-    p, _ = nn.optimizer_step(None, params, grad, cfg, iteration=0)
-    assert p.flat()[0] == pytest.approx(-0.0031623, abs=1e-6)
-
-
 def test_train_loss_decreases_on_separable_data():
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.normal(-2, 0.3, size=(40, 2)), rng.normal(2, 0.3, size=(40, 2))])
@@ -262,14 +253,6 @@ def test_train_zero_epochs_returns_fresh_arrays():
     for (_, a), (_, b) in zip(out.layers, params.layers):
         assert np.array_equal(a, b)
         assert not np.shares_memory(a, b)
-
-
-def test_train_rejects_non_sgd_optimizer():
-    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
-    params = nn.init_params(spec, seed=1)
-    with pytest.raises(ValueError, match="momentum SGD"):
-        nn.train(spec, params, (np.ones((3, 2)), np.array([0, 1, 1])), epochs=1,
-                 batch_size=2, config=nn.rmsprop(1e-3), seed=0)
 
 
 def test_predict_proba_rows_sum_to_one(small_bundle):

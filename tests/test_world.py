@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fedanon.seeding import seed_from
 from fedanon.world import (
     DatasetBundle,
     WorldConfig,
@@ -219,7 +220,7 @@ def test_large_concentration_approaches_uniform():
 
 def test_iid_control_removes_user_bias():
     b = gen_world(small_cfg())
-    iid = make_iid_control(b)
+    iid = make_iid_control(b, seed_from(b.config.seed, "iid"))
     # same per-device example counts, and the same pooled rows
     for u in b.user_ids():
         assert len(iid.prior[u]) == len(b.prior[u])
@@ -234,8 +235,8 @@ def test_iid_control_removes_user_bias():
 
 def test_iid_control_is_deterministic():
     b = gen_world(small_cfg())
-    x = make_iid_control(b)
-    y = make_iid_control(b)
+    x = make_iid_control(b, seed_from(b.config.seed, "iid"))
+    y = make_iid_control(b, seed_from(b.config.seed, "iid"))
     for u in b.user_ids():
         np.testing.assert_array_equal(x.prior[u], y.prior[u])
 
@@ -245,7 +246,7 @@ def test_iid_control_is_deterministic():
 
 def test_intra_inter_distance_stats():
     b = gen_world(small_cfg(concentration=0.05, feature_noise=0.3))
-    stats = intra_inter_distances(b)
+    stats = intra_inter_distances(b, seed_from(b.config.seed, "distances"))
     assert set(stats) == set(b.user_ids())
     wins = sum(1 for intra, inter in stats.values() if inter > intra)
     # strongly biased users occupy a narrower slice of feature space
@@ -254,17 +255,18 @@ def test_intra_inter_distance_stats():
 
 def test_limit_prior_caps_and_preserves():
     b = gen_world(small_cfg())
-    cut = limit_prior(b, 5)
+    seed = seed_from(b.config.seed, "limit-prior")
+    cut = limit_prior(b, 5, seed)
     for u in b.user_ids():
         assert len(cut.prior[u]) == min(5, len(b.prior[u]))
         assert set(cut.prior[u]) <= set(b.prior[u])
         # private side untouched
         np.testing.assert_array_equal(cut.private[u], b.private[u])
-    big = limit_prior(b, 10_000)
+    big = limit_prior(b, 10_000, seed)
     for u in b.user_ids():
         np.testing.assert_array_equal(big.prior[u], b.prior[u])
     with pytest.raises(ValueError):
-        limit_prior(b, 0)
+        limit_prior(b, 0, seed)
 
 
 # ------------------------------------------------------- pinned draws
@@ -309,8 +311,8 @@ def test_world_draws_are_pinned():
         "chrono": gen_world(small_cfg(prior_kind="chrono")),
         "photoset": gen_world(small_cfg(prior_kind="photoset")),
         "profile": gen_world(small_cfg(prior_kind="profile", profile_class=1)),
-        "random_iid": make_iid_control(base),
-        "random_limit5": limit_prior(base, 5),
+        "random_iid": make_iid_control(base, seed_from(base.config.seed, "iid")),
+        "random_limit5": limit_prior(base, 5, seed_from(base.config.seed, "limit-prior")),
     }
     assert {name: world_digest(b) for name, b in worlds.items()} == WORLD_DIGESTS
 
@@ -360,7 +362,8 @@ def test_save_load_round_trip_iid_control(tmp_path):
     # the IID control of a profile world puts background rows in private
     # splits and repeats some of them across priors
     for extra in ({}, {"prior_kind": "profile", "profile_class": 1}):
-        iid = make_iid_control(gen_world(small_cfg(**extra)))
+        base = gen_world(small_cfg(**extra))
+        iid = make_iid_control(base, seed_from(base.config.seed, "iid"))
         path = tmp_path / "iid.npz"
         save_bundle(path, iid)
         assert_bundles_equal(iid, load_bundle(path))
