@@ -1,10 +1,9 @@
 """Command line entry points.
 
-Subcommands: gen-world (write a dataset bundle), federate (run FL and dump
-the delta log), attack (run an experiment family and write its report),
-mitigate (shortcut for the mitigation family), report (re-emit a saved
-report in another format). Every config key is mirrored as a --flag;
-precedence is flags > config file > defaults.
+Subcommands: federate (run FL and dump the delta log), attack (run an
+experiment family and write its report), report (re-emit a saved report
+in another format). Every config key is mirrored as a --flag; precedence
+is flags > config file > defaults.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, build_config, world_config_from
+from .config import ConfigError, ExperimentConfig, build_config
 from .deltastore import manifest_for, write_records
 from .experiments import EXPERIMENT_FAMILIES, Stages, run_experiment, utility_table
 from .reporting import report_from_json, table_to_csv, write_report
-from .world import gen_world, save_bundle
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -40,17 +38,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if value is not None:
             overrides[f.name] = value
     return build_config(args.config, overrides)
-
-
-def _cmd_gen_world(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    bundle = gen_world(world_config_from(cfg))
-    out = Path(args.out or (Path(cfg.out_dir) / "world.npz"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_bundle(out, bundle)
-    n = sum(len(v) for v in bundle.user_examples.values())
-    print(f"wrote {out} ({len(bundle.users)} users, {n} pooled examples)")
-    return 0
 
 
 def _cmd_federate(args: argparse.Namespace) -> int:
@@ -77,11 +64,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mitigate(args: argparse.Namespace) -> int:
-    args.family = "mitigation"
-    return _cmd_attack(args)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
     formats = ("json", "csv") if args.format == "both" else (args.format,)
@@ -98,11 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-world", help="generate a dataset bundle (.npz)")
-    _add_config_flags(p)
-    p.add_argument("--out", metavar="FILE", help="output bundle path")
-    p.set_defaults(func=_cmd_gen_world)
-
     p = sub.add_parser("federate", help="run FL and write the delta log")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_federate)
@@ -112,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=EXPERIMENT_FAMILIES)
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p.set_defaults(func=_cmd_attack)
-
-    p = sub.add_parser("mitigate", help="run the mitigation tradeoff sweep")
-    _add_config_flags(p)
-    p.add_argument("--format", choices=("json", "csv", "both"), default="both")
-    p.set_defaults(func=_cmd_mitigate)
 
     p = sub.add_parser("report", help="re-emit a saved JSON report")
     p.add_argument("--report", required=True, metavar="FILE")

@@ -32,6 +32,7 @@ from .attacks import (
     user_bias_profiles,
 )
 from .config import (
+    ConfigError,
     ExperimentConfig,
     config_hash,
     model_spec_from,
@@ -41,7 +42,7 @@ from .config import (
     world_config_from,
 )
 from .deltastore import ReprConfig
-from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, run_federated
+from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, run_federated, sampled_users
 from .mitigation import MitigationConfig, tradeoff_curve
 from .reporting import Report, Table
 from .seeding import seed_from
@@ -374,11 +375,41 @@ FAMILIES = {
 EXPERIMENT_FAMILIES = tuple(FAMILIES)
 
 
+def _check_family_sampling(cfg: ExperimentConfig, family: str) -> None:
+    """Replay the server's device draws, which the config alone fixes, and
+    raise a ConfigError on `client_fraction` before any world is built when
+    they leave `family` without a device it needs beyond what `validate`
+    checks: `epoch_grid` scores every range's anonymous deltas against every
+    range's shadow model, so each epoch range needs every shadow device and
+    some anonymous device; `bias_profile` needs a delta from every device."""
+    if cfg.client_fraction == 1.0 or family not in ("epoch_grid", "bias_profile"):
+        return  # at C = 1 every device trains in every round
+    sampled = sampled_users(cfg.users, round_config_from(cfg))
+    if family == "bias_profile":
+        spans, roles = [(1, cfg.rounds + 1)], (ROLE_SHADOW, ROLE_ANONYMOUS)
+        need = "a delta from every device"
+    else:
+        spans, roles = epoch_ranges(cfg.rounds, cfg.epoch_ranges), (ROLE_SHADOW,)
+        need = "every shadow device and some anonymous device in each epoch range"
+    for lo, hi in spans:
+        seen = {role: set().union(*rounds[lo - 1 : hi - 1]) for role, rounds in sampled.items()}
+        missing = [f"user {u} ({role})" for u in range(cfg.users) for role in roles
+                   if u not in seen[role]]
+        if not seen[ROLE_ANONYMOUS]:
+            missing.append("any anonymous device")
+        if missing:
+            raise ConfigError(
+                f"config key 'client_fraction': {family} needs {need}; rounds [{lo}, {hi}) "
+                f"sample no delta of {', '.join(missing)} (got {cfg.client_fraction!r})"
+            )
+
+
 def run_experiment(cfg: ExperimentConfig, family: str, stages: Stages | None = None) -> Report:
     """Run one family; `stages` shares the world and federation of `cfg`
     across calls and is built fresh when not given."""
     if family not in FAMILIES:
         raise ValueError(f"unknown experiment family {family!r}; expected one of {EXPERIMENT_FAMILIES}")
+    _check_family_sampling(cfg, family)
     if stages is None:
         stages = Stages(cfg)
     elif stages.cfg != cfg:

@@ -23,6 +23,8 @@ from .world import DatasetBundle
 
 ROLE_ANONYMOUS = "anonymous"
 ROLE_SHADOW = "shadow_prior"
+# the roles in device id order (see `build_devices`)
+DEVICE_ROLES = (ROLE_ANONYMOUS, ROLE_SHADOW)
 
 # hook applied by a device to its outgoing delta (mitigations plug in here);
 # the aggregation path itself never branches on it
@@ -92,10 +94,13 @@ class FederatedRun:
 
 
 def build_devices(bundle: DatasetBundle) -> list[DeviceState]:
-    """Two devices per user: anonymous ids 0..U-1, shadow ids U..2U-1."""
+    """Two devices per user, one block of ids per role in `DEVICE_ROLES`
+    order: anonymous ids 0..U-1, shadow ids U..2U-1."""
     order = bundle.user_ids()
+    splits = {ROLE_ANONYMOUS: bundle.private, ROLE_SHADOW: bundle.prior}
     devices = []
-    for role, split in ((ROLE_ANONYMOUS, bundle.private), (ROLE_SHADOW, bundle.prior)):
+    for role in DEVICE_ROLES:
+        split = splits[role]
         for u in order:
             rows = split[u]
             devices.append(DeviceState(device_id=len(devices), user_id=u, role=role,
@@ -118,6 +123,27 @@ def aggregate(global_params: ParamVector, records: list[DeltaRecord]) -> ParamVe
     return global_params + update
 
 
+def sample_devices(n_devices: int, cfg: RoundConfig, round_t: int) -> np.ndarray:
+    """The ids of the max(1, round(C*K)) devices of K that the server
+    samples without replacement in `round_t`, ascending. The draw depends
+    only on the seed, the round, K and C."""
+    m = max(1, int(round(cfg.fraction_c * n_devices)))
+    return np.sort(rng_from(cfg.seed, "sample", round_t).choice(n_devices, size=m, replace=False))
+
+
+def sampled_users(users: int, cfg: RoundConfig) -> dict[str, list[set[int]]]:
+    """For each role, the users 0..users-1 whose device of that role the
+    server samples in each of rounds 1..cfg.rounds (list index t-1), with
+    the device ids of `build_devices`. It replays `sample_devices`, so it
+    needs no world."""
+    sampled = {role: [set() for _ in range(cfg.rounds)] for role in DEVICE_ROLES}
+    for t in range(1, cfg.rounds + 1):
+        for d in sample_devices(len(DEVICE_ROLES) * users, cfg, t).tolist():
+            role, u = divmod(d, users)
+            sampled[DEVICE_ROLES[role]][t - 1].add(u)
+    return sampled
+
+
 def server_round(
     spec: ModelSpec,
     global_params: ParamVector,
@@ -134,12 +160,9 @@ def server_round(
     (batches of min(batch_size, n_k) rows, shuffled by the device's
     ("device-update", round, device id) stream); its delta is local minus
     global. Every sampled device's data is checked before any training."""
-    k = len(devices)
-    if k == 0:
+    if not devices:
         raise ValueError("no devices")
-    m = max(1, int(round(cfg.fraction_c * k)))
-    rng = rng_from(cfg.seed, "sample", round_t)
-    sampled = [devices[i] for i in np.sort(rng.choice(k, size=m, replace=False))]
+    sampled = [devices[i] for i in sample_devices(len(devices), cfg, round_t)]
     trained = nn._train_lockstep(
         spec,
         global_params,

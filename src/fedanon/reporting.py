@@ -12,11 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 Cell = str | int | float
+
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass
@@ -74,18 +77,33 @@ def report_to_json(report: Report) -> str:
 
 
 def report_from_json(text: str) -> Report:
-    doc = json.loads(text)
-    return Report(
-        experiment=doc["experiment"],
-        config=dict(doc["config"]),
-        seed=int(doc["provenance"]["seed"]),
-        version=str(doc["provenance"]["version"]),
-        config_hash=str(doc["provenance"]["config_hash"]),
-        tables=[
-            Table(name=name, columns=list(t["columns"]), rows=[list(r) for r in t["rows"]])
-            for name, t in doc["tables"].items()
-        ],
-    )
+    """Parse a report that `report_to_json` wrote. A missing key, a value
+    of the wrong type, a table cell that is not a string or a number, or
+    text that is not byte for byte what the writer emits for the parsed
+    report raises ValueError."""
+    try:
+        doc = json.loads(text)
+        report = Report(
+            experiment=str(doc["experiment"]),
+            config=dict(doc["config"]),
+            seed=int(doc["provenance"]["seed"]),
+            version=str(doc["provenance"]["version"]),
+            config_hash=str(doc["provenance"]["config_hash"]),
+            tables=[
+                Table(name=name, columns=list(t["columns"]), rows=[list(r) for r in t["rows"]])
+                for name, t in doc["tables"].items()
+            ],
+        )
+    except (KeyError, TypeError, AttributeError, OverflowError) as err:
+        raise ValueError(f"malformed report: {err!r}") from err
+    for t in report.tables:
+        for row in t.rows:
+            for cell in row:
+                if not isinstance(cell, (str, int, float)):
+                    raise ValueError(f"table {t.name!r}: cell {cell!r} is not a string or a number")
+    if report_to_json(report) != text:
+        raise ValueError("report is not in the form the writer emits")
+    return report
 
 
 def table_to_csv(table: Table) -> str:
@@ -101,7 +119,12 @@ def write_report(
     report: Report, out_dir, formats: Sequence[str] = ("json", "csv")
 ) -> list[Path]:
     """Emit the report as report_<experiment>.json and/or one
-    <experiment>_<table>.csv per table; returns the written paths."""
+    <experiment>_<table>.csv per table; returns the written paths. Every
+    experiment and table name must match [A-Za-z0-9_]+, so that each file
+    lands in `out_dir`."""
+    for name in (report.experiment, *(t.name for t in report.tables)):
+        if not _NAME.fullmatch(name):
+            raise ValueError(f"report name {name!r} must match {_NAME.pattern}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

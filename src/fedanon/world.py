@@ -9,7 +9,6 @@ bias remains the dominant identity signal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 import numpy as np
 
@@ -354,107 +353,3 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     return x / norms
 
-
-# ---------------------------------------------------------------------------
-# bundle (de)serialization: one .npz of the columns and every split's row
-# indices (README: "World bundle format")
-
-_COLUMNS = ("x", "y", "t", "album", "user")
-_USER_SPLITS = ("user_examples", "prior", "private")
-_BUNDLE_KEYS = (
-    "config_json", "prototypes", "pref_start", "pref_end", "album_prefs", *_COLUMNS,
-    *(k for side in _USER_SPLITS for k in (side, f"{side}_counts")), "test", "background",
-)
-
-
-def save_bundle(path, bundle: DatasetBundle) -> None:
-    """Write the bundle as a .npz file; a per-user split is stored as one
-    flat index array (users in id order) plus its per-user row counts."""
-    cfg = bundle.config
-    order = bundle.user_ids()
-    arrays: dict[str, np.ndarray] = {
-        "config_json": np.frombuffer(
-            json.dumps(
-                {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}, sort_keys=True
-            ).encode(),
-            dtype=np.uint8,
-        ),
-        "prototypes": bundle.prototypes,
-        "pref_start": np.stack([p.pref_start for p in bundle.users]),
-        "pref_end": np.stack([p.pref_end for p in bundle.users]),
-        "album_prefs": np.stack([np.stack(p.albums) for p in bundle.users]),
-        **{name: getattr(bundle, name) for name in _COLUMNS},
-        "test": bundle.test,
-        "background": bundle.background,
-    }
-    for side in _USER_SPLITS:
-        parts = [getattr(bundle, side)[u] for u in order]
-        arrays[side] = np.concatenate(parts)
-        arrays[f"{side}_counts"] = np.asarray([len(p) for p in parts], dtype=np.int64)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_bundle(path) -> DatasetBundle:
-    """Read a bundle written by `save_bundle`. A missing key, a config that
-    is not a WorldConfig, profile arrays that disagree on the users, columns
-    of unequal length, a split index that is not an integer in [0, N), or
-    per-user counts that do not match the users or the split raise
-    ValueError."""
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    missing = [k for k in _BUNDLE_KEYS if k not in arrays]
-    if missing:
-        raise ValueError(f"bundle lacks the keys {missing}")
-    try:
-        cfg = WorldConfig(**json.loads(bytes(arrays["config_json"]).decode()))
-    except TypeError as err:
-        raise ValueError(f"bundle config is malformed: {err}") from err
-    pref_start, pref_end, albums = (arrays[k] for k in ("pref_start", "pref_end", "album_prefs"))
-    if (
-        pref_start.ndim != 2
-        or pref_end.shape != pref_start.shape
-        or albums.ndim != 3
-        or albums.shape[::2] != pref_start.shape
-    ):
-        raise ValueError("pref_start, pref_end and album_prefs disagree on users or classes")
-    n_users = pref_start.shape[0]
-    shapes = [arrays[name].shape for name in _COLUMNS]
-    if len(shapes[0]) != 2 or any(shape != shapes[0][:1] for shape in shapes[1:]):
-        raise ValueError(f"columns {_COLUMNS} need shapes (N, d) and (N,), got {shapes}")
-    n = shapes[0][0]
-
-    def rows(name: str) -> np.ndarray:
-        idx = arrays[name]
-        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError(f"split {name} must be a 1-d integer array, got {idx.dtype} {idx.shape}")
-        if idx.size and not (0 <= idx.min() and idx.max() < n):
-            raise ValueError(f"split {name} indexes rows outside [0, {n})")
-        return idx.astype(np.int64)
-
-    splits: dict[str, dict[int, np.ndarray]] = {}
-    for side in _USER_SPLITS:
-        flat, counts = rows(side), arrays[f"{side}_counts"]
-        if counts.shape != (n_users,) or not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError(f"{side}_counts must hold one integer per user ({n_users})")
-        if (counts < 0).any() or counts.sum() != flat.size:
-            raise ValueError(f"{side}_counts must be >= 0 and sum to the {flat.size} rows of {side}")
-        splits[side] = dict(enumerate(np.split(flat, np.cumsum(counts)[:-1])))
-    users = [
-        UserProfile(
-            user_id=u,
-            pref_start=pref_start[u],
-            pref_end=pref_end[u],
-            albums=list(albums[u]),
-        )
-        for u in range(n_users)
-    ]
-    return DatasetBundle(
-        config=cfg,
-        users=users,
-        **{name: arrays[name] for name in _COLUMNS},
-        **splits,
-        test=rows("test"),
-        background=rows("background"),
-        prototypes=arrays["prototypes"],
-    )

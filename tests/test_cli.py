@@ -2,15 +2,17 @@
 subcommand writes its documented artifacts, and config errors exit with
 status 2 (operational errors with 1)."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from fedanon import experiments
-from fedanon.cli import main
+from fedanon.cli import build_parser, main
 from fedanon.deltastore import read_records
 from fedanon.reporting import report_from_json
-from fedanon.world import load_bundle
 
 TINY = [
     "--users", "6",
@@ -25,20 +27,6 @@ TINY = [
     "--batch-size", "8",
     "--eta", "0.5",
 ]
-
-
-def test_gen_world_writes_bundle(tmp_path, capsys):
-    out = tmp_path / "w" / "world.npz"
-    assert main(["gen-world", *TINY, "--out", str(out)]) == 0
-    assert "wrote" in capsys.readouterr().out
-    bundle = load_bundle(out)
-    assert len(bundle.users) == 6
-    assert bundle.config.classes == 5
-
-
-def test_gen_world_default_output_location(tmp_path):
-    assert main(["gen-world", *TINY, "--out-dir", str(tmp_path / "runs")]) == 0
-    assert (tmp_path / "runs" / "world.npz").exists()
 
 
 def test_federate_writes_delta_log(tmp_path):
@@ -87,11 +75,12 @@ def test_attack_csv_format(tmp_path):
     assert not (out / "report_reid_closed.json").exists()
 
 
-def test_mitigate_shortcut(tmp_path):
+def test_attack_runs_the_mitigation_family(tmp_path):
     out = tmp_path / "mit"
     rc = main(
         [
-            "mitigate", *TINY,
+            "attack", *TINY,
+            "--family", "mitigation",
             "--noise-grid", "0.1",
             "--repl-grid", "0.5",
             "--aug-grid", "0.5",
@@ -135,16 +124,15 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg_file.write_text("users = 8\nclasses = 5\nfeature_dim = 12\nn_per_user = 60\n"
                         "background_size = 200\nhidden_dim = 8\nrounds = 3\nepoch_ranges = 3\n"
                         "prior_fraction = 0.3\n", encoding="utf-8")
-    out = tmp_path / "w"
-    rc = main(
-        ["gen-world", "--config", str(cfg_file), "--users", "6", "--out", str(out / "world.npz")]
-    )
-    assert rc == 0
-    assert len(load_bundle(out / "world.npz").users) == 6
+    out = tmp_path / "fed"
+    assert main(["federate", "--config", str(cfg_file), "--users", "6", "--out-dir", str(out)]) == 0
+    manifest, _ = read_records(out)
+    assert len(manifest.devices) == 12  # the flag's 6 users beat the file's 8
+    assert manifest.rounds == 3  # taken from the file
 
 
 def test_config_error_exits_2(capsys):
-    assert main(["gen-world", "--users", "1"]) == 2
+    assert main(["federate", "--users", "1"]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["attack", "--family", "reid_closed", "--attack-methods", "ouija"]) == 2
 
@@ -156,6 +144,8 @@ def test_config_error_exits_2(capsys):
         ("epoch_ranges", "epoch_grid", ["--rounds", "4", "--epoch-ranges", "5"]),
         ("rounds", "matching_closed", ["--rounds", "1", "--epoch-ranges", "1"]),
         ("clusters_m", "mitigation", ["--background-size", "60", "--clusters-m", "61"]),
+        # some epoch range misses a shadow device; the whole run samples all
+        ("client_fraction", "epoch_grid", ["--client-fraction", "0.25"]),
     ],
 )
 def test_config_the_family_cannot_run_exits_2_before_any_world(
@@ -171,6 +161,44 @@ def test_operational_error_exits_1(tmp_path, capsys):
     rc = main(["report", "--report", str(tmp_path / "missing.json")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+REPORT = {
+    "experiment": "reid_closed",
+    "provenance": {"seed": 0, "version": "0.1.0", "config_hash": "0123456789abcdef"},
+    "config": {"users": "6"},
+    "tables": {"reid": {"columns": ["method", "ap"], "rows": [["chance", 0.5]]}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param([], id="not_an_object"),
+        pytest.param({**REPORT, "tables": []}, id="tables_a_list"),
+        pytest.param({**REPORT, "tables": {"reid": {"columns": "ab", "rows": []}}},
+                     id="columns_a_string"),
+        pytest.param({**REPORT, "experiment": "../../evil"}, id="experiment_a_path"),
+        pytest.param({**REPORT, "tables": {"reid": {"columns": ["method", "ap"],
+                                                    "rows": [[{"a": 1}, [1, 2]]]}}},
+                     id="cells_not_scalars"),
+    ],
+)
+def test_report_rejects_a_malformed_report(tmp_path, capsys, doc):
+    src = tmp_path / "report.json"
+    src.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    out = tmp_path / "out" / "x" / "y"
+    assert main(["report", "--report", str(src), "--format", "both", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [p for p in tmp_path.rglob("*") if p != src] == []
+
+
+def test_readme_cli_table_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `fedanon ([\w-]+)[^`]*` \|", readme, flags=re.MULTILINE)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == list(sub.choices) == ["federate", "attack", "report"]
 
 
 def test_unknown_family_rejected_by_parser(capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from fedanon import __version__, experiments, mitigation, nn
 from fedanon.attacks import MlpReid, reid_scores, train_reid
-from fedanon.config import ExperimentConfig, config_hash, snapshot
+from fedanon.config import ConfigError, ExperimentConfig, build_config, config_hash, snapshot
 from fedanon.experiments import (
     EXPERIMENT_FAMILIES,
     Stages,
@@ -307,6 +307,46 @@ def test_bias_profile_names_every_device_that_logged_no_delta():
         run_experiment(cfg, "bias_profile", stages)
     for u, role in missing:
         assert f"user {u} ({role})" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "cfg, family, message",
+    [
+        pytest.param(dataclasses.replace(FAST, client_fraction=0.25), "epoch_grid",
+                     r"rounds \[1, 6\) sample no delta of user 0 \(shadow_prior\)", id="fast_grid"),
+        pytest.param(dataclasses.replace(FAST, client_fraction=0.25), "bias_profile",
+                     r"rounds \[1, 11\) sample no delta of user 1 \(anonymous\)",
+                     id="fast_bias"),
+        # round 1 draws both shadow devices and no anonymous one
+        pytest.param(ExperimentConfig(users=2, rounds=3, epoch_ranges=2, client_fraction=0.5),
+                     "epoch_grid", r"rounds \[1, 2\) sample no delta of any anonymous device",
+                     id="range_without_anonymous"),
+    ],
+)
+def test_a_family_rejects_a_client_fraction_that_leaves_it_a_device_unsampled(
+    monkeypatch, cfg, family, message
+):
+    cfg = build_config(overrides=snapshot(cfg))  # the whole run's closed world holds
+    monkeypatch.setattr(experiments, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    with pytest.raises(ConfigError, match=f"config key 'client_fraction': {family} needs .*{message}"):
+        run_experiment(cfg, family)
+
+
+@pytest.mark.parametrize("fraction", ["0.25", "0.1"])
+def test_reid_closed_runs_at_the_default_shape_below_full_participation(fraction):
+    # 40 devices over 50 rounds: a given device goes unsampled with
+    # probability (1 - C)^50, so the whole run's closed world holds
+    cfg = build_config(overrides={"client_fraction": fraction})
+    report = run_experiment(cfg, "reid_closed")
+    assert [row[0] for row in report.tables[0].rows] == list(cfg.attack_methods)
+
+
+def test_every_family_runs_at_an_accepted_client_fraction():
+    cfg = build_config(overrides=snapshot(dataclasses.replace(FAST, client_fraction=0.5)))
+    stages = Stages(cfg)
+    assert len(stages.run.records) == cfg.rounds * cfg.users  # half of the 2U devices per round
+    for family in EXPERIMENT_FAMILIES:
+        assert run_experiment(cfg, family, stages).tables
 
 
 def test_stages_federate_accepts_prebuilt_bundle():

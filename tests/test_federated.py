@@ -18,6 +18,7 @@ from fedanon.federated import (
     build_devices,
     evaluate_task,
     run_federated,
+    sampled_users,
     server_round,
 )
 from fedanon.nn import ModelSpec, ParamVector
@@ -233,6 +234,16 @@ def test_build_devices_layout():
         assert (d.device_id, d.user_id, d.role) == (u + i, i, ROLE_SHADOW)
         np.testing.assert_array_equal(d.x, bundle.x[bundle.prior[i]])
         assert d.n_k == len(bundle.prior[i])
+
+
+def test_sampled_users_replays_the_run_without_a_world():
+    bundle = gen_world(small_cfg())
+    spec = ModelSpec(kind="linear", input_dim=12, output_dim=5)
+    cfg = RoundConfig(fraction_c=0.25, batch_size=8, eta=0.5, rounds=4, seed=3)
+    logged = {(r.round_t, r.role, r.user_id) for r in run_federated(bundle, spec, cfg).records}
+    sampled = sampled_users(len(bundle.user_ids()), cfg)
+    assert {(t + 1, role, u) for role, rounds in sampled.items()
+            for t, users in enumerate(rounds) for u in users} == logged
 
 
 def test_device_state_rejects_bad_role_and_empty():

@@ -103,3 +103,55 @@ def test_write_report_format_selection(tmp_path):
     assert [p.name for p in only_json] == ["report_demo.json"]
     with pytest.raises(ValueError):
         write_report(sample_report(), tmp_path / "x", formats=("xml",))
+
+
+def _edit(change):
+    doc = json.loads(report_to_json(sample_report()))
+    change(doc)
+    return json.dumps(doc, indent=2)
+
+
+def _set_cell(value):
+    return _edit(lambda d: d["tables"]["scores"]["rows"][0].__setitem__(1, value))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param("{", "Expecting", id="not_json"),
+        pytest.param("[]", "malformed", id="not_an_object"),
+        pytest.param(_edit(lambda d: d.pop("provenance")), "malformed", id="missing_key"),
+        pytest.param(_edit(lambda d: d.__setitem__("tables", [])), "malformed", id="tables_a_list"),
+        pytest.param(_edit(lambda d: d["tables"]["scores"].__setitem__("columns", "abc")),
+                     "writer emits", id="columns_a_string"),
+        pytest.param(_edit(lambda d: d["tables"]["scores"]["rows"][0].pop()), "width",
+                     id="ragged_row"),
+        pytest.param(_set_cell({"a": 1}), "not a string or a number", id="cell_an_object"),
+        pytest.param(_set_cell([1, 2]), "not a string or a number", id="cell_an_array"),
+        pytest.param(_set_cell(None), "not a string or a number", id="cell_null"),
+        pytest.param(json.dumps(json.loads(report_to_json(sample_report()))), "writer emits",
+                     id="not_indented"),
+    ],
+)
+def test_report_from_json_rejects_a_malformed_report(text, message):
+    with pytest.raises(ValueError, match=message):
+        report_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "where,name",
+    [
+        ("experiment", "../evil"),
+        ("experiment", ""),
+        ("table", "a/b"),
+    ],
+)
+def test_write_report_rejects_a_name_that_leaves_the_output_directory(tmp_path, where, name):
+    report = sample_report()
+    if where == "experiment":
+        report.experiment = name
+    else:
+        report.tables[0].name = name
+    with pytest.raises(ValueError, match="must match"):
+        write_report(report, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
