@@ -21,30 +21,25 @@ from fedanon.reporting import Report, Table, write_report
 
 
 def summarize(tables: list[Table]) -> Table:
-    """Collapse one table's per-seed copies: rows are matched on their
-    non-float cells, float columns become mean/lo/hi."""
+    """Collapse one table's per-seed copies: rows are matched by position
+    and must agree on their non-float cells, float columns become
+    mean/lo/hi."""
     base = tables[0]
     is_float = [any(isinstance(r[i], float) for r in base.rows) for i in range(len(base.columns))]
     columns: list[str] = []
     for name, f in zip(base.columns, is_float):
         columns += [f"{name}_mean", f"{name}_lo", f"{name}_hi"] if f else [name]
 
-    grouped: dict[tuple, list[list[float]]] = {}
-    for t in tables:
-        for row in t.rows:
-            key = tuple(c for c, f in zip(row, is_float) if not f)
-            grouped.setdefault(key, []).append([c for c, f in zip(row, is_float) if f])
+    if any(len(t.rows) != len(base.rows) for t in tables):
+        raise ValueError(f"table {base.name!r}: row counts differ across seeds")
     rows = []
-    for key, values in grouped.items():
-        if len(values) != len(tables):
-            raise ValueError(f"table {base.name!r}: row {key} missing from some seeds")
-        stats = iter(
-            (sum(col) / len(col), min(col), max(col)) for col in zip(*values)
-        )
-        keys = iter(key)
+    for position, copies in enumerate(zip(*(t.rows for t in tables))):
+        keys = {tuple(c for c, f in zip(row, is_float) if not f) for row in copies}
+        if len(keys) != 1:
+            raise ValueError(f"table {base.name!r}: row {position} differs across seeds in {keys}")
         row: list = []
-        for f in is_float:
-            row += list(next(stats)) if f else [next(keys)]
+        for cells, f in zip(zip(*copies), is_float):
+            row += [sum(cells) / len(cells), min(cells), max(cells)] if f else [cells[0]]
         rows.append(row)
     return Table(name=base.name, columns=columns, rows=rows)
 

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import nn
+from .blocks import row_blocks
 from .deltastore import ReprConfig, filter_records, represent_delta
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from .metrics import (
@@ -488,11 +489,14 @@ def evaluate_matching(
     n_pairs: int = 2000,
     seed: int = 0,
 ) -> MatchEvaluation:
-    """AP over a balanced set of evaluation pairs; chance is the positive
-    prevalence (0.5 by construction)."""
+    """AP over a balanced set of evaluation pairs, scored a block of pairs
+    at a time; chance is the positive prevalence (0.5 by construction)."""
     rng = rng_from(seed, "match-eval")
     a, b, y = sample_balanced_pairs(side_a, side_b, n_pairs, rng)
-    scores = model.predict_pairs(a, b)
+    # per pair, a matcher holds a row of each side's input or hidden layer
+    width = max(a.shape[1], SIAMESE_EMBED, MLP_HIDDEN)
+    blocks = row_blocks(len(y), 2 * width * a.itemsize)
+    scores = np.concatenate([model.predict_pairs(a[rows], b[rows]) for rows in blocks])
     ap = average_precision(scores, y > 0.5)
     chance = float(y.mean())
     return MatchEvaluation(

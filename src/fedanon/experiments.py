@@ -7,6 +7,7 @@ configs reproduce identical tables, whether or not their stages are shared.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -404,11 +405,59 @@ def _check_family_sampling(cfg: ExperimentConfig, family: str) -> None:
             )
 
 
+def _open_world_gap(
+    cfg: ExperimentConfig, shadow: dict[int, int], anonymous: dict[int, int]
+) -> str:
+    """What `_open_world` lacks, or "" when it runs, given how many deltas
+    each user's shadow and anonymous device logs (users that log none are
+    left out). At each seen fraction the siamese matcher trains on the
+    shadow deltas of the holdout and seen users and is scored on the
+    anonymous deltas of the seen and unseen users: each side needs 2 users,
+    one of them with 2 deltas to form a positive pair."""
+    users = sorted(shadow)
+    if len(users) < 3:
+        return f"shadow deltas from 3 users; {len(users)} log any"
+    for fraction in cfg.seen_fractions:
+        split = open_world_split(users, fraction, seed_from(cfg.seed, "ow-split"))
+        for side, counts, names, group in (
+            ("shadow", shadow, "holdout and seen", split.holdout + split.seen),
+            ("anonymous", anonymous, "seen and unseen", split.seen + split.unseen),
+        ):
+            logged = [counts[u] for u in group if u in counts]
+            if len(logged) < 2 or max(logged) < 2:
+                return (f"at seen fraction {fraction!r}, {side} deltas from 2 of the {names} "
+                        f"users {list(group)}, and 2 from one of them; they log {logged}")
+    return ""
+
+
+def _check_open_world(cfg: ExperimentConfig) -> None:
+    """Replay `open_world_split` on the devices the server samples and raise
+    a ConfigError before any world is built where `_open_world` would
+    fail: on `client_fraction` when full participation would run it, else
+    on `users` or `seen_fractions`."""
+    everyone = {u: cfg.rounds for u in range(cfg.users)}
+    gap = _open_world_gap(cfg, everyone, everyone)
+    key = "users" if cfg.users < 3 else "seen_fractions"
+    value = getattr(cfg, key)
+    if not gap and cfg.client_fraction < 1.0:
+        sampled = sampled_users(cfg.users, round_config_from(cfg))
+        shadow, anonymous = (
+            Counter(u for rounds in sampled[role] for u in rounds)
+            for role in (ROLE_SHADOW, ROLE_ANONYMOUS)
+        )
+        gap = _open_world_gap(cfg, shadow, anonymous)
+        key, value = "client_fraction", cfg.client_fraction
+    if gap:
+        raise ConfigError(f"config key {key!r}: open_world needs {gap} (got {value!r})")
+
+
 def run_experiment(cfg: ExperimentConfig, family: str, stages: Stages | None = None) -> Report:
     """Run one family; `stages` shares the world and federation of `cfg`
     across calls and is built fresh when not given."""
     if family not in FAMILIES:
         raise ValueError(f"unknown experiment family {family!r}; expected one of {EXPERIMENT_FAMILIES}")
+    if family == "open_world":
+        _check_open_world(cfg)
     _check_family_sampling(cfg, family)
     if stages is None:
         stages = Stages(cfg)

@@ -10,12 +10,14 @@ cluster) rewrite the device's private data before the run starts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .attacks import build_attack_dataset, mlp_reid_scores
+from .blocks import squared_distances
 from .deltastore import ReprConfig
 from .federated import (
     ROLE_ANONYMOUS,
@@ -132,7 +134,7 @@ def cluster_background(features: np.ndarray, m: int, seed: int = 0) -> KMeansRes
     assignments = np.zeros(n, dtype=np.int64)
     history: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
-        dist = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dist = squared_distances(x, centroids)
         new_assign = dist.argmin(axis=1)
         history.append(float(dist[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assignments) and len(history) > 1:
@@ -179,22 +181,33 @@ def apply_data_strategy(
     return np.concatenate([rows, draws])
 
 
-def mitigate_bundle(bundle: DatasetBundle, cfg: MitigationConfig) -> DatasetBundle:
+def background_clusters(bundle: DatasetBundle, clusters_m: int, seed: int) -> KMeansResult:
+    """The k-means clustering of the background rows that `mm_aug` draws
+    from at `clusters_m` clusters and mitigation seed `seed`."""
+    return cluster_background(
+        bundle.x[bundle.background], clusters_m, seed_from(seed, "mm-clusters")
+    )
+
+
+def mitigate_bundle(
+    bundle: DatasetBundle, cfg: MitigationConfig, clusters: KMeansResult | None = None
+) -> DatasetBundle:
     """Apply a data-side strategy to every user's private split. The prior
     splits, test split and background are returned untouched; `noise` (and
-    any zero-strength config) is an identity here."""
+    any zero-strength config) is an identity here. `mm_aug` draws from
+    `clusters`, the `background_clusters` of `cfg`, fitted here when not
+    given."""
     if cfg.strategy == "noise" or cfg.is_identity():
         return bundle
     order = bundle.user_ids()
     pools: dict[int, np.ndarray] = {}
     if cfg.strategy == "mm_aug":
-        result = cluster_background(
-            bundle.x[bundle.background], cfg.clusters_m, seed_from(cfg.seed, "mm-clusters")
-        )
+        if clusters is None:
+            clusters = background_clusters(bundle, cfg.clusters_m, cfg.seed)
         for u in order:
             # each user commits to one randomly assigned cluster
             pick = int(rng_from(cfg.seed, "mm-pick", u).integers(cfg.clusters_m))
-            chosen = bundle.background[result.assignments == pick]
+            chosen = bundle.background[clusters.assignments == pick]
             pools[u] = chosen if len(chosen) else bundle.background
     else:
         for u in order:
@@ -223,19 +236,22 @@ def tradeoff_curve(
     The grid must contain a zero-strength config to anchor the
     normalization. `anchor_run`, when given, is the unmitigated federation
     of `bundle` at `fed_cfg`, and the anchor attacks it instead of running
-    the federation again.
+    the federation again. The `mm_aug` points share one background
+    clustering per (clusters_m, seed).
     """
     if not any(cfg.is_identity() for cfg in grid):
         raise ValueError("grid must include the no-mitigation point")
 
     baseline: tuple[float, float, float, float] | None = None
+    clusters = functools.cache(functools.partial(background_clusters, bundle))
 
     def run_point(cfg: MitigationConfig) -> tuple[float, float, float, float]:
         if cfg.is_identity() and anchor_run is not None:
             run = anchor_run
         else:
             hook = make_noise_hook(cfg.sigma2, cfg.seed) if cfg.strategy == "noise" else None
-            run = run_federated(mitigate_bundle(bundle, cfg), spec, fed_cfg, delta_hook=hook)
+            fit = clusters(cfg.clusters_m, cfg.seed) if cfg.strategy == "mm_aug" else None
+            run = run_federated(mitigate_bundle(bundle, cfg, fit), spec, fed_cfg, delta_hook=hook)
         ds = build_attack_dataset(run.records, repr_cfg)
         ap, chance, ioc = mlp_reid_scores(ds, seed_from(attack_seed, "tradeoff-attack"))
         return ap, chance, ioc, run.utility[-1]

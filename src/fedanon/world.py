@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import numpy as np
 
+from .blocks import squared_distances
 from .seeding import rng_from, seed_from
 
 PRIOR_KINDS = ("random", "chrono", "photoset", "profile")
@@ -339,11 +340,9 @@ def intra_inter_distances(bundle: DatasetBundle, seed: int) -> dict[int, tuple[f
         feats = _normalize_rows(bundle.x[bundle.user_examples[u]])
         if feats.shape[0] < 2:
             raise ValueError(f"user {u} needs >= 2 examples for distance stats")
-        diffs = feats[:, None, :] - feats[None, :, :]
-        d = np.linalg.norm(diffs, axis=2)
+        d = np.sqrt(squared_distances(feats, feats))
         intra = float(np.median(d[np.triu_indices(feats.shape[0], k=1)]))
-        cross = np.linalg.norm(feats[:, None, :] - sample[None, :, :], axis=2)
-        inter = float(np.median(cross))
+        inter = float(np.median(np.sqrt(squared_distances(feats, sample))))
         out[u] = (intra, inter)
     return out
 

@@ -40,6 +40,7 @@ from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from fedanon.nn import ParamVector
 from fedanon.world import gen_world
 
+from broadcast_oracle import one_batch_matching, traced_peak
 from test_world import small_cfg
 
 LAYER_SHAPE = (2, 4)  # flattens to 8-dim attack vectors
@@ -303,6 +304,17 @@ def test_mlp_product_on_clusters(cluster_ds):
     assert ev.ap > 0.95
     assert ev.chance_ap == pytest.approx(0.5)
     assert ev.n_pairs == 400
+
+
+def test_evaluate_matching_scores_pairs_in_blocks():
+    # 8000 pairs of 4-d rows: scored in one batch, the siamese encoder holds
+    # several (8000, 128) float64 activations of 8 MB each
+    rng = np.random.default_rng(0)
+    rows = {u: rng.normal(u, 0.1, size=(5, 4)) for u in range(4)}
+    model = SiameseMatcher(SiameseMatcher.init_params(4, seed=0))
+    bound = 5 * 2**20
+    assert traced_peak(evaluate_matching, model, rows, rows, n_pairs=8000) < bound
+    assert traced_peak(one_batch_matching, model, rows, rows, n_pairs=8000) > 5 * bound
 
 
 def test_rmsprop_first_step_value():

@@ -146,6 +146,9 @@ def test_config_error_exits_2(capsys):
         ("clusters_m", "mitigation", ["--background-size", "60", "--clusters-m", "61"]),
         # some epoch range misses a shadow device; the whole run samples all
         ("client_fraction", "epoch_grid", ["--client-fraction", "0.25"]),
+        # of the holdout and seen users at seen fraction 0, only one is sampled
+        ("client_fraction", "open_world",
+         ["--users", "6", "--rounds", "10", "--client-fraction", "0.1", "--seed", "3"]),
     ],
 )
 def test_config_the_family_cannot_run_exits_2_before_any_world(

@@ -332,6 +332,80 @@ def test_a_family_rejects_a_client_fraction_that_leaves_it_a_device_unsampled(
         run_experiment(cfg, family)
 
 
+def open_world_outcomes(cfg):
+    """The error of the pre-world check and of the family itself (run on
+    its own, past the check), each None when it passes."""
+    outcomes = []
+    for run in (experiments._check_open_world,
+                lambda cfg: experiments.FAMILIES["open_world"](Stages(cfg))):
+        try:
+            run(cfg)
+            outcomes.append(None)
+        except ValueError as err:  # ConfigError is a ValueError
+            outcomes.append(err)
+    return outcomes
+
+
+def test_open_world_check_raises_exactly_where_the_family_fails():
+    raised = ran = 0
+    for fraction in (0.1, 0.25):
+        for seed in range(10):
+            try:
+                cfg = build_config(overrides=snapshot(
+                    dataclasses.replace(FAST, client_fraction=fraction, seed=seed)))
+            except ConfigError:
+                continue  # the whole run's closed world fails; see test_config
+            check, family = open_world_outcomes(cfg)
+            assert (check is None) == (family is None), (fraction, seed, check, family)
+            if check is not None:
+                assert isinstance(check, ConfigError) and "'client_fraction'" in str(check)
+            raised += check is not None
+            ran += check is None
+    assert raised >= 2 and ran >= 2  # seeds 3 and 5 at C = 0.1 fail; most others run
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        # only user 5 is sampled of the holdout and seen users
+        (3, r"shadow deltas from 2 of the holdout and seen users \[5\], .* they log \[1\]"),
+        # two users, one shadow delta each: no positive pair
+        (5, r"shadow deltas from 2 of the .* and 2 from one of them; they log \[1, 1\]"),
+    ],
+)
+def test_open_world_rejects_a_client_fraction_before_any_world(monkeypatch, seed, message):
+    cfg = build_config(overrides=snapshot(
+        dataclasses.replace(FAST, client_fraction=0.1, seed=seed)))
+    monkeypatch.setattr(experiments, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    with pytest.raises(ConfigError, match=f"config key 'client_fraction': open_world needs at "
+                                          f"seen fraction 0.0, {message}"):
+        run_experiment(cfg, "open_world")
+
+
+def test_open_world_needs_two_anonymous_users_one_with_two_deltas():
+    shadow = {u: 3 for u in range(FAST.users)}
+    assert experiments._open_world_gap(FAST, shadow, shadow) == ""
+    gap = experiments._open_world_gap(FAST, shadow, {u: 1 for u in range(FAST.users)})
+    assert "anonymous deltas from 2 of the seen and unseen users" in gap
+    assert "shadow deltas from 3 users; 2 log any" in experiments._open_world_gap(
+        FAST, {0: 3, 1: 3}, {0: 3, 1: 3})
+
+
+def test_open_world_with_a_one_user_holdout_needs_a_seen_user(monkeypatch):
+    # 4 users: the holdout is round(4/3) = 1 user, so at seen fraction 0 the
+    # siamese matcher would have a single user to train on
+    small = {"users": "4", "rounds": "6", "n_per_user": "40", "background_size": "60",
+             "epoch_ranges": "2"}
+    cfg = build_config(overrides=small)
+    monkeypatch.setattr(experiments, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    with pytest.raises(ConfigError, match="config key 'seen_fractions': open_world needs at "
+                                          "seen fraction 0.0, shadow deltas from 2"):
+        run_experiment(cfg, "open_world")
+    monkeypatch.undo()
+    runnable = build_config(overrides={**small, "seen_fractions": "0.5,1"})
+    assert len(run_experiment(runnable, "open_world").table("open_world").rows) == 2
+
+
 @pytest.mark.parametrize("fraction", ["0.25", "0.1"])
 def test_reid_closed_runs_at_the_default_shape_below_full_participation(fraction):
     # 40 devices over 50 rounds: a given device goes unsampled with

@@ -22,6 +22,7 @@ from fedanon.nn import ModelSpec, ParamVector
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world
 
+from broadcast_oracle import broadcast_squared_distances, traced_peak
 from test_world import small_cfg
 
 
@@ -156,6 +157,18 @@ def test_kmeans_degenerate_and_invalid():
         cluster_background(x, m=4)
     with pytest.raises(ValueError):
         cluster_background(np.zeros((0, 2)), m=1)
+
+
+def test_kmeans_assigns_points_in_blocks():
+    # 2000 points in 64-d against 50 centroids: the one-shot broadcast of the
+    # assignment step holds a 51 MB (2000, 50, 64) difference tensor
+    rng = np.random.default_rng(4)
+    centers = 5.0 * rng.normal(size=(50, 64))
+    x = centers[rng.integers(50, size=2000)] + rng.normal(size=(2000, 64))
+    bound = 4 * 2**20
+    assert traced_peak(cluster_background, x, 50, 0) < bound
+    centroids = x[:50].copy()
+    assert traced_peak(broadcast_squared_distances, x, centroids) > 5 * bound
 
 
 def test_kmeans_deterministic():
@@ -330,3 +343,19 @@ def test_tradeoff_anchor_run_gives_the_points_of_a_fresh_anchor(monkeypatch):
     reused = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0, anchor_run=anchor_run)
     assert reused == fresh
     assert len(calls) == 1  # only the noise point federates
+
+
+def test_tradeoff_fits_kmeans_once_for_all_mm_aug_points(monkeypatch):
+    bundle, spec, fed, repr_cfg = tiny_setup()
+    anchor = MitigationConfig("noise", sigma2=0.0, seed=1)
+    mm = [MitigationConfig("mm_aug", alpha=a, clusters_m=4, seed=1) for a in (0.5, 1.0, 2.0)]
+    # each point alone, with its own k-means fit
+    alone = [tradeoff_curve(bundle, spec, fed, repr_cfg, [anchor, cfg])[1] for cfg in mm]
+    calls = []
+    monkeypatch.setattr(
+        mitigation, "cluster_background",
+        lambda *a, **k: calls.append(1) or cluster_background(*a, **k),
+    )
+    points = tradeoff_curve(bundle, spec, fed, repr_cfg, [anchor, *mm])
+    assert len(calls) == 1
+    assert points[1:] == alone

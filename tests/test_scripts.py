@@ -9,7 +9,7 @@ import pytest
 
 from fedanon.config import build_config
 from fedanon.experiments import run_experiment
-from fedanon.reporting import report_from_json, report_to_json
+from fedanon.reporting import Table, report_from_json, report_to_json
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -90,3 +90,42 @@ def test_seed_sweep_writes_per_seed_and_seedmean_reports(tmp_path, capsys):
         assert row[i_mean] == pytest.approx(sum(aps) / 2)
         assert row[i_mean + 1 : i_mean + 3] == [min(aps), max(aps)]
     assert "over seeds [0, 1]" in capsys.readouterr().out
+
+
+def test_seed_sweep_matches_mitigation_rows_by_position(tmp_path):
+    # the noise rows share their only non-float cell, the strategy
+    grids = ["--set", "noise_grid=0.1,1.0", "--set", "repl_grid=0.5", "--set", "aug_grid=1.0"]
+    out = tmp_path / "sweep"
+    rc = load_script("seed_sweep").main(
+        [*SET_FLAGS, *grids, "--seeds", "0", "1", "--families", "mitigation", "--out-dir", str(out)]
+    )
+    assert rc == 0
+    summary = report_from_json(
+        (out / "report_mitigation_seedmean.json").read_text(encoding="utf-8")
+    ).table("tradeoff")
+    per_seed = [
+        report_from_json((out / f"seed{s}" / "report_mitigation.json").read_text(encoding="utf-8"))
+        .table("tradeoff") for s in (0, 1)
+    ]
+    assert [row[0] for row in summary.rows] == ["noise", "noise", "noise", "bkg_repl", "rand_aug",
+                                                "mm_aug"]
+    i_value, i_ap = summary.columns.index("value_mean"), summary.columns.index("attacker_ap_mean")
+    for row, *seed_rows in zip(summary.rows, *(t.rows for t in per_seed)):
+        assert row[i_value : i_value + 3] == [seed_rows[0][1]] * 3
+        aps = [r[2] for r in seed_rows]
+        assert row[i_ap : i_ap + 3] == [sum(aps) / 2, min(aps), max(aps)]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["noise", 0.1]], "row counts differ"),
+        ([["noise", 0.1], ["mm_aug", 1.0]], "row 1 differs across seeds"),
+    ],
+)
+def test_seed_sweep_summary_rejects_rows_that_do_not_line_up(rows, message):
+    first = Table(name="tradeoff", columns=["strategy", "value"],
+                  rows=[["noise", 0.1], ["rand_aug", 1.0]])
+    other = Table(name="tradeoff", columns=["strategy", "value"], rows=rows)
+    with pytest.raises(ValueError, match=message):
+        load_script("seed_sweep").summarize([first, other])

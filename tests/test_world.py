@@ -19,6 +19,8 @@ from fedanon.world import (
     user_pref_at,
 )
 
+from broadcast_oracle import broadcast_intra_inter, traced_peak
+
 COLUMNS = ("x", "y", "t", "album", "user")
 
 
@@ -278,6 +280,15 @@ def test_intra_inter_distance_stats():
     wins = sum(1 for intra, inter in stats.values() if inter > intra)
     # strongly biased users occupy a narrower slice of feature space
     assert wins >= len(stats) - 1
+
+
+def test_intra_inter_distances_work_in_blocks():
+    # pools of 320 rows against themselves and a 500-row sample: the one-shot
+    # broadcast holds a 41 MB (320, 500, 32) difference tensor and its square
+    bundle = gen_world(WorldConfig(users=2, n_per_user=400, feature_dim=32, background_size=10))
+    bound = 8 * 2**20
+    assert traced_peak(intra_inter_distances, bundle, 0) < bound
+    assert traced_peak(broadcast_intra_inter, bundle, 0) > 5 * bound
 
 
 def test_limit_prior_caps_and_preserves():
