@@ -209,7 +209,7 @@ class MlpReid:
             (train_x, train_y),
             epochs=MLP_EPOCHS,
             batch_size=MLP_BATCH,
-            config=nn.sgd(MLP_LR, momentum=MLP_MOMENTUM, lr_decay=MLP_LR_DECAY),
+            config=nn.OptimizerConfig(MLP_LR, momentum=MLP_MOMENTUM, lr_decay=MLP_LR_DECAY),
             seed=seed_from(seed, "mlp-train"),
         )
         return MlpReid(spec, params, classes)

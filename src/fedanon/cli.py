@@ -13,6 +13,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .atomic import replace_files
 from .config import ConfigError, ExperimentConfig, build_config
 from .deltastore import manifest_for, write_records
 from .experiments import EXPERIMENT_FAMILIES, Stages, run_experiment, utility_table
@@ -46,7 +47,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
     run = stages.run
     out = Path(cfg.out_dir)
     write_records(out, manifest_for(run.records, stages.spec.layout(), cfg.rounds), run.records)
-    (out / "utility.csv").write_text(table_to_csv(utility_table(run)), encoding="utf-8", newline="")
+    replace_files({out / "utility.csv": table_to_csv(utility_table(run)).encode()})
     print(
         f"wrote {out}/manifest.json, deltas.bin, utility.csv "
         f"({len(run.records)} records, final score {run.utility[-1]:.3f})"

@@ -118,10 +118,11 @@ def snapshot(cfg: ExperimentConfig) -> dict[str, str]:
     return {f.name: _canonical(getattr(cfg, f.name)) for f in fields(ExperimentConfig)}
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of every key that can change results; `out_dir` only says where
-    they are written."""
-    text = "\n".join(f"{k} = {v}" for k, v in snapshot(cfg).items() if k != "out_dir")
+def config_hash(cfg: ExperimentConfig | dict[str, str]) -> str:
+    """Hash of every key that can change results, of a config or of the
+    snapshot a report records; `out_dir` only says where they are written."""
+    values = cfg if isinstance(cfg, dict) else snapshot(cfg)
+    text = "\n".join(f"{k} = {v}" for k, v in values.items() if k != "out_dir")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 

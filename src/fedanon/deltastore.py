@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import replace_files
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from .nn import ParamVector
 from .seeding import rng_from
@@ -140,16 +140,7 @@ def write_records(path, manifest: DeltaManifest, records: Sequence[DeltaRecord])
         devices=list(manifest.devices),
         index=index,
     )
-    contents = {PAYLOAD_NAME: payload, MANIFEST_NAME: written.to_json()}
-    temps = {name: directory / f".{name}.tmp" for name in contents}
-    try:
-        for name, data in contents.items():
-            temps[name].write_bytes(data)
-        for name, temp in temps.items():
-            os.replace(temp, directory / name)
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
+    replace_files({directory / PAYLOAD_NAME: payload, directory / MANIFEST_NAME: written.to_json()})
     return written
 
 

@@ -169,7 +169,7 @@ def server_round(
         [(d.x, d.y) for d in sampled],
         epochs=cfg.local_epochs,
         batch_size=cfg.batch_size,
-        config=nn.sgd(cfg.eta),
+        config=nn.OptimizerConfig(cfg.eta),
         seeds=[seed_from(cfg.seed, "device-update", round_t, d.device_id) for d in sampled],
     )
     records = []

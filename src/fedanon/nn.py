@@ -122,22 +122,6 @@ class ParamVector:
             if not np.isfinite(a).all():
                 raise ValueError(f"non-finite values in layer {n!r}")
 
-    @staticmethod
-    def from_flat(
-        layout: "Sequence[tuple[str, tuple[int, ...]]] | ParamVector", vec: np.ndarray
-    ) -> "ParamVector":
-        if isinstance(layout, ParamVector):
-            layout = [(n, a.shape) for n, a in layout.layers]
-        vec = np.asarray(vec, dtype=np.float64)
-        sizes = [int(np.prod(shape)) for _, shape in layout]
-        if vec.size != sum(sizes):
-            raise ValueError(f"flat vector of size {vec.size} does not match layout {layout}")
-        out, pos = [], 0
-        for (name, shape), size in zip(layout, sizes):
-            out.append((name, vec[pos : pos + size].reshape(shape).copy()))
-            pos += size
-        return ParamVector(out)
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -150,10 +134,6 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-
-
-def sgd(learning_rate: float, momentum: float = 0.0, lr_decay: float = 0.0) -> OptimizerConfig:
-    return OptimizerConfig(learning_rate, momentum=momentum, lr_decay=lr_decay)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -234,14 +214,6 @@ def _coerce_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def compute_loss(spec: ModelSpec, params: ParamVector, batch) -> float:
-    """Mean softmax cross-entropy of one batch."""
-    x, y = _coerce_batch(spec, batch)
-    p = softmax(forward_batch(spec, params, x))
-    picked = np.clip(p[np.arange(x.shape[0]), y], PROB_EPS, 1.0 - PROB_EPS)
-    return float(-np.log(picked).mean())
-
-
 def _dlogits(z: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """Gradient of each model's mean softmax cross-entropy w.r.t. its
     logits, written over the logits z (G, r, output_dim); hit (G, r) holds
@@ -309,26 +281,6 @@ def _sgd_velocity(
     velocity *= config.momentum
     grad *= config.learning_rate / (1.0 + config.lr_decay * iteration)
     velocity -= grad
-
-
-def optimizer_step(
-    state: dict[str, np.ndarray] | None,
-    params: ParamVector,
-    grad: ParamVector,
-    config: OptimizerConfig,
-    iteration: int,
-) -> tuple[ParamVector, dict[str, np.ndarray]]:
-    """One momentum SGD update of a lone model; returns fresh params and
-    velocities (None starts them at zero), leaving the inputs untouched."""
-    params._check_compatible(grad)
-    new_layers: list[tuple[str, np.ndarray]] = []
-    new_state: dict[str, np.ndarray] = {}
-    for (name, w), (_, g) in zip(params.layers, grad.layers):
-        v = np.zeros_like(w) if state is None else state[name].copy()
-        _sgd_velocity(config, v, g.copy(), iteration)
-        new_state[name] = v
-        new_layers.append((name, w + v))
-    return ParamVector(new_layers), new_state
 
 
 def _plan(

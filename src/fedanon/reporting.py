@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .atomic import replace_files
+
 Cell = str | int | float
 
 _NAME = re.compile(r"[A-Za-z0-9_]+")
@@ -119,25 +121,22 @@ def write_report(
     report: Report, out_dir, formats: Sequence[str] = ("json", "csv")
 ) -> list[Path]:
     """Emit the report as report_<experiment>.json and/or one
-    <experiment>_<table>.csv per table; returns the written paths. Every
-    experiment and table name must match [A-Za-z0-9_]+, so that each file
-    lands in `out_dir`."""
+    <experiment>_<table>.csv per table, all or none of them; returns the
+    written paths. Every experiment and table name must match
+    [A-Za-z0-9_]+, so that each file lands in `out_dir`."""
     for name in (report.experiment, *(t.name for t in report.tables)):
         if not _NAME.fullmatch(name):
             raise ValueError(f"report name {name!r} must match {_NAME.pattern}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    contents: dict[Path, bytes] = {}
     for fmt in formats:
         if fmt == "json":
-            path = out / f"report_{report.experiment}.json"
-            path.write_text(report_to_json(report), encoding="utf-8")
-            written.append(path)
+            contents[out / f"report_{report.experiment}.json"] = report_to_json(report).encode()
         elif fmt == "csv":
             for t in report.tables:
-                path = out / f"{report.experiment}_{t.name}.csv"
-                path.write_text(table_to_csv(t), encoding="utf-8", newline="")
-                written.append(path)
+                contents[out / f"{report.experiment}_{t.name}.csv"] = table_to_csv(t).encode()
         else:
             raise ValueError(f"unknown report format {fmt!r}")
-    return written
+    out.mkdir(parents=True, exist_ok=True)
+    replace_files(contents)
+    return list(contents)

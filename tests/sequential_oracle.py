@@ -2,7 +2,9 @@
 at a time, through plain 2-D products, the way fedanon trained before its
 devices ran in lockstep. The lockstep kernel in `fedanon.nn` must agree
 with it bit for bit (`np.array_equal`), because it stacks models without
-padding and so performs the same float operations on each model."""
+padding and so performs the same float operations on each model. The
+loss, the lone-model update and the flat-vector round trip that the
+finite-difference checks use live here too: only tests call them."""
 
 import numpy as np
 
@@ -10,6 +12,40 @@ from fedanon import nn
 from fedanon.federated import DeltaRecord, aggregate
 from fedanon.nn import ParamVector
 from fedanon.seeding import rng_from, seed_from
+
+
+def compute_loss(spec, params, batch):
+    """Mean softmax cross-entropy of one batch."""
+    x, y = nn._coerce_batch(spec, batch)
+    p = nn.softmax(nn.forward_batch(spec, params, x))
+    picked = np.clip(p[np.arange(x.shape[0]), y], nn.PROB_EPS, 1.0 - nn.PROB_EPS)
+    return float(-np.log(picked).mean())
+
+
+def from_flat(like, vec):
+    """The vector `vec` cut into the layout of the ParamVector `like`."""
+    vec = np.asarray(vec, dtype=np.float64)
+    sizes = [a.size for _, a in like.layers]
+    if vec.size != sum(sizes):
+        raise ValueError(f"flat vector of size {vec.size} does not match layout {like.layout()}")
+    out, pos = [], 0
+    for (name, a), size in zip(like.layers, sizes):
+        out.append((name, vec[pos : pos + size].reshape(a.shape).copy()))
+        pos += size
+    return ParamVector(out)
+
+
+def optimizer_step(state, params, grad, config, iteration):
+    """One momentum SGD update of a lone model; returns fresh params and
+    velocities (None starts them at zero), leaving the inputs untouched."""
+    params._check_compatible(grad)
+    new_layers, new_state = [], {}
+    for (name, w), (_, g) in zip(params.layers, grad.layers):
+        v = np.zeros_like(w) if state is None else state[name].copy()
+        nn._sgd_velocity(config, v, g.copy(), iteration)
+        new_state[name] = v
+        new_layers.append((name, w + v))
+    return ParamVector(new_layers), new_state
 
 
 def oracle_backward(spec, params, x, y):
@@ -53,7 +89,7 @@ def oracle_train(spec, params, x, y, epochs, batch_size, config, seed):
         for start in range(0, x.shape[0], batch_size):
             idx = perm[start : start + batch_size]
             grad = oracle_backward(spec, params, x[idx], y[idx])
-            params, state = nn.optimizer_step(state, params, grad, config, iteration)
+            params, state = optimizer_step(state, params, grad, config, iteration)
             iteration += 1
     return params
 
@@ -72,7 +108,7 @@ def oracle_server_round(spec, global_params, devices, cfg, round_t, delta_hook=N
             device.y,
             epochs=cfg.local_epochs,
             batch_size=min(cfg.batch_size, device.n_k),
-            config=nn.sgd(cfg.eta),
+            config=nn.OptimizerConfig(cfg.eta),
             seed=seed_from(cfg.seed, "device-update", round_t, device.device_id),
         )
         delta = local - global_params

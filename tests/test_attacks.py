@@ -41,6 +41,7 @@ from fedanon.nn import ParamVector
 from fedanon.world import gen_world
 
 from broadcast_oracle import one_batch_matching, traced_peak
+from sequential_oracle import from_flat
 from test_world import small_cfg
 
 LAYER_SHAPE = (2, 4)  # flattens to 8-dim attack vectors
@@ -361,7 +362,7 @@ def test_siamese_gradient_matches_finite_differences():
         for sign, store in ((1.0, 0), (-1.0, 1)):
             bumped = flat.copy()
             bumped[i] += sign * eps
-            p = ParamVector.from_flat(params, bumped)
+            p = from_flat(params, bumped)
             loss, _ = SiameseMatcher.loss_and_grad(p, a, b, y)
             if store == 0:
                 hi = loss

@@ -204,6 +204,14 @@ def test_readme_cli_table_lists_every_subcommand():
     assert documented == list(sub.choices) == ["federate", "attack", "report"]
 
 
+def test_readme_layout_lists_every_script():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (line,) = re.findall(r"^scripts/ +(.+)$", readme, flags=re.MULTILINE)
+    scripts = sorted(p.name for p in (root / "scripts").iterdir() if p.is_file())
+    assert sorted(line.split(", ")) == scripts
+
+
 def test_unknown_family_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["attack", "--family", "astrology"])

@@ -175,6 +175,8 @@ def test_config_hash_stability_and_sensitivity():
     assert len(a) == 16
     assert config_hash(ExperimentConfig(seed=1)) != a
     assert config_hash(ExperimentConfig(eta=0.81)) != a
+    # a report's recorded snapshot hashes like the config it records
+    assert config_hash(snapshot(ExperimentConfig())) == a
     # where reports are written does not change them
     assert config_hash(ExperimentConfig(out_dir="elsewhere")) == a
     assert snapshot(ExperimentConfig(out_dir="elsewhere"))["out_dir"] == "elsewhere"

@@ -4,6 +4,7 @@ and byte-deterministic output files."""
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,36 @@ def test_write_report_format_selection(tmp_path):
     assert [p.name for p in only_json] == ["report_demo.json"]
     with pytest.raises(ValueError):
         write_report(sample_report(), tmp_path / "x", formats=("xml",))
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 2])
+def test_a_failed_write_leaves_the_previous_report_whole(tmp_path, monkeypatch, fail_at):
+    # the write that fails has put half its bytes on disk: none of them, nor
+    # a temporary file, may be left where the previous report was
+    report = sample_report()
+    report.tables.append(Table(name="more", columns=["x"], rows=[[1]]))
+    paths = write_report(report, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == sorted(p.name for p in paths)
+
+    real_write_bytes = Path.write_bytes
+    writes = []
+
+    def write_half_then_fail(path, data, *args, **kwargs):
+        data = data.encode() if isinstance(data, str) else data
+        writes.append(path)
+        if len(writes) > fail_at:
+            real_write_bytes(path, data[: len(data) // 2])
+            raise OSError("no space left on device")
+        return real_write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    report.tables[0].rows[0][2] = 0.25
+    report.tables[1].rows[0][0] = 2
+    with pytest.raises(OSError, match="no space"):
+        write_report(report, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def _edit(change):

@@ -1,13 +1,16 @@
-"""Smoke tests of scripts/run_all.py and scripts/seed_sweep.py on a tiny
-config: each `main` exits 0, writes the expected files, and its reports
+"""Smoke tests of scripts/run_all.py on a tiny config, over one seed and
+over several: `main` exits 0, writes the expected files, and its reports
 are the bytes that a fresh `run_experiment` gives."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
-from fedanon.config import build_config
+from fedanon import cli
+from fedanon.config import build_config, config_hash
 from fedanon.experiments import run_experiment
 from fedanon.reporting import Table, report_from_json, report_to_json
 
@@ -54,20 +57,39 @@ def test_run_all_writes_the_fresh_reports(tmp_path, capsys):
     assert all(f in printed for f in FAMILIES)
 
 
-def test_run_all_rejects_a_bad_config(tmp_path, capsys):
-    rc = load_script("run_all").main(["--set", "epoch_ranges=51", "--out-dir", str(tmp_path / "x")])
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--set", "epoch_ranges=51"], "'epoch_ranges'"),
+        # every check passes until open_world's own, inside its run
+        ([*SET_FLAGS, "--set", "users=4", "--families", "open_world"], "'seen_fractions'"),
+    ],
+    ids=["validate", "family"],
+)
+def test_run_all_rejects_a_bad_config(tmp_path, capsys, flags, key):
+    rc = load_script("run_all").main([*flags, "--out-dir", str(tmp_path / "x")])
     assert rc == 2
-    assert "'epoch_ranges'" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
-def test_seed_sweep_writes_per_seed_and_seedmean_reports(tmp_path, capsys):
-    out = tmp_path / "sweep"
-    families = FAMILIES[:2]
-    rc = load_script("seed_sweep").main(
-        [*SET_FLAGS, "--seeds", "0", "1", "--families", *families, "--out-dir", str(out)]
-    )
+@pytest.fixture(scope="module")
+def two_seeds(tmp_path_factory):
+    """`run_all --seeds 0 1` over two families: the output directory and
+    what the script printed."""
+    out = tmp_path_factory.mktemp("seeds") / "sweep"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        rc = load_script("run_all").main(
+            [*SET_FLAGS, "--seeds", "0", "1", "--families", *FAMILIES[:2], "--out-dir", str(out)]
+        )
     assert rc == 0
+    return out, printed.getvalue()
+
+
+def test_run_all_seeds_writes_per_seed_and_seedmean_reports(two_seeds):
+    out, printed = two_seeds
+    families = FAMILIES[:2]
     for seed in (0, 1):
         assert {p.name for p in (out / f"seed{seed}").iterdir()} == set().union(
             *(report_files(f) for f in families)
@@ -89,15 +111,32 @@ def test_seed_sweep_writes_per_seed_and_seedmean_reports(tmp_path, capsys):
         aps = [r[i_ap] for r in seed_rows]
         assert row[i_mean] == pytest.approx(sum(aps) / 2)
         assert row[i_mean + 1 : i_mean + 3] == [min(aps), max(aps)]
-    assert "over seeds [0, 1]" in capsys.readouterr().out
+    assert "over seeds [0, 1]" in printed
 
 
-def test_seed_sweep_matches_mitigation_rows_by_position(tmp_path):
-    # the noise rows share their only non-float cell, the strategy
-    grids = ["--set", "noise_grid=0.1,1.0", "--set", "repl_grid=0.5", "--set", "aug_grid=1.0"]
+def test_seedmean_report_records_the_seeds_it_averages(two_seeds, tmp_path):
+    out, _ = two_seeds
+    path = out / "report_reid_closed_seedmean.json"
+    text = path.read_text(encoding="utf-8")
+    summary = report_from_json(text)
+    seed0 = report_from_json(
+        (out / "seed0" / "report_reid_closed.json").read_text(encoding="utf-8")
+    )
+    assert summary.config == {**seed0.config, "seed": "0,1"}
+    assert summary.config_hash == config_hash(summary.config) != seed0.config_hash
+    rc = cli.main(["report", "--report", str(path), "--format", "json", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / path.name).read_text(encoding="utf-8") == text
+
+
+def test_run_all_seed_means_match_mitigation_rows_by_position(tmp_path):
+    # the noise rows share their strategy; each grid value is a key, not a
+    # mean: (0.1 + 0.1 + 0.1) / 3 would read 0.10000000000000002
+    grids = ["--set", "noise_grid=0.1", "--set", "repl_grid=0.7", "--set", "aug_grid=0.1"]
     out = tmp_path / "sweep"
-    rc = load_script("seed_sweep").main(
-        [*SET_FLAGS, *grids, "--seeds", "0", "1", "--families", "mitigation", "--out-dir", str(out)]
+    rc = load_script("run_all").main(
+        [*SET_FLAGS, *grids, "--seeds", "0", "1", "2", "--families", "mitigation",
+         "--out-dir", str(out)]
     )
     assert rc == 0
     summary = report_from_json(
@@ -105,15 +144,18 @@ def test_seed_sweep_matches_mitigation_rows_by_position(tmp_path):
     ).table("tradeoff")
     per_seed = [
         report_from_json((out / f"seed{s}" / "report_mitigation.json").read_text(encoding="utf-8"))
-        .table("tradeoff") for s in (0, 1)
+        .table("tradeoff") for s in (0, 1, 2)
     ]
-    assert [row[0] for row in summary.rows] == ["noise", "noise", "noise", "bkg_repl", "rand_aug",
-                                                "mm_aug"]
-    i_value, i_ap = summary.columns.index("value_mean"), summary.columns.index("attacker_ap_mean")
+    assert [row[:2] for row in summary.rows] == [
+        ["noise", 0.0], ["noise", 0.1], ["bkg_repl", 0.7], ["rand_aug", 0.1], ["mm_aug", 0.1]
+    ]
+    # chance_ap agrees across seeds too, but follows a measured column
+    assert summary.columns[:3] + summary.columns[5:6] == [
+        "strategy", "value", "attacker_ap_mean", "chance_ap_mean"
+    ]
     for row, *seed_rows in zip(summary.rows, *(t.rows for t in per_seed)):
-        assert row[i_value : i_value + 3] == [seed_rows[0][1]] * 3
         aps = [r[2] for r in seed_rows]
-        assert row[i_ap : i_ap + 3] == [sum(aps) / 2, min(aps), max(aps)]
+        assert row[2:5] == [sum(aps) / 3, min(aps), max(aps)]
 
 
 @pytest.mark.parametrize(
@@ -123,9 +165,32 @@ def test_seed_sweep_matches_mitigation_rows_by_position(tmp_path):
         ([["noise", 0.1], ["mm_aug", 1.0]], "row 1 differs across seeds"),
     ],
 )
-def test_seed_sweep_summary_rejects_rows_that_do_not_line_up(rows, message):
+def test_seed_mean_summary_rejects_rows_that_do_not_line_up(rows, message):
     first = Table(name="tradeoff", columns=["strategy", "value"],
                   rows=[["noise", 0.1], ["rand_aug", 1.0]])
     other = Table(name="tradeoff", columns=["strategy", "value"], rows=rows)
     with pytest.raises(ValueError, match=message):
-        load_script("seed_sweep").summarize([first, other])
+        load_script("run_all").summarize([first, other])
+
+
+def test_run_all_seeds_0_writes_the_bytes_of_no_flag(tmp_path):
+    run_all = load_script("run_all")
+    for name, seeds in (("plain", []), ("seeds", ["--seeds", "0"])):
+        args = [*SET_FLAGS, *seeds, "--families", *FAMILIES, "--out-dir", str(tmp_path / name)]
+        assert run_all.main(args) == 0
+    plain = sorted((tmp_path / "plain").iterdir())
+    assert [p.name for p in plain] == sorted(p.name for p in (tmp_path / "seeds").iterdir())
+    for p in plain:
+        assert p.read_bytes() == (tmp_path / "seeds" / p.name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--seeds", "0", "1", "--set", "seed=3"], ["--seeds", "0", "0"]],
+    ids=["set_seed", "repeat"],
+)
+def test_run_all_rejects_seeds_it_cannot_keep_apart(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("run_all").main([*SET_FLAGS, *flags, "--out-dir", str(tmp_path / "x")])
+    assert exit_info.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
