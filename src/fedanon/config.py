@@ -16,7 +16,7 @@ from typing import Any
 
 from .attacks import MATCH_METHODS, REID_METHODS
 from .deltastore import ReprConfig
-from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, RoundConfig, sampled_users
+from .federated import RoundConfig
 from .mitigation import STRATEGIES
 from .nn import ModelSpec
 from .world import WorldConfig
@@ -200,32 +200,11 @@ def _require(cond: bool, key: str, message: str, value: Any) -> None:
         raise ConfigError(f"config key {key!r}: {message} (got {value!r})")
 
 
-def _check_sampling(cfg: ExperimentConfig) -> None:
-    """Replay the server's device draws, which the config alone fixes.
-    Every family scores anonymous deltas of the run against a model of its
-    shadow deltas, so some anonymous device must be sampled, and closed-world
-    re-identification needs a shadow delta of every user it scores."""
-    if cfg.client_fraction == 1.0:  # every device trains in every round
-        return
-    sampled = {
-        role: set().union(*rounds)
-        for role, rounds in sampled_users(cfg.users, round_config_from(cfg)).items()
-    }
-    _require(
-        bool(sampled[ROLE_ANONYMOUS]), "client_fraction",
-        "samples no anonymous device, so no delta can be re-identified", cfg.client_fraction,
-    )
-    unsampled = sorted(sampled[ROLE_ANONYMOUS] - sampled[ROLE_SHADOW])
-    _require(
-        not unsampled, "client_fraction",
-        f"samples the anonymous but never the shadow devices of users {unsampled}, "
-        "which closed-world re-identification needs", cfg.client_fraction,
-    )
-
-
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check every key: the world, federation and model keys by building
-    the component configs that own them, the remaining keys here."""
+    the component configs that own them, the remaining keys here. What a
+    family needs of the devices the server samples is checked by
+    `experiments.run_experiment`, for that family only."""
     for build in (world_config_from, round_config_from, model_spec_from):
         try:
             build(cfg)
@@ -251,7 +230,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         "must be in [1, background_size]", cfg.clusters_m,
     )
     _require(cfg.seed >= 0, "seed", "must be >= 0", cfg.seed)
-    _check_sampling(cfg)
     for key, values, allowed in (
         ("attack_methods", cfg.attack_methods, REID_METHODS),
         ("match_methods", cfg.match_methods, MATCH_METHODS),

@@ -285,11 +285,6 @@ def _bias_profile(stages: Stages) -> list[Table]:
     cfg = stages.cfg
     profiles = user_bias_profiles(stages.run.records, stages.spec.output_weight)
     users = stages.world.user_ids()
-    missing = [f"user {u} ({role})" for u in users for role in (ROLE_SHADOW, ROLE_ANONYMOUS)
-               if (u, role) not in profiles]
-    if missing:
-        raise ValueError(f"bias_profile needs a delta from every device; none was logged for "
-                         f"{', '.join(missing)}")
     rows = []
     for u in users:
         own = bias_consistency(profiles[(u, ROLE_SHADOW)], profiles[(u, ROLE_ANONYMOUS)])
@@ -376,44 +371,46 @@ FAMILIES = {
 EXPERIMENT_FAMILIES = tuple(FAMILIES)
 
 
-def _check_family_sampling(cfg: ExperimentConfig, family: str) -> None:
-    """Replay the server's device draws, which the config alone fixes, and
-    raise a ConfigError on `client_fraction` before any world is built when
-    they leave `family` without a device it needs beyond what `validate`
-    checks: `epoch_grid` scores every range's anonymous deltas against every
-    range's shadow model, so each epoch range needs every shadow device and
-    some anonymous device; `bias_profile` needs a delta from every device."""
-    if cfg.client_fraction == 1.0 or family not in ("epoch_grid", "bias_profile"):
-        return  # at C = 1 every device trains in every round
-    sampled = sampled_users(cfg.users, round_config_from(cfg))
-    if family == "bias_profile":
-        spans, roles = [(1, cfg.rounds + 1)], (ROLE_SHADOW, ROLE_ANONYMOUS)
-        need = "a delta from every device"
-    else:
-        spans, roles = epoch_ranges(cfg.rounds, cfg.epoch_ranges), (ROLE_SHADOW,)
-        need = "every shadow device and some anonymous device in each epoch range"
-    for lo, hi in spans:
-        seen = {role: set().union(*rounds[lo - 1 : hi - 1]) for role, rounds in sampled.items()}
-        missing = [f"user {u} ({role})" for u in range(cfg.users) for role in roles
-                   if u not in seen[role]]
-        if not seen[ROLE_ANONYMOUS]:
-            missing.append("any anonymous device")
-        if missing:
-            raise ConfigError(
-                f"config key 'client_fraction': {family} needs {need}; rounds [{lo}, {hi}) "
-                f"sample no delta of {', '.join(missing)} (got {cfg.client_fraction!r})"
-            )
+Sampled = dict[str, list[set[int]]]  # per role, the users each round samples
 
 
-def _open_world_gap(
-    cfg: ExperimentConfig, shadow: dict[int, int], anonymous: dict[int, int]
-) -> str:
-    """What `_open_world` lacks, or "" when it runs, given how many deltas
-    each user's shadow and anonymous device logs (users that log none are
-    left out). At each seen fraction the siamese matcher trains on the
-    shadow deltas of the holdout and seen users and is scored on the
+def _delta_counts(sampled: Sampled) -> tuple[Counter, Counter]:
+    """How many shadow and how many anonymous deltas each user logs."""
+    return tuple(Counter(u for users in sampled[role] for u in users)
+                 for role in (ROLE_SHADOW, ROLE_ANONYMOUS))
+
+
+def _closed_world_gap(cfg: ExperimentConfig, sampled: Sampled) -> str:
+    """The default attack dataset spans every round, and re-identification
+    scores each anonymous delta against the users with a shadow delta."""
+    shadow, anonymous = _delta_counts(sampled)
+    if not anonymous:
+        return "an anonymous delta to re-identify; the server samples no anonymous device"
+    unsampled = sorted(anonymous.keys() - shadow.keys())
+    return ("a shadow delta of every user it re-identifies; the server samples the anonymous "
+            f"but never the shadow devices of users {unsampled}" if unsampled else "")
+
+
+def _matching_gap(cfg: ExperimentConfig, sampled: Sampled) -> str:
+    """`_matching_closed` scores pairs of a shadow and an anonymous delta,
+    negative pairs of 2 users and positive pairs of one, and the siamese
+    matcher trains on pairs of one user's shadow deltas."""
+    shadow, anonymous = _delta_counts(sampled)
+    siamese = "siamese" in cfg.match_methods
+    if (len(shadow) >= 2 and len(anonymous) >= 2 and shadow.keys() & anonymous.keys()
+            and not (siamese and max(shadow.values()) < 2)):
+        return ""
+    return (f"deltas of 2 users on each side and of one user on both"
+            f"{', and 2 shadow deltas of one device' if siamese else ''}; the users log "
+            f"{dict(sorted(shadow.items()))} shadow and {dict(sorted(anonymous.items()))} anonymous deltas")
+
+
+def _open_world_gap(cfg: ExperimentConfig, sampled: Sampled) -> str:
+    """At each seen fraction the siamese matcher of `_open_world` trains on
+    the shadow deltas of the holdout and seen users and is scored on the
     anonymous deltas of the seen and unseen users: each side needs 2 users,
     one of them with 2 deltas to form a positive pair."""
+    shadow, anonymous = _delta_counts(sampled)
     users = sorted(shadow)
     if len(users) < 3:
         return f"shadow deltas from 3 users; {len(users)} log any"
@@ -430,25 +427,51 @@ def _open_world_gap(
     return ""
 
 
-def _check_open_world(cfg: ExperimentConfig) -> None:
-    """Replay `open_world_split` on the devices the server samples and raise
-    a ConfigError before any world is built where `_open_world` would
-    fail: on `client_fraction` when full participation would run it, else
-    on `users` or `seen_fractions`."""
-    everyone = {u: cfg.rounds for u in range(cfg.users)}
-    gap = _open_world_gap(cfg, everyone, everyone)
+def _devices_gap(cfg: ExperimentConfig, sampled: Sampled, need: str,
+                 spans: list[tuple[int, int]], roles: tuple[str, ...]) -> str:
+    """`need` and what is missing, unless each span [lo, hi) of rounds
+    samples every user's device of each of `roles`, and an anonymous one."""
+    for lo, hi in spans:
+        seen = {role: set().union(*rounds[lo - 1 : hi - 1]) for role, rounds in sampled.items()}
+        missing = [f"user {u} ({role})" for u in range(cfg.users) for role in roles
+                   if u not in seen[role]]
+        if not seen[ROLE_ANONYMOUS]:
+            missing.append("any anonymous device")
+        if missing:
+            return f"{need}; rounds [{lo}, {hi}) sample no delta of {', '.join(missing)}"
+    return ""
+
+
+# what each family needs of the logged deltas: a description of those missing, or ""
+NEEDS = {
+    **dict.fromkeys(("reid_closed", "iid_control", "layer_sweep", "train_amount", "dataspace",
+                     "prior_amount", "mitigation"), _closed_world_gap),
+    "matching_closed": _matching_gap,
+    "open_world": _open_world_gap,
+    # each range's model scores every range's anonymous deltas
+    "epoch_grid": lambda cfg, sampled: _devices_gap(
+        cfg, sampled, "every shadow device and some anonymous device in each epoch range",
+        epoch_ranges(cfg.rounds, cfg.epoch_ranges), (ROLE_SHADOW,)),
+    # each user's two devices are compared
+    "bias_profile": lambda cfg, sampled: _devices_gap(
+        cfg, sampled, "a delta from every device", [(1, cfg.rounds + 1)],
+        (ROLE_SHADOW, ROLE_ANONYMOUS)),
+}
+
+
+def _check_needs(cfg: ExperimentConfig, family: str) -> None:
+    """Raise a ConfigError before any world is built where `NEEDS[family]`
+    finds a gap, at full participation (only `open_world` can have one: it
+    needs 3 users, and 2 holdout and seen users at each seen fraction), then
+    on the devices the server samples, which the config alone fixes."""
+    everyone = [set(range(cfg.users))] * cfg.rounds
+    gap = NEEDS[family](cfg, {ROLE_SHADOW: everyone, ROLE_ANONYMOUS: everyone})
     key = "users" if cfg.users < 3 else "seen_fractions"
-    value = getattr(cfg, key)
     if not gap and cfg.client_fraction < 1.0:
-        sampled = sampled_users(cfg.users, round_config_from(cfg))
-        shadow, anonymous = (
-            Counter(u for rounds in sampled[role] for u in rounds)
-            for role in (ROLE_SHADOW, ROLE_ANONYMOUS)
-        )
-        gap = _open_world_gap(cfg, shadow, anonymous)
-        key, value = "client_fraction", cfg.client_fraction
+        gap = NEEDS[family](cfg, sampled_users(cfg.users, round_config_from(cfg)))
+        key = "client_fraction"
     if gap:
-        raise ConfigError(f"config key {key!r}: open_world needs {gap} (got {value!r})")
+        raise ConfigError(f"config key {key!r}: {family} needs {gap} (got {getattr(cfg, key)!r})")
 
 
 def run_experiment(cfg: ExperimentConfig, family: str, stages: Stages | None = None) -> Report:
@@ -456,9 +479,7 @@ def run_experiment(cfg: ExperimentConfig, family: str, stages: Stages | None = N
     across calls and is built fresh when not given."""
     if family not in FAMILIES:
         raise ValueError(f"unknown experiment family {family!r}; expected one of {EXPERIMENT_FAMILIES}")
-    if family == "open_world":
-        _check_open_world(cfg)
-    _check_family_sampling(cfg, family)
+    _check_needs(cfg, family)
     if stages is None:
         stages = Stages(cfg)
     elif stages.cfg != cfg:

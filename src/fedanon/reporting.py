@@ -4,7 +4,8 @@ Reports are deterministic: rerunning an experiment with the same config and
 seed produces byte-identical JSON and CSV artifacts, so no wall-clock data
 is ever written into them. CSV files are RFC-4180 (CRLF, quoted when
 needed) with one file per table; floats are serialized via repr so the
-round trip is exact.
+round trip is exact. JSON reports are strict JSON (RFC 8259): a NaN cell
+is written as `null`, and CSV writes it as `nan`.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .atomic import replace_files
 
@@ -72,19 +74,29 @@ def report_to_json(report: Report) -> str:
         },
         "config": report.config,
         "tables": {
-            t.name: {"columns": t.columns, "rows": t.rows} for t in report.tables
+            t.name: {
+                "columns": t.columns,
+                "rows": [[None if isinstance(c, float) and math.isnan(c) else c for c in row]
+                         for row in t.rows],
+            }
+            for t in report.tables
         },
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _reject_constant(token: str) -> NoReturn:
+    raise ValueError(f"malformed report: {token} is not JSON; a NaN cell is written as null")
 
 
 def report_from_json(text: str) -> Report:
     """Parse a report that `report_to_json` wrote. A missing key, a value
     of the wrong type, a table cell that is not a string or a number, or
     text that is not byte for byte what the writer emits for the parsed
-    report raises ValueError."""
+    report raises ValueError. A `null` cell reads as NaN; the non-JSON
+    tokens NaN and Infinity are rejected."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
         report = Report(
             experiment=str(doc["experiment"]),
             config=dict(doc["config"]),
@@ -92,7 +104,8 @@ def report_from_json(text: str) -> Report:
             version=str(doc["provenance"]["version"]),
             config_hash=str(doc["provenance"]["config_hash"]),
             tables=[
-                Table(name=name, columns=list(t["columns"]), rows=[list(r) for r in t["rows"]])
+                Table(name=name, columns=list(t["columns"]),
+                      rows=[[math.nan if c is None else c for c in r] for r in t["rows"]])
                 for name, t in doc["tables"].items()
             ],
         )

@@ -160,6 +160,33 @@ def test_config_the_family_cannot_run_exits_2_before_any_world(
     assert f"config key '{key}'" in capsys.readouterr().err
 
 
+# 8 devices at C = 0.1: one device trains per round, and the anonymous
+# devices of users 0, 2 and 3 are drawn but never their shadow devices
+SPARSE = ["--users", "4", "--rounds", "6", "--n-per-user", "40", "--background-size", "60",
+          "--client-fraction", "0.1"]
+
+
+def test_federate_writes_a_log_that_no_family_could_attack(tmp_path):
+    out = tmp_path / "fed"
+    assert main(["federate", *SPARSE, "--out-dir", str(out)]) == 0
+    manifest, records = read_records(out)
+    assert manifest.rounds == 6
+    assert len(records) == 6  # one device per round
+    assert (out / "utility.csv").exists()
+
+
+def test_attack_on_that_log_exits_2_naming_the_users_before_any_world(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(experiments, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    rc = main(["attack", "--family", "reid_closed", *SPARSE, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config key 'client_fraction'" in err
+    assert "the anonymous but never the shadow devices of users [0, 2, 3]" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_operational_error_exits_1(tmp_path, capsys):
     rc = main(["report", "--report", str(tmp_path / "missing.json")])
     assert rc == 1
@@ -197,11 +224,38 @@ def test_report_rejects_a_malformed_report(tmp_path, capsys, doc):
     assert [p for p in tmp_path.rglob("*") if p != src] == []
 
 
+def test_report_rejects_a_report_holding_a_nan_token(tmp_path, capsys):
+    # the writer emits a NaN cell as null; the bare token NaN is not JSON
+    doc = {**REPORT, "tables": {"reid": {"columns": ["method", "ap"], "rows": [["chance", None]]}}}
+    src = tmp_path / "report.json"
+    src.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--report", str(src), "--format", "csv", "--out-dir", str(out)]) == 0
+    assert (out / "reid_closed_reid.csv").read_bytes() == b"method,ap\r\nchance,nan\r\n"
+    src.write_text(json.dumps(doc, indent=2).replace("null", "NaN"), encoding="utf-8")
+    bad = tmp_path / "bad"
+    assert main(["report", "--report", str(src), "--format", "both", "--out-dir", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN is not JSON" in err and "Traceback" not in err
+    assert not bad.exists()
+
+
 def test_readme_cli_table_lists_every_subcommand():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     documented = re.findall(r"^\| `fedanon ([\w-]+)[^`]*` \|", readme, flags=re.MULTILINE)
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == list(sub.choices) == ["federate", "attack", "report"]
+
+
+def test_readme_needs_table_maps_each_family_to_its_need():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| family | what it needs of the logged deltas |\n| --- | --- |\n")[1]
+    rows = [re.findall(r"`(\w+)`", line.split(" | ")[0]) for line in table.split("\n\n")[0].splitlines()]
+    assert sorted(f for row in rows for f in row) == sorted(experiments.NEEDS) == sorted(
+        experiments.EXPERIMENT_FAMILIES)
+    # one row per need: the families of a row share it, and no two rows do
+    needs = [{experiments.NEEDS[f] for f in row} for row in rows]
+    assert all(len(n) == 1 for n in needs) and len(set().union(*needs)) == len(rows)
 
 
 def test_readme_layout_lists_every_script():

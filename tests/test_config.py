@@ -116,23 +116,6 @@ def test_epoch_ranges_must_not_exceed_rounds():
     assert build_config(overrides={"rounds": "4", "epoch_ranges": "4"}).epoch_ranges == 4
 
 
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        # 8 devices at C = 0.1: one device trains per round
-        pytest.param({"users": "4", "rounds": "6", "n_per_user": "40", "client_fraction": "0.1"},
-                     r"samples the anonymous but never the shadow devices of users \[0, 2, 3\]",
-                     id="shadow_unsampled"),
-        pytest.param({"users": "4", "rounds": "6", "n_per_user": "40", "client_fraction": "0.1",
-                      "seed": "7"}, "samples no anonymous device", id="anonymous_unsampled"),
-    ],
-)
-def test_client_fraction_must_give_every_scored_user_a_shadow_delta(overrides, message):
-    with pytest.raises(ConfigError, match=f"'client_fraction': .*{message}"):
-        build_config(overrides=overrides)
-    assert build_config(overrides={**overrides, "client_fraction": "1"}).client_fraction == 1.0
-
-
 def test_clusters_m_must_not_exceed_background_size():
     with pytest.raises(ConfigError, match="'clusters_m'"):
         build_config(overrides={"background_size": "60", "clusters_m": "61"})

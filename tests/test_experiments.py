@@ -5,8 +5,11 @@ each stage runs the fewest times the families need."""
 
 import dataclasses
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedanon import __version__, experiments, mitigation, nn
 from fedanon.attacks import MlpReid, reid_scores, train_reid
@@ -295,18 +298,66 @@ def test_bias_profile_reads_the_output_weights_whatever_the_attack_layer(reports
     assert report.tables == reports["bias_profile"].tables
 
 
-def test_bias_profile_names_every_device_that_logged_no_delta():
-    # at this sampling rate some users' devices are never drawn
+def test_bias_profile_names_before_any_world_every_device_that_logs_no_delta():
+    # at this sampling rate some users' devices are never drawn; the replay
+    # must name exactly the devices the real run logs no delta for
     cfg = dataclasses.replace(FAST, client_fraction=0.25)
-    stages = Stages(cfg)
-    logged = {(r.user_id, r.role) for r in stages.run.records}
-    missing = [(u, role) for u in stages.world.user_ids() for role in (ROLE_SHADOW, ROLE_ANONYMOUS)
-               if (u, role) not in logged]
+    run = Stages(cfg).run
+    logged = {(r.user_id, r.role) for r in run.records}
+    missing = {(u, role) for u in range(cfg.users) for role in (ROLE_SHADOW, ROLE_ANONYMOUS)
+               if (u, role) not in logged}
     assert (1, ROLE_ANONYMOUS) in missing
-    with pytest.raises(ValueError, match="bias_profile needs a delta from every device") as err:
+    stages = Stages(cfg)
+    with pytest.raises(ConfigError, match="'client_fraction': bias_profile needs a delta from "
+                                          "every device") as err:
         run_experiment(cfg, "bias_profile", stages)
-    for u, role in missing:
-        assert f"user {u} ({role})" in str(err.value)
+    assert "world" not in vars(stages)
+    named = re.findall(r"user (\d+) \((\w+)\)", str(err.value))
+    assert {(int(u), role) for u, role in named} == missing
+    assert len(named) == len(missing)
+
+
+CLOSED_WORLD = [family for family, need in experiments.NEEDS.items()
+                if need is experiments._closed_world_gap]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # 8 devices at C = 0.1: one device trains per round
+        pytest.param({"users": "4", "rounds": "6", "n_per_user": "40", "client_fraction": "0.1"},
+                     r"samples the anonymous but never the shadow devices of users \[0, 2, 3\]",
+                     id="shadow_unsampled"),
+        pytest.param({"users": "4", "rounds": "6", "n_per_user": "40", "client_fraction": "0.1",
+                      "seed": "7"}, "samples no anonymous device", id="anonymous_unsampled"),
+    ],
+)
+def test_client_fraction_must_give_every_scored_user_a_shadow_delta(
+    monkeypatch, overrides, message
+):
+    assert CLOSED_WORLD == ["reid_closed", "iid_control", "layer_sweep", "train_amount",
+                            "dataspace", "prior_amount", "mitigation"]
+    cfg = build_config(overrides=overrides)  # `federate` can run it
+    monkeypatch.setattr(experiments, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    for family in CLOSED_WORLD:
+        with pytest.raises(ConfigError, match=f"'client_fraction': {family} needs .*{message}"):
+            run_experiment(cfg, family)
+        experiments._check_needs(dataclasses.replace(cfg, client_fraction=1.0), family)
+
+
+def test_matching_needs_two_users_a_side_one_on_both_and_a_shadow_pair_for_siamese():
+    def sampled(shadow, anonymous):
+        return {ROLE_SHADOW: [set(shadow), {shadow[0]}], ROLE_ANONYMOUS: [set(anonymous), set()]}
+
+    gap = experiments._matching_gap
+    assert gap(FAST, sampled([0, 1], [1, 2])) == ""
+    assert "one user on both" in gap(FAST, sampled([0, 1], [2, 3]))
+    assert "2 users on each side" in gap(FAST, sampled([0, 1], [1]))
+    assert "2 users on each side" in gap(FAST, sampled([0], [0, 1]))
+    one_each = {ROLE_SHADOW: [{0, 1}], ROLE_ANONYMOUS: [{0, 1}]}
+    assert "2 shadow deltas of one device; the users log {0: 1, 1: 1}" in gap(FAST, one_each)
+    no_siamese = dataclasses.replace(FAST, match_methods=("chance", "mlp_product"))
+    assert gap(no_siamese, one_each) == ""
 
 
 @pytest.mark.parametrize(
@@ -321,12 +372,18 @@ def test_bias_profile_names_every_device_that_logged_no_delta():
         pytest.param(ExperimentConfig(users=2, rounds=3, epoch_ranges=2, client_fraction=0.5),
                      "epoch_grid", r"rounds \[1, 2\) sample no delta of any anonymous device",
                      id="range_without_anonymous"),
+        # 4 devices over 2 rounds: only user 0's two devices are drawn
+        pytest.param(ExperimentConfig(users=2, rounds=2, epoch_ranges=2, n_per_user=40,
+                                      background_size=60, client_fraction=0.25, seed=1),
+                     "matching_closed", r"one user on both, and 2 shadow deltas of one device; "
+                     r"the users log \{0: 1\} shadow and \{0: 1\} anonymous deltas",
+                     id="matching_one_user"),
     ],
 )
 def test_a_family_rejects_a_client_fraction_that_leaves_it_a_device_unsampled(
     monkeypatch, cfg, family, message
 ):
-    cfg = build_config(overrides=snapshot(cfg))  # the whole run's closed world holds
+    cfg = build_config(overrides=snapshot(cfg))
     monkeypatch.setattr(experiments, "gen_world", lambda cfg: pytest.fail("a world was built"))
     with pytest.raises(ConfigError, match=f"config key 'client_fraction': {family} needs .*{message}"):
         run_experiment(cfg, family)
@@ -336,7 +393,7 @@ def open_world_outcomes(cfg):
     """The error of the pre-world check and of the family itself (run on
     its own, past the check), each None when it passes."""
     outcomes = []
-    for run in (experiments._check_open_world,
+    for run in (lambda cfg: experiments._check_needs(cfg, "open_world"),
                 lambda cfg: experiments.FAMILIES["open_world"](Stages(cfg))):
         try:
             run(cfg)
@@ -350,11 +407,8 @@ def test_open_world_check_raises_exactly_where_the_family_fails():
     raised = ran = 0
     for fraction in (0.1, 0.25):
         for seed in range(10):
-            try:
-                cfg = build_config(overrides=snapshot(
-                    dataclasses.replace(FAST, client_fraction=fraction, seed=seed)))
-            except ConfigError:
-                continue  # the whole run's closed world fails; see test_config
+            cfg = build_config(overrides=snapshot(
+                dataclasses.replace(FAST, client_fraction=fraction, seed=seed)))
             check, family = open_world_outcomes(cfg)
             assert (check is None) == (family is None), (fraction, seed, check, family)
             if check is not None:
@@ -383,12 +437,15 @@ def test_open_world_rejects_a_client_fraction_before_any_world(monkeypatch, seed
 
 
 def test_open_world_needs_two_anonymous_users_one_with_two_deltas():
-    shadow = {u: 3 for u in range(FAST.users)}
-    assert experiments._open_world_gap(FAST, shadow, shadow) == ""
-    gap = experiments._open_world_gap(FAST, shadow, {u: 1 for u in range(FAST.users)})
+    everyone = set(range(FAST.users))
+    three = [everyone] * 3  # every device of a role logs 3 deltas
+    assert experiments._open_world_gap(FAST, {ROLE_SHADOW: three, ROLE_ANONYMOUS: three}) == ""
+    once = [everyone, set(), set()]
+    gap = experiments._open_world_gap(FAST, {ROLE_SHADOW: three, ROLE_ANONYMOUS: once})
     assert "anonymous deltas from 2 of the seen and unseen users" in gap
+    two_users = [{0, 1}] * 3
     assert "shadow deltas from 3 users; 2 log any" in experiments._open_world_gap(
-        FAST, {0: 3, 1: 3}, {0: 3, 1: 3})
+        FAST, {ROLE_SHADOW: two_users, ROLE_ANONYMOUS: two_users})
 
 
 def test_open_world_with_a_one_user_holdout_needs_a_seen_user(monkeypatch):
@@ -421,6 +478,46 @@ def test_every_family_runs_at_an_accepted_client_fraction():
     assert len(stages.run.records) == cfg.rounds * cfg.users  # half of the 2U devices per round
     for family in EXPERIMENT_FAMILIES:
         assert run_experiment(cfg, family, stages).tables
+
+
+# small grids, so that one family costs tens of milliseconds
+SMALL = {"n_per_user": "40", "background_size": "60", "feature_dim": "8", "hidden_dim": "8",
+         "classes": "4", "prior_grid": "1", "train_grid": "1,2", "dataspace_set_sizes": "1,2",
+         "noise_grid": "0.1", "repl_grid": "0.5", "aug_grid": "0.5", "clusters_m": "2"}
+
+
+@st.composite
+def small_configs(draw):
+    rounds = draw(st.integers(2, 6))
+    return {
+        "users": str(draw(st.integers(2, 6))),
+        "rounds": str(rounds),
+        "epoch_ranges": str(draw(st.integers(1, rounds))),
+        "client_fraction": draw(st.sampled_from(["0.1", "0.25", "0.5", "1"])),
+        "seen_fractions": draw(st.sampled_from(["0,0.5,1", "0.5,1", "0"])),
+        "match_methods": draw(st.sampled_from(["chance,mlp_product,siamese", "chance,mlp_product"])),
+        "seed": str(draw(st.integers(0, 99))),
+    }
+
+
+@settings(max_examples=22, derandomize=True, deadline=None)
+# matching_closed once failed here after the world was built: the 4 devices
+# at C = 0.25 log one shadow and one anonymous delta, both of user 0
+@example({"users": "2", "rounds": "2", "epoch_ranges": "2", "client_fraction": "0.25", "seed": "1"})
+@given(small_configs())
+def test_each_family_runs_or_rejects_the_config_before_any_world(overrides):
+    try:
+        cfg = build_config(overrides={**SMALL, **overrides})
+    except ConfigError:
+        return
+    for family in EXPERIMENT_FAMILIES:
+        stages = Stages(cfg)
+        try:
+            report = run_experiment(cfg, family, stages)
+        except ConfigError:
+            assert "world" not in vars(stages), family
+        else:
+            assert report.tables and all(t.rows for t in report.tables), family
 
 
 def test_stages_federate_accepts_prebuilt_bundle():

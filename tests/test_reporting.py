@@ -4,6 +4,7 @@ and byte-deterministic output files."""
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,30 @@ def test_json_round_trip():
     report = sample_report()
     back = report_from_json(report_to_json(report))
     assert back == report
+
+
+def test_json_writes_a_nan_cell_as_null_and_reads_it_back_as_nan():
+    report = sample_report()
+    report.tables[0].rows[1][2] = math.nan
+    text = report_to_json(report)
+    assert "NaN" not in text and text.count("null") == 1
+    doc = json.loads(text, parse_constant=lambda token: pytest.fail(f"{token} in the JSON"))
+    assert doc["tables"]["scores"]["rows"][1] == ["mlp", 1, None]
+    back = report_from_json(text)
+    assert math.isnan(back.tables[0].rows[1][2])
+    assert back.tables[0].rows[0] == report.tables[0].rows[0]
+    assert report_to_json(back) == text
+    # CSV keeps the repr of the float
+    assert "\r\nmlp,1,nan\r\n" in table_to_csv(back.tables[0])
+    # a null cell anywhere reads as NaN
+    assert math.isnan(report_from_json(_set_cell(None)).tables[0].rows[0][1])
+
+
+def test_json_rejects_an_infinite_cell():
+    report = sample_report()
+    report.tables[0].rows[1][2] = math.inf
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report_to_json(report)
 
 
 def test_json_layout_has_provenance_but_no_clock():
@@ -159,7 +184,9 @@ def _set_cell(value):
                      id="ragged_row"),
         pytest.param(_set_cell({"a": 1}), "not a string or a number", id="cell_an_object"),
         pytest.param(_set_cell([1, 2]), "not a string or a number", id="cell_an_array"),
-        pytest.param(_set_cell(None), "not a string or a number", id="cell_null"),
+        pytest.param(_set_cell(None).replace("null", "NaN"), "NaN is not JSON", id="cell_nan"),
+        pytest.param(_set_cell(None).replace("null", "-Infinity"), "Infinity is not JSON",
+                     id="cell_infinity"),
         pytest.param(json.dumps(json.loads(report_to_json(sample_report()))), "writer emits",
                      id="not_indented"),
     ],
