@@ -395,12 +395,13 @@ class SiameseMatcher:
         eligible = {u: r for u, r in rows_by_user.items() if r.shape[0] >= 1}
         if len(eligible) < 2:
             raise ValueError("siamese training needs rows from at least 2 users")
-        dim = next(iter(eligible.values())).shape[1]
-        params = SiameseMatcher.init_params(dim, seed)
+        x, _ = pair_rows(eligible, eligible)
+        params = SiameseMatcher.init_params(x.shape[1], seed)
         mean_square = None
         for epoch in range(SIAMESE_EPOCHS):
             rng = rng_from(seed, "siamese-pairs", epoch)
-            a, b, y = sample_balanced_pairs(eligible, eligible, SIAMESE_PAIRS_PER_EPOCH, rng)
+            ia, ib, y = sample_balanced_pairs(eligible, eligible, SIAMESE_PAIRS_PER_EPOCH, rng)
+            a, b = x[ia], x[ib]
             for start in range(0, a.shape[0], SIAMESE_BATCH):
                 sl = slice(start, start + SIAMESE_BATCH)
                 _, grad = SiameseMatcher.loss_and_grad(params, a[sl], b[sl], y[sl])
@@ -414,13 +415,31 @@ class SiameseMatcher:
 MatchModel = ChanceMatcher | MlpProductMatcher | SiameseMatcher
 
 
+def pair_rows(
+    side_a: dict[int, np.ndarray], side_b: dict[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's rows stacked in sorted-user order: the rows that the
+    indices of `sample_balanced_pairs` point into. One stack serves both
+    sides of a same-side call."""
+    x_a = np.concatenate([side_a[u] for u in sorted(side_a)])
+    return x_a, x_a if side_b is side_a else np.concatenate([side_b[u] for u in sorted(side_b)])
+
+
+def _first_rows(side: dict[int, np.ndarray], users: list[int]) -> dict[int, int]:
+    """Each user's first row in the stack of `pair_rows`."""
+    counts = [side[u].shape[0] for u in users]
+    return dict(zip(users, np.cumsum([0] + counts[:-1]).tolist()))
+
+
 def sample_balanced_pairs(
     side_a: dict[int, np.ndarray],
     side_b: dict[int, np.ndarray],
     n_pairs: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half positive (same user), half negative (distinct users) pairs.
+    """Half positive (same user), half negative (distinct users) pairs: the
+    int64 row indices of each pair into the two stacks of `pair_rows`, and
+    its label (1.0 positive, 0.0 negative).
 
     When both sides are the same collection, positive pairs use two distinct
     rows, so a user needs at least 2 rows to occur as a positive.
@@ -436,29 +455,30 @@ def sample_balanced_pairs(
         raise ValueError("no user can form a positive pair")
     if len(users_a) < 2 or len(users_b) < 2:
         raise ValueError("need at least 2 users on each side for negative pairs")
+    first_a = _first_rows(side_a, users_a)
+    first_b = first_a if same_side else _first_rows(side_b, users_b)
     n_pos = n_pairs // 2
     n_neg = n_pairs - n_pos
-    rows_a, rows_b, labels = [], [], []
+    rows_a, rows_b = [], []
     for _ in range(n_pos):
         u = pos_users[rng.integers(len(pos_users))]
         if same_side:
             i, j = rng.choice(side_a[u].shape[0], size=2, replace=False)
-            rows_a.append(side_a[u][i])
-            rows_b.append(side_a[u][j])
+            rows_a.append(first_a[u] + i)
+            rows_b.append(first_a[u] + j)
         else:
-            rows_a.append(side_a[u][rng.integers(side_a[u].shape[0])])
-            rows_b.append(side_b[u][rng.integers(side_b[u].shape[0])])
-        labels.append(1.0)
+            rows_a.append(first_a[u] + rng.integers(side_a[u].shape[0]))
+            rows_b.append(first_b[u] + rng.integers(side_b[u].shape[0]))
     for _ in range(n_neg):
         while True:
             u = users_a[rng.integers(len(users_a))]
             v = users_b[rng.integers(len(users_b))]
             if u != v:
                 break
-        rows_a.append(side_a[u][rng.integers(side_a[u].shape[0])])
-        rows_b.append(side_b[v][rng.integers(side_b[v].shape[0])])
-        labels.append(0.0)
-    return np.stack(rows_a), np.stack(rows_b), np.asarray(labels)
+        rows_a.append(first_a[u] + rng.integers(side_a[u].shape[0]))
+        rows_b.append(first_b[v] + rng.integers(side_b[v].shape[0]))
+    labels = np.concatenate([np.ones(n_pos), np.zeros(n_neg)])
+    return np.asarray(rows_a, dtype=np.int64), np.asarray(rows_b, dtype=np.int64), labels
 
 
 def train_matcher(ds: AttackDataset, method: str, seed: int = 0) -> MatchModel:
@@ -490,13 +510,15 @@ def evaluate_matching(
     seed: int = 0,
 ) -> MatchEvaluation:
     """AP over a balanced set of evaluation pairs, scored a block of pairs
-    at a time; chance is the positive prevalence (0.5 by construction)."""
+    at a time, each block's rows gathered from the sides' stacks; chance is
+    the positive prevalence (0.5 by construction)."""
     rng = rng_from(seed, "match-eval")
-    a, b, y = sample_balanced_pairs(side_a, side_b, n_pairs, rng)
+    ia, ib, y = sample_balanced_pairs(side_a, side_b, n_pairs, rng)
+    x_a, x_b = pair_rows(side_a, side_b)
     # per pair, a matcher holds a row of each side's input or hidden layer
-    width = max(a.shape[1], SIAMESE_EMBED, MLP_HIDDEN)
-    blocks = row_blocks(len(y), 2 * width * a.itemsize)
-    scores = np.concatenate([model.predict_pairs(a[rows], b[rows]) for rows in blocks])
+    width = max(x_a.shape[1], SIAMESE_EMBED, MLP_HIDDEN)
+    blocks = row_blocks(len(y), 2 * width * x_a.itemsize)
+    scores = np.concatenate([model.predict_pairs(x_a[ia[rows]], x_b[ib[rows]]) for rows in blocks])
     ap = average_precision(scores, y > 0.5)
     chance = float(y.mean())
     return MatchEvaluation(

@@ -382,13 +382,18 @@ def _delta_counts(sampled: Sampled) -> tuple[Counter, Counter]:
 
 def _closed_world_gap(cfg: ExperimentConfig, sampled: Sampled) -> str:
     """The default attack dataset spans every round, and re-identification
-    scores each anonymous delta against the users with a shadow delta."""
+    scores each anonymous delta against the users with a shadow delta. With
+    one scored user every ranking is perfect and chance AP is 1, so the
+    anonymous deltas must come from 2 users (and then so must the shadow)."""
     shadow, anonymous = _delta_counts(sampled)
     if not anonymous:
         return "an anonymous delta to re-identify; the server samples no anonymous device"
     unsampled = sorted(anonymous.keys() - shadow.keys())
-    return ("a shadow delta of every user it re-identifies; the server samples the anonymous "
-            f"but never the shadow devices of users {unsampled}" if unsampled else "")
+    if unsampled:
+        return ("a shadow delta of every user it re-identifies; the server samples the anonymous "
+                f"but never the shadow devices of users {unsampled}")
+    return ("deltas of 2 users to tell apart; the server samples the anonymous devices of users "
+            f"{sorted(anonymous)} only" if len(anonymous) < 2 else "")
 
 
 def _matching_gap(cfg: ExperimentConfig, sampled: Sampled) -> str:

@@ -39,6 +39,17 @@ class MeanApResult:
     skipped: tuple[int, ...]  # labels dropped for lack of positives
 
 
+def _average_precisions(scores: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """AP of each row of a (k, n) float64 score matrix against the bool
+    hits of the same shape, each row with a hit: one stable sort and one
+    cumulative sum along the rows, and each row's precision-at-hit terms
+    summed as one contiguous row, as `sum` sums a vector."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranked_hits = np.take_along_axis(hits, order, axis=1).astype(np.float64)
+    precision = np.cumsum(ranked_hits, axis=1) / np.arange(1, scores.shape[1] + 1)
+    return (precision * ranked_hits).sum(axis=1) / hits.sum(axis=1)
+
+
 def average_precision(scores, positives) -> float:
     """AP = sum_n (R_n - R_{n-1}) * P_n over the descending-score ranking.
 
@@ -51,34 +62,26 @@ def average_precision(scores, positives) -> float:
     if s.size == 0:
         raise ValueError("empty input")
     hits = p.astype(bool)
-    n_pos = int(hits.sum())
-    if n_pos == 0:
+    if not hits.any():
         raise ValueError("no positives in ranking")
-    order = np.argsort(-s, kind="stable")
-    ranked_hits = hits[order].astype(np.float64)
-    cum_hits = np.cumsum(ranked_hits)
-    precision = cum_hits / np.arange(1, s.size + 1)
-    return float((precision * ranked_hits).sum() / n_pos)
+    return float(_average_precisions(s[None, :], hits[None, :])[0])
 
 
 def mean_ap(preds: ScoredPredictions) -> MeanApResult:
     """One-vs-rest AP per score column, averaged over labels that have
-    positives.
+    positives; every column is ranked in one batched pass.
 
     Labels with no positive rows are skipped and reported in the result.
     """
-    per_label: dict[int, float] = {}
-    skipped: list[int] = []
-    for label in range(preds.n_labels):
-        positives = preds.labels == label
-        if not positives.any():
-            skipped.append(label)
-            continue
-        per_label[label] = average_precision(preds.scores[:, label], positives)
-    if not per_label:
+    hits = preds.labels[None, :] == np.arange(preds.n_labels)[:, None]
+    present = hits.any(axis=1)
+    if not present.any():
         raise ValueError("every label lacks positives")
+    aps = _average_precisions(np.ascontiguousarray(preds.scores.T[present]), hits[present])
+    per_label = dict(zip(np.flatnonzero(present).tolist(), aps.tolist()))
+    skipped = tuple(np.flatnonzero(~present).tolist())
     mean = float(np.mean(list(per_label.values())))
-    return MeanApResult(per_label=per_label, mean_ap=mean, skipped=tuple(skipped))
+    return MeanApResult(per_label=per_label, mean_ap=mean, skipped=skipped)
 
 
 def topk_accuracy(preds: ScoredPredictions, k: int) -> float:

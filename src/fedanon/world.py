@@ -109,8 +109,9 @@ class DatasetBundle:
         return sorted(self.user_examples)
 
 
-def user_pref_at(profile: UserProfile, t: float, drift: float) -> np.ndarray:
-    """Time-interpolated preference: (1 - t*drift)*start + t*drift*end."""
+def user_pref_at(profile: UserProfile, t: float | np.ndarray, drift: float) -> np.ndarray:
+    """Time-interpolated preference: (1 - t*drift)*start + t*drift*end; a
+    column of times gives one preference per row."""
     w = t * drift
     return (1.0 - w) * profile.pref_start + w * profile.pref_end
 
@@ -158,18 +159,22 @@ def gen_background(
 def _gen_user_examples(
     rng: np.random.Generator, profile: UserProfile, cfg: WorldConfig, prototypes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One user's rows in timeline order: (x, y, t, album)."""
+    """One user's rows in timeline order: (x, y, t, album). Each row's
+    class is the draw `rng.choice(classes, p=mix)` makes: its uniform
+    searched in the cumulative mix, normalised by its last entry."""
     n, albums = cfg.n_per_user, cfg.albums_per_user
     position = np.arange(n, dtype=np.int64)
     t = position / (n - 1)
     album = np.minimum(position * albums // n, albums - 1)
+    pref = user_pref_at(profile, t[:, None], cfg.drift)
+    mix = (1.0 - ALBUM_BLEND) * pref + ALBUM_BLEND * np.asarray(profile.albums)[album]
+    mix = mix / mix.sum(axis=1, keepdims=True)
+    cdf = mix.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     x = np.empty((n, cfg.feature_dim))
     y = np.empty(n, dtype=np.int64)
     for i in range(n):
-        pref = user_pref_at(profile, t[i], cfg.drift)
-        mix = (1.0 - ALBUM_BLEND) * pref + ALBUM_BLEND * profile.albums[album[i]]
-        mix = mix / mix.sum()
-        y[i] = rng.choice(cfg.classes, p=mix)
+        y[i] = cdf[i].searchsorted(rng.random(), side="right")
         x[i] = prototypes[y[i]] + rng.normal(0.0, cfg.feature_noise, size=cfg.feature_dim)
     return x, y, t, album
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 
-from fedanon.attacks import sample_balanced_pairs
+from fedanon.attacks import pair_rows, sample_balanced_pairs
 from fedanon.metrics import average_precision
 from fedanon.seeding import rng_from
 from fedanon.world import DISTANCE_SAMPLE, _normalize_rows
@@ -38,9 +38,10 @@ def broadcast_intra_inter(bundle, seed):
 
 def one_batch_matching(model, side_a, side_b, n_pairs=2000, seed=0):
     """The scores and AP of `attacks.evaluate_matching` with every pair
-    scored in one `predict_pairs` call."""
-    a, b, y = sample_balanced_pairs(side_a, side_b, n_pairs, rng_from(seed, "match-eval"))
-    scores = model.predict_pairs(a, b)
+    gathered at once and scored in one `predict_pairs` call."""
+    ia, ib, y = sample_balanced_pairs(side_a, side_b, n_pairs, rng_from(seed, "match-eval"))
+    x_a, x_b = pair_rows(side_a, side_b)
+    scores = model.predict_pairs(x_a[ia], x_b[ib])
     return scores, average_precision(scores, y > 0.5)
 
 

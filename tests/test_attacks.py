@@ -4,6 +4,8 @@ Fixtures put each user's deltas in a well-separated cluster, so any working
 attack must approach AP 1.0 there and collapse under a label permutation;
 the matching heads are additionally pinned by hand values and symmetry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from fedanon.attacks import (
     evaluate_reid,
     evaluate_reid_openworld,
     open_world_split,
+    pair_rows,
     rmsprop_step,
     sample_balanced_pairs,
     train_matcher,
@@ -241,7 +244,10 @@ def test_sample_balanced_pairs_cross_side():
     # user id sits in the first coordinate, so authorship is observable
     side_a = {u: np.array([[u, 0.0], [u, 1.0]]) for u in range(4)}
     side_b = {u: np.array([[u, 2.0], [u, 3.0]]) for u in range(4)}
-    a, b, y = sample_balanced_pairs(side_a, side_b, 100, rng)
+    ia, ib, y = sample_balanced_pairs(side_a, side_b, 100, rng)
+    assert ia.dtype == ib.dtype == np.int64
+    x_a, x_b = pair_rows(side_a, side_b)
+    a, b = x_a[ia], x_b[ib]
     assert y.sum() == 50
     same_author = a[:, 0] == b[:, 0]
     np.testing.assert_array_equal(same_author, y > 0.5)
@@ -250,11 +256,37 @@ def test_sample_balanced_pairs_cross_side():
 def test_sample_balanced_pairs_same_side_distinct_rows():
     rng = np.random.default_rng(1)
     side = {u: np.stack([[u, i] for i in range(3)]).astype(float) for u in range(3)}
-    a, b, y = sample_balanced_pairs(side, side, 60, rng)
+    ia, ib, y = sample_balanced_pairs(side, side, 60, rng)
+    x_a, x_b = pair_rows(side, side)
+    assert x_a is x_b  # one stack serves both sides
+    a, b = x_a[ia], x_b[ib]
     pos = y > 0.5
     assert (a[pos, 0] == b[pos, 0]).all()
     assert (a[pos, 1] != b[pos, 1]).all()  # never the same row twice
+    assert (ia[pos] != ib[pos]).all()
     assert (a[~pos, 0] != b[~pos, 0]).all()
+
+
+# sha256 of the gathered (a, b, y) bytes, taken when the sampler still
+# returned stacked rows; the index form must pick the same pairs
+PAIR_DIGESTS = {
+    "cross": "ac40dd6a20d9bc56dbcd4d426874ab7deaf21f8c6c2d86d7ba9cf13e32563649",
+    "same": "b9203550f4be4100e8ff347abb8c5d1db7a773d5ebfcd7262fb18d30716b92e4",
+}
+
+
+@pytest.mark.parametrize("kind", PAIR_DIGESTS)
+def test_sample_balanced_pairs_gathers_the_pinned_pairs(kind):
+    # users inserted in reverse order, uneven row counts, partial overlap
+    rng = np.random.default_rng(11)
+    side_a = {u: rng.normal(size=(1 + u % 3, 5)) for u in reversed(range(5))}
+    side_b = {u: rng.normal(size=(2 + u % 2, 5)) for u in reversed(range(1, 7))}
+    same = {u: rng.normal(size=(1 + u % 4, 5)) for u in reversed(range(6))}
+    sides = (side_a, side_b) if kind == "cross" else (same, same)
+    ia, ib, y = sample_balanced_pairs(*sides, 301, np.random.default_rng(3))
+    x_a, x_b = pair_rows(*sides)
+    gathered = b"".join(v.tobytes() for v in (x_a[ia], x_b[ib], y))
+    assert hashlib.sha256(gathered).hexdigest() == PAIR_DIGESTS[kind]
 
 
 def test_sample_balanced_pairs_error_cases():
@@ -316,6 +348,16 @@ def test_evaluate_matching_scores_pairs_in_blocks():
     bound = 5 * 2**20
     assert traced_peak(evaluate_matching, model, rows, rows, n_pairs=8000) < bound
     assert traced_peak(one_batch_matching, model, rows, rows, n_pairs=8000) > 5 * bound
+
+
+def test_evaluate_matching_gathers_the_rows_of_one_block_at_a_time():
+    # 8000 pairs of 160-d rows, the width of a default attack vector: the
+    # pairs' rows gathered at once are two 10 MB (8000, 160) float64 arrays
+    rng = np.random.default_rng(0)
+    shadow = {u: rng.normal(u, 0.1, size=(10, 160)) for u in range(4)}
+    anon = {u: rng.normal(u, 0.1, size=(5, 160)) for u in range(4)}
+    model = SiameseMatcher(SiameseMatcher.init_params(160, seed=0))
+    assert traced_peak(evaluate_matching, model, shadow, anon, n_pairs=8000) < 5 * 2**20
 
 
 def test_rmsprop_first_step_value():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedanon.metrics import (
     ScoredPredictions,
@@ -103,6 +104,29 @@ def test_mean_ap_skips_absent_labels():
     result = mean_ap(ScoredPredictions(scores=scores, labels=labels))
     assert result.skipped == (2,)
     assert 2 not in result.per_label
+
+
+@st.composite
+def scored_predictions(draw):
+    n = draw(st.integers(1, 300))  # past 128 rows a sum runs pairwise
+    n_labels = draw(st.integers(1, 6))
+    # few distinct scores, so rankings tie; some labels may be absent
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    scores = draw(arrays(np.float64, (n, n_labels), elements=values))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, n_labels - 1)))
+    return ScoredPredictions(scores=scores, labels=labels)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(scored_predictions())
+def test_mean_ap_per_label_is_average_precision_of_each_column_bitwise(preds):
+    result = mean_ap(preds)
+    present = [c for c in range(preds.n_labels) if (preds.labels == c).any()]
+    assert list(result.per_label) == present
+    assert result.skipped == tuple(c for c in range(preds.n_labels) if c not in present)
+    for c in present:
+        one = average_precision(preds.scores[:, c], preds.labels == c)
+        assert np.float64(result.per_label[c]).tobytes() == np.float64(one).tobytes()
 
 
 def test_topk_accuracy_hand_case():
