@@ -1,6 +1,7 @@
 """Shared fixtures. The small world is sized so the full FL + attack path
-stays under a second per run; acceptance tests build their own default-size
-worlds and are the only slow part of the suite."""
+stays under a second per run. The acceptance tests run the experiment
+families at the default size, on one `Stages` per seed that their gates
+share, and are the only slow part of the suite."""
 
 import numpy as np
 import pytest
