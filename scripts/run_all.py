@@ -106,6 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         if not sep:
             parser.error(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value.strip()
+    if "out_dir" in overrides:
+        parser.error("give the output directory by --out-dir, not by --set out_dir=...")
     if args.seeds is not None:
         if "seed" in overrides:
             parser.error("give the seed by --seeds or by --set seed=..., not both")

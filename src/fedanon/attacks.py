@@ -3,16 +3,18 @@
 The adversary trains on shadow-device deltas (its prior knowledge) and is
 evaluated on anonymous-device deltas from the same federated run. Attacks
 come in two flavors: re-identification (score every known user for a given
-delta) and matching (probability that two deltas share an author). The
-open-world variants add an explicit `unseen` class trained on a held-out
-user set, and the data-space attack applies the same classifier recipe to
-raw examples instead of deltas.
+delta) and matching (probability that two deltas share an author). Every
+attack is fit on an `AttackDataset` by `train_reid` or `train_matcher`. The
+open-world attack is re-identification on a copy of the dataset in which
+held-out and unseen users form one explicit `unseen` class, and the
+data-space attack fits the same classifier on raw examples instead of
+deltas (`dataspace_dataset`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -69,7 +71,9 @@ class AttackDataset:
     train_users: np.ndarray
     test_x: np.ndarray
     test_users: np.ndarray
-    users: tuple[int, ...]  # sorted distinct train users
+    # the class order: the sorted distinct train users, or the order `keep`
+    # was given, such as an open world's seen users and then UNSEEN_LABEL
+    users: tuple[int, ...]
 
     def encode(self, user_ids: np.ndarray, classes: Sequence[int]) -> np.ndarray:
         lookup = {u: i for i, u in enumerate(classes)}
@@ -80,6 +84,25 @@ class AttackDataset:
             (self.train_x, self.train_users) if side == "train" else (self.test_x, self.test_users)
         )
         return {int(u): x[users == u] for u in np.unique(users)}
+
+    def keep(self, train: Collection[int], test: Collection[int], unseen: Collection[int] = (),
+             users: Sequence[int] | None = None) -> "AttackDataset":
+        """The rows of the `train` users on the train side and of the `test`
+        users on the test side, each side in its order, with the rows of
+        `unseen` users relabelled UNSEEN_LABEL. `users` is the class order
+        (default: the sorted distinct kept train users)."""
+        on_train, on_test = np.isin(self.train_users, list(train)), np.isin(self.test_users, list(test))
+        if not (on_train.any() and on_test.any()):
+            raise ValueError("attack dataset needs at least one row on each side")
+        train_users, test_users = (
+            np.where(np.isin(ids, list(unseen)), UNSEEN_LABEL, ids)
+            for ids in (self.train_users[on_train], self.test_users[on_test])
+        )
+        if users is None:
+            users = sorted(set(train_users.tolist()))
+        return AttackDataset(
+            self.train_x[on_train], train_users, self.test_x[on_test], test_users, tuple(users)
+        )
 
 
 def build_attack_dataset(
@@ -250,12 +273,18 @@ class ReidEvaluation:
     skipped: tuple[int, ...]
 
 
-def _score_reid(scores: np.ndarray, labels: np.ndarray, n_classes: int) -> ReidEvaluation:
-    """Mean AP, chance AP and top-k accuracy of a score matrix against the
-    true class index of each row."""
-    preds = ScoredPredictions(scores=scores, labels=labels)
+def evaluate_reid(model: ReidModel, ds: AttackDataset) -> ReidEvaluation:
+    """Mean AP, chance AP and top-k accuracy on the test side of `ds`.
+    Re-identification is closed-world: every test user must be one of the
+    model's classes."""
+    missing = sorted(set(ds.test_users.tolist()) - set(model.classes))
+    if missing:
+        raise ValueError(f"closed-world violation: test users {missing} have no training rows")
+    preds = ScoredPredictions(
+        scores=model.predict(ds.test_x), labels=ds.encode(ds.test_users, model.classes)
+    )
     result = mean_ap(preds)
-    _, chance = chance_level(preds.labels, n_classes)
+    _, chance = chance_level(preds.labels, len(model.classes))
     return ReidEvaluation(
         preds=preds,
         mean_ap=result.mean_ap,
@@ -265,16 +294,6 @@ def _score_reid(scores: np.ndarray, labels: np.ndarray, n_classes: int) -> ReidE
         top5=topk_accuracy(preds, 5),
         skipped=result.skipped,
     )
-
-
-def evaluate_reid(model: ReidModel, ds: AttackDataset) -> ReidEvaluation:
-    """Score the test side of `ds`. Re-identification is closed-world:
-    every test user must be one of the model's classes."""
-    missing = sorted(set(ds.test_users.tolist()) - set(model.classes))
-    if missing:
-        raise ValueError(f"closed-world violation: test users {missing} have no training rows")
-    scores = model.predict(ds.test_x)
-    return _score_reid(scores, ds.encode(ds.test_users, model.classes), len(model.classes))
 
 
 def reid_scores(model: ReidModel, ds: AttackDataset) -> list[float]:
@@ -555,71 +574,23 @@ def open_world_split(users: Sequence[int], seen_fraction: float, seed: int = 0) 
     return OpenWorldSplit(seen=seen, unseen=unseen, holdout=holdout)
 
 
-def _open_world_rows(
-    x: np.ndarray, users: np.ndarray, split: OpenWorldSplit, other: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of seen users, labelled with their index in `split.seen`,
-    and of `other` users, labelled with the `unseen` class index
-    len(split.seen), in their original order."""
-    index = {u: len(split.seen) for u in other} | {u: i for i, u in enumerate(split.seen)}
-    keep = np.flatnonzero([int(u) in index for u in users])
-    return x[keep], np.asarray([index[int(u)] for u in users[keep]], dtype=np.int64)
-
-
-def train_reid_openworld(ds: AttackDataset, split: OpenWorldSplit, seed: int = 0) -> MlpReid:
-    """MLP over |seen|+1 classes; holdout users' rows train the `unseen`
-    class (sentinel id -1 in the class list)."""
-    if not split.holdout:
-        raise ValueError("open-world training needs a non-empty holdout")
-    x, labels = _open_world_rows(ds.train_x, ds.train_users, split, split.holdout)
-    if not np.any(labels == len(split.seen)):
-        raise ValueError("holdout users have no training rows")
-    trained = set(ds.train_users.tolist())
-    for u in split.seen:
-        if u not in trained:
-            raise ValueError(f"seen user {u} has no training rows")
-    return MlpReid.fit(x, labels, list(split.seen) + [UNSEEN_LABEL], seed)
-
-
-def evaluate_reid_openworld(
-    model: MlpReid, ds: AttackDataset, split: OpenWorldSplit
-) -> ReidEvaluation:
-    """Test on anonymous rows of seen and unseen users; unseen users' target
-    is the `unseen` class. Holdout users stay out of the evaluation."""
-    x, labels = _open_world_rows(ds.test_x, ds.test_users, split, split.unseen)
-    if labels.size == 0:
-        raise ValueError("no evaluation rows for this split")
-    return _score_reid(model.predict(x), labels, len(model.classes))
-
-
 # ---------------------------------------------------------------------------
 # data-space attack
 
 
-def train_dataspace_model(bundle: DatasetBundle, seed: int = 0) -> MlpReid:
-    """Same classifier recipe as the delta-space MLP, but on raw prior
-    example features labeled by user."""
-    users = bundle.user_ids()
-    rows = [bundle.x[bundle.prior[u]] for u in users]
-    labels = np.concatenate(
-        [np.full(r.shape[0], i, dtype=np.int64) for i, r in enumerate(rows)]
-    )
-    return MlpReid.fit(np.concatenate(rows), labels, users, seed)
+def dataspace_dataset(bundle: DatasetBundle, set_size: int, seed: int = 0) -> AttackDataset:
+    """Raw examples as an attack dataset: each user's prior examples train,
+    and the feature means of the user's private subsets are scored.
 
-
-def dataspace_sets(
-    bundle: DatasetBundle, set_size: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user private subsets aggregated by the feature mean.
-
-    set_size 1 reproduces the single-example evaluation exactly. If a user
-    holds fewer than set_size examples, one subset is drawn with
-    replacement instead.
+    set_size 1 scores single examples. If a user holds fewer than set_size
+    examples, one subset is drawn with replacement instead. The train side
+    is the same at every set size, so one fit serves them all.
     """
     if set_size < 1:
         raise ValueError("set_size must be >= 1")
-    feats, labels = [], []
-    for i, u in enumerate(bundle.user_ids()):
+    users = bundle.user_ids()
+    feats, test_users = [], []
+    for u in users:
         x = bundle.x[bundle.private[u]]
         n = x.shape[0]
         rng = rng_from(seed, "dataspace-sets", u)
@@ -628,21 +599,15 @@ def dataspace_sets(
         else:
             perm = rng.permutation(n)
             groups = [perm[s : s + set_size] for s in range(0, n, set_size)]
-        for g in groups:
-            feats.append(x[g].mean(axis=0))
-            labels.append(i)
-    return np.stack(feats), np.asarray(labels, dtype=np.int64)
-
-
-def dataspace_reid(
-    bundle: DatasetBundle, set_sizes: Sequence[int], seed: int = 0
-) -> list[ReidEvaluation]:
-    """Re-identification from raw examples: one model classifies the mean
-    feature of same-user private subsets, once per set size (size 1 is
-    single examples)."""
-    model = train_dataspace_model(bundle, seed)
-    sets = (dataspace_sets(bundle, set_size, seed) for set_size in set_sizes)
-    return [_score_reid(model.predict(x), labels, len(model.classes)) for x, labels in sets]
+        feats += [x[g].mean(axis=0) for g in groups]
+        test_users += [u] * len(groups)
+    return AttackDataset(
+        train_x=np.concatenate([bundle.x[bundle.prior[u]] for u in users]),
+        train_users=np.concatenate([np.full(len(bundle.prior[u]), u, dtype=np.int64) for u in users]),
+        test_x=np.stack(feats),
+        test_users=np.asarray(test_users, dtype=np.int64),
+        users=tuple(users),
+    )
 
 
 # ---------------------------------------------------------------------------

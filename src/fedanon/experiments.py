@@ -14,22 +14,20 @@ import numpy as np
 
 from . import __version__
 from .attacks import (
+    UNSEEN_LABEL,
     AttackDataset,
     MlpProductMatcher,
     MlpReid,
-    SiameseMatcher,
     bias_consistency,
     build_attack_dataset,
-    dataspace_reid,
+    dataspace_dataset,
     evaluate_matching,
     evaluate_reid,
-    evaluate_reid_openworld,
     mlp_reid_scores,
     open_world_split,
     reid_scores,
     train_matcher,
     train_reid,
-    train_reid_openworld,
     user_bias_profiles,
 )
 from .config import (
@@ -140,33 +138,32 @@ def _matching_closed(stages: Stages) -> list[Table]:
 
 
 def _open_world(stages: Stages) -> list[Table]:
+    """At each seen fraction the attack trains on the shadow deltas of the
+    holdout and seen users and scores the anonymous deltas of the seen and
+    unseen users: re-identification with the holdout and unseen users as
+    one `unseen` class, and siamese matching among the anonymous deltas."""
     cfg = stages.cfg
     ds = stages.attack_set
     rows = []
     for fraction in cfg.seen_fractions:
         split = open_world_split(ds.users, fraction, seed_from(cfg.seed, "ow-split"))
+        train, test = split.holdout + split.seen, split.seen + split.unseen
         if split.seen:
-            model = train_reid_openworld(ds, split, seed_from(cfg.seed, "ow-reid", repr(fraction)))
-            ev = evaluate_reid_openworld(model, ds, split)
-            reid_ap, reid_chance, reid_ioc = ev.mean_ap, ev.chance_ap, ev.ioc
+            open_ds = ds.keep(train, test, unseen=split.holdout + split.unseen,
+                              users=(*split.seen, UNSEEN_LABEL))
+            model = train_reid(open_ds, "mlp", seed_from(cfg.seed, "ow-reid", repr(fraction)))
+            reid = reid_scores(model, open_ds)
         else:
-            reid_ap = reid_chance = reid_ioc = float("nan")
-        # the matcher trains on shadow rows of holdout + seen users only
-        train_rows = ds.rows_by_user("train")
-        known = set(split.holdout) | set(split.seen)
-        matcher_rows = {u: r for u, r in train_rows.items() if u in known}
-        matcher = SiameseMatcher.fit(matcher_rows, seed_from(cfg.seed, "ow-siamese", repr(fraction)))
-        eval_users = set(split.seen) | set(split.unseen)
-        anon_rows = {u: r for u, r in ds.rows_by_user("test").items() if u in eval_users}
-        ev_match = evaluate_matching(
+            reid = [float("nan")] * 3
+        known = ds.keep(train, test)
+        matcher = train_matcher(known, "siamese", seed_from(cfg.seed, "ow-siamese", repr(fraction)))
+        anon_rows = known.rows_by_user("test")
+        ev = evaluate_matching(
             matcher, anon_rows, anon_rows, seed=seed_from(cfg.seed, "ow-match", repr(fraction))
         )
         rows.append(
-            [
-                float(fraction), len(split.seen), len(split.unseen), len(split.holdout),
-                float(reid_ap), float(reid_chance), float(reid_ioc),
-                float(ev_match.ap), float(ev_match.chance_ap), float(ev_match.ioc),
-            ]
+            [float(fraction), len(split.seen), len(split.unseen), len(split.holdout), *reid,
+             float(ev.ap), float(ev.chance_ap), float(ev.ioc)]
         )
     return [
         Table(
@@ -269,13 +266,15 @@ def _iid_control(stages: Stages) -> list[Table]:
 
 
 def _dataspace(stages: Stages) -> list[Table]:
-    """Raw-example attack next to the delta-space baseline."""
+    """Raw-example attack next to the delta-space baseline: one MLP fit on
+    the users' prior examples scores every set size's private subsets."""
     cfg = stages.cfg
+    seed = seed_from(cfg.seed, "dataspace")
+    sets = [dataspace_dataset(stages.world, size, seed) for size in cfg.dataspace_set_sizes]
+    model = train_reid(sets[0], "mlp", seed)
     rows = [["delta", 0, *reid_scores(stages.reference_mlp, stages.attack_set)]]
-    sizes = cfg.dataspace_set_sizes
-    for size, ev in zip(sizes, dataspace_reid(stages.world, sizes, seed_from(cfg.seed, "dataspace"))):
-        label = "data_single" if size == 1 else "data_set"
-        rows.append([label, size, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)])
+    for size, ds in zip(cfg.dataspace_set_sizes, sets):
+        rows.append(["data_single" if size == 1 else "data_set", size, *reid_scores(model, ds)])
     return [
         Table(name="dataspace", columns=["input", "set_size", "ap", "chance_ap", "ioc"], rows=rows)
     ]

@@ -23,18 +23,15 @@ from fedanon.attacks import (
     bias_consistency,
     build_attack_dataset,
     class_bias_profile,
-    dataspace_reid,
-    dataspace_sets,
+    dataspace_dataset,
     evaluate_matching,
     evaluate_reid,
-    evaluate_reid_openworld,
     open_world_split,
     pair_rows,
     rmsprop_step,
     sample_balanced_pairs,
     train_matcher,
     train_reid,
-    train_reid_openworld,
     user_bias_profiles,
 )
 from fedanon import nn
@@ -135,6 +132,27 @@ def test_rows_by_user_grouping(cluster_ds):
     assert all(v.shape == (10, 8) for v in rows.values())
     rows_test = cluster_ds.rows_by_user("test")
     assert all(v.shape == (5, 8) for v in rows_test.values())
+
+
+def test_keep_selects_each_side_in_order_and_relabels_unseen_users(cluster_ds):
+    kept = cluster_ds.keep(train=(2, 0), test=(1, 3, 2))
+    assert kept.users == (0, 2)
+    train_rows = np.isin(cluster_ds.train_users, (0, 2))
+    np.testing.assert_array_equal(kept.train_x, cluster_ds.train_x[train_rows])
+    np.testing.assert_array_equal(kept.train_users, cluster_ds.train_users[train_rows])
+    test_rows = np.isin(cluster_ds.test_users, (1, 2, 3))
+    np.testing.assert_array_equal(kept.test_x, cluster_ds.test_x[test_rows])
+    np.testing.assert_array_equal(kept.test_users, cluster_ds.test_users[test_rows])
+    relabelled = cluster_ds.keep((0, 1, 2), (1, 2, 3), unseen=(2, 3), users=(1, 0, UNSEEN_LABEL))
+    assert relabelled.users == (1, 0, UNSEEN_LABEL)
+    np.testing.assert_array_equal(
+        relabelled.train_users,
+        np.where(cluster_ds.train_users == 2, UNSEEN_LABEL, cluster_ds.train_users)[
+            cluster_ds.train_users != 3],
+    )
+    assert set(relabelled.test_users.tolist()) == {1, UNSEEN_LABEL}
+    with pytest.raises(ValueError, match="each side"):
+        cluster_ds.keep(train=(0,), test=(77,))
 
 
 # -------------------------------------------------------- re-identification
@@ -454,13 +472,20 @@ def test_open_world_split_extremes():
         open_world_split([1, 2], 0.5)
 
 
+def open_world_dataset(ds, split):
+    """The open-world copy of `ds` that the `open_world` family attacks."""
+    return ds.keep(split.holdout + split.seen, split.seen + split.unseen,
+                   unseen=split.holdout + split.unseen, users=(*split.seen, UNSEEN_LABEL))
+
+
 def test_open_world_reid_classes_and_eval():
     records = cluster_records(n_users=9, shadow_rows=8, anon_rows=4)
     ds = build_attack_dataset(records, REPR)
     split = open_world_split(ds.users, seen_fraction=0.5, seed=0)
-    model = train_reid_openworld(ds, split, seed=0)
+    open_ds = open_world_dataset(ds, split)
+    model = train_reid(open_ds, "mlp", seed=0)
     assert model.classes == tuple(split.seen) + (UNSEEN_LABEL,)
-    ev = evaluate_reid_openworld(model, ds, split)
+    ev = evaluate_reid(model, open_ds)
     # seen + unseen users contribute their anonymous rows; holdout stays out
     assert ev.preds.labels.shape[0] == 4 * (len(split.seen) + len(split.unseen))
     assert ev.preds.scores.shape[1] == len(split.seen) + 1
@@ -470,57 +495,50 @@ def test_open_world_reid_classes_and_eval():
 def test_open_world_training_validation(cluster_ds):
     from fedanon.attacks import OpenWorldSplit
 
-    with pytest.raises(ValueError, match="holdout"):
-        train_reid_openworld(cluster_ds, OpenWorldSplit(seen=(0,), unseen=(1,), holdout=()))
-    with pytest.raises(ValueError, match="no training rows"):
-        train_reid_openworld(
-            cluster_ds, OpenWorldSplit(seen=(0,), unseen=(1,), holdout=(77,))
-        )
+    # no holdout users, or none with rows: the `unseen` class has no rows
+    for holdout in ((), (77,)):
+        split = OpenWorldSplit(seen=(0,), unseen=(1,), holdout=holdout)
+        with pytest.raises(ValueError, match=r"users \[-1\] have no training rows"):
+            train_reid(open_world_dataset(cluster_ds, split), "mlp")
 
 
 # ---------------------------------------------------------------- data space
 
 
-def test_dataspace_sets_singletons_cover_pool():
+def test_dataspace_dataset_singletons_cover_pool():
     bundle = gen_world(small_cfg())
-    x, labels = dataspace_sets(bundle, set_size=1, seed=0)
+    ds = dataspace_dataset(bundle, set_size=1, seed=0)
     total_private = sum(len(bundle.private[u]) for u in bundle.user_ids())
-    assert x.shape[0] == total_private == labels.shape[0]
-    for i, u in enumerate(bundle.user_ids()):
-        mine = x[labels == i]
-        assert mine.shape[0] == len(bundle.private[u])
+    assert ds.test_x.shape[0] == total_private == ds.test_users.shape[0]
+    assert ds.users == tuple(bundle.user_ids())
+    for u in bundle.user_ids():
+        assert int((ds.test_users == u).sum()) == len(bundle.private[u])
+        np.testing.assert_array_equal(ds.train_x[ds.train_users == u], bundle.x[bundle.prior[u]])
 
 
-def test_dataspace_sets_partition_sizes():
+def test_dataspace_dataset_partition_sizes():
     bundle = gen_world(small_cfg())
     n0 = len(bundle.private[0])
     set_size = 7
-    x, labels = dataspace_sets(bundle, set_size=set_size, seed=0)
-    per_user_groups = int((labels == 0).sum())
+    ds = dataspace_dataset(bundle, set_size=set_size, seed=0)
+    per_user_groups = int((ds.test_users == 0).sum())
     assert per_user_groups == -(-n0 // set_size)  # ceil division
-    big, big_labels = dataspace_sets(bundle, set_size=10_000, seed=0)
-    assert int((big_labels == 0).sum()) == 1
+    big = dataspace_dataset(bundle, set_size=10_000, seed=0)
+    assert int((big.test_users == 0).sum()) == 1
     with pytest.raises(ValueError):
-        dataspace_sets(bundle, set_size=0)
+        dataspace_dataset(bundle, set_size=0)
 
 
-def test_dataspace_reid_scores_every_set_size_with_one_model():
+def test_dataspace_one_fit_serves_every_set_size():
     bundle = gen_world(small_cfg())
-    both = dataspace_reid(bundle, (1, 7), seed=0)
-    apart = dataspace_reid(bundle, (1,), seed=0) + dataspace_reid(bundle, (7,), seed=0)
-    assert [e.mean_ap for e in both] == [e.mean_ap for e in apart]
-    assert [e.top1 for e in both] == [e.top1 for e in apart]
-    assert both[0].preds.scores.shape[0] == sum(len(bundle.private[u]) for u in bundle.user_ids())
-    with pytest.raises(ValueError):
-        dataspace_reid(bundle, (0,))
-
-
-def test_dataspace_reid_trains_one_model_for_all_set_sizes(monkeypatch):
-    calls = []
-    fit = MlpReid.fit
-    monkeypatch.setattr(MlpReid, "fit", lambda *a, **k: calls.append(1) or fit(*a, **k))
-    assert len(dataspace_reid(gen_world(small_cfg()), (1, 4, 16), seed=0)) == 3
-    assert len(calls) == 1
+    single, grouped = (dataspace_dataset(bundle, size, seed=0) for size in (1, 7))
+    np.testing.assert_array_equal(single.train_x, grouped.train_x)
+    np.testing.assert_array_equal(single.train_users, grouped.train_users)
+    model = train_reid(single, "mlp", seed=0)
+    apart = evaluate_reid(train_reid(grouped, "mlp", seed=0), grouped)
+    shared = evaluate_reid(model, grouped)
+    np.testing.assert_array_equal(shared.preds.scores, apart.preds.scores)
+    assert evaluate_reid(model, single).preds.scores.shape[0] == single.test_x.shape[0]
 
 
 # ------------------------------------------------------------- bias profiles

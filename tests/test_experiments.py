@@ -4,15 +4,17 @@ sharing one config's stages across families changes no report byte, and
 each stage runs the fewest times the families need."""
 
 import dataclasses
+import hashlib
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedanon import __version__, experiments, mitigation, nn
-from fedanon.attacks import MlpReid, reid_scores, train_reid
+from fedanon import __version__, attacks, experiments, mitigation, nn
+from fedanon.attacks import MlpReid, SiameseMatcher, SvmReid, reid_scores, train_reid
 from fedanon.config import ConfigError, ExperimentConfig, build_config, config_hash, snapshot
 from fedanon.experiments import (
     EXPERIMENT_FAMILIES,
@@ -22,7 +24,7 @@ from fedanon.experiments import (
     world_config_from,
 )
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW
-from fedanon.reporting import report_to_json
+from fedanon.reporting import report_to_json, table_to_csv
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world, make_iid_control
 
@@ -260,6 +262,49 @@ def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch)
     }
 
 
+def test_every_attack_fit_goes_through_train_reid_or_train_matcher(monkeypatch):
+    # the one place where every attack fit can be timed or inspected
+    doors = {attacks.train_reid.__code__, attacks.train_matcher.__code__}
+    fits = []  # (family, fitted class, whether a front door is on the stack)
+
+    def watched(cls):
+        fit = cls.fit
+
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in doors:
+                frame = frame.f_back
+            fits.append((family, cls.__name__, frame is not None))
+            return fit(*args, **kwargs)
+
+        return staticmethod(wrapper)
+
+    for cls in (MlpReid, SvmReid, SiameseMatcher):
+        monkeypatch.setattr(cls, "fit", watched(cls))
+    stages = Stages(FAST)
+    for family in EXPERIMENT_FAMILIES:
+        run_experiment(FAST, family, stages)
+    assert {name for _, name, _ in fits} == {"MlpReid", "SvmReid", "SiameseMatcher"}
+    assert [(family, name) for family, name, inside in fits if not inside] == []
+
+
+# sha256 of the CSV of each table at a nine-user config, taken while the
+# open-world and data-space attacks still had fit and score functions of
+# their own; routing them through train_reid/train_matcher moves no byte
+TABLE_DIGESTS = {
+    "open_world": "ea84ef07a5a072c5d6cfbffa7724e95dc745c04e0d6e19af8032633c668ecc46",
+    "dataspace": "ed4d799e86b946c5ad81d164e9b642987ebbc30dcec8a8d04cd8f4d13598688e",
+}
+
+
+@pytest.mark.parametrize("family", TABLE_DIGESTS)
+def test_family_table_keeps_its_pinned_bytes(family):
+    cfg = build_config(overrides={"users": "9", "rounds": "6", "n_per_user": "60",
+                                  "background_size": "200"})
+    csv = table_to_csv(run_experiment(cfg, family).table(family))
+    assert hashlib.sha256(csv.encode()).hexdigest() == TABLE_DIGESTS[family]
+
+
 def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):
     stages = Stages(FAST)
     stages.run
@@ -279,6 +324,15 @@ def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):
             ds = stages.dataset(train_epoch_range=(lo, hi), test_epoch_range=ev)
             expected.append([lo, hi, *ev, *reid_scores(model, ds)])
     assert table.rows == expected
+
+
+def test_dataspace_fits_one_model_for_every_set_size(monkeypatch):
+    stages = Stages(FAST)
+    stages.reference_mlp
+    calls = count_calls(monkeypatch)
+    table = run_experiment(FAST, "dataspace", stages).table("dataspace")
+    assert [r[1] for r in table.rows[1:]] == list(FAST.dataspace_set_sizes)
+    assert len(calls["MlpReid.fit"]) == 1
 
 
 def test_families_quote_the_one_reference_mlp_fit(reports):

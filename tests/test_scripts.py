@@ -194,3 +194,13 @@ def test_run_all_rejects_seeds_it_cannot_keep_apart(tmp_path, capsys, flags):
     assert exit_info.value.code == 2
     assert "--seeds" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_run_all_rejects_an_out_dir_it_would_not_write_to(tmp_path, capsys):
+    # the reports go to --out-dir; a config's out_dir would only be recorded
+    flags = ["--set", f"out_dir={tmp_path / 'x'}", "--families", "reid_closed"]
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("run_all").main([*SET_FLAGS, *flags, "--out-dir", str(tmp_path / "y")])
+    assert exit_info.value.code == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
