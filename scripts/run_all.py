@@ -26,7 +26,7 @@ import argparse
 import sys
 import time
 
-from fedanon.config import ConfigError, build_config, config_hash
+from fedanon.config import ConfigError, build_config, config_hash, read_config_file
 from fedanon.experiments import EXPERIMENT_FAMILIES, Stages, run_experiment
 from fedanon.reporting import Report, Table, write_report
 
@@ -118,6 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     families = [f for f in EXPERIMENT_FAMILIES if f in args.families]
     per_seed: dict[str, list[Report]] = {family: [] for family in families}
     try:
+        if args.config is not None and "out_dir" in read_config_file(args.config):
+            parser.error(f"{args.config} sets out_dir; give the output directory by --out-dir")
         if args.seeds is None:
             configs = [build_config(args.config, overrides)]
         else:

@@ -8,7 +8,8 @@ attack is fit on an `AttackDataset` by `train_reid` or `train_matcher`. The
 open-world attack is re-identification on a copy of the dataset in which
 held-out and unseen users form one explicit `unseen` class, and the
 data-space attack fits the same classifier on raw examples instead of
-deltas (`dataspace_dataset`).
+deltas (`dataspace_dataset`). Round ranges and per-user caps of the shadow
+deltas are row selections of one dataset, as the open-world copy is.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .blocks import row_blocks
-from .deltastore import ReprConfig, filter_records, represent_delta
+from .deltastore import ReprConfig, represent_delta
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from .metrics import (
     ScoredPredictions,
@@ -74,6 +75,10 @@ class AttackDataset:
     # the class order: the sorted distinct train users, or the order `keep`
     # was given, such as an open world's seen users and then UNSEEN_LABEL
     users: tuple[int, ...]
+    # the federated round of each row; raw-example rows (`dataspace_dataset`)
+    # belong to no round and carry round 0
+    train_rounds: np.ndarray
+    test_rounds: np.ndarray
 
     def encode(self, user_ids: np.ndarray, classes: Sequence[int]) -> np.ndarray:
         lookup = {u: i for i, u in enumerate(classes)}
@@ -85,13 +90,12 @@ class AttackDataset:
         )
         return {int(u): x[users == u] for u in np.unique(users)}
 
-    def keep(self, train: Collection[int], test: Collection[int], unseen: Collection[int] = (),
-             users: Sequence[int] | None = None) -> "AttackDataset":
-        """The rows of the `train` users on the train side and of the `test`
-        users on the test side, each side in its order, with the rows of
-        `unseen` users relabelled UNSEEN_LABEL. `users` is the class order
-        (default: the sorted distinct kept train users)."""
-        on_train, on_test = np.isin(self.train_users, list(train)), np.isin(self.test_users, list(test))
+    def _select(self, on_train: np.ndarray, on_test: np.ndarray, unseen: Collection[int] = (),
+                users: Sequence[int] | None = None) -> "AttackDataset":
+        """The rows where the boolean masks `on_train` and `on_test` hold,
+        each side in its order, with the rows of `unseen` users relabelled
+        UNSEEN_LABEL. `users` is the class order (default: the sorted
+        distinct kept train users)."""
         if not (on_train.any() and on_test.any()):
             raise ValueError("attack dataset needs at least one row on each side")
         train_users, test_users = (
@@ -101,39 +105,59 @@ class AttackDataset:
         if users is None:
             users = sorted(set(train_users.tolist()))
         return AttackDataset(
-            self.train_x[on_train], train_users, self.test_x[on_test], test_users, tuple(users)
+            self.train_x[on_train], train_users, self.test_x[on_test], test_users, tuple(users),
+            self.train_rounds[on_train], self.test_rounds[on_test],
         )
 
+    def keep(self, train: Collection[int], test: Collection[int], unseen: Collection[int] = (),
+             users: Sequence[int] | None = None) -> "AttackDataset":
+        """The rows of the `train` users on the train side and of the `test`
+        users on the test side, relabelled and ordered as `_select` does."""
+        return self._select(np.isin(self.train_users, list(train)),
+                            np.isin(self.test_users, list(test)), unseen, users)
 
-def build_attack_dataset(
-    records: Sequence[DeltaRecord],
-    repr_cfg: ReprConfig,
-    *,
-    train_epoch_range: tuple[int, int] | None = None,
-    test_epoch_range: tuple[int, int] | None = None,
-    max_train_per_user: int | None = None,
-    seed: int = 0,
-) -> AttackDataset:
-    train_recs = filter_records(
-        records,
-        epoch_range=train_epoch_range,
-        roles=(ROLE_SHADOW,),
-        max_per_user=max_train_per_user,
-        seed=seed_from(seed, "train-side"),
-    )
-    test_recs = filter_records(records, epoch_range=test_epoch_range, roles=(ROLE_ANONYMOUS,))
-    if not train_recs or not test_recs:
+    def in_rounds(self, lo: int, hi: int) -> "AttackDataset":
+        """The rows of rounds [lo, hi) on both sides."""
+        if lo >= hi:
+            raise ValueError(f"empty round range [{lo}, {hi})")
+        return self._select((lo <= self.train_rounds) & (self.train_rounds < hi),
+                            (lo <= self.test_rounds) & (self.test_rounds < hi))
+
+    def capped(self, k: int, seed: int) -> "AttackDataset":
+        """At most `k` train rows per user: of a user u with more, the `k`
+        that rng_from(seed, "max-per-user", u) draws from its train rows in
+        order. The test side is kept whole, and both sides keep their order."""
+        if k < 1:
+            raise ValueError(f"a per-user cap must be >= 1, got {k}")
+        on_train = np.zeros(len(self.train_users), dtype=bool)
+        for u in np.unique(self.train_users):
+            rows = np.flatnonzero(self.train_users == u)
+            if len(rows) > k:
+                draw = rng_from(seed, "max-per-user", int(u))
+                rows = rows[draw.choice(len(rows), size=k, replace=False)]
+            on_train[rows] = True
+        return self._select(on_train, np.ones(len(self.test_users), dtype=bool))
+
+
+def build_attack_dataset(records: Sequence[DeltaRecord], repr_cfg: ReprConfig) -> AttackDataset:
+    """The attack dataset of a delta log: the shadow devices' deltas are the
+    rows the attack trains on, and the anonymous devices' deltas the rows it
+    scores. Each side keeps log order, and each row is the delta represented
+    by `repr_cfg`, with its user and its round. Round ranges and per-user
+    caps are row selections of the result (`in_rounds`, `capped`)."""
+    train = [r for r in records if r.role == ROLE_SHADOW]
+    test = [r for r in records if r.role == ROLE_ANONYMOUS]
+    if not train or not test:
         raise ValueError("attack dataset needs at least one record on each side")
-    train_x = np.stack([represent_delta(r, repr_cfg) for r in train_recs])
-    test_x = np.stack([represent_delta(r, repr_cfg) for r in test_recs])
-    train_users = np.asarray([r.user_id for r in train_recs], dtype=np.int64)
-    test_users = np.asarray([r.user_id for r in test_recs], dtype=np.int64)
+    train_users = np.asarray([r.user_id for r in train], dtype=np.int64)
     return AttackDataset(
-        train_x=train_x,
+        train_x=np.stack([represent_delta(r, repr_cfg) for r in train]),
         train_users=train_users,
-        test_x=test_x,
-        test_users=test_users,
+        test_x=np.stack([represent_delta(r, repr_cfg) for r in test]),
+        test_users=np.asarray([r.user_id for r in test], dtype=np.int64),
         users=tuple(sorted(set(train_users.tolist()))),
+        train_rounds=np.asarray([r.round_t for r in train], dtype=np.int64),
+        test_rounds=np.asarray([r.round_t for r in test], dtype=np.int64),
     )
 
 
@@ -601,12 +625,15 @@ def dataspace_dataset(bundle: DatasetBundle, set_size: int, seed: int = 0) -> At
             groups = [perm[s : s + set_size] for s in range(0, n, set_size)]
         feats += [x[g].mean(axis=0) for g in groups]
         test_users += [u] * len(groups)
+    train_users = np.concatenate([np.full(len(bundle.prior[u]), u, dtype=np.int64) for u in users])
     return AttackDataset(
         train_x=np.concatenate([bundle.x[bundle.prior[u]] for u in users]),
-        train_users=np.concatenate([np.full(len(bundle.prior[u]), u, dtype=np.int64) for u in users]),
+        train_users=train_users,
         test_x=np.stack(feats),
         test_users=np.asarray(test_users, dtype=np.int64),
         users=tuple(users),
+        train_rounds=np.zeros(len(train_users), dtype=np.int64),
+        test_rounds=np.zeros(len(test_users), dtype=np.int64),
     )
 
 

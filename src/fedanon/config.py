@@ -2,14 +2,15 @@
 
 Config files are plain `key = value` lines (# comments allowed); every key
 has a same-named --flag on the command line. Precedence is flags > file >
-defaults. Unknown keys and out-of-range values are rejected with the
-offending key named. The world, federation and model keys are checked by
-the component configs built from them here; this module checks the rest.
+defaults. Unknown keys, non-finite floats and out-of-range values are
+rejected, naming the key. The world, federation and model keys are
+checked by the component configs built from them, the rest here.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -205,6 +206,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     the component configs that own them, the remaining keys here. What a
     family needs of the devices the server samples is checked by
     `experiments.run_experiment`, for that family only."""
+    for key, value in vars(cfg).items():
+        entries = value if isinstance(value, tuple) else (value,)
+        _require(all(math.isfinite(v) for v in entries if isinstance(v, float)), key,
+                 "must be finite", value)
     for build in (world_config_from, round_config_from, model_spec_from):
         try:
             build(cfg)

@@ -1,4 +1,4 @@
-"""Delta log persistence, vector representation, and filtering.
+"""Delta log persistence and the vector representation of one delta.
 
 A log directory holds manifest.json (model layout, device table, record
 index with byte offsets) next to deltas.bin (magic header followed by
@@ -13,14 +13,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .atomic import replace_files
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from .nn import ParamVector
-from .seeding import rng_from
 
 MAGIC = b"DLOG0001"
 FORMAT_NAME = "delta-log"
@@ -255,40 +254,3 @@ def represent_delta(record: DeltaRecord, cfg: ReprConfig) -> np.ndarray:
         if norm > 0.0:
             vec = vec / norm
     return vec
-
-
-def filter_records(
-    records: Iterable[DeltaRecord],
-    epoch_range: tuple[int, int] | None = None,
-    roles: Sequence[str] | None = None,
-    max_per_user: int | None = None,
-    seed: int = 0,
-) -> list[DeltaRecord]:
-    """Select by half-open round range [lo, hi), role set, and an optional
-    seeded per-user subsample; the surviving records keep log order."""
-    out = list(records)
-    if epoch_range is not None:
-        lo, hi = epoch_range
-        if lo >= hi:
-            raise ValueError(f"empty epoch range [{lo}, {hi})")
-        out = [r for r in out if lo <= r.round_t < hi]
-    if roles is not None:
-        allowed = set(roles)
-        out = [r for r in out if r.role in allowed]
-    if max_per_user is not None:
-        if max_per_user < 1:
-            raise ValueError("max_per_user must be >= 1")
-        by_user: dict[int, list[int]] = {}
-        for i, r in enumerate(out):
-            by_user.setdefault(r.user_id, []).append(i)
-        keep = set()
-        for user, idx in sorted(by_user.items()):
-            if len(idx) <= max_per_user:
-                keep.update(idx)
-            else:
-                take = rng_from(seed, "max-per-user", user).choice(
-                    len(idx), size=max_per_user, replace=False
-                )
-                keep.update(idx[i] for i in take)
-        out = [r for i, r in enumerate(out) if i in keep]
-    return out

@@ -70,7 +70,7 @@ class Stages:
     @cached_property
     def attack_set(self) -> AttackDataset:
         """The attack dataset of `run` at the config's representation."""
-        return self.dataset()
+        return self.dataset(self.run)
 
     @cached_property
     def reference_mlp(self) -> MlpReid:
@@ -82,10 +82,9 @@ class Stages:
         """FedAvg at this config on `bundle`, a variant of `world`."""
         return run_federated(bundle, self.spec, round_config_from(self.cfg))
 
-    def dataset(self, run: FederatedRun | None = None, **kwargs) -> AttackDataset:
-        """The attack dataset of `run`'s delta log (default: `self.run`)."""
-        records = (self.run if run is None else run).records
-        return build_attack_dataset(records, repr_config_from(self.cfg), **kwargs)
+    def dataset(self, run: FederatedRun) -> AttackDataset:
+        """The attack dataset of `run`'s delta log."""
+        return build_attack_dataset(run.records, repr_config_from(self.cfg))
 
 
 def utility_table(run: FederatedRun) -> Table:
@@ -193,11 +192,13 @@ def _prior_amount(stages: Stages) -> list[Table]:
 
 
 def _train_amount(stages: Stages) -> list[Table]:
-    """Cap the number of shadow deltas per user available to the attack."""
+    """Cap the number of shadow deltas per user available to the attack:
+    each cap keeps a seeded draw of every user's rows of `attack_set`."""
     cfg = stages.cfg
     rows = []
     for k in cfg.train_grid:
-        ds = stages.dataset(max_train_per_user=k, seed=seed_from(cfg.seed, "train-amount", k))
+        draw = seed_from(seed_from(cfg.seed, "train-amount", k), "train-side")
+        ds = stages.attack_set.capped(k, draw)
         scores = mlp_reid_scores(ds, seed_from(cfg.seed, "train-attack", k))
         rows.append([k, ds.train_x.shape[0], *scores])
     return [
@@ -234,12 +235,12 @@ def epoch_ranges(rounds: int, n_ranges: int) -> list[tuple[int, int]]:
 def _epoch_grid(stages: Stages) -> list[Table]:
     """Train the attack on one round range of shadow deltas, evaluate on
     another range of anonymous deltas, for every range pair. Each range
-    gets one dataset, whose shadow side trains and whose anonymous side is
-    scored; each range's model is fit once, with the seed of its diagonal
-    cell, and scored on every range's dataset."""
+    keeps the rows of its rounds of `attack_set`: its shadow side trains
+    and its anonymous side is scored. Each range's model is fit once, with
+    the seed of its diagonal cell, and scored on every range's rows."""
     cfg = stages.cfg
     ranges = epoch_ranges(cfg.rounds, cfg.epoch_ranges)
-    sets = [stages.dataset(train_epoch_range=r, test_epoch_range=r) for r in ranges]
+    sets = [stages.attack_set.in_rounds(lo, hi) for lo, hi in ranges]
     rows = []
     for (lo, hi), train_ds in zip(ranges, sets):
         model = train_reid(train_ds, "mlp", seed_from(cfg.seed, "grid", lo, lo))

@@ -50,7 +50,7 @@ def small_run(small_bundle):
 @pytest.fixture(scope="session")
 def small_dataset(small_run):
     repr_cfg = ReprConfig(layer_name="W2", normalize=True)
-    return build_attack_dataset(small_run.records, repr_cfg, seed=0)
+    return build_attack_dataset(small_run.records, repr_cfg)
 
 
 @pytest.fixture()

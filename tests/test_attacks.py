@@ -4,6 +4,7 @@ Fixtures put each user's deltas in a well-separated cluster, so any working
 attack must approach AP 1.0 there and collapse under a label permutation;
 the matching heads are additionally pinned by hand values and symmetry."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 from fedanon.attacks import (
     KNN_K,
     UNSEEN_LABEL,
-    AttackDataset,
     ChanceMatcher,
     ChanceReid,
     KnnReid,
@@ -38,6 +38,7 @@ from fedanon import nn
 from fedanon.deltastore import ReprConfig
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from fedanon.nn import ParamVector
+from fedanon.seeding import rng_from
 from fedanon.world import gen_world
 
 from broadcast_oracle import one_batch_matching, traced_peak
@@ -88,18 +89,59 @@ def test_build_dataset_routes_roles(cluster_ds):
     assert set(cluster_ds.train_users.tolist()) == {0, 1, 2, 3}
 
 
-def test_build_dataset_epoch_ranges_per_side():
-    ds = build_attack_dataset(
-        cluster_records(), REPR, train_epoch_range=(1, 6), test_epoch_range=(3, 5)
-    )
-    assert ds.train_x.shape[0] == 4 * 5
-    assert ds.test_x.shape[0] == 4 * 2
+def test_build_dataset_records_each_rows_round(cluster_ds):
+    # user after user, each shadow device logs rounds 1..10, each anonymous one 1..5
+    np.testing.assert_array_equal(cluster_ds.train_rounds, np.tile(np.arange(1, 11), 4))
+    np.testing.assert_array_equal(cluster_ds.test_rounds, np.tile(np.arange(1, 6), 4))
 
 
-def test_build_dataset_max_train_per_user():
-    ds = build_attack_dataset(cluster_records(), REPR, max_train_per_user=3)
-    counts = {u: int((ds.train_users == u).sum()) for u in ds.users}
-    assert all(v == 3 for v in counts.values())
+def test_in_rounds_keeps_a_half_open_range_on_both_sides(cluster_ds):
+    ds = cluster_ds.in_rounds(3, 5)
+    assert ds.train_x.shape[0] == ds.test_x.shape[0] == 4 * 2
+    assert set(ds.train_rounds.tolist()) == set(ds.test_rounds.tolist()) == {3, 4}
+    in_range = np.isin(cluster_ds.train_rounds, [3, 4])
+    np.testing.assert_array_equal(ds.train_x, cluster_ds.train_x[in_range])
+    assert ds.users == cluster_ds.users
+    with pytest.raises(ValueError, match=r"empty round range \[4, 4\)"):
+        cluster_ds.in_rounds(4, 4)
+    # only the shadow devices log rounds 6..10
+    with pytest.raises(ValueError, match="at least one row on each side"):
+        cluster_ds.in_rounds(6, 11)
+
+
+def test_capped_draws_the_same_train_rows_per_seed(cluster_ds):
+    a, b, c = cluster_ds.capped(3, 1), cluster_ds.capped(3, 1), cluster_ds.capped(3, 2)
+    assert {u: int((a.train_users == u).sum()) for u in a.users} == dict.fromkeys(range(4), 3)
+    np.testing.assert_array_equal(a.train_x, b.train_x)
+    assert not np.array_equal(a.train_rounds, c.train_rounds)
+    np.testing.assert_array_equal(a.test_x, cluster_ds.test_x)  # the test side stays whole
+    assert a.users == cluster_ds.users
+    # each user's k rows are the seeded draw among its train rows in log order
+    for u in a.users:
+        rows = np.flatnonzero(cluster_ds.train_users == u)
+        take = rng_from(1, "max-per-user", u).choice(len(rows), size=3, replace=False)
+        np.testing.assert_array_equal(a.train_rounds[a.train_users == u],
+                                      np.sort(cluster_ds.train_rounds[rows[take]]))
+
+
+def test_capped_is_a_no_op_under_the_cap(cluster_ds):
+    ds = cluster_ds.capped(10, 0)
+    np.testing.assert_array_equal(ds.train_x, cluster_ds.train_x)
+    np.testing.assert_array_equal(ds.train_rounds, cluster_ds.train_rounds)
+    with pytest.raises(ValueError, match=">= 1"):
+        cluster_ds.capped(0, 0)
+
+
+def test_row_selections_keep_log_order(small_dataset):
+    # a federated log is round after round, and each device logs one row a
+    # round, so (user, round) names one row of a side
+    for users, rounds in (("train_users", "train_rounds"), ("test_users", "test_rounds")):
+        position = {key: i for i, key in enumerate(zip(getattr(small_dataset, users).tolist(),
+                                                       getattr(small_dataset, rounds).tolist()))}
+        for ds in (small_dataset.in_rounds(2, 7), small_dataset.capped(3, 1)):
+            kept = [position[key]
+                    for key in zip(getattr(ds, users).tolist(), getattr(ds, rounds).tolist())]
+            assert kept == sorted(kept)
 
 
 def test_build_dataset_closed_world_violation():
@@ -177,13 +219,7 @@ def test_separable_clusters_are_reidentified(cluster_ds, method):
 @pytest.mark.parametrize("method", ["svm", "mlp"])
 def test_label_permutation_breaks_the_attack(cluster_ds, method):
     rng = np.random.default_rng(5)
-    shuffled = AttackDataset(
-        train_x=cluster_ds.train_x,
-        train_users=rng.permutation(cluster_ds.train_users),
-        test_x=cluster_ds.test_x,
-        test_users=cluster_ds.test_users,
-        users=cluster_ds.users,
-    )
+    shuffled = dataclasses.replace(cluster_ds, train_users=rng.permutation(cluster_ds.train_users))
     ev = evaluate_reid(train_reid(shuffled, method, seed=0), shuffled)
     assert ev.mean_ap < 0.55  # near the 0.25 chance line, far below separable
 
@@ -243,13 +279,7 @@ def test_train_reid_rejects_unknown_method(cluster_ds):
 
 
 def test_train_reid_rejects_userless_class(cluster_ds):
-    crippled = AttackDataset(
-        train_x=cluster_ds.train_x,
-        train_users=cluster_ds.train_users,
-        test_x=cluster_ds.test_x,
-        test_users=cluster_ds.test_users,
-        users=(0, 1, 2, 3, 99),
-    )
+    crippled = dataclasses.replace(cluster_ds, users=(0, 1, 2, 3, 99))
     with pytest.raises(ValueError, match="99"):
         train_reid(crippled, "knn")
 
@@ -434,13 +464,8 @@ def test_siamese_gradient_matches_finite_differences():
 def test_train_matcher_validation(cluster_ds):
     with pytest.raises(ValueError):
         train_matcher(cluster_ds, "psychic")
-    one_user = AttackDataset(
-        train_x=cluster_ds.train_x[:10],
-        train_users=np.zeros(10, dtype=np.int64),
-        test_x=cluster_ds.test_x[:5],
-        test_users=np.zeros(5, dtype=np.int64),
-        users=(0,),
-    )
+    one_user = cluster_ds.keep([0], [0])
+    assert one_user.users == (0,)
     with pytest.raises(ValueError):
         train_matcher(one_user, "siamese")
 
@@ -514,6 +539,10 @@ def test_dataspace_dataset_singletons_cover_pool():
     for u in bundle.user_ids():
         assert int((ds.test_users == u).sum()) == len(bundle.private[u])
         np.testing.assert_array_equal(ds.train_x[ds.train_users == u], bundle.x[bundle.prior[u]])
+    # raw examples belong to no federated round
+    assert not ds.train_rounds.any() and not ds.test_rounds.any()
+    assert ds.train_rounds.shape == ds.train_users.shape
+    assert ds.test_rounds.shape == ds.test_users.shape
 
 
 def test_dataspace_dataset_partition_sizes():

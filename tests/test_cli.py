@@ -144,6 +144,8 @@ def test_config_error_exits_2(capsys):
         ("epoch_ranges", "epoch_grid", ["--rounds", "4", "--epoch-ranges", "5"]),
         ("rounds", "matching_closed", ["--rounds", "1", "--epoch-ranges", "1"]),
         ("clusters_m", "mitigation", ["--background-size", "60", "--clusters-m", "61"]),
+        ("beta", "reid_closed", ["--beta", "nan"]),
+        ("aug_grid", "mitigation", ["--mitigation-strategies", "rand_aug", "--aug-grid", "inf"]),
         # some epoch range misses a shadow device; the whole run samples all
         ("client_fraction", "epoch_grid", ["--client-fraction", "0.25"]),
         # of the holdout and seen users at seen fraction 0, only one is sampled

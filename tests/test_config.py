@@ -100,6 +100,17 @@ def test_range_violations_name_the_key():
             build_config(overrides={key: bad})
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [("beta", "nan"), ("eta", "nan"), ("eta", "inf"), ("sigma_x", "inf"),
+     ("aug_grid", "0.5, inf"), ("noise_grid", "nan"), ("seen_fractions", "-inf")],
+)
+def test_non_finite_floats_name_the_key(key, raw):
+    # nan passes every range check, so it has to be rejected on its own
+    with pytest.raises(ConfigError, match=f"config key '{key}': must be finite"):
+        build_config(overrides={key: raw})
+
+
 def test_attack_layer_must_be_a_layer_of_the_model():
     # the default attack layer W2 exists only in mlp1
     with pytest.raises(ConfigError, match="'attack_layer'"):

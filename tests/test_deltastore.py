@@ -19,7 +19,6 @@ from fedanon.deltastore import (
     ReprConfig,
     ShapeMismatchError,
     TruncatedPayloadError,
-    filter_records,
     manifest_for,
     read_records,
     represent_delta,
@@ -319,57 +318,6 @@ def test_represent_delta_unknown_layer():
     rec = one_record(np.zeros((3, 2)), np.zeros((2, 3)))
     with pytest.raises(KeyError):
         represent_delta(rec, ReprConfig("W9"))
-
-
-# ---------------------------------------------------------------- filtering
-
-
-def test_filter_by_epoch_range_half_open():
-    records = make_records(n_rounds=5)
-    out = filter_records(records, epoch_range=(2, 4))
-    assert {r.round_t for r in out} == {2, 3}
-    with pytest.raises(ValueError):
-        filter_records(records, epoch_range=(4, 4))
-
-
-def test_filter_by_role():
-    records = make_records()
-    anon = filter_records(records, roles=[ROLE_ANONYMOUS])
-    assert anon and all(r.role == ROLE_ANONYMOUS for r in anon)
-    both = filter_records(records, roles=[ROLE_ANONYMOUS, ROLE_SHADOW])
-    assert len(both) == len(records)
-
-
-def test_filter_max_per_user_subsamples_deterministically():
-    records = make_records(n_rounds=6, n_devices=4)  # 12 records per user
-    a = filter_records(records, max_per_user=5, seed=1)
-    b = filter_records(records, max_per_user=5, seed=1)
-    per_user = {}
-    for r in a:
-        per_user[r.user_id] = per_user.get(r.user_id, 0) + 1
-    assert all(v == 5 for v in per_user.values())
-    assert [(r.round_t, r.device_id) for r in a] == [(r.round_t, r.device_id) for r in b]
-    c = filter_records(records, max_per_user=5, seed=2)
-    assert [(r.round_t, r.device_id) for r in a] != [(r.round_t, r.device_id) for r in c]
-
-
-def test_filter_max_per_user_noop_when_under_cap():
-    records = make_records(n_rounds=2, n_devices=2)
-    out = filter_records(records, max_per_user=100)
-    assert [(r.round_t, r.device_id) for r in out] == [
-        (r.round_t, r.device_id) for r in records
-    ]
-    with pytest.raises(ValueError):
-        filter_records(records, max_per_user=0)
-
-
-def test_filter_keeps_log_order():
-    records = make_records(n_rounds=4, n_devices=4)
-    out = filter_records(records, epoch_range=(1, 5), roles=[ROLE_ANONYMOUS], max_per_user=3)
-    keys = [(r.round_t, r.device_id) for r in out]
-    original_order = [(r.round_t, r.device_id) for r in records]
-    positions = [original_order.index(k) for k in keys]
-    assert positions == sorted(positions)
 
 
 def set_manifest(key, value, *path):

@@ -9,6 +9,7 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -249,14 +250,15 @@ def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch)
         run_experiment(FAST, family, stages)
     # federations: the default run, the IID control, one per prior_grid
     # entry and one per mitigated grid point
-    # attack datasets: the shared one 1, iid_control 1, layer_sweep 3,
-    # train_amount 2, epoch_grid 2, prior_amount 2, mitigation 5
+    # attack datasets built from a delta log: the shared one 1, iid_control
+    # 1, layer_sweep 3, prior_amount 2, mitigation 5 (train_amount and
+    # epoch_grid select rows of the shared one)
     # MLP fits: reference 1, iid_control 1, layer_sweep 3, train_amount 2,
     # open_world 1, epoch_grid 2, dataspace 1, prior_amount 2, mitigation 5
     assert {name: len(c) for name, c in calls.items()} == {
         "gen_world": 1,
         "run_federated": 8,
-        "build_attack_dataset": 16,
+        "build_attack_dataset": 12,
         "nn.train": 18,
         "MlpReid.fit": 18,
     }
@@ -290,10 +292,14 @@ def test_every_attack_fit_goes_through_train_reid_or_train_matcher(monkeypatch):
 
 # sha256 of the CSV of each table at a nine-user config, taken while the
 # open-world and data-space attacks still had fit and score functions of
-# their own; routing them through train_reid/train_matcher moves no byte
+# their own, and while epoch ranges and per-user caps still re-filtered the
+# delta log; routing the attacks through train_reid/train_matcher and
+# selecting rows of the shared attack dataset moves no byte
 TABLE_DIGESTS = {
     "open_world": "ea84ef07a5a072c5d6cfbffa7724e95dc745c04e0d6e19af8032633c668ecc46",
     "dataspace": "ed4d799e86b946c5ad81d164e9b642987ebbc30dcec8a8d04cd8f4d13598688e",
+    "epoch_grid": "67ea40a463ec4475e8185288f70178f996fa5eecf9dd2327d3688f6287e05364",
+    "train_amount": "025c2d0e545c1f138ae43586790b2615b7155daa631f10cfe96b636da48b9fee",
 }
 
 
@@ -307,22 +313,24 @@ def test_family_table_keeps_its_pinned_bytes(family):
 
 def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):
     stages = Stages(FAST)
-    stages.run
+    stages.attack_set
     calls = count_calls(monkeypatch)
     table = run_experiment(FAST, "epoch_grid", stages).table("epoch_grid")
-    # one dataset per range: its shadow side trains, its anonymous side is scored
-    assert len(calls["build_attack_dataset"]) == FAST.epoch_ranges
+    # each range selects its rounds' rows of the shared attack dataset: no
+    # dataset is built, and one model is fit per range on its shadow rows
+    assert len(calls["build_attack_dataset"]) == 0
     assert len(calls["MlpReid.fit"]) == FAST.epoch_ranges
     # every cell of a train row is scored by the one model fit with the
-    # seed of the row's diagonal cell
+    # seed of the row's diagonal cell, on the anonymous rows of the cell's
+    # eval range
     ranges = epoch_ranges(FAST.rounds, FAST.epoch_ranges)
     expected = []
     for lo, hi in ranges:
-        diagonal = stages.dataset(train_epoch_range=(lo, hi), test_epoch_range=(lo, hi))
+        diagonal = stages.attack_set.in_rounds(lo, hi)
+        assert set(diagonal.train_rounds.tolist()) == set(range(lo, hi))
         model = train_reid(diagonal, "mlp", seed_from(FAST.seed, "grid", lo, lo))
         for ev in ranges:
-            ds = stages.dataset(train_epoch_range=(lo, hi), test_epoch_range=ev)
-            expected.append([lo, hi, *ev, *reid_scores(model, ds)])
+            expected.append([lo, hi, *ev, *reid_scores(model, stages.attack_set.in_rounds(*ev))])
     assert table.rows == expected
 
 
@@ -593,9 +601,11 @@ def test_stages_federate_accepts_prebuilt_bundle():
     assert {r.user_id for r in run.records} == set(bundle.user_ids())
 
 
-def test_stages_dataset_passes_kwargs():
+def test_stages_dataset_builds_the_dataset_of_the_run_it_is_given():
     stages = Stages(FAST)
-    ds = stages.dataset(max_train_per_user=2)
-    assert ds.train_x.shape[0] == 2 * FAST.users
-    other = stages.federate(stages.world)
-    assert stages.dataset(other, max_train_per_user=1).train_x.shape[0] == FAST.users
+    other = stages.dataset(stages.federate(stages.world))
+    assert other is not stages.attack_set and other.users == stages.attack_set.users
+    for name in ("train_x", "train_users", "train_rounds", "test_x", "test_users", "test_rounds"):
+        np.testing.assert_array_equal(getattr(other, name), getattr(stages.attack_set, name))
+    for k in (1, 2):
+        assert stages.attack_set.capped(k, seed=0).train_x.shape[0] == k * FAST.users

@@ -204,3 +204,15 @@ def test_run_all_rejects_an_out_dir_it_would_not_write_to(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "--out-dir" in capsys.readouterr().err
     assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+
+def test_run_all_rejects_a_config_file_that_sets_out_dir(tmp_path, capsys):
+    # as with --set out_dir=..., the file's out_dir would be recorded but not used
+    config = tmp_path / "c.cfg"
+    config.write_text(f"users = 6\nout_dir = {tmp_path / 'x'}\n", encoding="utf-8")
+    flags = ["--config", str(config), "--families", "reid_closed"]
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("run_all").main([*SET_FLAGS, *flags, "--out-dir", str(tmp_path / "y")])
+    assert exit_info.value.code == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
