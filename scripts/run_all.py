@@ -26,6 +26,7 @@ import argparse
 import sys
 import time
 
+from fedanon.cli import RUN_ERRORS
 from fedanon.config import ConfigError, build_config, config_hash, read_config_file
 from fedanon.experiments import EXPERIMENT_FAMILIES, Stages, run_experiment
 from fedanon.reporting import Report, Table, write_report
@@ -138,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         # a family may reject the config only once its run checks it
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except RUN_ERRORS as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     if len(configs) == 1:
         return 0
 

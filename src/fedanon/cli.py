@@ -19,6 +19,9 @@ from .deltastore import manifest_for, write_records
 from .experiments import EXPERIMENT_FAMILIES, Stages, run_experiment, utility_table
 from .reporting import report_from_json, table_to_csv, write_report
 
+# what bad inputs or files make a run raise: one `error:` line, exit status 1
+RUN_ERRORS = (ValueError, OSError, KeyError)
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key = value config document")
@@ -107,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as err:
+    except RUN_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

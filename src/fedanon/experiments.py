@@ -334,7 +334,7 @@ def _mitigation(stages: Stages) -> list[Table]:
         repr_config_from(cfg),
         grid,
         attack_seed=seed_from(cfg.seed, "tradeoff"),
-        anchor_run=stages.run,
+        anchor=(stages.attack_set, stages.run.utility[-1]),
     )
     rows = [
         [

@@ -62,18 +62,17 @@ class DeviceState:
     device_id: int
     user_id: int
     role: str
-    x: np.ndarray  # (n_k, input_dim) features
-    y: np.ndarray  # (n_k,) class labels
+    rows: np.ndarray  # (n_k,) int64 row indices of the device's split into the world's columns
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_ANONYMOUS, ROLE_SHADOW):
             raise ValueError(f"unknown device role {self.role!r}")
-        if not len(self.y):
+        if not len(self.rows):
             raise ValueError(f"device {self.device_id} has no data")
 
     @property
     def n_k(self) -> int:
-        return len(self.y)
+        return len(self.rows)
 
 
 @dataclass
@@ -95,17 +94,12 @@ class FederatedRun:
 
 def build_devices(bundle: DatasetBundle) -> list[DeviceState]:
     """Two devices per user, one block of ids per role in `DEVICE_ROLES`
-    order: anonymous ids 0..U-1, shadow ids U..2U-1."""
-    order = bundle.user_ids()
+    order: anonymous ids 0..U-1, shadow ids U..2U-1. Each device holds its
+    split's row indices into the bundle's columns, not a copy of the rows."""
     splits = {ROLE_ANONYMOUS: bundle.private, ROLE_SHADOW: bundle.prior}
-    devices = []
-    for role in DEVICE_ROLES:
-        split = splits[role]
-        for u in order:
-            rows = split[u]
-            devices.append(DeviceState(device_id=len(devices), user_id=u, role=role,
-                                       x=bundle.x[rows], y=bundle.y[rows]))
-    return devices
+    owners = [(role, u) for role in DEVICE_ROLES for u in bundle.user_ids()]
+    return [DeviceState(device_id=i, user_id=u, role=role, rows=splits[role][u])
+            for i, (role, u) in enumerate(owners)]
 
 
 def aggregate(global_params: ParamVector, records: list[DeltaRecord]) -> ParamVector:
@@ -147,6 +141,8 @@ def sampled_users(users: int, cfg: RoundConfig) -> dict[str, list[set[int]]]:
 def server_round(
     spec: ModelSpec,
     global_params: ParamVector,
+    x: np.ndarray,
+    y: np.ndarray,
     devices: list[DeviceState],
     cfg: RoundConfig,
     round_t: int,
@@ -156,20 +152,16 @@ def server_round(
     from the global model in one lockstep local SGD run, apply the delta
     hook in ascending device id order, and aggregate.
 
-    Each device runs local_epochs of plain minibatch SGD on its own data
-    (batches of min(batch_size, n_k) rows, shuffled by the device's
-    ("device-update", round, device id) stream); its delta is local minus
-    global. Every sampled device's data is checked before any training."""
+    Each device runs local_epochs of plain minibatch SGD on its rows of the
+    columns (x, y) (batches of min(batch_size, n_k) rows, shuffled by the
+    device's ("device-update", round, device id) stream); its delta is local
+    minus global. The columns are checked before any training."""
     if not devices:
         raise ValueError("no devices")
     sampled = [devices[i] for i in sample_devices(len(devices), cfg, round_t)]
     trained = nn._train_lockstep(
-        spec,
-        global_params,
-        [(d.x, d.y) for d in sampled],
-        epochs=cfg.local_epochs,
-        batch_size=cfg.batch_size,
-        config=nn.OptimizerConfig(cfg.eta),
+        spec, global_params, x, y, [d.rows for d in sampled],
+        epochs=cfg.local_epochs, batch_size=cfg.batch_size, config=nn.OptimizerConfig(cfg.eta),
         seeds=[seed_from(cfg.seed, "device-update", round_t, d.device_id) for d in sampled],
     )
     records = []
@@ -178,14 +170,7 @@ def server_round(
         if delta_hook is not None:
             delta = delta_hook(round_t, device, delta)
         records.append(
-            DeltaRecord(
-                round_t=round_t,
-                device_id=device.device_id,
-                user_id=device.user_id,
-                role=device.role,
-                delta=delta,
-                n_k=device.n_k,
-            )
+            DeltaRecord(round_t, device.device_id, device.user_id, device.role, delta, device.n_k)
         )
     return aggregate(global_params, records), records
 
@@ -210,7 +195,9 @@ def run_federated(
     records: list[DeltaRecord] = []
     utility: list[float] = []
     for round_t in range(1, cfg.rounds + 1):
-        params, round_records = server_round(spec, params, devices, cfg, round_t, delta_hook)
+        params, round_records = server_round(
+            spec, params, bundle.x, bundle.y, devices, cfg, round_t, delta_hook
+        )
         params.validate_finite()
         records.extend(round_records)
         utility.append(evaluate_task(spec, params, test_x, test_y))

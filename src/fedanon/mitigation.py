@@ -16,14 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import build_attack_dataset, mlp_reid_scores
+from .attacks import AttackDataset, build_attack_dataset, mlp_reid_scores
 from .blocks import squared_distances
 from .deltastore import ReprConfig
 from .federated import (
     ROLE_ANONYMOUS,
     DeltaHook,
     DeviceState,
-    FederatedRun,
     RoundConfig,
     run_federated,
 )
@@ -228,15 +227,16 @@ def tradeoff_curve(
     repr_cfg: ReprConfig,
     grid: Sequence[MitigationConfig],
     attack_seed: int = 0,
-    anchor_run: FederatedRun | None = None,
+    anchor: tuple[AttackDataset, float] | None = None,
 ) -> list[TradeoffPoint]:
     """Re-run the federation and the strongest closed-world attack for every
     grid point; utility is normalized to 1.0 at the no-mitigation anchor.
 
     The grid must contain a zero-strength config to anchor the
-    normalization. `anchor_run`, when given, is the unmitigated federation
-    of `bundle` at `fed_cfg`, and the anchor attacks it instead of running
-    the federation again. The `mm_aug` points share one background
+    normalization. `anchor`, when given, is the attack dataset (at
+    `repr_cfg`) and the final task score of the unmitigated federation of
+    `bundle` at `fed_cfg`, and the anchor attacks that dataset instead of
+    running the federation again. The `mm_aug` points share one background
     clustering per (clusters_m, seed).
     """
     if not any(cfg.is_identity() for cfg in grid):
@@ -246,15 +246,15 @@ def tradeoff_curve(
     clusters = functools.cache(functools.partial(background_clusters, bundle))
 
     def run_point(cfg: MitigationConfig) -> tuple[float, float, float, float]:
-        if cfg.is_identity() and anchor_run is not None:
-            run = anchor_run
+        if cfg.is_identity() and anchor is not None:
+            ds, score = anchor
         else:
             hook = make_noise_hook(cfg.sigma2, cfg.seed) if cfg.strategy == "noise" else None
             fit = clusters(cfg.clusters_m, cfg.seed) if cfg.strategy == "mm_aug" else None
             run = run_federated(mitigate_bundle(bundle, cfg, fit), spec, fed_cfg, delta_hook=hook)
-        ds = build_attack_dataset(run.records, repr_cfg)
+            ds, score = build_attack_dataset(run.records, repr_cfg), run.utility[-1]
         ap, chance, ioc = mlp_reid_scores(ds, seed_from(attack_seed, "tradeoff-attack"))
-        return ap, chance, ioc, run.utility[-1]
+        return ap, chance, ioc, score
 
     points: list[TradeoffPoint] = []
     for cfg in grid:

@@ -32,7 +32,6 @@ class ModelSpec:
     input_dim: int
     output_dim: int
     hidden_dim: int = 0
-    bias: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -50,17 +49,11 @@ class ModelSpec:
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         """Ordered (name, shape) pairs defining the parameter vector."""
         if self.kind == "linear":
-            out: list[tuple[str, tuple[int, ...]]] = [("W", (self.output_dim, self.input_dim))]
-            if self.bias:
-                out.append(("b", (self.output_dim,)))
-            return out
-        out = [("W1", (self.hidden_dim, self.input_dim))]
-        if self.bias:
-            out.append(("b1", (self.hidden_dim,)))
-        out.append(("W2", (self.output_dim, self.hidden_dim)))
-        if self.bias:
-            out.append(("b2", (self.output_dim,)))
-        return out
+            return [("W", (self.output_dim, self.input_dim)), ("b", (self.output_dim,))]
+        return [
+            ("W1", (self.hidden_dim, self.input_dim)), ("b1", (self.hidden_dim,)),
+            ("W2", (self.output_dim, self.hidden_dim)), ("b2", (self.output_dim,)),
+        ]
 
 
 @dataclass
@@ -137,11 +130,9 @@ class OptimizerConfig:
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Uniform init on [-a, a] with a = sqrt(6 / (fan_in + fan_out))."""
-    if len(shape) == 2:
-        fan_out, fan_in = shape
-    else:
-        fan_out = fan_in = shape[0]
+    """Uniform init of a (fan_out, fan_in) weight matrix on [-a, a] with
+    a = sqrt(6 / (fan_in + fan_out))."""
+    fan_out, fan_in = shape
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
 
@@ -149,32 +140,20 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     """Deterministic init: Glorot-uniform weights, zero biases."""
     rng = rng_from(seed)
-    layers = []
-    for name, shape in spec.layout():
-        if name.startswith("W"):
-            layers.append((name, glorot_uniform(rng, shape)))
-        else:
-            layers.append((name, np.zeros(shape)))
-    return ParamVector(layers)
-
-
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    z = x @ w.T
-    if b is not None:
-        z = z + b
-    return z
+    return ParamVector([
+        (name, glorot_uniform(rng, shape) if name.startswith("W") else np.zeros(shape))
+        for name, shape in spec.layout()
+    ])
 
 
 def forward_batch(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Logits for a batch of inputs, shape (n, output_dim)."""
+    """Logits for a batch of inputs, shape (n, output_dim): the training
+    kernel's forward pass on a stack of one model."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"expected inputs of shape (n, {spec.input_dim}), got {x.shape}")
-    if spec.kind == "linear":
-        return _affine(x, params.get("W"), params.get("b") if spec.bias else None)
-    z1 = _affine(x, params.get("W1"), params.get("b1") if spec.bias else None)
-    a1 = np.maximum(z1, 0.0)
-    return _affine(a1, params.get("W2"), params.get("b2") if spec.bias else None)
+    layers = [params.get(name)[None] for name, _ in spec.layout()]
+    return _stack_forward(spec, layers, x[None])[1][0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -226,41 +205,39 @@ def _dlogits(z: np.ndarray, hit: np.ndarray) -> np.ndarray:
     return z
 
 
-def _stack_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    z = np.matmul(x, w.transpose(0, 2, 1))
-    if b is not None:
-        z += b[:, None, :]
-    return z
+def _stack_forward(
+    spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each model's input to its output layer (x itself for linear) and its
+    logits (G, r, output_dim). `layers` holds one (G, *shape) array per
+    entry of `spec.layout()`, the output layer last, and x is (G, r,
+    input_dim)."""
+    a = x
+    if spec.kind == "mlp1":
+        a = np.matmul(x, layers[0].transpose(0, 2, 1))
+        a += layers[1][:, None, :]
+        np.maximum(a, 0.0, out=a)
+    z = np.matmul(a, layers[-2].transpose(0, 2, 1))
+    z += layers[-1][:, None, :]
+    return a, z
 
 
 def _stack_grads(
     spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, hit: np.ndarray
 ) -> list[np.ndarray]:
-    """Gradient of each model's mean minibatch loss, in fresh arrays.
-
-    `layers` holds one (G, *shape) array per entry of `spec.layout()`, x is
-    (G, r, input_dim), hit as in `_dlogits`. Each model's slice goes through
-    the same 2-D products and row reductions as a lone model's would, so its
-    gradient does not depend on which other models share the stack."""
-    p = dict(zip((name for name, _ in spec.layout()), layers))
+    """Gradient of each model's mean minibatch loss, in fresh arrays, with
+    `layers` and x as in `_stack_forward` and hit as in `_dlogits`. Each
+    model's slice goes through the same 2-D products and row reductions as
+    a lone model's would, so its gradient does not depend on which other
+    models share the stack."""
+    a, z = _stack_forward(spec, layers, x)
+    dz = _dlogits(z, hit)
+    output = [np.matmul(dz.transpose(0, 2, 1), a), dz.sum(axis=1)]
     if spec.kind == "linear":
-        dz = _dlogits(_stack_affine(x, p["W"], p.get("b")), hit)
-        grads = [np.matmul(dz.transpose(0, 2, 1), x)]
-        if spec.bias:
-            grads.append(dz.sum(axis=1))
-        return grads
-    a1 = _stack_affine(x, p["W1"], p.get("b1"))
-    np.maximum(a1, 0.0, out=a1)
-    dz2 = _dlogits(_stack_affine(a1, p["W2"], p.get("b2")), hit)
-    dz1 = np.matmul(dz2, p["W2"])
-    dz1 *= a1 > 0.0
-    grads = [np.matmul(dz1.transpose(0, 2, 1), x)]
-    if spec.bias:
-        grads.append(dz1.sum(axis=1))
-    grads.append(np.matmul(dz2.transpose(0, 2, 1), a1))
-    if spec.bias:
-        grads.append(dz2.sum(axis=1))
-    return grads
+        return output
+    dz1 = np.matmul(dz, layers[2])
+    dz1 *= a > 0.0
+    return [np.matmul(dz1.transpose(0, 2, 1), x), dz1.sum(axis=1), *output]
 
 
 def backward(spec: ModelSpec, params: ParamVector, batch) -> ParamVector:
@@ -284,33 +261,35 @@ def _sgd_velocity(
 
 
 def _plan(
-    n: np.ndarray, epochs: int, batch_size: int, seeds: Sequence[int], y: np.ndarray, classes: int
+    rows: Sequence[np.ndarray], epochs: int, batch_size: int, seeds: Sequence[int],
+    y: np.ndarray, classes: int,
 ) -> list[tuple[int, slice | np.ndarray, np.ndarray, np.ndarray]]:
     """Every stack of the lockstep kernel in training order: its step, its
     models (a slice when they are all of them), the (G, r) rows of x they
     visit and the flat position of each row's true-class logit in the
-    stack's (G, r, classes) logits. Model k owns the next n[k] rows of x."""
+    stack's (G, r, classes) logits. Model k owns the rows rows[k] of x."""
+    n = np.array([r.size for r in rows])
     batch = np.minimum(batch_size, n)
     steps_per_epoch = -(-n // batch)
     steps = epochs * steps_per_epoch
     offsets = np.cumsum(n) - n
     # the rows of x that each model visits, epoch after epoch
     stream = np.concatenate([np.zeros(0, dtype=np.intp)] + [
-        o + rng.permutation(int(size))
-        for o, size, rng in zip(offsets, n, map(rng_from, seeds)) for _ in range(epochs)])
+        r[rng.permutation(r.size)]
+        for r, rng in zip(rows, map(rng_from, seeds)) for _ in range(epochs)])
     # one entry per minibatch, ordered by step, then row count, then model
     k = np.repeat(np.arange(n.size), steps)
     t = np.arange(k.size) - np.repeat(np.cumsum(steps) - steps, steps)
     epoch, j = np.divmod(t, steps_per_epoch[k])
-    rows = np.minimum(batch[k], n[k] - j * batch[k])
+    count = np.minimum(batch[k], n[k] - j * batch[k])
     first = epochs * offsets[k] + epoch * n[k] + j * batch[k]
-    order = np.lexsort((k, rows, t))
-    k, t, rows, first = k[order], t[order], rows[order], first[order]
-    opens = np.r_[True, (t[1:] != t[:-1]) | (rows[1:] != rows[:-1])]
+    order = np.lexsort((k, count, t))
+    k, t, count, first = k[order], t[order], count[order], first[order]
+    opens = np.r_[True, (t[1:] != t[:-1]) | (count[1:] != count[:-1])]
     place = np.arange(k.size) - np.flatnonzero(opens)[np.cumsum(opens) - 1]
     plan = []
-    for r in np.unique(rows):
-        m = np.flatnonzero(rows == r)
+    for r in np.unique(count):
+        m = np.flatnonzero(count == r)
         idx = stream[first[m, None] + np.arange(r)]
         hit = (place[m, None] * r + np.arange(r)) * classes + y[idx]
         bounds = np.r_[np.flatnonzero(opens[m]), m.size]
@@ -323,18 +302,20 @@ def _plan(
 def _train_lockstep(
     spec: ModelSpec,
     params: ParamVector,
-    data: Sequence[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    y: np.ndarray,
+    rows: Sequence[np.ndarray],
     epochs: int,
     batch_size: int,
     config: OptimizerConfig,
     seeds: Sequence[int],
 ) -> list[ParamVector]:
-    """Momentum SGD for len(data) models of one spec, all starting from
-    `params`, run in lockstep.
+    """Momentum SGD for len(rows) models of one spec, all starting from
+    `params`, run in lockstep on one (X, Y) pair of inputs and class indices.
 
-    Model k trains on the (X, Y) pair data[k] for `epochs` epochs, in
+    Model k trains on the rows rows[k] of (x, y) for `epochs` epochs, in
     minibatches of min(batch_size, n_k) rows with the last partial batch
-    included; each epoch visits the rows in a fresh permutation drawn from
+    included; each epoch visits its rows in a fresh permutation drawn from
     rng_from(seeds[k]). Its t-th step uses iteration t of the schedule. At
     each step the models whose minibatches have the same row count form
     one stack; nothing is padded, so every model ends exactly where it
@@ -345,16 +326,16 @@ def _train_lockstep(
         raise ValueError("epochs must be >= 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if len(data) == 0 or len(seeds) != len(data):
-        raise ValueError(f"need one seed per (X, Y) pair, got {len(seeds)} seeds for {len(data)} pairs")
-    pairs = [_coerce_batch(spec, d) for d in data]
-    x = np.concatenate([x for x, _ in pairs])
-    y = np.concatenate([y for _, y in pairs])
-    n = np.array([x.shape[0] for x, _ in pairs])
-    plan = _plan(n, epochs, batch_size, seeds, y, spec.output_dim)
+    if len(rows) == 0 or len(seeds) != len(rows):
+        raise ValueError(f"need one seed per row set, got {len(seeds)} seeds for {len(rows)} row sets")
+    x, y = _coerce_batch(spec, (x, y))
+    rows = [np.asarray(r, dtype=np.int64) for r in rows]
+    if any(r.ndim != 1 or r.size == 0 or r.min() < 0 or r.max() >= y.size for r in rows):
+        raise ValueError(f"every row set must be a non-empty list of row ids in [0, {y.size})")
+    plan = _plan(rows, epochs, batch_size, seeds, y, spec.output_dim)
 
     names = [name for name, _ in spec.layout()]
-    layers = [np.repeat(params.get(name)[None], len(pairs), axis=0) for name in names]
+    layers = [np.repeat(params.get(name)[None], len(rows), axis=0) for name in names]
     velocity = [np.zeros_like(a) for a in layers]
     for t, models, idx, hit in plan:
         # views of the whole population, or a partial stack gathered once
@@ -366,7 +347,7 @@ def _train_lockstep(
         if not isinstance(models, slice):
             for whole, part in zip(layers + velocity, stack + stack_velocity):
                 whole[models] = part
-    return [ParamVector([(name, a[k]) for name, a in zip(names, layers)]) for k in range(len(pairs))]
+    return [ParamVector([(name, a[k]) for name, a in zip(names, layers)]) for k in range(len(rows))]
 
 
 def train(
@@ -385,7 +366,9 @@ def train(
     batch is included. Returns freshly allocated parameters; the inputs
     are left untouched.
     """
-    return _train_lockstep(spec, params, [data], epochs, batch_size, config, [seed])[0]
+    x, y = data
+    rows = [np.arange(len(y))]
+    return _train_lockstep(spec, params, x, y, rows, epochs, batch_size, config, [seed])[0]
 
 
 def predict_proba(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:

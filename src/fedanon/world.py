@@ -74,6 +74,27 @@ class WorldConfig:
             self.profile_class is not None and 0 <= self.profile_class < self.classes
         ):
             raise ValueError("profile_class must name a class when prior_kind = profile")
+        if self.prior_kind == "photoset":
+            albums = _timeline_albums(self)
+            kept = [np.unique(albums[~_held_out(self, u)]).size for u in range(self.users)]
+            if min(kept) < 2:
+                raise ValueError(f"albums_per_user leaves user {kept.index(1)} one album after the "
+                                 "test holdout, and a photoset prior needs 2 per user")
+
+
+def _timeline_albums(cfg: WorldConfig) -> np.ndarray:
+    """The album of each position in a user's timeline, in consecutive runs."""
+    position = np.arange(cfg.n_per_user, dtype=np.int64)
+    return np.minimum(position * cfg.albums_per_user // cfg.n_per_user, cfg.albums_per_user - 1)
+
+
+def _held_out(cfg: WorldConfig, u: int) -> np.ndarray:
+    """Mask of the positions in user u's timeline that go to the test split."""
+    n = cfg.n_per_user
+    n_test = min(max(int(round(cfg.test_fraction * n)), 1), n - 2)
+    held = np.zeros(n, dtype=bool)
+    held[rng_from(cfg.seed, "holdout", u).choice(n, size=n_test, replace=False)] = True
+    return held
 
 
 @dataclass
@@ -162,10 +183,9 @@ def _gen_user_examples(
     """One user's rows in timeline order: (x, y, t, album). Each row's
     class is the draw `rng.choice(classes, p=mix)` makes: its uniform
     searched in the cumulative mix, normalised by its last entry."""
-    n, albums = cfg.n_per_user, cfg.albums_per_user
-    position = np.arange(n, dtype=np.int64)
-    t = position / (n - 1)
-    album = np.minimum(position * albums // n, albums - 1)
+    n = cfg.n_per_user
+    t = np.arange(n, dtype=np.int64) / (n - 1)
+    album = _timeline_albums(cfg)
     pref = user_pref_at(profile, t[:, None], cfg.drift)
     mix = (1.0 - ALBUM_BLEND) * pref + ALBUM_BLEND * np.asarray(profile.albums)[album]
     mix = mix / mix.sum(axis=1, keepdims=True)
@@ -259,9 +279,7 @@ def gen_world(cfg: WorldConfig) -> DatasetBundle:
         users.append(profile)
         columns.append(_gen_user_examples(rng_u, profile, cfg, prototypes))
 
-        n_test = min(max(int(round(cfg.test_fraction * n)), 1), n - 2)
-        held = np.zeros(n, dtype=bool)
-        held[rng_from(cfg.seed, "holdout", u).choice(n, size=n_test, replace=False)] = True
+        held = _held_out(cfg, u)
         rows = np.arange(u * n, (u + 1) * n, dtype=np.int64)
         test.append(rows[held])
         user_examples[u] = rows[~held]

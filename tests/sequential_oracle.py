@@ -48,34 +48,26 @@ def optimizer_step(state, params, grad, config, iteration):
     return ParamVector(new_layers), new_state
 
 
+def oracle_forward(spec, params, x):
+    """The hidden activations (x itself for linear) and the logits of a
+    lone model, through plain 2-D products."""
+    if spec.kind == "linear":
+        return x, x @ params.get("W").T + params.get("b")
+    a1 = np.maximum(x @ params.get("W1").T + params.get("b1"), 0.0)
+    return a1, a1 @ params.get("W2").T + params.get("b2")
+
+
 def oracle_backward(spec, params, x, y):
     """Gradient of the mean softmax cross-entropy of one (x, y) batch."""
-    n = x.shape[0]
-
-    def affine(inp, w, b):
-        z = inp @ params.get(w).T
-        return z + params.get(b) if spec.bias else z
-
-    def dlogits(z):
-        p = nn.softmax(z)
-        p[np.arange(n), y] -= 1.0
-        return p / n
-
+    a, z = oracle_forward(spec, params, x)
+    dz = nn.softmax(z)
+    dz[np.arange(x.shape[0]), y] -= 1.0
+    dz /= x.shape[0]
     if spec.kind == "linear":
-        dz = dlogits(affine(x, "W", "b"))
-        grads = [("W", dz.T @ x)] + ([("b", dz.sum(axis=0))] if spec.bias else [])
-        return ParamVector(grads)
-    z1 = affine(x, "W1", "b1")
-    a1 = np.maximum(z1, 0.0)
-    dz2 = dlogits(affine(a1, "W2", "b2"))
-    dz1 = (dz2 @ params.get("W2")) * (z1 > 0.0)
-    grads = [("W1", dz1.T @ x)]
-    if spec.bias:
-        grads.append(("b1", dz1.sum(axis=0)))
-    grads.append(("W2", dz2.T @ a1))
-    if spec.bias:
-        grads.append(("b2", dz2.sum(axis=0)))
-    return ParamVector(grads)
+        return ParamVector([("W", dz.T @ x), ("b", dz.sum(axis=0))])
+    dz1 = (dz @ params.get("W2")) * (a > 0.0)
+    return ParamVector([("W1", dz1.T @ x), ("b1", dz1.sum(axis=0)),
+                        ("W2", dz.T @ a), ("b2", dz.sum(axis=0))])
 
 
 def oracle_train(spec, params, x, y, epochs, batch_size, config, seed):
@@ -94,8 +86,9 @@ def oracle_train(spec, params, x, y, epochs, batch_size, config, seed):
     return params
 
 
-def oracle_server_round(spec, global_params, devices, cfg, round_t, delta_hook=None):
-    """One FedAvg round that trains the sampled devices one after another."""
+def oracle_server_round(spec, global_params, x, y, devices, cfg, round_t, delta_hook=None):
+    """One FedAvg round that trains the sampled devices one after another,
+    each on a copy of its rows of (x, y)."""
     rng = rng_from(cfg.seed, "sample", round_t)
     m = max(1, int(round(cfg.fraction_c * len(devices))))
     records = []
@@ -104,8 +97,8 @@ def oracle_server_round(spec, global_params, devices, cfg, round_t, delta_hook=N
         local = oracle_train(
             spec,
             global_params,
-            device.x,
-            device.y,
+            x[device.rows],
+            y[device.rows],
             epochs=cfg.local_epochs,
             batch_size=min(cfg.batch_size, device.n_k),
             config=nn.OptimizerConfig(cfg.eta),

@@ -189,6 +189,25 @@ def test_attack_on_that_log_exits_2_naming_the_users_before_any_world(
     assert list(tmp_path.iterdir()) == []
 
 
+# a photoset prior splits whole albums, so every user's pool must keep two;
+# at this shape and seed the test holdout leaves user 1 a single album
+PHOTOSET = ["--prior-kind", "photoset", "--users", "4", "--rounds", "3", "--n-per-user", "4",
+            "--test-fraction", "0.5", "--background-size", "60", "--epoch-ranges", "2"]
+
+
+@pytest.mark.parametrize("command", [["federate"], ["attack", "--family", "reid_closed"]],
+                         ids=["federate", "attack"])
+@pytest.mark.parametrize("flags", [["--albums-per-user", "2", "--seed", "1"],
+                                   ["--albums-per-user", "1"]], ids=["holdout", "one_album"])
+def test_a_photoset_prior_left_one_album_exits_2_before_any_world(
+    tmp_path, monkeypatch, capsys, command, flags
+):
+    monkeypatch.setattr(experiments, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    rc = main([*command, *PHOTOSET, *flags, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "config key 'albums_per_user'" in capsys.readouterr().err
+
+
 def test_operational_error_exits_1(tmp_path, capsys):
     rc = main(["report", "--report", str(tmp_path / "missing.json")])
     assert rc == 1

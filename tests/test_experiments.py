@@ -251,14 +251,15 @@ def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch)
     # federations: the default run, the IID control, one per prior_grid
     # entry and one per mitigated grid point
     # attack datasets built from a delta log: the shared one 1, iid_control
-    # 1, layer_sweep 3, prior_amount 2, mitigation 5 (train_amount and
-    # epoch_grid select rows of the shared one)
+    # 1, layer_sweep 3, prior_amount 2, mitigation 4 (train_amount and
+    # epoch_grid select rows of the shared one, and mitigation's anchor
+    # attacks it)
     # MLP fits: reference 1, iid_control 1, layer_sweep 3, train_amount 2,
     # open_world 1, epoch_grid 2, dataspace 1, prior_amount 2, mitigation 5
     assert {name: len(c) for name, c in calls.items()} == {
         "gen_world": 1,
         "run_federated": 8,
-        "build_attack_dataset": 12,
+        "build_attack_dataset": 11,
         "nn.train": 18,
         "MlpReid.fit": 18,
     }
@@ -290,25 +291,71 @@ def test_every_attack_fit_goes_through_train_reid_or_train_matcher(monkeypatch):
     assert [(family, name) for family, name, inside in fits if not inside] == []
 
 
-# sha256 of the CSV of each table at a nine-user config, taken while the
-# open-world and data-space attacks still had fit and score functions of
-# their own, and while epoch ranges and per-user caps still re-filtered the
-# delta log; routing the attacks through train_reid/train_matcher and
-# selecting rows of the shared attack dataset moves no byte
+# sha256 of the CSV of every table of every family at a nine-user config,
+# with one mitigation point per strategy. The open-world, data-space,
+# epoch-grid and train-amount digests were taken while those attacks still
+# had fit and score functions of their own and re-filtered the delta log;
+# the others were taken while devices still held copies of their rows and
+# prediction ran a forward pass of its own. None of those changes moves a byte.
+PINNED = {"users": "9", "rounds": "6", "n_per_user": "60", "background_size": "200"}
+ONE_POINT_PER_STRATEGY = {"noise_grid": "1.0", "repl_grid": "0.5", "aug_grid": "1.0"}
 TABLE_DIGESTS = {
-    "open_world": "ea84ef07a5a072c5d6cfbffa7724e95dc745c04e0d6e19af8032633c668ecc46",
-    "dataspace": "ed4d799e86b946c5ad81d164e9b642987ebbc30dcec8a8d04cd8f4d13598688e",
-    "epoch_grid": "67ea40a463ec4475e8185288f70178f996fa5eecf9dd2327d3688f6287e05364",
-    "train_amount": "025c2d0e545c1f138ae43586790b2615b7155daa631f10cfe96b636da48b9fee",
+    "reid_closed": {
+        "reid": "a378785d27feb129d2e0181684136749bd035d37b16c651a5089a24d94ce34d3",
+        "utility": "ba404b43bcbfb167b92f6569b40107702b2e9e655294285352c60c8e7603b058",
+    },
+    "matching_closed": {
+        "matching": "b86d4535b5bccbb555c88e1bb19ba5e654b46f75259a86da478edc4f7b90437c",
+    },
+    "iid_control": {
+        "iid_control": "7f668db78b6b79f53f71b16c8018eade28b28ef3dc8ab4a7c8ca921909ffb854",
+    },
+    "bias_profile": {
+        "consistency": "218ae758dcadca11bfa6a76b5a303cbef8bae4de05e6e63e32a5af0a50b4837c",
+        "distances": "3a431505df8b81e70808b2fcfb3376967cdc539769914985db4a9f88a9ddaeaf",
+        "profiles": "3b3320f13e07d8a2d59e6a6ffa21101d7874c1a58822002c377ed7c6cd8c0e16",
+    },
+    "layer_sweep": {
+        "layers": "e466117119b9aaad6f2f7435a549d7072ee20c3a782039a4eebee3adea06ff92",
+    },
+    "train_amount": {
+        "train_amount": "025c2d0e545c1f138ae43586790b2615b7155daa631f10cfe96b636da48b9fee",
+    },
+    "open_world": {
+        "open_world": "ea84ef07a5a072c5d6cfbffa7724e95dc745c04e0d6e19af8032633c668ecc46",
+    },
+    "epoch_grid": {
+        "epoch_grid": "67ea40a463ec4475e8185288f70178f996fa5eecf9dd2327d3688f6287e05364",
+    },
+    "dataspace": {
+        "dataspace": "ed4d799e86b946c5ad81d164e9b642987ebbc30dcec8a8d04cd8f4d13598688e",
+    },
+    "prior_amount": {
+        "prior_amount": "9bde036018e6f6b13f5d32570dc641be4dd2bcd914574ec31a17b594afdd8290",
+    },
+    "mitigation": {
+        "tradeoff": "db669691dc1594c327afcadb3d1e19eb28c6f38e5854e68a33ecc651bac3f32e",
+    },
 }
 
 
+@pytest.fixture(scope="module")
+def pinned_stages():
+    return Stages(build_config(overrides=PINNED))
+
+
+def test_every_family_has_pinned_tables():
+    assert set(TABLE_DIGESTS) == set(EXPERIMENT_FAMILIES)
+
+
 @pytest.mark.parametrize("family", TABLE_DIGESTS)
-def test_family_table_keeps_its_pinned_bytes(family):
-    cfg = build_config(overrides={"users": "9", "rounds": "6", "n_per_user": "60",
-                                  "background_size": "200"})
-    csv = table_to_csv(run_experiment(cfg, family).table(family))
-    assert hashlib.sha256(csv.encode()).hexdigest() == TABLE_DIGESTS[family]
+def test_family_table_keeps_its_pinned_bytes(family, pinned_stages):
+    if family == "mitigation":
+        report = run_experiment(build_config(overrides={**PINNED, **ONE_POINT_PER_STRATEGY}), family)
+    else:
+        report = run_experiment(pinned_stages.cfg, family, pinned_stages)
+    digests = {t.name: hashlib.sha256(table_to_csv(t).encode()).hexdigest() for t in report.tables}
+    assert digests == TABLE_DIGESTS[family]
 
 
 def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from fedanon import nn
 from fedanon.federated import (
+    DEVICE_ROLES,
     ROLE_ANONYMOUS,
     ROLE_SHADOW,
     DeltaRecord,
@@ -29,45 +30,50 @@ from sequential_oracle import oracle_server_round
 from test_world import small_cfg
 
 
-def two_class_device(n=2, device_id=0):
-    """n identical scalar examples of class 0 on one device."""
-    return DeviceState(device_id=device_id, user_id=0, role=ROLE_ANONYMOUS,
-                       x=np.ones((n, 1)), y=np.zeros(n, dtype=np.int64))
+# two identical scalar examples of class 0
+X1, Y1 = np.ones((2, 1)), np.zeros(2, dtype=np.int64)
 
 
-LINEAR2 = ModelSpec(kind="linear", input_dim=1, output_dim=2, bias=False)
+def two_class_device(device_id=0):
+    """A device holding both rows of (X1, Y1)."""
+    return DeviceState(device_id=device_id, user_id=0, role=ROLE_ANONYMOUS, rows=np.arange(2))
+
+
+LINEAR2 = ModelSpec(kind="linear", input_dim=1, output_dim=2)
 
 
 def zero_params():
-    return ParamVector([("W", np.zeros((2, 1)))])
+    return ParamVector([("W", np.zeros((2, 1))), ("b", np.zeros(2))])
 
 
 def one_device_record(device, cfg, round_t=1, delta_hook=None):
     """The record of a round whose only device is `device`."""
-    _, records = server_round(LINEAR2, zero_params(), [device], cfg, round_t, delta_hook)
+    _, records = server_round(LINEAR2, zero_params(), X1, Y1, [device], cfg, round_t, delta_hook)
     (rec,) = records
     return rec
 
 
 def test_device_update_one_epoch_hand_value():
     # softmax of zero logits is exactly [0.5, 0.5], so one full-batch step
-    # moves W by eta * [0.5, -0.5]
+    # moves W, and b alike since the input is 1, by eta * [0.5, -0.5]
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.8, rounds=1, seed=0)
     rec = one_device_record(two_class_device(), cfg)
     np.testing.assert_allclose(rec.delta.get("W"), [[0.4], [-0.4]], atol=1e-15)
+    np.testing.assert_allclose(rec.delta.get("b"), [0.4, -0.4], atol=1e-15)
     assert rec.n_k == 2
     assert rec.round_t == 1
     assert rec.role == ROLE_ANONYMOUS
 
 
 def test_device_update_two_epochs_hand_value():
-    # second step sees logits [0.4, -0.4]; p0 = sigmoid(0.8), so
-    # W gains another eta * (1 - p0) in each coordinate
+    # second step sees logits W + b = [0.8, -0.8]; p0 = sigmoid(1.6), so
+    # W and b gain another eta * (1 - p0) in each coordinate
     cfg = RoundConfig(fraction_c=1.0, local_epochs=2, batch_size=8, eta=0.8, rounds=1, seed=0)
     rec = one_device_record(two_class_device(), cfg)
-    p0 = 1.0 / (1.0 + np.exp(-0.8))
+    p0 = 1.0 / (1.0 + np.exp(-1.6))
     expect = 0.4 + 0.8 * (1.0 - p0)
     np.testing.assert_allclose(rec.delta.get("W"), [[expect], [-expect]], atol=1e-12)
+    np.testing.assert_allclose(rec.delta.get("b"), [expect, -expect], atol=1e-12)
 
 
 def test_device_update_caps_batch_at_device_size():
@@ -96,14 +102,18 @@ ORACLE_SIZES = (13, 1, 8, 5, 2, 9, 3, 12)
 
 
 def assorted_devices(spec, sizes=ORACLE_SIZES, seed=0):
+    """Columns (x, y) and one device per size, holding that many distinct
+    rows of them in shuffled order; the row sets overlap."""
     rng = np.random.default_rng(seed)
-    devices = []
-    for i, n in enumerate(sizes):
-        rows = [(rng.normal(size=spec.input_dim), rng.integers(spec.output_dim)) for _ in range(n)]
-        x, y = np.stack([r[0] for r in rows]), np.asarray([r[1] for r in rows], dtype=np.int64)
-        role = ROLE_ANONYMOUS if i % 2 == 0 else ROLE_SHADOW
-        devices.append(DeviceState(device_id=i, user_id=i // 2, role=role, x=x, y=y))
-    return devices
+    pool = 2 * max(sizes)
+    x = rng.normal(size=(pool, spec.input_dim))
+    y = rng.integers(spec.output_dim, size=pool)
+    devices = [
+        DeviceState(device_id=i, user_id=i // 2, role=DEVICE_ROLES[i % 2],
+                    rows=rng.choice(pool, size=n, replace=False))
+        for i, n in enumerate(sizes)
+    ]
+    return x, y, devices
 
 
 def assert_params_equal(a, b):
@@ -123,14 +133,12 @@ def assert_rounds_equal(got, want):
 
 
 ORACLE_SPECS = [
-    ModelSpec(kind="linear", input_dim=5, output_dim=3, bias=True),
-    ModelSpec(kind="linear", input_dim=5, output_dim=3, bias=False),
-    ModelSpec(kind="mlp1", input_dim=5, hidden_dim=4, output_dim=3, bias=True),
-    ModelSpec(kind="mlp1", input_dim=5, hidden_dim=4, output_dim=3, bias=False),
+    ModelSpec(kind="linear", input_dim=5, output_dim=3),
+    ModelSpec(kind="mlp1", input_dim=5, hidden_dim=4, output_dim=3),
 ]
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.kind}-bias{int(s.bias)}")
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.kind)
 @pytest.mark.parametrize(
     "schedule",
     [
@@ -141,19 +149,19 @@ ORACLE_SPECS = [
     ids=["all-1epoch", "all-2epochs", "half-1epoch"],
 )
 def test_server_round_matches_sequential_oracle(spec, schedule):
-    devices = assorted_devices(spec)
+    x, y, devices = assorted_devices(spec)
     cfg = RoundConfig(batch_size=4, eta=0.8, rounds=3, seed=11, **schedule)
     params = nn.init_params(spec, seed=5)
     for round_t in range(1, cfg.rounds + 1):
-        got = server_round(spec, params, devices, cfg, round_t)
-        want = oracle_server_round(spec, params, devices, cfg, round_t)
+        got = server_round(spec, params, x, y, devices, cfg, round_t)
+        want = oracle_server_round(spec, params, x, y, devices, cfg, round_t)
         assert_rounds_equal(got, want)
         params = got[0]
 
 
 def test_delta_hook_sees_each_sampled_device_once_in_id_order():
-    spec = ORACLE_SPECS[2]
-    devices = assorted_devices(spec)
+    spec = ORACLE_SPECS[1]
+    x, y, devices = assorted_devices(spec)
     cfg = RoundConfig(fraction_c=0.5, local_epochs=1, batch_size=4, eta=0.8, rounds=1, seed=2)
     params = nn.init_params(spec, seed=5)
     calls = []
@@ -162,23 +170,23 @@ def test_delta_hook_sees_each_sampled_device_once_in_id_order():
         calls.append((round_t, device.device_id, device.role, delta.copy()))
         return delta.scale(0.5)
 
-    got = server_round(spec, params, devices, cfg, 4, spy)
-    want = oracle_server_round(spec, params, devices, cfg, 4)
+    got = server_round(spec, params, x, y, devices, cfg, 4, spy)
+    want = oracle_server_round(spec, params, x, y, devices, cfg, 4)
     assert [c[1] for c in calls] == [r.device_id for r in want[1]]
     assert len(calls) == 4
     for (round_t, device_id, role, delta), rec in zip(calls, want[1]):
         assert (round_t, role) == (4, devices[device_id].role)
         assert_params_equal(delta, rec.delta)
-    halved = oracle_server_round(spec, params, devices, cfg, 4, lambda t, d, dl: dl.scale(0.5))
+    halved = oracle_server_round(spec, params, x, y, devices, cfg, 4,
+                                 lambda t, d, dl: dl.scale(0.5))
     assert_rounds_equal(got, halved)
 
 
 @pytest.mark.parametrize("bad_label", [-1, 3])
 def test_server_round_rejects_bad_labels_before_training(bad_label):
     spec = ORACLE_SPECS[0]  # output_dim 3
-    devices = assorted_devices(spec, sizes=(4, 4, 4))
-    devices[-1].y = devices[-1].y.copy()
-    devices[-1].y[0] = bad_label
+    x, y, devices = assorted_devices(spec, sizes=(4, 4, 4))
+    y[devices[-1].rows[0]] = bad_label
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=4, eta=0.8, rounds=1, seed=0)
     calls = []
 
@@ -187,7 +195,7 @@ def test_server_round_rejects_bad_labels_before_training(bad_label):
         return delta
 
     with pytest.raises(ValueError, match="class index out of range"):
-        server_round(spec, nn.init_params(spec, seed=0), devices, cfg, 1, spy)
+        server_round(spec, nn.init_params(spec, seed=0), x, y, devices, cfg, 1, spy)
     assert calls == []
 
 
@@ -228,11 +236,10 @@ def test_build_devices_layout():
     assert len(devices) == 2 * u
     for i, d in enumerate(devices[:u]):
         assert (d.device_id, d.user_id, d.role) == (i, i, ROLE_ANONYMOUS)
-        np.testing.assert_array_equal(d.x, bundle.x[bundle.private[i]])
-        np.testing.assert_array_equal(d.y, bundle.y[bundle.private[i]])
+        assert d.rows is bundle.private[i]  # the split itself, not a copy
     for i, d in enumerate(devices[u:]):
         assert (d.device_id, d.user_id, d.role) == (u + i, i, ROLE_SHADOW)
-        np.testing.assert_array_equal(d.x, bundle.x[bundle.prior[i]])
+        assert d.rows is bundle.prior[i]
         assert d.n_k == len(bundle.prior[i])
 
 
@@ -247,18 +254,18 @@ def test_sampled_users_replays_the_run_without_a_world():
 
 
 def test_device_state_rejects_bad_role_and_empty():
-    x, y = np.zeros((1, 2)), np.zeros(1, dtype=np.int64)
+    rows = np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError):
-        DeviceState(device_id=0, user_id=0, role="spy", x=x, y=y)
+        DeviceState(device_id=0, user_id=0, role="spy", rows=rows)
     with pytest.raises(ValueError):
-        DeviceState(device_id=0, user_id=0, role=ROLE_ANONYMOUS, x=x[:0], y=y[:0])
+        DeviceState(device_id=0, user_id=0, role=ROLE_ANONYMOUS, rows=rows[:0])
 
 
 def test_server_round_samples_expected_count():
     devices = [two_class_device(device_id=i) for i in range(12)]
     for frac, want in [(1.0, 12), (0.5, 6), (0.25, 3), (0.04, 1)]:
         cfg = RoundConfig(fraction_c=frac, local_epochs=1, batch_size=8, eta=0.1, rounds=1, seed=0)
-        _, records = server_round(LINEAR2, zero_params(), devices, cfg, round_t=1)
+        _, records = server_round(LINEAR2, zero_params(), X1, Y1, devices, cfg, round_t=1)
         assert len(records) == want
         ids = [r.device_id for r in records]
         assert ids == sorted(ids)
@@ -268,11 +275,11 @@ def test_server_round_samples_expected_count():
 def test_server_round_sampling_is_seeded_per_round():
     devices = [two_class_device(device_id=i) for i in range(10)]
     cfg = RoundConfig(fraction_c=0.3, local_epochs=1, batch_size=8, eta=0.1, rounds=1, seed=5)
-    _, a = server_round(LINEAR2, zero_params(), devices, cfg, round_t=1)
-    _, b = server_round(LINEAR2, zero_params(), devices, cfg, round_t=1)
+    _, a = server_round(LINEAR2, zero_params(), X1, Y1, devices, cfg, round_t=1)
+    _, b = server_round(LINEAR2, zero_params(), X1, Y1, devices, cfg, round_t=1)
     assert [r.device_id for r in a] == [r.device_id for r in b]
     picks = {
-        tuple(r.device_id for r in server_round(LINEAR2, zero_params(), devices, cfg, t)[1])
+        tuple(r.device_id for r in server_round(LINEAR2, zero_params(), X1, Y1, devices, cfg, t)[1])
         for t in range(1, 9)
     }
     assert len(picks) > 1  # different rounds draw different subsets
@@ -288,9 +295,8 @@ def test_federated_matches_pooled_gradient_descent():
     )
     run = run_federated(bundle, spec, cfg)
 
-    devices = build_devices(bundle)
-    x = np.concatenate([d.x for d in devices])
-    y = np.concatenate([d.y for d in devices])
+    rows = np.concatenate([d.rows for d in build_devices(bundle)])
+    x, y = bundle.x[rows], bundle.y[rows]
     params = nn.init_params(spec, seed_from(cfg.seed, "init"))
     for _ in range(cfg.rounds):
         params = params - nn.backward(spec, params, (x, y)).scale(cfg.eta)
@@ -325,8 +331,8 @@ def test_run_federated_zero_hook_freezes_model():
 
 
 def test_evaluate_task_softmax_accuracy():
-    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2, bias=False)
-    params = ParamVector([("W", np.array([[1.0, 0.0], [0.0, 1.0]]))])
+    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
+    params = ParamVector([("W", np.array([[1.0, 0.0], [0.0, 1.0]])), ("b", np.zeros(2))])
     x = np.array([[3.0, 0.0], [0.0, 3.0], [2.0, 1.0]])
     y = np.array([0, 1, 1])  # third row argmaxes to class 0: wrong
     assert evaluate_task(spec, params, x, y) == pytest.approx(2 / 3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedanon import mitigation
+from fedanon.attacks import build_attack_dataset
 from fedanon.deltastore import ReprConfig
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeviceState, RoundConfig, run_federated
 from fedanon.mitigation import (
@@ -78,8 +79,7 @@ def test_noise_is_seeded():
 
 
 def device_with_role(role):
-    return DeviceState(device_id=0, user_id=0, role=role,
-                       x=np.zeros((1, 2)), y=np.zeros(1, dtype=np.int64))
+    return DeviceState(device_id=0, user_id=0, role=role, rows=np.zeros(1, dtype=np.int64))
 
 
 def test_noise_hook_targets_anonymous_devices_only():
@@ -331,18 +331,20 @@ def test_tradeoff_reuses_single_baseline_run():
     assert points[0].utility == points[1].utility == 1.0
 
 
-def test_tradeoff_anchor_run_gives_the_points_of_a_fresh_anchor(monkeypatch):
+def test_tradeoff_anchor_gives_the_points_of_a_fresh_anchor(monkeypatch):
     bundle, spec, fed, repr_cfg = tiny_setup()
     grid = [MitigationConfig("noise", sigma2=0.0), MitigationConfig("noise", sigma2=0.5)]
     fresh = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0)
     anchor_run = run_federated(bundle, spec, fed)
+    anchor = (build_attack_dataset(anchor_run.records, repr_cfg), anchor_run.utility[-1])
     calls = []
-    monkeypatch.setattr(
-        mitigation, "run_federated", lambda *a, **k: calls.append(1) or run_federated(*a, **k)
-    )
-    reused = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0, anchor_run=anchor_run)
+    for fn in (run_federated, build_attack_dataset):
+        monkeypatch.setattr(mitigation, fn.__name__,
+                            lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+    reused = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0, anchor=anchor)
     assert reused == fresh
-    assert len(calls) == 1  # only the noise point federates
+    # only the noise point federates and builds an attack dataset
+    assert calls == [run_federated, build_attack_dataset]
 
 
 def test_tradeoff_fits_kmeans_once_for_all_mm_aug_points(monkeypatch):

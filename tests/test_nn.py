@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedanon import nn
 from fedanon.nn import ModelSpec, OptimizerConfig, ParamVector
-from sequential_oracle import compute_loss, from_flat, optimizer_step, oracle_train
+from sequential_oracle import compute_loss, from_flat, optimizer_step, oracle_forward, oracle_train
 
 RELU_KINK_GUARD = 1e-4  # keep finite-difference probes away from max(0, .) kinks
 
@@ -19,8 +19,7 @@ def random_spec(rng):
     in_dim = int(rng.integers(1, 6))
     out_dim = int(rng.integers(1, 5))
     hid = int(rng.integers(1, 6)) if kind == "mlp1" else 0
-    bias = bool(rng.integers(0, 2))
-    return ModelSpec(kind=kind, input_dim=in_dim, hidden_dim=hid, output_dim=out_dim, bias=bias)
+    return ModelSpec(kind=kind, input_dim=in_dim, hidden_dim=hid, output_dim=out_dim)
 
 
 def random_batch(rng, spec, n):
@@ -45,10 +44,7 @@ def numeric_grad(spec, params, batch, h=1e-6):
 def hidden_far_from_kink(spec, params, x):
     if spec.kind != "mlp1":
         return True
-    w1 = dict(params.layers)["W1"]
-    pre = x @ w1.T
-    if spec.bias:
-        pre = pre + dict(params.layers)["b1"]
+    pre = x @ params.get("W1").T + params.get("b1")
     return np.all(np.abs(pre) > RELU_KINK_GUARD)
 
 
@@ -75,8 +71,6 @@ def test_param_layouts():
     assert lin.layout() == [("W", (2, 3)), ("b", (2,))]
     mlp = ModelSpec(kind="mlp1", input_dim=3, hidden_dim=4, output_dim=2)
     assert mlp.layout() == [("W1", (4, 3)), ("b1", (4,)), ("W2", (2, 4)), ("b2", (2,))]
-    nobias = ModelSpec(kind="linear", input_dim=3, output_dim=2, bias=False)
-    assert nobias.layout() == [("W", (2, 3))]
 
 
 def test_init_params_biases_zero_weights_bounded():
@@ -184,31 +178,32 @@ def test_train_matches_sequential_oracle(kind):
 
 
 def uneven_models(spec, rng):
-    """Seven (X, Y) pairs for a batch of 4: a one-row model, one whose size
-    equals the batch, and sizes whose minibatches split a step into stacks
-    of 1, 2, 3 and 4 rows."""
-    sizes = [1, 4, 6, 7, 9, 13, 2]
-    return [(rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.output_dim, size=n))
-            for n in sizes]
+    """One shared (X, Y) pair and seven row sets of it for a batch of 4: a
+    one-row model, one whose size equals the batch, and sizes whose
+    minibatches split a step into stacks of 1, 2, 3 and 4 rows. The sets
+    are unsorted and overlap, as a bundle's splits may."""
+    x = rng.normal(size=(20, spec.input_dim))
+    y = rng.integers(0, spec.output_dim, size=20)
+    rows = [rng.choice(20, size=n, replace=False) for n in (1, 4, 6, 7, 9, 13, 2)]
+    return x, y, rows
 
 
-@pytest.mark.parametrize("bias", [True, False])
 @pytest.mark.parametrize("kind", ["linear", "mlp1"])
-def test_lockstep_momentum_matches_sequential_oracle(kind, bias):
+def test_lockstep_momentum_matches_sequential_oracle(kind):
     # partial stacks gather, update and write back both the layers and the
     # momentum velocity; every model must still end where it trains alone
     rng = np.random.default_rng(12)
-    spec = ModelSpec(kind=kind, input_dim=3, hidden_dim=5 if kind == "mlp1" else 0,
-                     output_dim=4, bias=bias)
+    spec = ModelSpec(kind=kind, input_dim=3, hidden_dim=5 if kind == "mlp1" else 0, output_dim=4)
     params = nn.init_params(spec, seed=7)
-    data = uneven_models(spec, rng)
-    seeds = [100 + k for k in range(len(data))]
+    x, y, rows = uneven_models(spec, rng)
+    seeds = [100 + k for k in range(len(rows))]
     config = OptimizerConfig(0.05, momentum=0.9, lr_decay=1e-3)
-    got = nn._train_lockstep(spec, params, data, epochs=2, batch_size=4, config=config,
+    got = nn._train_lockstep(spec, params, x, y, rows, epochs=2, batch_size=4, config=config,
                              seeds=seeds)
-    assert len(got) == len(data)
-    for (x, y), seed, model in zip(data, seeds, got):
-        want = oracle_train(spec, params, x, y, epochs=2, batch_size=4, config=config, seed=seed)
+    assert len(got) == len(rows)
+    for r, seed, model in zip(rows, seeds, got):
+        want = oracle_train(spec, params, x[r], y[r], epochs=2, batch_size=4, config=config,
+                            seed=seed)
         assert model.layout() == want.layout()
         for (_, a), (_, b) in zip(model.layers, want.layers):
             assert np.array_equal(a, b)
@@ -218,31 +213,50 @@ def test_lockstep_leaves_inputs_untouched():
     rng = np.random.default_rng(13)
     spec = ModelSpec(kind="mlp1", input_dim=3, hidden_dim=5, output_dim=4)
     params = nn.init_params(spec, seed=7)
-    data = uneven_models(spec, rng)
+    x, y, rows = uneven_models(spec, rng)
     params_before = params.copy()
-    data_before = [(x.copy(), y.copy()) for x, y in data]
-    got = nn._train_lockstep(spec, params, data, epochs=2, batch_size=4,
-                             config=OptimizerConfig(0.05, momentum=0.9), seeds=range(len(data)))
+    before = [a.copy() for a in (x, y, *rows)]
+    got = nn._train_lockstep(spec, params, x, y, rows, epochs=2, batch_size=4,
+                             config=OptimizerConfig(0.05, momentum=0.9), seeds=range(len(rows)))
     for (_, a), (_, b) in zip(params.layers, params_before.layers):
         assert np.array_equal(a, b)
-    for (x, y), (x0, y0) in zip(data, data_before):
-        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    for a, b in zip((x, y, *rows), before):
+        assert np.array_equal(a, b)
     arrays = [a for model in got for _, a in model.layers]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for _, b in params.layers)
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
-def test_lockstep_rejects_seed_count_mismatch_and_empty_data():
+def test_lockstep_rejects_seed_count_mismatch_and_bad_row_sets():
     spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
     params = nn.init_params(spec, seed=1)
-    pair = (np.ones((3, 2)), np.array([0, 1, 1]))
-    with pytest.raises(ValueError, match="1 seeds for 2 pairs"):
-        nn._train_lockstep(spec, params, [pair, pair], epochs=1, batch_size=2,
-                           config=OptimizerConfig(0.1), seeds=[0])
-    with pytest.raises(ValueError, match="0 seeds for 0 pairs"):
-        nn._train_lockstep(spec, params, [], epochs=1, batch_size=2,
-                           config=OptimizerConfig(0.1), seeds=[])
+    x, y = np.ones((3, 2)), np.array([0, 1, 1])
+
+    def train(rows, seeds):
+        nn._train_lockstep(spec, params, x, y, rows, epochs=1, batch_size=2,
+                           config=OptimizerConfig(0.1), seeds=seeds)
+
+    with pytest.raises(ValueError, match="1 seeds for 2 row sets"):
+        train([[0, 1], [2]], [0])
+    with pytest.raises(ValueError, match="0 seeds for 0 row sets"):
+        train([], [])
+    for bad in ([], [0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match=r"row ids in \[0, 3\)"):
+            train([[0, 1], bad], [0, 1])
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp1"])
+def test_forward_batch_gives_the_bits_of_plain_2d_products(kind):
+    # prediction runs the kernel's stacked forward pass on one model
+    rng = np.random.default_rng(14)
+    spec = ModelSpec(kind=kind, input_dim=32, hidden_dim=16 if kind == "mlp1" else 0,
+                     output_dim=10)
+    like = nn.init_params(spec, seed=0)
+    for n in (1, 4, 80, 400):
+        params = from_flat(like, rng.normal(size=like.flat().size))
+        x = rng.normal(size=(n, 32))
+        assert np.array_equal(nn.forward_batch(spec, params, x), oracle_forward(spec, params, x)[1])
 
 
 def test_train_zero_epochs_returns_fresh_arrays():

@@ -73,6 +73,24 @@ def test_run_all_rejects_a_bad_config(tmp_path, capsys, flags, key):
     assert not (tmp_path / "x").exists()
 
 
+# passes every check, but the one background row holds no example of the
+# profile class
+PROFILE_GAP = {"users": "4", "rounds": "3", "n_per_user": "20", "background_size": "1",
+               "clusters_m": "1", "epoch_ranges": "2", "prior_kind": "profile",
+               "profile_class": "3", "seed": "1"}
+
+
+def test_run_all_reports_a_failing_family_in_the_cli_s_one_line(tmp_path, capsys):
+    rc = load_script("run_all").main(
+        [*(f for key, value in PROFILE_GAP.items() for f in ("--set", f"{key}={value}")),
+         "--families", "reid_closed", "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    flags = [f for key, value in PROFILE_GAP.items() for f in ("--" + key.replace("_", "-"), value)]
+    assert cli.main(["federate", *flags, "--out-dir", str(tmp_path / "y")]) == 1
+    assert err == capsys.readouterr().err == "error: background holds no examples of class 3\n"
+
+
 @pytest.fixture(scope="module")
 def two_seeds(tmp_path_factory):
     """`run_all --seeds 0 1` over two families: the output directory and

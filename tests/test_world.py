@@ -229,6 +229,22 @@ def test_photoset_needs_multiple_albums():
         split_prior(b, b.user_examples[0], "photoset", 0.3)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_photoset_config_is_rejected_exactly_where_the_split_would_fail(seed):
+    # the holdout does not depend on the prior kind, so a random-prior world
+    # shows the pools a photoset prior would have to split
+    shape = dict(users=4, n_per_user=4, test_fraction=0.5, background_size=60,
+                 albums_per_user=2, seed=seed)
+    pools = gen_world(small_cfg(**shape))
+    fewest = min(np.unique(pools.album[pools.user_examples[u]]).size for u in pools.user_ids())
+    if fewest >= 2:
+        b = gen_world(small_cfg(**shape, prior_kind="photoset"))
+        assert all(len(b.prior[u]) and len(b.private[u]) for u in b.user_ids())
+    else:
+        with pytest.raises(ValueError, match="^albums_per_user leaves user"):
+            small_cfg(**shape, prior_kind="photoset")
+
+
 # ------------------------------------------------------------ bias strength
 
 
