@@ -1,9 +1,13 @@
 """Command line entry points.
 
-Subcommands: federate (run FL and dump the delta log), attack (run an
-experiment family and write its report), report (re-emit a saved report
-in another format). Every config key is mirrored as a --flag; precedence
-is flags > config file > defaults.
+Subcommands: federate (run FL and dump the delta log), attack (run one or
+more experiment families, or `all`, and write their reports), report
+(re-emit a saved report in another format). Every config key is mirrored
+as a --flag; precedence is flags > config file > defaults, for `out_dir`
+too. `attack --seeds N [N ...]` runs the families once per seed, on one
+`Stages` per seed; with more than one seed, each seed's reports go to
+<out_dir>/seed<N>/ and each family gets a <family>_seedmean report in
+<out_dir>.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .atomic import replace_files
 from .config import ConfigError, ExperimentConfig, build_config
 from .deltastore import manifest_for, write_records
 from .experiments import EXPERIMENT_FAMILIES, Stages, run_experiment, utility_table
-from .reporting import report_from_json, table_to_csv, write_report
+from .reporting import Report, report_from_json, seed_mean, table_to_csv, write_report
 
 # what bad inputs or files make a run raise: one `error:` line, exit status 1
 RUN_ERRORS = (ValueError, OSError, KeyError)
@@ -35,13 +39,22 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=f"cfg_{f.name}", metavar="V", help=argparse.SUPPRESS)
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace, **extra: str) -> ExperimentConfig:
     overrides = {}
     for f in fields(ExperimentConfig):
         value = getattr(args, f"cfg_{f.name}", None)
         if value is not None:
             overrides[f.name] = value
-    return build_config(args.config, overrides)
+    return build_config(args.config, {**overrides, **extra})
+
+
+def _formats(args: argparse.Namespace) -> tuple[str, ...]:
+    return ("json", "csv") if args.format == "both" else (args.format,)
+
+
+def _print_written(paths: list[Path]) -> None:
+    for p in paths:
+        print(f"wrote {p}")
 
 
 def _cmd_federate(args: argparse.Namespace) -> int:
@@ -59,21 +72,36 @@ def _cmd_federate(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    report = run_experiment(cfg, args.family)
-    formats = ("json", "csv") if args.format == "both" else (args.format,)
-    paths = write_report(report, cfg.out_dir, formats)
-    for p in paths:
-        print(f"wrote {p}")
+    families = [f for f in EXPERIMENT_FAMILIES if f in args.family or "all" in args.family]
+    if args.seeds is None:
+        configs = [_config_from_args(args)]
+    else:
+        configs = [_config_from_args(args, seed=str(s)) for s in args.seeds]
+    out = Path(configs[0].out_dir)
+    per_seed: dict[str, list[Report]] = {family: [] for family in families}
+    for cfg in configs:
+        seed_dir = out if len(configs) == 1 else out / f"seed{cfg.seed}"
+        stages = Stages(cfg)
+        for family in families:
+            report = run_experiment(cfg, family, stages)
+            _print_written(write_report(report, seed_dir, _formats(args)))
+            per_seed[family].append(report)
+    if len(configs) == 1:
+        return 0
+    for family, reports in per_seed.items():
+        summary = seed_mean(reports)
+        _print_written(write_report(summary, out, _formats(args)))
+        for t in summary.tables:
+            print(f"\n{family}/{t.name} over seeds {args.seeds}")
+            print("  " + "  ".join(t.columns))
+            for row in t.rows:
+                print("  " + "  ".join(f"{c:.3f}" if isinstance(c, float) else str(c) for c in row))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
-    formats = ("json", "csv") if args.format == "both" else (args.format,)
-    paths = write_report(report, args.out_dir or Path(args.report).parent, formats)
-    for p in paths:
-        print(f"wrote {p}")
+    _print_written(write_report(report, args.out_dir or Path(args.report).parent, _formats(args)))
     return 0
 
 
@@ -88,9 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=_cmd_federate)
 
-    p = sub.add_parser("attack", help="run an experiment family end to end")
+    p = sub.add_parser("attack", help="run experiment families end to end")
     _add_config_flags(p)
-    p.add_argument("--family", required=True, choices=EXPERIMENT_FAMILIES)
+    p.add_argument(
+        "--family", required=True, nargs="+", choices=(*EXPERIMENT_FAMILIES, "all"),
+        metavar="FAMILY", help=f"one or more of {', '.join(EXPERIMENT_FAMILIES)}, or all",
+    )
+    p.add_argument(
+        "--seeds", nargs="+", type=int, metavar="N",
+        help="run once per seed; more than one writes seed<N>/ and seed means "
+             "(default: the config's seed)",
+    )
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p.set_defaults(func=_cmd_attack)
 
@@ -105,6 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seeds", None) is not None:
+        if args.cfg_seed is not None:
+            parser.error("give the seed by --seeds or by --seed, not both")
+        if len(set(args.seeds)) != len(args.seeds):
+            parser.error(f"--seeds repeats a seed: {args.seeds}")
     try:
         return args.func(args)
     except ConfigError as err:

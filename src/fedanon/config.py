@@ -115,15 +115,17 @@ def _canonical(value: Any) -> str:
 
 
 def snapshot(cfg: ExperimentConfig) -> dict[str, str]:
-    """Canonical string form of every field, in declaration order."""
-    return {f.name: _canonical(getattr(cfg, f.name)) for f in fields(ExperimentConfig)}
+    """Canonical string form of every key that can change results, in
+    declaration order: what a report records. `out_dir` only says where
+    the results are written, so it is left out."""
+    return {f.name: _canonical(getattr(cfg, f.name))
+            for f in fields(ExperimentConfig) if f.name != "out_dir"}
 
 
 def config_hash(cfg: ExperimentConfig | dict[str, str]) -> str:
-    """Hash of every key that can change results, of a config or of the
-    snapshot a report records; `out_dir` only says where they are written."""
+    """Hash of a config's snapshot, or of the snapshot a report records."""
     values = cfg if isinstance(cfg, dict) else snapshot(cfg)
-    text = "\n".join(f"{k} = {v}" for k, v in values.items() if k != "out_dir")
+    text = "\n".join(f"{k} = {v}" for k, v in values.items())
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 

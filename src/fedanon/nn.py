@@ -106,10 +106,6 @@ class ParamVector:
     def copy(self) -> "ParamVector":
         return ParamVector([(n, a.copy()) for n, a in self.layers])
 
-    def flat(self) -> np.ndarray:
-        """Concatenation of all layers in order (row-major per layer)."""
-        return np.concatenate([a.ravel() for _, a in self.layers])
-
     def validate_finite(self) -> None:
         for n, a in self.layers:
             if not np.isfinite(a).all():
@@ -238,16 +234,6 @@ def _stack_grads(
     dz1 = np.matmul(dz, layers[2])
     dz1 *= a > 0.0
     return [np.matmul(dz1.transpose(0, 2, 1), x), dz1.sum(axis=1), *output]
-
-
-def backward(spec: ModelSpec, params: ParamVector, batch) -> ParamVector:
-    """Gradient of the mean batch loss, laid out like the parameters: the
-    one-model case of the gradient the training kernel uses."""
-    x, y = _coerce_batch(spec, batch)
-    names = [name for name, _ in spec.layout()]
-    hit = np.arange(y.size) * spec.output_dim + y
-    grads = _stack_grads(spec, [params.get(n)[None] for n in names], x[None], hit[None])
-    return ParamVector([(n, g[0]) for n, g in zip(names, grads)])
 
 
 def _sgd_velocity(

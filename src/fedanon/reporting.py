@@ -5,7 +5,8 @@ seed produces byte-identical JSON and CSV artifacts, so no wall-clock data
 is ever written into them. CSV files are RFC-4180 (CRLF, quoted when
 needed) with one file per table; floats are serialized via repr so the
 round trip is exact. JSON reports are strict JSON (RFC 8259): a NaN cell
-is written as `null`, and CSV writes it as `nan`.
+is written as `null`, and CSV writes it as `nan`. One family's reports
+over several seeds collapse into one seed-mean report (`seed_mean`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 from typing import NoReturn, Sequence
 
 from .atomic import replace_files
+from .config import config_hash
 
 Cell = str | int | float
 
@@ -153,3 +155,51 @@ def write_report(
     out.mkdir(parents=True, exist_ok=True)
     replace_files(contents)
     return list(contents)
+
+
+def summarize(tables: list[Table]) -> Table:
+    """Collapse one table's per-seed copies, matching rows by position.
+
+    A column is a key, written once, when it is not a float column or when
+    it lies in the leading run of columns that agree across seeds in every
+    row, as a grid value such as mitigation's `value` does. Every other
+    float column becomes mean/lo/hi. Key cells must agree across seeds."""
+    base = tables[0]
+    if any(len(t.rows) != len(base.rows) for t in tables):
+        raise ValueError(f"table {base.name!r}: row counts differ across seeds")
+    by_position = list(zip(*(t.rows for t in tables)))
+    agrees = [all(row[i] == copies[0][i] for copies in by_position for row in copies)
+              for i in range(len(base.columns))]
+    leading = agrees.index(False) if False in agrees else len(agrees)
+    is_stat = [i >= leading and any(isinstance(r[i], float) for r in base.rows)
+               for i in range(len(base.columns))]
+    columns: list[str] = []
+    for name, stat in zip(base.columns, is_stat):
+        columns += [f"{name}_mean", f"{name}_lo", f"{name}_hi"] if stat else [name]
+
+    rows = []
+    for position, copies in enumerate(by_position):
+        keys = {tuple(c for c, stat in zip(row, is_stat) if not stat) for row in copies}
+        if len(keys) != 1:
+            raise ValueError(f"table {base.name!r}: row {position} differs across seeds in {keys}")
+        row: list = []
+        for cells, stat in zip(zip(*copies), is_stat):
+            row += [sum(cells) / len(cells), min(cells), max(cells)] if stat else [cells[0]]
+        rows.append(row)
+    return Table(name=base.name, columns=columns, rows=rows)
+
+
+def seed_mean(reports: list[Report]) -> Report:
+    """One family's per-seed reports as one report. Its config records the
+    seeds as "0,1,2" and its hash is over that config; the provenance seed
+    is the first seed."""
+    first = reports[0]
+    config = {**first.config, "seed": ",".join(str(r.seed) for r in reports)}
+    return Report(
+        experiment=f"{first.experiment}_seedmean",
+        config=config,
+        seed=first.seed,
+        version=first.version,
+        config_hash=config_hash(config),
+        tables=[summarize([r.table(t.name) for r in reports]) for t in first.tables],
+    )

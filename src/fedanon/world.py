@@ -212,7 +212,8 @@ def split_prior(
     on-device private set; both keep the order of `rows`.
 
     random: seeded IID partition. chrono: earliest fraction by timestamp.
-    photoset: whole albums until the fraction is reached. profile: seeded
+    photoset: whole albums until the fraction is reached, keeping one
+    private (`WorldConfig` ensures every pool holds 2). profile: seeded
     draws from the background rows of `profile_class` stand in as the prior
     and the full user pool stays private.
     """
@@ -243,8 +244,6 @@ def split_prior(
     else:  # photoset
         albums = bundle.album[rows]
         album_ids = np.unique(albums)
-        if len(album_ids) < 2:
-            raise ValueError("photoset split needs at least 2 albums per user")
         for taken, album in enumerate(album_ids[rng.permutation(len(album_ids))]):
             # always leave at least one whole album private
             if taken == len(album_ids) - 1 or chosen.sum() >= n_prior:

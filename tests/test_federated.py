@@ -26,7 +26,7 @@ from fedanon.nn import ModelSpec, ParamVector
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world
 
-from sequential_oracle import oracle_server_round
+from sequential_oracle import backward, flat, oracle_server_round
 from test_world import small_cfg
 
 
@@ -299,9 +299,9 @@ def test_federated_matches_pooled_gradient_descent():
     x, y = bundle.x[rows], bundle.y[rows]
     params = nn.init_params(spec, seed_from(cfg.seed, "init"))
     for _ in range(cfg.rounds):
-        params = params - nn.backward(spec, params, (x, y)).scale(cfg.eta)
+        params = params - backward(spec, params, (x, y)).scale(cfg.eta)
 
-    diff = np.abs(run.final_params.flat() - params.flat()).max()
+    diff = np.abs(flat(run.final_params) - flat(params)).max()
     assert diff <= 1e-9
 
 
@@ -313,11 +313,11 @@ def test_run_federated_shapes_and_determinism():
     assert len(run.utility) == cfg.rounds
     assert len(run.records) == cfg.rounds * 2 * len(bundle.user_ids())
     assert all(0.0 <= u <= 1.0 for u in run.utility)
-    assert np.isfinite(run.final_params.flat()).all()
+    assert np.isfinite(flat(run.final_params)).all()
     assert {r.round_t for r in run.records} == set(range(1, cfg.rounds + 1))
 
     again = run_federated(bundle, spec, cfg)
-    np.testing.assert_array_equal(run.final_params.flat(), again.final_params.flat())
+    np.testing.assert_array_equal(flat(run.final_params), flat(again.final_params))
     assert run.utility == again.utility
 
 
@@ -327,7 +327,7 @@ def test_run_federated_zero_hook_freezes_model():
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.5, rounds=2, seed=3)
     run = run_federated(bundle, spec, cfg, delta_hook=lambda t, d, delta: delta.scale(0.0))
     init = nn.init_params(spec, seed_from(cfg.seed, "init"))
-    np.testing.assert_array_equal(run.final_params.flat(), init.flat())
+    np.testing.assert_array_equal(flat(run.final_params), flat(init))
 
 
 def test_evaluate_task_softmax_accuracy():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from fedanon import nn
 from fedanon.nn import ModelSpec, OptimizerConfig, ParamVector
-from sequential_oracle import compute_loss, from_flat, optimizer_step, oracle_forward, oracle_train
+from sequential_oracle import (
+    backward, compute_loss, flat, from_flat, optimizer_step, oracle_forward, oracle_train,
+)
 
 RELU_KINK_GUARD = 1e-4  # keep finite-difference probes away from max(0, .) kinks
 
@@ -30,11 +32,11 @@ def random_batch(rng, spec, n):
 
 def numeric_grad(spec, params, batch, h=1e-6):
     """Central differences on the flattened parameter vector."""
-    flat = params.flat()
-    out = np.empty_like(flat)
-    for i in range(flat.size):
-        up = flat.copy(); up[i] += h
-        dn = flat.copy(); dn[i] -= h
+    vec = flat(params)
+    out = np.empty_like(vec)
+    for i in range(vec.size):
+        up = vec.copy(); up[i] += h
+        dn = vec.copy(); dn[i] -= h
         lu = compute_loss(spec, from_flat(params, up), batch)
         ld = compute_loss(spec, from_flat(params, dn), batch)
         out[i] = (lu - ld) / (2 * h)
@@ -58,7 +60,7 @@ def test_gradients_match_finite_differences():
         batch = random_batch(rng, spec, n=int(rng.integers(1, 5)))
         if not hidden_far_from_kink(spec, params, batch[0]):
             continue
-        analytic = nn.backward(spec, params, batch).flat()
+        analytic = flat(backward(spec, params, batch))
         numeric = numeric_grad(spec, params, batch)
         denom = max(np.linalg.norm(numeric), 1e-8)
         rel = np.linalg.norm(analytic - numeric) / denom
@@ -84,7 +86,7 @@ def test_init_params_biases_zero_weights_bounded():
     a2 = np.sqrt(6.0 / (4 + 3))
     assert np.all(np.abs(by_name["W2"]) <= a2)
     again = nn.init_params(spec, seed=11)
-    assert np.array_equal(params.flat(), again.flat())
+    assert np.array_equal(flat(params), flat(again))
 
 
 def test_softmax_rows_normalized_and_stable():
@@ -117,10 +119,10 @@ def test_sgd_momentum_two_steps():
     params = ParamVector([("w", np.array([1.0]))])
     grad = ParamVector([("w", np.array([2.0]))])
     p1, state = optimizer_step(None, params, grad, cfg, iteration=0)
-    assert p1.flat()[0] == pytest.approx(0.8)
+    assert flat(p1)[0] == pytest.approx(0.8)
     p2, _ = optimizer_step(state, p1, grad, cfg, iteration=1)
     # v2 = 0.9*(-0.2) - 0.2 = -0.38
-    assert p2.flat()[0] == pytest.approx(0.42)
+    assert flat(p2)[0] == pytest.approx(0.42)
 
 
 def test_sgd_lr_decay_schedule():
@@ -128,10 +130,10 @@ def test_sgd_lr_decay_schedule():
     params = ParamVector([("w", np.array([0.0]))])
     grad = ParamVector([("w", np.array([1.0]))])
     p, state = optimizer_step(None, params, grad, cfg, iteration=0)
-    assert p.flat()[0] == pytest.approx(-1.0)
+    assert flat(p)[0] == pytest.approx(-1.0)
     p, _ = optimizer_step(state, p, grad, cfg, iteration=1)
     # eta_1 = 1/(1+1) = 0.5
-    assert p.flat()[0] == pytest.approx(-1.5)
+    assert flat(p)[0] == pytest.approx(-1.5)
 
 
 def test_train_loss_decreases_on_separable_data():
@@ -155,10 +157,10 @@ def test_train_is_deterministic():
     params = nn.init_params(spec, seed=4)
     a = nn.train(spec, params, (x, y), epochs=3, batch_size=7, config=OptimizerConfig(0.05), seed=9)
     b = nn.train(spec, params, (x, y), epochs=3, batch_size=7, config=OptimizerConfig(0.05), seed=9)
-    assert np.array_equal(a.flat(), b.flat())
+    assert np.array_equal(flat(a), flat(b))
     c = nn.train(spec, params, (x, y), epochs=3, batch_size=7, config=OptimizerConfig(0.05),
                  seed=10)
-    assert not np.array_equal(a.flat(), c.flat())
+    assert not np.array_equal(flat(a), flat(c))
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp1"])
@@ -254,7 +256,7 @@ def test_forward_batch_gives_the_bits_of_plain_2d_products(kind):
                      output_dim=10)
     like = nn.init_params(spec, seed=0)
     for n in (1, 4, 80, 400):
-        params = from_flat(like, rng.normal(size=like.flat().size))
+        params = from_flat(like, rng.normal(size=flat(like).size))
         x = rng.normal(size=(n, 32))
         assert np.array_equal(nn.forward_batch(spec, params, x), oracle_forward(spec, params, x)[1])
 
@@ -297,14 +299,14 @@ def test_paramvector_add_sub_roundtrip(a, b):
     pa = ParamVector([("w", np.array(a))])
     pb = ParamVector([("w", np.array(b))])
     back = (pa + pb) - pb
-    assert np.allclose(back.flat(), pa.flat(), atol=1e-6)
+    assert np.allclose(flat(back), flat(pa), atol=1e-6)
 
 
 @settings(max_examples=50, deadline=None)
 @given(small_arrays, st.floats(-100, 100, allow_nan=False))
 def test_paramvector_scale_linearity(a, c):
     pa = ParamVector([("w", np.array(a))])
-    assert np.allclose(pa.scale(c).flat(), c * pa.flat())
+    assert np.allclose(flat(pa.scale(c)), c * flat(pa))
 
 
 def test_paramvector_layout_mismatch_rejected():
@@ -319,9 +321,9 @@ def test_paramvector_layout_mismatch_rejected():
 
 def test_paramvector_flat_roundtrip():
     pv = ParamVector([("a", np.arange(6.0).reshape(2, 3).ravel()), ("b", np.ones(2))])
-    flat = pv.flat()
-    back = from_flat(pv, flat * 2.0)
-    assert np.array_equal(back.flat(), flat * 2.0)
+    vec = flat(pv)
+    back = from_flat(pv, vec * 2.0)
+    assert np.array_equal(flat(back), vec * 2.0)
     assert [n for n, _ in back.layers] == ["a", "b"]
 
 
@@ -334,6 +336,6 @@ def test_paramvector_validate_finite_rejects_nan():
 def test_optimizer_step_does_not_mutate_inputs():
     params = ParamVector([("w", np.array([1.0, 2.0]))])
     grad = ParamVector([("w", np.array([0.5, 0.5]))])
-    snapshot = params.flat().copy()
+    snapshot = flat(params).copy()
     optimizer_step(None, params, grad, OptimizerConfig(0.1, momentum=0.5), iteration=0)
-    assert np.array_equal(params.flat(), snapshot)
+    assert np.array_equal(flat(params), snapshot)

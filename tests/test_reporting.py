@@ -14,6 +14,7 @@ from fedanon.reporting import (
     Table,
     report_from_json,
     report_to_json,
+    summarize,
     table_to_csv,
     write_report,
 )
@@ -213,3 +214,18 @@ def test_write_report_rejects_a_name_that_leaves_the_output_directory(tmp_path, 
     with pytest.raises(ValueError, match="must match"):
         write_report(report, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["noise", 0.1]], "row counts differ"),
+        ([["noise", 0.1], ["mm_aug", 1.0]], "row 1 differs across seeds"),
+    ],
+)
+def test_seed_mean_summary_rejects_rows_that_do_not_line_up(rows, message):
+    first = Table(name="tradeoff", columns=["strategy", "value"],
+                  rows=[["noise", 0.1], ["rand_aug", 1.0]])
+    other = Table(name="tradeoff", columns=["strategy", "value"], rows=rows)
+    with pytest.raises(ValueError, match=message):
+        summarize([first, other])

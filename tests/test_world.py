@@ -223,12 +223,6 @@ def test_split_prior_rejects_bad_inputs():
         split_prior(b, pool, "profile", 0.3)
 
 
-def test_photoset_needs_multiple_albums():
-    b = gen_world(small_cfg(albums_per_user=1))
-    with pytest.raises(ValueError):
-        split_prior(b, b.user_examples[0], "photoset", 0.3)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_photoset_config_is_rejected_exactly_where_the_split_would_fail(seed):
     # the holdout does not depend on the prior kind, so a random-prior world
