@@ -3,10 +3,11 @@ defenses, and a reproducible experiment harness."""
 
 __version__ = "0.1.0"
 
+from .attacks import ReprConfig
 from .config import ConfigError, ExperimentConfig, build_config
-from .deltastore import DeltaManifest, ReprConfig, read_records, represent_delta, write_records
+from .deltastore import DeltaLog, DeltaManifest, DeltaRecord, read_records, write_records
 from .experiments import EXPERIMENT_FAMILIES
-from .federated import DeltaRecord, DeviceState, RoundConfig, run_federated
+from .federated import DeviceState, RoundConfig, run_federated
 from .metrics import ScoredPredictions, average_precision, increase_over_chance, mean_ap
 from .mitigation import MitigationConfig, TradeoffPoint, tradeoff_curve
 from .nn import ModelSpec, OptimizerConfig, ParamVector
@@ -17,12 +18,12 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "build_config",
+    "DeltaLog",
     "DeltaManifest",
+    "DeltaRecord",
     "ReprConfig",
     "read_records",
-    "represent_delta",
     "write_records",
-    "DeltaRecord",
     "DeviceState",
     "RoundConfig",
     "run_federated",

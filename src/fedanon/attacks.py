@@ -15,14 +15,13 @@ deltas are row selections of one dataset, as the open-world copy is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from . import nn
 from .blocks import row_blocks
-from .deltastore import ReprConfig, represent_delta
-from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
+from .deltastore import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaLog
 from .metrics import (
     ScoredPredictions,
     average_precision,
@@ -62,6 +61,15 @@ SIAMESE_RMS_DECAY = 0.9
 SIAMESE_RMS_EPSILON = 1e-7
 
 UNSEEN_LABEL = -1  # sentinel class id for the open-world `unseen` bucket
+
+
+@dataclass(frozen=True)
+class ReprConfig:
+    """Which layer, flattened row-major, becomes the attack feature vector,
+    and whether to L2 normalize it (zero vectors pass through unchanged)."""
+
+    layer_name: str
+    normalize: bool = True
 
 
 @dataclass
@@ -139,25 +147,32 @@ class AttackDataset:
         return self._select(on_train, np.ones(len(self.test_users), dtype=bool))
 
 
-def build_attack_dataset(records: Sequence[DeltaRecord], repr_cfg: ReprConfig) -> AttackDataset:
+def build_attack_dataset(records: DeltaLog, repr_cfg: ReprConfig) -> AttackDataset:
     """The attack dataset of a delta log: the shadow devices' deltas are the
     rows the attack trains on, and the anonymous devices' deltas the rows it
     scores. Each side keeps log order, and each row is the delta represented
     by `repr_cfg`, with its user and its round. Round ranges and per-user
     caps are row selections of the result (`in_rounds`, `capped`)."""
-    train = [r for r in records if r.role == ROLE_SHADOW]
-    test = [r for r in records if r.role == ROLE_ANONYMOUS]
-    if not train or not test:
+    train, test = records.role == ROLE_SHADOW, records.role == ROLE_ANONYMOUS
+    if not (train.any() and test.any()):
         raise ValueError("attack dataset needs at least one record on each side")
-    train_users = np.asarray([r.user_id for r in train], dtype=np.int64)
+    layer = records.layer(repr_cfg.layer_name)
+    train_x, test_x = layer[train], layer[test]
+    if repr_cfg.normalize:
+        # one norm per row, as for a lone vector: a batched one can differ in the last bit
+        for row in (*train_x, *test_x):
+            norm = np.linalg.norm(row)
+            if norm > 0.0:
+                row /= norm
+    train_users = records.user[train]
     return AttackDataset(
-        train_x=np.stack([represent_delta(r, repr_cfg) for r in train]),
+        train_x=train_x,
         train_users=train_users,
-        test_x=np.stack([represent_delta(r, repr_cfg) for r in test]),
-        test_users=np.asarray([r.user_id for r in test], dtype=np.int64),
+        test_x=test_x,
+        test_users=records.user[test],
         users=tuple(sorted(set(train_users.tolist()))),
-        train_rounds=np.asarray([r.round_t for r in train], dtype=np.int64),
-        test_rounds=np.asarray([r.round_t for r in test], dtype=np.int64),
+        train_rounds=records.round[train],
+        test_rounds=records.round[test],
     )
 
 
@@ -661,23 +676,16 @@ def bias_consistency(profile_a: np.ndarray, profile_b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def user_bias_profiles(
-    records: Iterable[DeltaRecord], layer_name: str
-) -> dict[tuple[int, str], np.ndarray]:
+def user_bias_profiles(records: DeltaLog, layer_name: str) -> dict[tuple[int, str], np.ndarray]:
     """Mean final-layer delta per (user, role), reduced to per-class norms.
 
-    The stored layer has shape (classes, inputs); its transpose is the
-    (weights_per_class, classes) matrix the profile is defined over.
+    Each mean sums its rows in log order. The stored layer has shape
+    (classes, inputs); its transpose is the (weights_per_class, classes)
+    matrix the profile is defined over.
     """
-    sums: dict[tuple[int, str], np.ndarray] = {}
-    counts: dict[tuple[int, str], int] = {}
-    for r in records:
-        key = (r.user_id, r.role)
-        layer = r.delta.get(layer_name)
-        if key in sums:
-            sums[key] = sums[key] + layer
-            counts[key] += 1
-        else:
-            sums[key] = layer.copy()
-            counts[key] = 1
-    return {key: class_bias_profile(sums[key].T / counts[key]) for key in sums}
+    layer, shape = records.layer(layer_name), dict(records.layout)[layer_name]
+    profiles = {}
+    for user, role in dict.fromkeys(zip(records.user.tolist(), records.role.tolist())):
+        rows = layer[(records.user == user) & (records.role == role)]
+        profiles[(user, role)] = class_bias_profile(rows.sum(axis=0).reshape(shape).T / len(rows))
+    return profiles

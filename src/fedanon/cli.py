@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .atomic import replace_files
 from .config import ConfigError, ExperimentConfig, build_config
-from .deltastore import manifest_for, write_records
+from .deltastore import write_records
 from .experiments import EXPERIMENT_FAMILIES, Stages, run_experiment, utility_table
 from .reporting import Report, report_from_json, seed_mean, table_to_csv, write_report
 
@@ -62,7 +62,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
     stages = Stages(cfg)
     run = stages.run
     out = Path(cfg.out_dir)
-    write_records(out, manifest_for(run.records, stages.spec.layout(), cfg.rounds), run.records)
+    write_records(out, run.records)
     replace_files({out / "utility.csv": table_to_csv(utility_table(run)).encode()})
     print(
         f"wrote {out}/manifest.json, deltas.bin, utility.csv "

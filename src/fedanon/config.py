@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .attacks import MATCH_METHODS, REID_METHODS
-from .deltastore import ReprConfig
+from .attacks import MATCH_METHODS, REID_METHODS, ReprConfig
 from .federated import RoundConfig
 from .mitigation import STRATEGIES
 from .nn import ModelSpec

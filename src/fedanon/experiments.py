@@ -18,6 +18,7 @@ from .attacks import (
     AttackDataset,
     MlpProductMatcher,
     MlpReid,
+    ReprConfig,
     bias_consistency,
     build_attack_dataset,
     dataspace_dataset,
@@ -40,7 +41,6 @@ from .config import (
     snapshot,
     world_config_from,
 )
-from .deltastore import ReprConfig
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, run_federated, sampled_users
 from .mitigation import MitigationConfig, tradeoff_curve
 from .reporting import Report, Table

@@ -17,18 +17,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import nn
+from .deltastore import ROLE_ANONYMOUS, ROLE_SHADOW, ROLES, DeltaLog
 from .nn import ModelSpec, ParamVector
 from .seeding import rng_from, seed_from
 from .world import DatasetBundle
 
-ROLE_ANONYMOUS = "anonymous"
-ROLE_SHADOW = "shadow_prior"
-# the roles in device id order (see `build_devices`)
-DEVICE_ROLES = (ROLE_ANONYMOUS, ROLE_SHADOW)
-
-# hook applied by a device to its outgoing delta (mitigations plug in here);
-# the aggregation path itself never branches on it
-DeltaHook = Callable[[int, "DeviceState", ParamVector], ParamVector]
+# hook applied by a device to its outgoing delta, one flat row of the delta
+# log (mitigations plug in here); the aggregation path never branches on it
+DeltaHook = Callable[[int, "DeviceState", np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class DeviceState:
     rows: np.ndarray  # (n_k,) int64 row indices of the device's split into the world's columns
 
     def __post_init__(self) -> None:
-        if self.role not in (ROLE_ANONYMOUS, ROLE_SHADOW):
+        if self.role not in ROLES:
             raise ValueError(f"unknown device role {self.role!r}")
         if not len(self.rows):
             raise ValueError(f"device {self.device_id} has no data")
@@ -76,45 +72,33 @@ class DeviceState:
 
 
 @dataclass
-class DeltaRecord:
-    round_t: int
-    device_id: int
-    user_id: int
-    role: str
-    delta: ParamVector
-    n_k: int
-
-
-@dataclass
 class FederatedRun:
     final_params: ParamVector
-    records: list[DeltaRecord]
+    records: DeltaLog
     utility: list[float]  # per-round held-out task score
 
 
 def build_devices(bundle: DatasetBundle) -> list[DeviceState]:
-    """Two devices per user, one block of ids per role in `DEVICE_ROLES`
+    """Two devices per user, one block of ids per role in `ROLES`
     order: anonymous ids 0..U-1, shadow ids U..2U-1. Each device holds its
     split's row indices into the bundle's columns, not a copy of the rows."""
     splits = {ROLE_ANONYMOUS: bundle.private, ROLE_SHADOW: bundle.prior}
-    owners = [(role, u) for role in DEVICE_ROLES for u in bundle.user_ids()]
+    owners = [(role, u) for role in ROLES for u in bundle.user_ids()]
     return [DeviceState(device_id=i, user_id=u, role=role, rows=splits[role][u])
             for i, (role, u) in enumerate(owners)]
 
 
-def aggregate(global_params: ParamVector, records: list[DeltaRecord]) -> ParamVector:
-    """Apply the data-weighted average of the deltas to the global model.
-    Weights n_k / sum(n_k) are normalized over the participating records,
-    and the weighted deltas are summed into one buffer in record order."""
-    if not records:
+def aggregate(global_params: ParamVector, records: DeltaLog) -> ParamVector:
+    """Apply the data-weighted average of the log's deltas to the global
+    model. Weights n_k / sum(n_k) are normalized over the log's rows, and
+    the weighted rows are summed into one buffer in log order."""
+    if not len(records):
         raise ValueError("cannot aggregate zero records")
-    total = float(sum(r.n_k for r in records))
-    update = records[0].delta.scale(records[0].n_k / total)
-    for r in records[1:]:
-        update._check_compatible(r.delta)
-        for (_, u), (_, d) in zip(update.layers, r.delta.layers):
-            u += d * (r.n_k / total)
-    return global_params + update
+    weights = records.n_k / float(records.n_k.sum())
+    update = records.deltas[0] * weights[0]
+    for row, weight in zip(records.deltas[1:], weights[1:]):
+        update += row * weight
+    return global_params + records.params(update)
 
 
 def sample_devices(n_devices: int, cfg: RoundConfig, round_t: int) -> np.ndarray:
@@ -130,11 +114,11 @@ def sampled_users(users: int, cfg: RoundConfig) -> dict[str, list[set[int]]]:
     server samples in each of rounds 1..cfg.rounds (list index t-1), with
     the device ids of `build_devices`. It replays `sample_devices`, so it
     needs no world."""
-    sampled = {role: [set() for _ in range(cfg.rounds)] for role in DEVICE_ROLES}
+    sampled = {role: [set() for _ in range(cfg.rounds)] for role in ROLES}
     for t in range(1, cfg.rounds + 1):
-        for d in sample_devices(len(DEVICE_ROLES) * users, cfg, t).tolist():
+        for d in sample_devices(len(ROLES) * users, cfg, t).tolist():
             role, u = divmod(d, users)
-            sampled[DEVICE_ROLES[role]][t - 1].add(u)
+            sampled[ROLES[role]][t - 1].add(u)
     return sampled
 
 
@@ -147,7 +131,8 @@ def server_round(
     cfg: RoundConfig,
     round_t: int,
     delta_hook: Optional[DeltaHook] = None,
-) -> tuple[ParamVector, list[DeltaRecord]]:
+    out: Optional[DeltaLog] = None,
+) -> tuple[ParamVector, DeltaLog]:
     """Sample max(1, round(C*K)) devices without replacement, train them all
     from the global model in one lockstep local SGD run, apply the delta
     hook in ascending device id order, and aggregate.
@@ -155,24 +140,30 @@ def server_round(
     Each device runs local_epochs of plain minibatch SGD on its rows of the
     columns (x, y) (batches of min(batch_size, n_k) rows, shuffled by the
     device's ("device-update", round, device id) stream); its delta is local
-    minus global. The columns are checked before any training."""
+    minus global. The columns are checked before any training. The round's
+    deltas fill the rows of `out`, one per sampled device (a fresh log when
+    None), which is returned with the new global model."""
     if not devices:
         raise ValueError("no devices")
     sampled = [devices[i] for i in sample_devices(len(devices), cfg, round_t)]
-    trained = nn._train_lockstep(
+    stacks = nn._train_lockstep(
         spec, global_params, x, y, [d.rows for d in sampled],
         epochs=cfg.local_epochs, batch_size=cfg.batch_size, config=nn.OptimizerConfig(cfg.eta),
         seeds=[seed_from(cfg.seed, "device-update", round_t, d.device_id) for d in sampled],
     )
-    records = []
-    for device, local in zip(sampled, trained):
-        delta = local - global_params
-        if delta_hook is not None:
-            delta = delta_hook(round_t, device, delta)
-        records.append(
-            DeltaRecord(round_t, device.device_id, device.user_id, device.role, delta, device.n_k)
-        )
-    return aggregate(global_params, records), records
+    log = DeltaLog.empty(len(sampled), spec.layout(), cfg.rounds) if out is None else out
+    log.round[:] = round_t
+    log.device[:] = [d.device_id for d in sampled]
+    log.user[:] = [d.user_id for d in sampled]
+    log.role[:] = [d.role for d in sampled]
+    log.n_k[:] = [d.n_k for d in sampled]
+    for (name, cols), stack in zip(log.columns().items(), stacks):
+        np.subtract(stack.reshape(len(sampled), -1), global_params.get(name).reshape(-1),
+                    out=log.deltas[:, cols])
+    if delta_hook is not None:
+        for device, row in zip(sampled, log.deltas):
+            row[:] = delta_hook(round_t, device, row)
+    return aggregate(global_params, log), log
 
 
 def evaluate_task(spec: ModelSpec, params: ParamVector, x: np.ndarray, y: np.ndarray) -> float:
@@ -192,13 +183,14 @@ def run_federated(
     devices = build_devices(bundle)
     params = nn.init_params(spec, seed_from(cfg.seed, "init"))
     test_x, test_y = bundle.x[bundle.test], bundle.y[bundle.test]
-    records: list[DeltaRecord] = []
+    per_round = len(sample_devices(len(devices), cfg, 1))  # the same in every round
+    log = DeltaLog.empty(cfg.rounds * per_round, spec.layout(), cfg.rounds)
     utility: list[float] = []
     for round_t in range(1, cfg.rounds + 1):
-        params, round_records = server_round(
-            spec, params, bundle.x, bundle.y, devices, cfg, round_t, delta_hook
+        block = log.block((round_t - 1) * per_round, round_t * per_round)
+        params, _ = server_round(
+            spec, params, bundle.x, bundle.y, devices, cfg, round_t, delta_hook, block
         )
         params.validate_finite()
-        records.extend(round_records)
         utility.append(evaluate_task(spec, params, test_x, test_y))
-    return FederatedRun(final_params=params, records=records, utility=utility)
+    return FederatedRun(final_params=params, records=log, utility=utility)

@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackDataset, build_attack_dataset, mlp_reid_scores
+from .attacks import AttackDataset, ReprConfig, build_attack_dataset, mlp_reid_scores
 from .blocks import squared_distances
-from .deltastore import ReprConfig
 from .federated import (
     ROLE_ANONYMOUS,
     DeltaHook,
@@ -26,7 +25,7 @@ from .federated import (
     RoundConfig,
     run_federated,
 )
-from .nn import ModelSpec, ParamVector
+from .nn import ModelSpec
 from .seeding import rng_from, seed_from
 from .world import DatasetBundle
 
@@ -75,7 +74,7 @@ class TradeoffPoint:
     utility: float  # task score normalized to 1.0 at the no-mitigation anchor
 
 
-def noise_perturb(delta: ParamVector, sigma2: float, seed: int) -> ParamVector:
+def noise_perturb(delta: np.ndarray, sigma2: float, seed: int) -> np.ndarray:
     """Elementwise zero-mean Gaussian noise with variance sigma2."""
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be >= 0")
@@ -83,15 +82,13 @@ def noise_perturb(delta: ParamVector, sigma2: float, seed: int) -> ParamVector:
         return delta
     rng = rng_from(seed, "delta-noise")
     std = float(np.sqrt(sigma2))
-    return ParamVector(
-        [(name, arr + rng.normal(0.0, std, size=arr.shape)) for name, arr in delta.layers]
-    )
+    return delta + rng.normal(0.0, std, size=delta.shape)
 
 
 def make_noise_hook(sigma2: float, seed: int) -> DeltaHook:
     """Delta hook that noises anonymous devices' outgoing updates."""
 
-    def hook(round_t: int, device: DeviceState, delta: ParamVector) -> ParamVector:
+    def hook(round_t: int, device: DeviceState, delta: np.ndarray) -> np.ndarray:
         if device.role != ROLE_ANONYMOUS or sigma2 == 0.0:
             return delta
         return noise_perturb(delta, sigma2, seed_from(seed, "noise", round_t, device.device_id))

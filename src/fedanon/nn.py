@@ -73,10 +73,6 @@ class ParamVector:
             raise ValueError("duplicate layer names in ParamVector")
         self._by_name = {n: a for n, a in self.layers}
 
-    @property
-    def names(self) -> list[str]:
-        return [n for n, _ in self.layers]
-
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(n, tuple(a.shape)) for n, a in self.layers]
 
@@ -84,27 +80,12 @@ class ParamVector:
         try:
             return self._by_name[name]
         except KeyError:
-            raise KeyError(f"no layer named {name!r}; have {self.names}") from None
-
-    def _check_compatible(self, other: "ParamVector") -> None:
-        if self.layout() != other.layout():
-            raise ValueError(
-                f"incompatible parameter layouts: {self.layout()} vs {other.layout()}"
-            )
+            raise KeyError(f"no layer named {name!r}; have {list(self._by_name)}") from None
 
     def __add__(self, other: "ParamVector") -> "ParamVector":
-        self._check_compatible(other)
+        if self.layout() != other.layout():
+            raise ValueError(f"incompatible parameter layouts: {self.layout()} vs {other.layout()}")
         return ParamVector([(n, a + b) for (n, a), (_, b) in zip(self.layers, other.layers)])
-
-    def __sub__(self, other: "ParamVector") -> "ParamVector":
-        self._check_compatible(other)
-        return ParamVector([(n, a - b) for (n, a), (_, b) in zip(self.layers, other.layers)])
-
-    def scale(self, factor: float) -> "ParamVector":
-        return ParamVector([(n, a * factor) for n, a in self.layers])
-
-    def copy(self) -> "ParamVector":
-        return ParamVector([(n, a.copy()) for n, a in self.layers])
 
     def validate_finite(self) -> None:
         for n, a in self.layers:
@@ -295,7 +276,7 @@ def _train_lockstep(
     batch_size: int,
     config: OptimizerConfig,
     seeds: Sequence[int],
-) -> list[ParamVector]:
+) -> list[np.ndarray]:
     """Momentum SGD for len(rows) models of one spec, all starting from
     `params`, run in lockstep on one (X, Y) pair of inputs and class indices.
 
@@ -306,7 +287,8 @@ def _train_lockstep(
     each step the models whose minibatches have the same row count form
     one stack; nothing is padded, so every model ends exactly where it
     would have trained alone. All data is checked and all steps planned first.
-    Returns fresh parameters, one per model; the inputs are left untouched.
+    Returns one fresh (len(rows), *shape) array per layer of `spec.layout()`,
+    model k's parameters at index k; the inputs are left untouched.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -320,8 +302,7 @@ def _train_lockstep(
         raise ValueError(f"every row set must be a non-empty list of row ids in [0, {y.size})")
     plan = _plan(rows, epochs, batch_size, seeds, y, spec.output_dim)
 
-    names = [name for name, _ in spec.layout()]
-    layers = [np.repeat(params.get(name)[None], len(rows), axis=0) for name in names]
+    layers = [np.repeat(params.get(name)[None], len(rows), axis=0) for name, _ in spec.layout()]
     velocity = [np.zeros_like(a) for a in layers]
     for t, models, idx, hit in plan:
         # views of the whole population, or a partial stack gathered once
@@ -333,7 +314,7 @@ def _train_lockstep(
         if not isinstance(models, slice):
             for whole, part in zip(layers + velocity, stack + stack_velocity):
                 whole[models] = part
-    return [ParamVector([(name, a[k]) for name, a in zip(names, layers)]) for k in range(len(rows))]
+    return layers
 
 
 def train(
@@ -353,8 +334,8 @@ def train(
     are left untouched.
     """
     x, y = data
-    rows = [np.arange(len(y))]
-    return _train_lockstep(spec, params, x, y, rows, epochs, batch_size, config, [seed])[0]
+    layers = _train_lockstep(spec, params, x, y, [np.arange(len(y))], epochs, batch_size, config, [seed])
+    return ParamVector([(name, a[0]) for (name, _), a in zip(spec.layout(), layers)])
 
 
 def predict_proba(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:

@@ -6,8 +6,7 @@ share, and are the only slow part of the suite."""
 import numpy as np
 import pytest
 
-from fedanon.attacks import build_attack_dataset
-from fedanon.deltastore import ReprConfig
+from fedanon.attacks import ReprConfig, build_attack_dataset
 from fedanon.federated import RoundConfig, run_federated
 from fedanon.nn import ModelSpec
 from fedanon.world import WorldConfig, gen_world

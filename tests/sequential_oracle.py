@@ -2,15 +2,16 @@
 at a time, through plain 2-D products, the way fedanon trained before its
 devices ran in lockstep. The lockstep kernel in `fedanon.nn` must agree
 with it bit for bit (`np.array_equal`), because it stacks models without
-padding and so performs the same float operations on each model. The
-loss, its gradient, the lone-model update and the flat-vector round trip
-that the finite-difference checks use live here too: only tests call
-them."""
+padding and so performs the same float operations on each model. Its
+round aggregates a list of per-device records in record order, apart from
+the production rule that sums the rows of one matrix. The loss, its
+gradient, the lone-model update and the flat-vector round trip that the
+finite-difference checks use live here too: only tests call them."""
 
 import numpy as np
 
 from fedanon import nn
-from fedanon.federated import DeltaRecord, aggregate
+from fedanon.deltastore import DeltaLog, DeltaRecord
 from fedanon.nn import ParamVector
 from fedanon.seeding import rng_from, seed_from
 
@@ -39,6 +40,22 @@ def flat(params):
     return np.concatenate([a.ravel() for _, a in params.layers])
 
 
+def gradient_step(params, grad, eta):
+    """`params` minus `eta` times `grad`, layer by layer."""
+    assert params.layout() == grad.layout()
+    return ParamVector([(n, a - eta * g) for (n, a), (_, g) in zip(params.layers, grad.layers)])
+
+
+def log_of(records, rounds=None):
+    """The DeltaLog of a list of DeltaRecords, rows in list order, of a run
+    of `rounds` rounds (by default the last round a record names)."""
+    fields = ("round_t", "device_id", "user_id", "role", "n_k")
+    columns = [np.asarray([getattr(r, f) for r in records]) for f in fields]
+    rounds = int(columns[0].max()) if rounds is None else rounds
+    return DeltaLog(*columns, records[0].delta.layout(), rounds,
+                    np.stack([flat(r.delta) for r in records]))
+
+
 def from_flat(like, vec):
     """The vector `vec` cut into the layout of the ParamVector `like`."""
     vec = np.asarray(vec, dtype=np.float64)
@@ -55,7 +72,7 @@ def from_flat(like, vec):
 def optimizer_step(state, params, grad, config, iteration):
     """One momentum SGD update of a lone model; returns fresh params and
     velocities (None starts them at zero), leaving the inputs untouched."""
-    params._check_compatible(grad)
+    assert params.layout() == grad.layout()
     new_layers, new_state = [], {}
     for (name, w), (_, g) in zip(params.layers, grad.layers):
         v = np.zeros_like(w) if state is None else state[name].copy()
@@ -103,9 +120,26 @@ def oracle_train(spec, params, x, y, epochs, batch_size, config, seed):
     return params
 
 
+def oracle_aggregate(global_params, records):
+    """The global model plus the data-weighted average of the records'
+    deltas, with weights n_k / sum(n_k) over the records, each weighted
+    delta added into one buffer per layer in record order."""
+    if not records:
+        raise ValueError("cannot aggregate zero records")
+    total = float(sum(r.n_k for r in records))
+    first = records[0]
+    update = ParamVector([(n, a * (first.n_k / total)) for n, a in first.delta.layers])
+    for r in records[1:]:
+        assert update.layout() == r.delta.layout()
+        for (_, u), (_, d) in zip(update.layers, r.delta.layers):
+            u += d * (r.n_k / total)
+    return global_params + update
+
+
 def oracle_server_round(spec, global_params, x, y, devices, cfg, round_t, delta_hook=None):
     """One FedAvg round that trains the sampled devices one after another,
-    each on a copy of its rows of (x, y)."""
+    each on a copy of its rows of (x, y); the delta hook sees each delta
+    flattened, as a row of the delta log."""
     rng = rng_from(cfg.seed, "sample", round_t)
     m = max(1, int(round(cfg.fraction_c * len(devices))))
     records = []
@@ -121,10 +155,10 @@ def oracle_server_round(spec, global_params, x, y, devices, cfg, round_t, delta_
             config=nn.OptimizerConfig(cfg.eta),
             seed=seed_from(cfg.seed, "device-update", round_t, device.device_id),
         )
-        delta = local - global_params
+        delta = from_flat(local, flat(local) - flat(global_params))
         if delta_hook is not None:
-            delta = delta_hook(round_t, device, delta)
+            delta = from_flat(delta, delta_hook(round_t, device, flat(delta)))
         records.append(
             DeltaRecord(round_t, device.device_id, device.user_id, device.role, delta, device.n_k)
         )
-    return aggregate(global_params, records), records
+    return oracle_aggregate(global_params, records), records

@@ -16,7 +16,7 @@ import pytest
 
 from fedanon import nn
 from fedanon.config import ExperimentConfig
-from fedanon.deltastore import manifest_for, read_records, write_records
+from fedanon.deltastore import read_records, write_records
 from fedanon.experiments import (
     Stages,
     model_spec_from,
@@ -30,7 +30,7 @@ from fedanon.reporting import report_to_json
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world
 
-from sequential_oracle import backward, flat
+from sequential_oracle import backward, flat, gradient_step
 from test_metrics import ap_by_summation
 from test_nn import hidden_far_from_kink, numeric_grad, random_batch, random_spec
 
@@ -118,11 +118,11 @@ def test_criterion_01_federation_equals_pooled_descent():
     rows = np.concatenate([d.rows for d in devices])
     x, y = bundle.x[rows], bundle.y[rows]
     fed_params = nn.init_params(spec, seed_from(fed.seed, "init"))
-    central = fed_params.copy()
+    central = fed_params
     worst = 0.0
     for round_t in range(1, fed.rounds + 1):
         fed_params, _ = server_round(spec, fed_params, bundle.x, bundle.y, devices, fed, round_t)
-        central = central - backward(spec, central, (x, y)).scale(fed.eta)
+        central = gradient_step(central, backward(spec, central, (x, y)), fed.eta)
         worst = max(worst, float(np.abs(flat(fed_params) - flat(central)).max()))
     elapsed = time.perf_counter() - started
     verdict(
@@ -321,9 +321,8 @@ def test_criterion_13_determinism_and_persistence(tmp_path):
     runs = [Stages(cfg) for _ in range(2)]
     dirs = []
     for i, stages in enumerate(runs):
-        manifest = manifest_for(stages.run.records, stages.spec.layout(), cfg.rounds)
         out = tmp_path / f"log{i}"
-        write_records(out, manifest, stages.run.records)
+        write_records(out, stages.run.records)
         dirs.append(out)
     logs_equal = all(
         (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
@@ -331,12 +330,8 @@ def test_criterion_13_determinism_and_persistence(tmp_path):
     )
 
     _, loaded = read_records(dirs[0])
-    round_trip_exact = all(
-        np.array_equal(
-            back.delta.get(name), orig.delta.get(name).astype(np.float32).astype(np.float64)
-        )
-        for orig, back in zip(runs[0].run.records, loaded)
-        for name in orig.delta.names
+    round_trip_exact = np.array_equal(
+        loaded.deltas, runs[0].run.records.deltas.astype(np.float32).astype(np.float64)
     )
 
     fast = ExperimentConfig(attack_methods=("chance", "knn"), seed=0)

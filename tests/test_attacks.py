@@ -18,6 +18,7 @@ from fedanon.attacks import (
     KnnReid,
     MlpProductMatcher,
     MlpReid,
+    ReprConfig,
     SiameseMatcher,
     SvmReid,
     bias_consistency,
@@ -35,14 +36,13 @@ from fedanon.attacks import (
     user_bias_profiles,
 )
 from fedanon import nn
-from fedanon.deltastore import ReprConfig
-from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
+from fedanon.deltastore import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
 from fedanon.nn import ParamVector
 from fedanon.seeding import rng_from
 from fedanon.world import gen_world
 
 from broadcast_oracle import one_batch_matching, traced_peak
-from sequential_oracle import flat, from_flat
+from sequential_oracle import flat, from_flat, log_of
 from test_world import small_cfg
 
 LAYER_SHAPE = (2, 4)  # flattens to 8-dim attack vectors
@@ -76,7 +76,7 @@ def cluster_records(n_users=4, shadow_rows=10, anon_rows=5, noise=0.05, seed=0):
 
 @pytest.fixture(scope="module")
 def cluster_ds():
-    return build_attack_dataset(cluster_records(), REPR)
+    return build_attack_dataset(log_of(cluster_records()), REPR)
 
 
 # ------------------------------------------------------------ dataset build
@@ -144,6 +144,36 @@ def test_row_selections_keep_log_order(small_dataset):
             assert kept == sorted(kept)
 
 
+def two_layer_log(w1, w2):
+    """An anonymous and a shadow record of user 0, both of delta (W1, W2)."""
+    delta = ParamVector([("W1", np.asarray(w1, dtype=np.float64)),
+                         ("W2", np.asarray(w2, dtype=np.float64))])
+    return log_of([DeltaRecord(1, 0, 0, ROLE_ANONYMOUS, delta, 1),
+                   DeltaRecord(1, 1, 0, ROLE_SHADOW, delta, 1)])
+
+
+@pytest.mark.parametrize(
+    "layer, normalize, w1, w2, want",
+    [
+        ("W2", True, np.arange(6).reshape(3, 2), [[3, 0, 0], [0, 4, 0]], [0.6, 0, 0, 0, 0.8, 0]),
+        ("W1", False, np.arange(6).reshape(3, 2), np.zeros((2, 3)), np.arange(6)),
+        ("W2", True, np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(6)),
+    ],
+    ids=["selects-and-normalizes", "unnormalized-row-major", "zero-row-passes-through"],
+)
+def test_build_dataset_rows_are_the_chosen_layer(layer, normalize, w1, w2, want):
+    ds = build_attack_dataset(two_layer_log(w1, w2), ReprConfig(layer, normalize))
+    for x in (ds.train_x, ds.test_x):
+        np.testing.assert_allclose(x, [want], atol=1e-15)
+        if normalize and np.any(want):
+            assert np.linalg.norm(x[0]) == pytest.approx(1.0)
+
+
+def test_build_dataset_rejects_an_unknown_layer():
+    with pytest.raises(KeyError, match="W9"):
+        build_attack_dataset(two_layer_log(np.zeros((3, 2)), np.zeros((2, 3))), ReprConfig("W9"))
+
+
 def test_build_dataset_closed_world_violation():
     # drop user 3's shadow rows: its anonymous rows become unattributable,
     # which re-identification rejects when it scores them, while matching,
@@ -151,7 +181,7 @@ def test_build_dataset_closed_world_violation():
     records = [
         r for r in cluster_records() if not (r.role == ROLE_SHADOW and r.user_id == 3)
     ]
-    ds = build_attack_dataset(records, REPR)
+    ds = build_attack_dataset(log_of(records), REPR)
     assert ds.users == (0, 1, 2)
     assert 3 in set(ds.test_users.tolist())
     violation = r"closed-world violation: test users \[3\] have no training rows"
@@ -165,7 +195,7 @@ def test_build_dataset_closed_world_violation():
 def test_build_dataset_needs_both_sides():
     only_shadow = [r for r in cluster_records() if r.role == ROLE_SHADOW]
     with pytest.raises(ValueError):
-        build_attack_dataset(only_shadow, REPR)
+        build_attack_dataset(log_of(only_shadow), REPR)
 
 
 def test_rows_by_user_grouping(cluster_ds):
@@ -505,7 +535,7 @@ def open_world_dataset(ds, split):
 
 def test_open_world_reid_classes_and_eval():
     records = cluster_records(n_users=9, shadow_rows=8, anon_rows=4)
-    ds = build_attack_dataset(records, REPR)
+    ds = build_attack_dataset(log_of(records), REPR)
     split = open_world_split(ds.users, seen_fraction=0.5, seed=0)
     open_ds = open_world_dataset(ds, split)
     model = train_reid(open_ds, "mlp", seed=0)
@@ -589,6 +619,24 @@ def test_bias_consistency_cosine():
         bias_consistency([1.0], [1.0, 2.0])
 
 
+def test_user_bias_profiles_sum_each_users_rows_in_log_order():
+    # the reference adds one record at a time; another order moves the last bits
+    rng = np.random.default_rng(3)
+    records = [
+        DeltaRecord(t, u + 3 * (role == ROLE_SHADOW), u, role,
+                    ParamVector([("W2", rng.normal(size=(3, 5)) * rng.exponential())]), 5)
+        for t in range(1, 30) for u in range(3) for role in (ROLE_ANONYMOUS, ROLE_SHADOW)
+    ]
+    profiles = user_bias_profiles(log_of(records), "W2")
+    assert list(profiles) == [(u, role) for u in range(3) for role in (ROLE_ANONYMOUS, ROLE_SHADOW)]
+    for (user, role), profile in profiles.items():
+        rows = [r.delta.get("W2") for r in records if (r.user_id, r.role) == (user, role)]
+        total = rows[0]
+        for w in rows[1:]:
+            total = total + w
+        assert np.array_equal(profile, class_bias_profile(total.T / len(rows)))
+
+
 def test_user_bias_profiles_average_then_reduce():
     w_a = np.array([[1.0, 0.0], [0.0, 2.0]])
     w_b = np.array([[3.0, 0.0], [0.0, 4.0]])
@@ -597,7 +645,7 @@ def test_user_bias_profiles_average_then_reduce():
         DeltaRecord(2, 0, 0, ROLE_ANONYMOUS, ParamVector([("W2", w_b)]), 5),
         DeltaRecord(1, 4, 0, ROLE_SHADOW, ParamVector([("W2", w_a)]), 5),
     ]
-    profiles = user_bias_profiles(records, "W2")
+    profiles = user_bias_profiles(log_of(records), "W2")
     assert set(profiles) == {(0, ROLE_ANONYMOUS), (0, ROLE_SHADOW)}
     # anonymous mean is [[2, 0], [0, 3]]; transposed column norms are the
     # per-class magnitudes [2, 3]

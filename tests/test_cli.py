@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import fedanon
 from fedanon import experiments
 from fedanon.cli import build_parser, main
 from fedanon.config import build_config, config_hash
-from fedanon.deltastore import read_records
+from fedanon.deltastore import MAGIC, read_records
 from fedanon.experiments import run_experiment
 from fedanon.reporting import Report, report_from_json, report_to_json
 
@@ -32,12 +33,19 @@ def flags_of(keys: dict[str, str]) -> list[str]:
 TINY = flags_of(TINY_KEYS)
 
 
-def test_federate_writes_delta_log(tmp_path):
+def test_federate_writes_delta_log(tmp_path, monkeypatch):
+    runs = []
+    run_federated = experiments.run_federated
+    monkeypatch.setattr(experiments, "run_federated",
+                        lambda *a, **k: runs.append(run_federated(*a, **k)) or runs[-1])
     out = tmp_path / "fed"
     assert main(["federate", *TINY, "--out-dir", str(out)]) == 0
     manifest, records = read_records(out)
     assert manifest.rounds == 4
     assert len(records) == 4 * 12  # all devices sampled each round
+    # the payload is the run's in-memory delta matrix, in float32
+    (run,) = runs
+    assert (out / "deltas.bin").read_bytes() == MAGIC + run.records.deltas.astype("<f4").tobytes()
     utility = (out / "utility.csv").read_bytes()
     assert utility.startswith(b"round,task_score\r\n")
     assert utility.count(b"\r\n") == 5  # header + one row per round
@@ -288,6 +296,13 @@ def test_readme_layout_lists_every_script():
     (line,) = re.findall(r"^scripts/ +(.+)$", readme, flags=re.MULTILINE)
     scripts = sorted(p.name for p in (root / "scripts").iterdir() if p.is_file())
     assert sorted(line.split(", ")) == scripts
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(fedanon, name) for name in fedanon.__all__)
+    namespace = {}
+    exec("from fedanon import *", namespace)
+    assert set(fedanon.__all__) <= set(namespace)
 
 
 def test_unknown_family_rejected_by_parser(capsys):

@@ -1,7 +1,6 @@
 """Log persistence: float32 round-trips must be exact, rewrites byte
 identical, and each corruption mode must raise its own error type."""
 
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -15,17 +14,15 @@ from hypothesis import strategies as st
 from fedanon import deltastore
 from fedanon.deltastore import (
     MAGIC,
+    ROLE_ANONYMOUS,
+    ROLE_SHADOW,
     CorruptHeaderError,
-    ReprConfig,
+    DeltaLog,
     ShapeMismatchError,
     TruncatedPayloadError,
-    manifest_for,
     read_records,
-    represent_delta,
     write_records,
 )
-from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
-from fedanon.nn import ParamVector
 
 from sequential_oracle import flat
 
@@ -33,29 +30,24 @@ LAYOUT = [("W1", (3, 2)), ("W2", (2, 3))]
 
 
 def make_records(n_rounds=3, n_devices=4, seed=0):
+    """Every device in every round; devices below n_devices // 2 are
+    anonymous, device d belongs to user d % 2 and holds 10 + d examples."""
     rng = np.random.default_rng(seed)
-    records = []
-    for t in range(1, n_rounds + 1):
-        for d in range(n_devices):
-            delta = ParamVector(
-                [(name, rng.normal(size=shape)) for name, shape in LAYOUT]
-            )
-            records.append(
-                DeltaRecord(
-                    round_t=t,
-                    device_id=d,
-                    user_id=d % 2,
-                    role=ROLE_ANONYMOUS if d < n_devices // 2 else ROLE_SHADOW,
-                    delta=delta,
-                    n_k=10 + d,
-                )
-            )
-    return records
+    device = np.tile(np.arange(n_devices), n_rounds)
+    return DeltaLog(
+        round=np.repeat(np.arange(1, n_rounds + 1), n_devices),
+        device=device,
+        user=device % 2,
+        role=np.where(device < n_devices // 2, ROLE_ANONYMOUS, ROLE_SHADOW),
+        n_k=10 + device,
+        layout=LAYOUT,
+        rounds=n_rounds,
+        deltas=rng.normal(size=(n_rounds * n_devices, 12)),
+    )
 
 
-def write_log(tmp_path, records, rounds=3):
-    manifest = manifest_for(records, LAYOUT, rounds=rounds)
-    return write_records(tmp_path / "log", manifest, records)
+def write_log(tmp_path, records):
+    return write_records(tmp_path / "log", records)
 
 
 def test_write_read_round_trip(tmp_path):
@@ -66,37 +58,47 @@ def test_write_read_round_trip(tmp_path):
     assert manifest.layers == LAYOUT
     assert manifest.rounds == 3
     assert len(loaded) == len(records)
-    for orig, back in zip(records, loaded):
-        assert (back.round_t, back.device_id, back.user_id, back.role, back.n_k) == (
-            orig.round_t,
-            orig.device_id,
-            orig.user_id,
-            orig.role,
-            orig.n_k,
+    for column in ("round", "device", "user", "role", "n_k"):
+        np.testing.assert_array_equal(getattr(loaded, column), getattr(records, column))
+    assert loaded.deltas.dtype == np.float64
+    np.testing.assert_array_equal(loaded.deltas, records.deltas.astype(np.float32).astype(np.float64))
+
+
+def test_iterating_a_log_yields_its_rows_as_records():
+    records = make_records()
+    rows = list(records)
+    assert len(rows) == len(records)
+    for i, rec in enumerate(rows):
+        assert (rec.round_t, rec.device_id, rec.user_id, rec.role, rec.n_k) == (
+            records.round[i], records.device[i], records.user[i], records.role[i], records.n_k[i]
         )
-        for (name, arr), (_, arr_back) in zip(orig.delta.layers, back.delta.layers):
-            assert arr_back.dtype == np.float64
-            np.testing.assert_array_equal(arr_back, arr.astype(np.float32).astype(np.float64))
+        assert rec.delta.layout() == LAYOUT
+        np.testing.assert_array_equal(flat(rec.delta), records.deltas[i])
+        # the layers are views into the log's matrix, not copies
+        assert all(np.shares_memory(a, records.deltas) for _, a in rec.delta.layers)
+    np.testing.assert_array_equal(records.layer("W2"), records.deltas[:, 6:])
 
 
 def test_round_trip_is_lossless_for_float32_representable_values(tmp_path):
     records = make_records()
-    for r in records:
-        for name, arr in r.delta.layers:
-            arr[:] = arr.astype(np.float32)
+    records.deltas[:] = records.deltas.astype(np.float32)
     write_log(tmp_path, records)
     _, loaded = read_records(tmp_path / "log")
-    for orig, back in zip(records, loaded):
-        np.testing.assert_array_equal(flat(orig.delta), flat(back.delta))
+    np.testing.assert_array_equal(loaded.deltas, records.deltas)
 
 
 def test_rewrite_is_byte_identical(tmp_path):
     records = make_records()
-    manifest = manifest_for(records, LAYOUT, rounds=3)
-    write_records(tmp_path / "a", manifest, records)
-    write_records(tmp_path / "b", manifest, records)
+    write_records(tmp_path / "a", records)
+    write_records(tmp_path / "b", records)
+    # a log read back is the log: writing it again gives the same bytes
+    _, loaded = read_records(tmp_path / "a")
+    write_records(tmp_path / "c", loaded)
     for name in ("manifest.json", "deltas.bin"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+    payload = (tmp_path / "a" / "deltas.bin").read_bytes()
+    assert payload == MAGIC + records.deltas.astype("<f4").tobytes()
 
 
 def test_payload_starts_with_magic(tmp_path):
@@ -113,17 +115,46 @@ def test_manifest_devices_table(tmp_path):
 
 def test_write_rejects_layout_mismatch(tmp_path):
     records = make_records()
-    bad = DeltaRecord(
-        round_t=1,
-        device_id=0,
-        user_id=0,
-        role=ROLE_ANONYMOUS,
-        delta=ParamVector([("W1", np.zeros((3, 2)))]),  # missing W2
-        n_k=5,
-    )
-    manifest = manifest_for(records, LAYOUT, rounds=3)
+    records.deltas = records.deltas[:, :6]  # W1's columns only, W2 missing
     with pytest.raises(ShapeMismatchError):
-        write_records(tmp_path / "log", manifest, records + [bad])
+        write_log(tmp_path, records)
+
+
+def _set_row(column, row, value):
+    def change(log):
+        getattr(log, column)[row] = value
+
+    return change
+
+
+def _set_device(column, value):
+    def change(log):
+        getattr(log, column)[log.device == 0] = value
+
+    return change
+
+
+# make_records() logs device 0 (user 0, anonymous, n_k 10) in rows 0, 4 and 8
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (_set_row("round", 11, 4), "outside"),
+        (_set_row("round", 0, 0), "outside"),
+        (_set_row("user", 4, 5), "more than one"),
+        (_set_row("n_k", 4, 9), "more than one"),
+        (_set_row("role", 4, ROLE_SHADOW), "more than one"),
+        (_set_device("role", "spy"), "unknown role"),
+        (_set_device("n_k", 0), "n_k"),
+    ],
+    ids=["round-above-rounds", "round-zero", "user-varies", "n_k-varies", "role-varies",
+         "unknown-role", "n_k-below-one"],
+)
+def test_write_rejects_a_log_the_reader_would_reject(tmp_path, change, match):
+    records = make_records()
+    change(records)
+    with pytest.raises(ValueError, match=match):
+        write_log(tmp_path, records)
+    assert not (tmp_path / "log" / "deltas.bin").exists()
 
 
 def test_read_rejects_wrong_magic(tmp_path):
@@ -234,14 +265,14 @@ def test_read_rejects_duplicate_device_id(tmp_path):
 
 @pytest.mark.parametrize("round_t", [0, 4])
 def test_read_rejects_round_outside_the_run(tmp_path, round_t):
-    write_log(tmp_path, make_records(n_rounds=3), rounds=3)
+    write_log(tmp_path, make_records(n_rounds=3))
     edit_manifest(tmp_path, lambda doc: doc["index"][0].__setitem__(0, round_t))
     with pytest.raises(CorruptHeaderError, match="outside"):
         read_records(tmp_path / "log")
 
 
 def test_read_rejects_a_repeated_round_and_device(tmp_path):
-    write_log(tmp_path, make_records(2, 2), rounds=2)
+    write_log(tmp_path, make_records(2, 2))
     # record 1 is (round 1, device 1); name device 0 again
     edit_manifest(tmp_path, lambda doc: doc["index"][1].__setitem__(1, 0))
     with pytest.raises(CorruptHeaderError, match="more than one record"):
@@ -250,9 +281,10 @@ def test_read_rejects_a_repeated_round_and_device(tmp_path):
 
 def test_write_rejects_a_repeated_round_and_device(tmp_path):
     records = make_records(2, 2)
-    records[1] = dataclasses.replace(records[0])
-    with pytest.raises(ValueError, match="more than once"):
-        write_log(tmp_path, records, rounds=2)
+    for column in (records.round, records.device, records.user, records.role, records.n_k):
+        column[1] = column[0]
+    with pytest.raises(ValueError, match="more than one record"):
+        write_log(tmp_path, records)
     assert not (tmp_path / "log" / "deltas.bin").exists()
 
 
@@ -269,10 +301,7 @@ def test_failed_write_leaves_previous_log(tmp_path, monkeypatch):
     monkeypatch.undo()
     _, loaded = read_records(tmp_path / "log")
     assert len(loaded) == len(first)
-    for orig, back in zip(first, loaded):
-        np.testing.assert_array_equal(
-            flat(back.delta), flat(orig.delta).astype(np.float32).astype(np.float64)
-        )
+    np.testing.assert_array_equal(loaded.deltas, first.deltas.astype(np.float32).astype(np.float64))
     assert sorted(p.name for p in (tmp_path / "log").iterdir()) == ["deltas.bin", "manifest.json"]
 
 
@@ -280,46 +309,6 @@ def test_error_types_are_distinct():
     assert not issubclass(CorruptHeaderError, (ShapeMismatchError, TruncatedPayloadError))
     assert not issubclass(ShapeMismatchError, (CorruptHeaderError, TruncatedPayloadError))
     assert not issubclass(TruncatedPayloadError, (CorruptHeaderError, ShapeMismatchError))
-
-
-# ------------------------------------------------------------ representation
-
-
-def one_record(w1, w2):
-    return DeltaRecord(
-        round_t=1,
-        device_id=0,
-        user_id=0,
-        role=ROLE_ANONYMOUS,
-        delta=ParamVector([("W1", np.asarray(w1, dtype=np.float64)),
-                           ("W2", np.asarray(w2, dtype=np.float64))]),
-        n_k=1,
-    )
-
-
-def test_represent_delta_selects_and_normalizes():
-    rec = one_record(np.arange(6).reshape(3, 2), [[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
-    vec = represent_delta(rec, ReprConfig("W2", normalize=True))
-    np.testing.assert_allclose(vec, np.array([3, 0, 0, 0, 4, 0]) / 5.0, atol=1e-15)
-    assert np.linalg.norm(vec) == pytest.approx(1.0)
-
-
-def test_represent_delta_unnormalized_row_major():
-    rec = one_record(np.arange(6).reshape(3, 2), np.zeros((2, 3)))
-    vec = represent_delta(rec, ReprConfig("W1", normalize=False))
-    np.testing.assert_array_equal(vec, [0, 1, 2, 3, 4, 5])
-
-
-def test_represent_delta_zero_vector_passthrough():
-    rec = one_record(np.zeros((3, 2)), np.zeros((2, 3)))
-    vec = represent_delta(rec, ReprConfig("W2", normalize=True))
-    np.testing.assert_array_equal(vec, np.zeros(6))
-
-
-def test_represent_delta_unknown_layer():
-    rec = one_record(np.zeros((3, 2)), np.zeros((2, 3)))
-    with pytest.raises(KeyError):
-        represent_delta(rec, ReprConfig("W9"))
 
 
 def set_manifest(key, value, *path):
@@ -369,7 +358,7 @@ def test_read_rejects_signaling_nan_payload(tmp_path):
 
 def test_write_rejects_non_finite_deltas(tmp_path):
     records = make_records()
-    records[1].delta.get("W2")[0, 0] = np.inf
+    records.deltas[1, 6] = np.inf  # W2[0, 0] of the second record
     with pytest.raises(ValueError, match="finite"):
         write_log(tmp_path, records)
     assert not (tmp_path / "log" / "deltas.bin").exists()
@@ -437,7 +426,7 @@ def test_read_of_a_mutated_log_raises_a_typed_error_or_round_trips(data):
     bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "log"
-        write_records(log, manifest_for(make_records(2, 3), LAYOUT, rounds=2), make_records(2, 3))
+        write_records(log, make_records(2, 3))
         target = data.draw(st.sampled_from(["payload", "manifest", "both"]))
         if target in ("payload", "both"):
             payload = log / "deltas.bin"
@@ -448,10 +437,10 @@ def test_read_of_a_mutated_log_raises_a_typed_error_or_round_trips(data):
                 mutate_field(doc, data)
             (log / "manifest.json").write_text(json.dumps(doc, indent=1), encoding="utf-8")
         try:
-            manifest, records = read_records(log)
+            _, records = read_records(log)
         except TYPED_ERRORS:
             return
         again = Path(tmp) / "again"
-        write_records(again, manifest, records)
+        write_records(again, records)
         for name in ("deltas.bin", "manifest.json"):
             assert (again / name).read_bytes() == (log / name).read_bytes(), name

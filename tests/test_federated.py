@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from fedanon import nn
+from fedanon.deltastore import ROLES, DeltaLog, DeltaRecord
 from fedanon.federated import (
-    DEVICE_ROLES,
     ROLE_ANONYMOUS,
     ROLE_SHADOW,
-    DeltaRecord,
     DeviceState,
     RoundConfig,
     aggregate,
@@ -26,7 +25,7 @@ from fedanon.nn import ModelSpec, ParamVector
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world
 
-from sequential_oracle import backward, flat, oracle_server_round
+from sequential_oracle import backward, flat, gradient_step, log_of, oracle_server_round
 from test_world import small_cfg
 
 
@@ -89,7 +88,7 @@ def test_device_update_delta_hook_applied():
 
     def spy(round_t, device, delta):
         seen["args"] = (round_t, device.device_id)
-        return delta.scale(0.0)
+        return delta * 0.0
 
     rec = one_device_record(two_class_device(device_id=7), cfg, 3, spy)
     assert seen["args"] == (3, 7)
@@ -109,7 +108,7 @@ def assorted_devices(spec, sizes=ORACLE_SIZES, seed=0):
     x = rng.normal(size=(pool, spec.input_dim))
     y = rng.integers(spec.output_dim, size=pool)
     devices = [
-        DeviceState(device_id=i, user_id=i // 2, role=DEVICE_ROLES[i % 2],
+        DeviceState(device_id=i, user_id=i // 2, role=ROLES[i % 2],
                     rows=rng.choice(pool, size=n, replace=False))
         for i, n in enumerate(sizes)
     ]
@@ -123,13 +122,14 @@ def assert_params_equal(a, b):
 
 
 def assert_rounds_equal(got, want):
-    (got_params, got_records), (want_params, want_records) = got, want
+    """A round's (params, DeltaLog) equals the oracle's (params, records)."""
+    (got_params, got_log), (want_params, want_records) = got, want
     assert_params_equal(got_params, want_params)
-    assert [(r.round_t, r.device_id, r.user_id, r.role, r.n_k) for r in got_records] == [
+    columns = (got_log.round, got_log.device, got_log.user, got_log.role, got_log.n_k)
+    assert list(zip(*(c.tolist() for c in columns))) == [
         (r.round_t, r.device_id, r.user_id, r.role, r.n_k) for r in want_records
     ]
-    for g, w in zip(got_records, want_records):
-        assert_params_equal(g.delta, w.delta)
+    assert np.array_equal(got_log.deltas, np.stack([flat(r.delta) for r in want_records]))
 
 
 ORACLE_SPECS = [
@@ -168,7 +168,7 @@ def test_delta_hook_sees_each_sampled_device_once_in_id_order():
 
     def spy(round_t, device, delta):
         calls.append((round_t, device.device_id, device.role, delta.copy()))
-        return delta.scale(0.5)
+        return delta * 0.5
 
     got = server_round(spec, params, x, y, devices, cfg, 4, spy)
     want = oracle_server_round(spec, params, x, y, devices, cfg, 4)
@@ -176,9 +176,8 @@ def test_delta_hook_sees_each_sampled_device_once_in_id_order():
     assert len(calls) == 4
     for (round_t, device_id, role, delta), rec in zip(calls, want[1]):
         assert (round_t, role) == (4, devices[device_id].role)
-        assert_params_equal(delta, rec.delta)
-    halved = oracle_server_round(spec, params, x, y, devices, cfg, 4,
-                                 lambda t, d, dl: dl.scale(0.5))
+        assert np.array_equal(delta, flat(rec.delta))
+    halved = oracle_server_round(spec, params, x, y, devices, cfg, 4, lambda t, d, dl: dl * 0.5)
     assert_rounds_equal(got, halved)
 
 
@@ -213,20 +212,20 @@ def fake_record(delta_w, n_k, device_id=0):
 def test_aggregate_weights_by_subset_counts():
     base = ParamVector([("W", np.array([[1.0], [1.0]]))])
     records = [fake_record([[3.0], [0.0]], n_k=30), fake_record([[0.0], [1.0]], n_k=10)]
-    out = aggregate(base, records)
+    out = aggregate(base, log_of(records))
     # weights 0.75 and 0.25 over the participating records only
     np.testing.assert_allclose(out.get("W"), [[1.0 + 2.25], [1.0 + 0.25]], atol=1e-15)
 
 
 def test_aggregate_single_record_is_plain_add():
     base = ParamVector([("W", np.zeros((2, 1)))])
-    out = aggregate(base, [fake_record([[2.0], [-1.0]], n_k=5)])
+    out = aggregate(base, log_of([fake_record([[2.0], [-1.0]], n_k=5)]))
     np.testing.assert_array_equal(out.get("W"), [[2.0], [-1.0]])
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
-        aggregate(zero_params(), [])
+        aggregate(zero_params(), DeltaLog.empty(0, zero_params().layout(), rounds=1))
 
 
 def test_build_devices_layout():
@@ -299,7 +298,7 @@ def test_federated_matches_pooled_gradient_descent():
     x, y = bundle.x[rows], bundle.y[rows]
     params = nn.init_params(spec, seed_from(cfg.seed, "init"))
     for _ in range(cfg.rounds):
-        params = params - backward(spec, params, (x, y)).scale(cfg.eta)
+        params = gradient_step(params, backward(spec, params, (x, y)), cfg.eta)
 
     diff = np.abs(flat(run.final_params) - flat(params)).max()
     assert diff <= 1e-9
@@ -325,7 +324,7 @@ def test_run_federated_zero_hook_freezes_model():
     bundle = gen_world(small_cfg())
     spec = ModelSpec(kind="linear", input_dim=12, output_dim=5)
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.5, rounds=2, seed=3)
-    run = run_federated(bundle, spec, cfg, delta_hook=lambda t, d, delta: delta.scale(0.0))
+    run = run_federated(bundle, spec, cfg, delta_hook=lambda t, d, delta: delta * 0.0)
     init = nn.init_params(spec, seed_from(cfg.seed, "init"))
     np.testing.assert_array_equal(flat(run.final_params), flat(init))
 

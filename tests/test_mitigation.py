@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fedanon import mitigation
-from fedanon.attacks import build_attack_dataset
-from fedanon.deltastore import ReprConfig
+from fedanon.attacks import ReprConfig, build_attack_dataset
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeviceState, RoundConfig, run_federated
 from fedanon.mitigation import (
     KMeansResult,
@@ -19,7 +18,7 @@ from fedanon.mitigation import (
     noise_perturb,
     tradeoff_curve,
 )
-from fedanon.nn import ModelSpec, ParamVector
+from fedanon.nn import ModelSpec
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world
 
@@ -54,8 +53,9 @@ def test_mitigation_config_value_and_identity():
 # ------------------------------------------------------------------ noise
 
 
-def make_delta(shape=(100, 100), value=0.0):
-    return ParamVector([("W", np.full(shape, value))])
+def make_delta(size=10_000, value=0.0):
+    """One flat delta row."""
+    return np.full(size, value)
 
 
 def test_noise_zero_variance_is_identity():
@@ -64,16 +64,15 @@ def test_noise_zero_variance_is_identity():
 
 
 def test_noise_moments():
-    noised = noise_perturb(make_delta(), 4.0, seed=1)
-    w = noised.get("W").ravel()
+    w = noise_perturb(make_delta(), 4.0, seed=1)
     assert abs(w.mean()) < 0.1
     assert abs(w.std() - 2.0) < 0.1  # within 5% of sqrt(sigma2)
 
 
 def test_noise_is_seeded():
-    a = noise_perturb(make_delta(), 1.0, seed=7).get("W")
-    b = noise_perturb(make_delta(), 1.0, seed=7).get("W")
-    c = noise_perturb(make_delta(), 1.0, seed=8).get("W")
+    a = noise_perturb(make_delta(), 1.0, seed=7)
+    b = noise_perturb(make_delta(), 1.0, seed=7)
+    c = noise_perturb(make_delta(), 1.0, seed=8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -84,18 +83,18 @@ def device_with_role(role):
 
 def test_noise_hook_targets_anonymous_devices_only():
     hook = make_noise_hook(1.0, seed=0)
-    delta = make_delta(shape=(4, 4))
+    delta = make_delta(size=16)
     assert hook(1, device_with_role(ROLE_SHADOW), delta) is delta
     noised = hook(1, device_with_role(ROLE_ANONYMOUS), delta)
-    assert not np.array_equal(noised.get("W"), delta.get("W"))
+    assert not np.array_equal(noised, delta)
     assert make_noise_hook(0.0, seed=0)(1, device_with_role(ROLE_ANONYMOUS), delta) is delta
 
 
 def test_noise_hook_varies_by_round_and_device():
     hook = make_noise_hook(1.0, seed=0)
-    delta = make_delta(shape=(4, 4))
-    a = hook(1, device_with_role(ROLE_ANONYMOUS), delta).get("W")
-    b = hook(2, device_with_role(ROLE_ANONYMOUS), delta).get("W")
+    delta = make_delta(size=16)
+    a = hook(1, device_with_role(ROLE_ANONYMOUS), delta)
+    b = hook(2, device_with_role(ROLE_ANONYMOUS), delta)
     assert not np.array_equal(a, b)
 
 

@@ -202,13 +202,13 @@ def test_lockstep_momentum_matches_sequential_oracle(kind):
     config = OptimizerConfig(0.05, momentum=0.9, lr_decay=1e-3)
     got = nn._train_lockstep(spec, params, x, y, rows, epochs=2, batch_size=4, config=config,
                              seeds=seeds)
-    assert len(got) == len(rows)
-    for r, seed, model in zip(rows, seeds, got):
+    # one stack per layer, model k's parameters at index k
+    assert [a.shape for a in got] == [(len(rows), *shape) for _, shape in spec.layout()]
+    for k, (r, seed) in enumerate(zip(rows, seeds)):
         want = oracle_train(spec, params, x[r], y[r], epochs=2, batch_size=4, config=config,
                             seed=seed)
-        assert model.layout() == want.layout()
-        for (_, a), (_, b) in zip(model.layers, want.layers):
-            assert np.array_equal(a, b)
+        for a, (_, b) in zip(got, want.layers):
+            assert np.array_equal(a[k], b)
 
 
 def test_lockstep_leaves_inputs_untouched():
@@ -216,7 +216,7 @@ def test_lockstep_leaves_inputs_untouched():
     spec = ModelSpec(kind="mlp1", input_dim=3, hidden_dim=5, output_dim=4)
     params = nn.init_params(spec, seed=7)
     x, y, rows = uneven_models(spec, rng)
-    params_before = params.copy()
+    params_before = from_flat(params, flat(params))
     before = [a.copy() for a in (x, y, *rows)]
     got = nn._train_lockstep(spec, params, x, y, rows, epochs=2, batch_size=4,
                              config=OptimizerConfig(0.05, momentum=0.9), seeds=range(len(rows)))
@@ -224,10 +224,9 @@ def test_lockstep_leaves_inputs_untouched():
         assert np.array_equal(a, b)
     for a, b in zip((x, y, *rows), before):
         assert np.array_equal(a, b)
-    arrays = [a for model in got for _, a in model.layers]
-    for i, a in enumerate(arrays):
+    for i, a in enumerate(got):
         assert not any(np.shares_memory(a, b) for _, b in params.layers)
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        assert not any(np.shares_memory(a, b) for b in got[i + 1:])
 
 
 def test_lockstep_rejects_seed_count_mismatch_and_bad_row_sets():
@@ -293,20 +292,12 @@ small_arrays = st.integers(1, 4).flatmap(
 
 @settings(max_examples=50, deadline=None)
 @given(small_arrays, small_arrays)
-def test_paramvector_add_sub_roundtrip(a, b):
+def test_paramvector_add_is_elementwise(a, b):
     if len(a) != len(b):
         b = (b * len(a))[: len(a)]
     pa = ParamVector([("w", np.array(a))])
     pb = ParamVector([("w", np.array(b))])
-    back = (pa + pb) - pb
-    assert np.allclose(flat(back), flat(pa), atol=1e-6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(small_arrays, st.floats(-100, 100, allow_nan=False))
-def test_paramvector_scale_linearity(a, c):
-    pa = ParamVector([("w", np.array(a))])
-    assert np.allclose(flat(pa.scale(c)), c * flat(pa))
+    assert np.array_equal(flat(pa + pb), np.array(a) + np.array(b))
 
 
 def test_paramvector_layout_mismatch_rejected():
