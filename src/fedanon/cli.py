@@ -18,6 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .atomic import replace_files
+from .blas import one_thread
 from .config import ConfigError, ExperimentConfig, build_config
 from .deltastore import write_records
 from .experiments import EXPERIMENT_FAMILIES, Stages, run_experiment, utility_table
@@ -59,8 +60,8 @@ def _print_written(paths: list[Path]) -> None:
 
 def _cmd_federate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    stages = Stages(cfg)
-    run = stages.run
+    with one_thread():
+        run = Stages(cfg).run
     out = Path(cfg.out_dir)
     write_records(out, run.records)
     replace_files({out / "utility.csv": table_to_csv(utility_table(run)).encode()})

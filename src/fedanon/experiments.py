@@ -31,6 +31,7 @@ from .attacks import (
     train_reid,
     user_bias_profiles,
 )
+from .blas import one_thread
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -489,7 +490,8 @@ def run_experiment(cfg: ExperimentConfig, family: str, stages: Stages | None = N
         stages = Stages(cfg)
     elif stages.cfg != cfg:
         raise ValueError("stages were built for another config")
-    tables = FAMILIES[family](stages)
+    with one_thread():
+        tables = FAMILIES[family](stages)
     return Report(
         experiment=family,
         config=snapshot(cfg),

@@ -6,6 +6,7 @@ share, and are the only slow part of the suite."""
 import numpy as np
 import pytest
 
+from fedanon import blas
 from fedanon.attacks import ReprConfig, build_attack_dataset
 from fedanon.federated import RoundConfig, run_federated
 from fedanon.nn import ModelSpec
@@ -55,3 +56,16 @@ def small_dataset(small_run):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def openblas():
+    """numpy's bundled OpenBLAS set to 2 threads, so a pin to one shows; its
+    own count is put back afterwards."""
+    threads = blas._openblas()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count fedanon sets")
+    before = threads.get()
+    threads.set(2)
+    yield threads
+    threads.set(before)

@@ -466,6 +466,30 @@ def test_a_failing_family_is_reported_in_one_line(tmp_path, capsys):
     assert err == capsys.readouterr().err == "error: background holds no examples of class 3\n"
 
 
+def test_entry_points_compute_at_one_blas_thread_and_restore_the_count(
+    tmp_path, monkeypatch, capsys, openblas
+):
+    seen = []
+    run_federated = experiments.run_federated
+    monkeypatch.setattr(experiments, "run_federated",
+                        lambda *a, **k: seen.append(openblas.get()) or run_federated(*a, **k))
+    out = ["--out-dir", str(tmp_path / "x")]
+    gap = flags_of(PROFILE_GAP)
+
+    def after(result):
+        return result, openblas.get()
+
+    assert after(main(["federate", *TINY, *out])) == (0, 2)
+    assert after(main(["attack", *TINY, "--family", "reid_closed", *out])) == (0, 2)
+    # the world build fails inside the pin, the config check before it
+    assert after(main(["federate", *gap, *out])) == (1, 2)
+    assert after(main(["attack", *gap, "--family", "reid_closed", *out])) == (1, 2)
+    assert after(main(["attack", *TINY, "--family", "reid_closed", "--users", "1"])) == (2, 2)
+    report = run_experiment(build_config(overrides=TINY_KEYS), "reid_closed")
+    assert after(report.experiment) == ("reid_closed", 2)
+    assert seen == [1, 1, 1]  # each federation ran at one thread
+
+
 @pytest.fixture(scope="module")
 def two_seeds(tmp_path_factory):
     """`attack --seeds 0 1` over two families: the output directory and

@@ -3,6 +3,7 @@ from one config object, identical configs reproduce identical reports,
 sharing one config's stages across families changes no report byte, and
 each stage runs the fewest times the families need."""
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -356,6 +357,25 @@ def test_family_table_keeps_its_pinned_bytes(family, pinned_stages):
         report = run_experiment(pinned_stages.cfg, family, pinned_stages)
     digests = {t.name: hashlib.sha256(table_to_csv(t).encode()).hexdigest() for t in report.tables}
     assert digests == TABLE_DIGESTS[family]
+
+
+# 48 shadow rows, so the attack MLP trains on 32-row batches, whose forward
+# product OpenBLAS splits between its threads when it is not pinned
+THREADED = {"users": "6", "rounds": "8", "n_per_user": "60", "background_size": "200"}
+
+
+def test_report_bytes_do_not_depend_on_the_blas_pin(monkeypatch, openblas):
+    cfg = build_config(overrides=THREADED)
+    seen = []
+    fit = MlpReid.fit
+    monkeypatch.setattr(MlpReid, "fit",
+                        staticmethod(lambda *a, **k: seen.append(openblas.get()) or fit(*a, **k)))
+    pinned = report_to_json(run_experiment(cfg, "reid_closed"))
+    assert seen == [1]
+    monkeypatch.setattr(experiments, "one_thread", contextlib.nullcontext)
+    unpinned = report_to_json(run_experiment(cfg, "reid_closed"))
+    assert seen == [1, 2]
+    assert pinned == unpinned
 
 
 def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):
