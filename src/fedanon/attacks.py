@@ -450,15 +450,14 @@ class SiameseMatcher:
 
     @staticmethod
     def fit(rows_by_user: dict[int, np.ndarray], seed: int) -> "SiameseMatcher":
-        eligible = {u: r for u, r in rows_by_user.items() if r.shape[0] >= 1}
-        if len(eligible) < 2:
-            raise ValueError("siamese training needs rows from at least 2 users")
-        x, _ = pair_rows(eligible, eligible)
+        x, _ = pair_rows(rows_by_user, rows_by_user)
         params = SiameseMatcher.init_params(x.shape[1], seed)
         mean_square = None
         for epoch in range(SIAMESE_EPOCHS):
             rng = rng_from(seed, "siamese-pairs", epoch)
-            ia, ib, y = sample_balanced_pairs(eligible, eligible, SIAMESE_PAIRS_PER_EPOCH, rng)
+            ia, ib, y = sample_balanced_pairs(
+                rows_by_user, rows_by_user, SIAMESE_PAIRS_PER_EPOCH, rng
+            )
             a, b = x[ia], x[ib]
             for start in range(0, a.shape[0], SIAMESE_BATCH):
                 sl = slice(start, start + SIAMESE_BATCH)

@@ -43,7 +43,7 @@ from .config import (
     world_config_from,
 )
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, run_federated, sampled_users
-from .mitigation import MitigationConfig, tradeoff_curve
+from .mitigation import STRATEGIES, MitigationConfig, tradeoff_curve
 from .reporting import Report, Table
 from .seeding import seed_from
 from .world import DatasetBundle, gen_world, intra_inter_distances, limit_prior, make_iid_control
@@ -314,28 +314,16 @@ def _bias_profile(stages: Stages) -> list[Table]:
 
 def _mitigation(stages: Stages) -> list[Table]:
     cfg = stages.cfg
-    grid = [MitigationConfig("noise", sigma2=0.0, seed=cfg.seed)]
-    if "noise" in cfg.mitigation_strategies:
-        grid += [MitigationConfig("noise", sigma2=s, seed=cfg.seed) for s in cfg.noise_grid]
-    if "bkg_repl" in cfg.mitigation_strategies:
-        grid += [
-            MitigationConfig("bkg_repl", alpha=a, seed=cfg.seed) for a in cfg.repl_grid if a > 0
-        ]
-    for strategy in ("rand_aug", "mm_aug"):
-        if strategy in cfg.mitigation_strategies:
-            grid += [
-                MitigationConfig(strategy, alpha=a, clusters_m=cfg.clusters_m, seed=cfg.seed)
-                for a in cfg.aug_grid
-                if a > 0
-            ]
+    grids = {"noise": cfg.noise_grid, "bkg_repl": cfg.repl_grid,
+             "rand_aug": cfg.aug_grid, "mm_aug": cfg.aug_grid}
+    grid = [
+        MitigationConfig(strategy, value)
+        for strategy in STRATEGIES if strategy in cfg.mitigation_strategies
+        for value in grids[strategy] if value > 0
+    ]
     points = tradeoff_curve(
-        stages.world,
-        stages.spec,
-        round_config_from(cfg),
-        repr_config_from(cfg),
-        grid,
-        attack_seed=seed_from(cfg.seed, "tradeoff"),
-        anchor=(stages.attack_set, stages.run.utility[-1]),
+        stages.world, stages.spec, round_config_from(cfg), repr_config_from(cfg), grid,
+        (stages.attack_set, stages.run.utility[-1]), cfg.seed, cfg.clusters_m,
     )
     rows = [
         [

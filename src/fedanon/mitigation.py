@@ -10,7 +10,6 @@ cluster) rewrite the device's private data before the run starts.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -32,35 +31,24 @@ from .world import DatasetBundle
 STRATEGIES = ("noise", "bkg_repl", "rand_aug", "mm_aug")
 
 KMEANS_MAX_ITER = 100
-DEFAULT_CLUSTERS = 10
 
 
 @dataclass(frozen=True)
 class MitigationConfig:
+    """One point of the sweep: a strategy at strength `value` > 0, the noise
+    variance per delta element for `noise` and the rows drawn relative to
+    |D_u| for the data strategies."""
+
     strategy: str
-    sigma2: float = 0.0  # noise variance per delta element
-    alpha: float = 0.0  # data-strategy strength relative to |D_u|
-    clusters_m: int = DEFAULT_CLUSTERS
-    seed: int = 0
+    value: float
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be >= 0")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
-        if self.strategy == "bkg_repl" and self.alpha > 1.0:
-            raise ValueError("bkg_repl alpha must be in [0, 1]")
-        if self.clusters_m < 1:
-            raise ValueError("clusters_m must be >= 1")
-
-    @property
-    def value(self) -> float:
-        return self.sigma2 if self.strategy == "noise" else self.alpha
-
-    def is_identity(self) -> bool:
-        return self.value == 0.0
+        if not self.value > 0.0:
+            raise ValueError("value must be > 0")
+        if self.strategy == "bkg_repl" and self.value > 1.0:
+            raise ValueError("bkg_repl value must be in (0, 1]")
 
 
 @dataclass
@@ -74,24 +62,16 @@ class TradeoffPoint:
     utility: float  # task score normalized to 1.0 at the no-mitigation anchor
 
 
-def noise_perturb(delta: np.ndarray, sigma2: float, seed: int) -> np.ndarray:
-    """Elementwise zero-mean Gaussian noise with variance sigma2."""
-    if sigma2 < 0.0:
-        raise ValueError("sigma2 must be >= 0")
-    if sigma2 == 0.0:
-        return delta
-    rng = rng_from(seed, "delta-noise")
-    std = float(np.sqrt(sigma2))
-    return delta + rng.normal(0.0, std, size=delta.shape)
-
-
 def make_noise_hook(sigma2: float, seed: int) -> DeltaHook:
-    """Delta hook that noises anonymous devices' outgoing updates."""
+    """Delta hook that adds elementwise zero-mean Gaussian noise of variance
+    `sigma2` to anonymous devices' outgoing updates."""
+    std = float(np.sqrt(sigma2))
 
     def hook(round_t: int, device: DeviceState, delta: np.ndarray) -> np.ndarray:
-        if device.role != ROLE_ANONYMOUS or sigma2 == 0.0:
+        if device.role != ROLE_ANONYMOUS:
             return delta
-        return noise_perturb(delta, sigma2, seed_from(seed, "noise", round_t, device.device_id))
+        rng = rng_from(seed_from(seed, "noise", round_t, device.device_id), "delta-noise")
+        return delta + rng.normal(0.0, std, size=delta.shape)
 
     return hook
 
@@ -155,19 +135,11 @@ def apply_data_strategy(
     """Rewrite one device's row indices. bkg_repl swaps floor(alpha*n) rows
     for pool draws (size preserved); rand_aug and mm_aug append
     floor(alpha*n) pool draws. The pool is the background rows or one
-    cluster of them."""
-    if strategy not in ("bkg_repl", "rand_aug", "mm_aug"):
-        raise ValueError(f"not a data strategy: {strategy!r}")
-    if strategy == "bkg_repl" and not 0.0 <= alpha <= 1.0:
-        raise ValueError("bkg_repl alpha must be in [0, 1]")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    non-empty cluster of them."""
     n = len(rows)
     k = int(np.floor(alpha * n))
     if k == 0:
         return rows
-    if not len(pool):
-        raise ValueError("empty draw pool")
     rng = rng_from(seed, "data-strategy")
     draws = pool[rng.choice(len(pool), size=k, replace=k > len(pool))]
     if strategy == "bkg_repl":
@@ -177,43 +149,27 @@ def apply_data_strategy(
     return np.concatenate([rows, draws])
 
 
-def background_clusters(bundle: DatasetBundle, clusters_m: int, seed: int) -> KMeansResult:
-    """The k-means clustering of the background rows that `mm_aug` draws
-    from at `clusters_m` clusters and mitigation seed `seed`."""
-    return cluster_background(
-        bundle.x[bundle.background], clusters_m, seed_from(seed, "mm-clusters")
-    )
-
-
 def mitigate_bundle(
-    bundle: DatasetBundle, cfg: MitigationConfig, clusters: KMeansResult | None = None
+    bundle: DatasetBundle, cfg: MitigationConfig, seed: int, clusters: KMeansResult | None
 ) -> DatasetBundle:
-    """Apply a data-side strategy to every user's private split. The prior
-    splits, test split and background are returned untouched; `noise` (and
-    any zero-strength config) is an identity here. `mm_aug` draws from
-    `clusters`, the `background_clusters` of `cfg`, fitted here when not
-    given."""
-    if cfg.strategy == "noise" or cfg.is_identity():
+    """Apply a data-side strategy to every user's private split at the
+    mitigation seed `seed`. The prior splits, test split and background are
+    returned untouched, and `noise` returns the bundle itself. `mm_aug`
+    commits each user to one cluster of `clusters`, a k-means fit of the
+    background rows, and falls back to the whole background when that
+    cluster is empty."""
+    if cfg.strategy == "noise":
         return bundle
-    order = bundle.user_ids()
-    pools: dict[int, np.ndarray] = {}
-    if cfg.strategy == "mm_aug":
-        if clusters is None:
-            clusters = background_clusters(bundle, cfg.clusters_m, cfg.seed)
-        for u in order:
-            # each user commits to one randomly assigned cluster
-            pick = int(rng_from(cfg.seed, "mm-pick", u).integers(cfg.clusters_m))
+    private = {}
+    for u in bundle.user_ids():
+        pool = bundle.background
+        if cfg.strategy == "mm_aug":
+            pick = int(rng_from(seed, "mm-pick", u).integers(len(clusters.centroids)))
             chosen = bundle.background[clusters.assignments == pick]
-            pools[u] = chosen if len(chosen) else bundle.background
-    else:
-        for u in order:
-            pools[u] = bundle.background
-    private = {
-        u: apply_data_strategy(
-            bundle.private[u], cfg.strategy, cfg.alpha, pools[u], seed_from(cfg.seed, "user-data", u)
+            pool = chosen if len(chosen) else bundle.background
+        private[u] = apply_data_strategy(
+            bundle.private[u], cfg.strategy, cfg.value, pool, seed_from(seed, "user-data", u)
         )
-        for u in order
-    }
     return replace(bundle, private=private)
 
 
@@ -223,58 +179,45 @@ def tradeoff_curve(
     fed_cfg: RoundConfig,
     repr_cfg: ReprConfig,
     grid: Sequence[MitigationConfig],
-    attack_seed: int = 0,
-    anchor: tuple[AttackDataset, float] | None = None,
+    anchor: tuple[AttackDataset, float],
+    seed: int,
+    clusters_m: int,
 ) -> list[TradeoffPoint]:
-    """Re-run the federation and the strongest closed-world attack for every
-    grid point; utility is normalized to 1.0 at the no-mitigation anchor.
+    """The anchor's row (`noise`, 0.0), then one row per grid point, each
+    attacked with the strongest closed-world attack; utility is normalized
+    to 1.0 at the anchor.
 
-    The grid must contain a zero-strength config to anchor the
-    normalization. `anchor`, when given, is the attack dataset (at
-    `repr_cfg`) and the final task score of the unmitigated federation of
-    `bundle` at `fed_cfg`, and the anchor attacks that dataset instead of
-    running the federation again. The `mm_aug` points share one background
-    clustering per (clusters_m, seed).
+    `anchor` is the attack dataset (at `repr_cfg`) and the final task score
+    of the unmitigated federation of `bundle` at `fed_cfg`. Every grid point
+    runs that federation again under its defense. Every seed derives from
+    the config seed `seed`, and the `mm_aug` points share one k-means fit of
+    the background at `clusters_m` clusters.
     """
-    if not any(cfg.is_identity() for cfg in grid):
-        raise ValueError("grid must include the no-mitigation point")
-
-    baseline: tuple[float, float, float, float] | None = None
-    clusters = functools.cache(functools.partial(background_clusters, bundle))
-
-    def run_point(cfg: MitigationConfig) -> tuple[float, float, float, float]:
-        if cfg.is_identity() and anchor is not None:
-            ds, score = anchor
-        else:
-            hook = make_noise_hook(cfg.sigma2, cfg.seed) if cfg.strategy == "noise" else None
-            fit = clusters(cfg.clusters_m, cfg.seed) if cfg.strategy == "mm_aug" else None
-            run = run_federated(mitigate_bundle(bundle, cfg, fit), spec, fed_cfg, delta_hook=hook)
-            ds, score = build_attack_dataset(run.records, repr_cfg), run.utility[-1]
-        ap, chance, ioc = mlp_reid_scores(ds, seed_from(attack_seed, "tradeoff-attack"))
-        return ap, chance, ioc, score
-
-    points: list[TradeoffPoint] = []
-    for cfg in grid:
-        if cfg.is_identity():
-            if baseline is None:
-                baseline = run_point(cfg)
-            ap, chance, ioc, score = baseline
-        else:
-            ap, chance, ioc, score = run_point(cfg)
-        points.append(
-            TradeoffPoint(
-                strategy=cfg.strategy,
-                value=cfg.value,
-                attacker_ap=ap,
-                chance_ap=chance,
-                privacy_ioc=ioc,
-                task_score=score,
-                utility=0.0,  # filled below once the anchor is known
-            )
+    attack_seed = seed_from(seed_from(seed, "tradeoff"), "tradeoff-attack")
+    clusters = None
+    if any(cfg.strategy == "mm_aug" for cfg in grid):
+        clusters = cluster_background(
+            bundle.x[bundle.background], clusters_m, seed_from(seed, "mm-clusters")
         )
-    assert baseline is not None
-    anchor_score = baseline[3]
-    for p in points:
-        p.utility = p.task_score / anchor_score if anchor_score != 0.0 else float("nan")
-    return points
+    anchor_score = anchor[1]
 
+    def scored(strategy: str, value: float, ds: AttackDataset, score: float) -> TradeoffPoint:
+        ap, chance, ioc = mlp_reid_scores(ds, attack_seed)
+        return TradeoffPoint(
+            strategy=strategy,
+            value=value,
+            attacker_ap=ap,
+            chance_ap=chance,
+            privacy_ioc=ioc,
+            task_score=score,
+            utility=score / anchor_score if anchor_score != 0.0 else float("nan"),
+        )
+
+    def mitigated(cfg: MitigationConfig) -> TradeoffPoint:
+        hook = make_noise_hook(cfg.value, seed) if cfg.strategy == "noise" else None
+        run = run_federated(mitigate_bundle(bundle, cfg, seed, clusters), spec, fed_cfg,
+                            delta_hook=hook)
+        return scored(cfg.strategy, cfg.value, build_attack_dataset(run.records, repr_cfg),
+                      run.utility[-1])
+
+    return [scored("noise", 0.0, *anchor), *(mitigated(cfg) for cfg in grid)]

@@ -469,6 +469,15 @@ def test_siamese_learns_cluster_matching(cluster_ds):
     assert ev.ap > 0.9
 
 
+def test_siamese_fit_needs_two_users():
+    # the pair sampler raises before any training step, with or without a
+    # positive pair
+    rng = np.random.default_rng(0)
+    for n_rows in (1, 3):
+        with pytest.raises(ValueError):
+            SiameseMatcher.fit({0: rng.normal(size=(n_rows, 4))}, seed=0)
+
+
 def test_siamese_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     params = SiameseMatcher.init_params(5, seed=1)

@@ -359,6 +359,22 @@ def test_family_table_keeps_its_pinned_bytes(family, pinned_stages):
     assert digests == TABLE_DIGESTS[family]
 
 
+def test_mitigation_grid_is_strategies_order_without_zero_entries():
+    # the strategies run in STRATEGIES order whatever order the config lists
+    # them in, and a zero grid entry adds no row: the anchor is the one row
+    # at 0.0
+    def tradeoff_csv(strategies, repl_grid, aug_grid):
+        cfg = build_config(overrides={**PINNED, "mitigation_strategies": strategies,
+                                      "noise_grid": "1.0", "repl_grid": repl_grid,
+                                      "aug_grid": aug_grid})
+        return table_to_csv(run_experiment(cfg, "mitigation").table("tradeoff"))
+
+    shuffled = tradeoff_csv("mm_aug,bkg_repl,noise", "0,0.5", "0,1.0")
+    assert shuffled == tradeoff_csv("noise,bkg_repl,mm_aug", "0.5", "1.0")
+    values = [row.split(",")[1] for row in shuffled.splitlines()[1:]]
+    assert [float(v) for v in values].count(0.0) == 1
+
+
 # 48 shadow rows, so the attack MLP trains on 32-row batches, whose forward
 # product OpenBLAS splits between its threads when it is not pinned
 THREADED = {"users": "6", "rounds": "8", "n_per_user": "60", "background_size": "200"}

@@ -1,12 +1,14 @@
 """Defense mechanics: noise moments, the k-means pool builder against a
 brute-force 1-d oracle, data rewrite bookkeeping, and the tradeoff curve's
-utility anchoring."""
+anchor row and seeds."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from fedanon import mitigation
-from fedanon.attacks import ReprConfig, build_attack_dataset
+from fedanon.attacks import ReprConfig, build_attack_dataset, mlp_reid_scores
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeviceState, RoundConfig, run_federated
 from fedanon.mitigation import (
     KMeansResult,
@@ -15,11 +17,10 @@ from fedanon.mitigation import (
     cluster_background,
     make_noise_hook,
     mitigate_bundle,
-    noise_perturb,
     tradeoff_curve,
 )
 from fedanon.nn import ModelSpec
-from fedanon.seeding import seed_from
+from fedanon.seeding import rng_from, seed_from
 from fedanon.world import gen_world
 
 from broadcast_oracle import broadcast_squared_distances, traced_peak
@@ -30,24 +31,22 @@ from test_world import small_cfg
 
 
 def test_mitigation_config_validation():
-    with pytest.raises(ValueError):
-        MitigationConfig("prayer")
-    with pytest.raises(ValueError):
-        MitigationConfig("noise", sigma2=-1.0)
-    with pytest.raises(ValueError):
-        MitigationConfig("rand_aug", alpha=-0.5)
-    with pytest.raises(ValueError):
-        MitigationConfig("bkg_repl", alpha=1.5)
-    with pytest.raises(ValueError):
-        MitigationConfig("mm_aug", alpha=1.0, clusters_m=0)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        MitigationConfig("prayer", 1.0)
+    for strategy in ("noise", "bkg_repl", "rand_aug", "mm_aug"):
+        for value in (0.0, -0.5):
+            with pytest.raises(ValueError, match="> 0"):
+                MitigationConfig(strategy, value)
+    with pytest.raises(ValueError, match="bkg_repl"):
+        MitigationConfig("bkg_repl", 1.5)
+    assert MitigationConfig("bkg_repl", 1.0).value == 1.0
+    assert MitigationConfig("rand_aug", 2.0).value == 2.0
 
 
-def test_mitigation_config_value_and_identity():
-    assert MitigationConfig("noise", sigma2=0.3).value == 0.3
-    assert MitigationConfig("rand_aug", alpha=0.7).value == 0.7
-    assert MitigationConfig("noise", sigma2=0.0).is_identity()
-    assert MitigationConfig("mm_aug", alpha=0.0).is_identity()
-    assert not MitigationConfig("noise", sigma2=1e-3).is_identity()
+def test_mitigation_config_is_a_strategy_and_a_value():
+    cfg = MitigationConfig("noise", 0.3)
+    assert [f.name for f in dataclasses.fields(cfg)] == ["strategy", "value"]
+    assert (cfg.strategy, cfg.value) == ("noise", 0.3)
 
 
 # ------------------------------------------------------------------ noise
@@ -58,36 +57,34 @@ def make_delta(size=10_000, value=0.0):
     return np.full(size, value)
 
 
-def test_noise_zero_variance_is_identity():
-    delta = make_delta()
-    assert noise_perturb(delta, 0.0, seed=1) is delta
+def device_with_role(role):
+    return DeviceState(device_id=0, user_id=0, role=role, rows=np.zeros(1, dtype=np.int64))
+
+
+def noised(sigma2, seed, size=10_000):
+    """A zero delta of anonymous device 0 after the noise hook of round 1."""
+    return make_noise_hook(sigma2, seed)(1, device_with_role(ROLE_ANONYMOUS), make_delta(size))
 
 
 def test_noise_moments():
-    w = noise_perturb(make_delta(), 4.0, seed=1)
+    w = noised(4.0, seed=1)
     assert abs(w.mean()) < 0.1
     assert abs(w.std() - 2.0) < 0.1  # within 5% of sqrt(sigma2)
 
 
 def test_noise_is_seeded():
-    a = noise_perturb(make_delta(), 1.0, seed=7)
-    b = noise_perturb(make_delta(), 1.0, seed=7)
-    c = noise_perturb(make_delta(), 1.0, seed=8)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
-def device_with_role(role):
-    return DeviceState(device_id=0, user_id=0, role=role, rows=np.zeros(1, dtype=np.int64))
+    np.testing.assert_array_equal(noised(1.0, seed=7), noised(1.0, seed=7))
+    assert not np.array_equal(noised(1.0, seed=7), noised(1.0, seed=8))
+    # one stream per (seed, round, device)
+    rng = rng_from(seed_from(7, "noise", 1, 0), "delta-noise")
+    np.testing.assert_array_equal(noised(1.0, seed=7, size=16), rng.normal(0.0, 1.0, size=16))
 
 
 def test_noise_hook_targets_anonymous_devices_only():
     hook = make_noise_hook(1.0, seed=0)
     delta = make_delta(size=16)
     assert hook(1, device_with_role(ROLE_SHADOW), delta) is delta
-    noised = hook(1, device_with_role(ROLE_ANONYMOUS), delta)
-    assert not np.array_equal(noised, delta)
-    assert make_noise_hook(0.0, seed=0)(1, device_with_role(ROLE_ANONYMOUS), delta) is delta
+    assert not np.array_equal(hook(1, device_with_role(ROLE_ANONYMOUS), delta), delta)
 
 
 def test_noise_hook_varies_by_round_and_device():
@@ -197,8 +194,9 @@ def pool_rows(n):
 def test_zero_alpha_is_identity_for_all_strategies():
     mine, pool = user_rows(20), pool_rows(10)
     for strategy in ("bkg_repl", "rand_aug", "mm_aug"):
-        out = apply_data_strategy(mine, strategy, 0.0, pool, seed=0)
-        np.testing.assert_array_equal(out, mine)
+        for alpha in (0.0, 0.04):  # floor(alpha * 20) = 0 draws
+            out = apply_data_strategy(mine, strategy, alpha, pool, seed=0)
+            np.testing.assert_array_equal(out, mine)
 
 
 def test_rand_aug_appends_floor_alpha_n():
@@ -219,16 +217,6 @@ def test_bkg_repl_preserves_size_and_replaces_exactly():
     assert np.isin(full, pool).all()  # no original survives
 
 
-def test_data_strategy_validation():
-    mine, pool = user_rows(10), pool_rows(5)
-    with pytest.raises(ValueError):
-        apply_data_strategy(mine, "noise", 0.5, pool, seed=0)
-    with pytest.raises(ValueError):
-        apply_data_strategy(mine, "bkg_repl", 1.5, pool, seed=0)
-    with pytest.raises(ValueError):
-        apply_data_strategy(mine, "rand_aug", 0.5, pool[:0], seed=0)
-
-
 def test_data_strategy_draws_with_replacement_when_pool_small():
     mine, pool = user_rows(50), pool_rows(3)
     out = apply_data_strategy(mine, "rand_aug", 1.0, pool, seed=0)
@@ -238,15 +226,20 @@ def test_data_strategy_draws_with_replacement_when_pool_small():
 # --------------------------------------------------------- bundle rewrites
 
 
-def test_mitigate_bundle_noise_and_identity_pass_through():
+def background_clusters(bundle, m, seed):
+    """The k-means fit that the sweep hands `mm_aug` at `m` clusters and
+    config seed `seed`."""
+    return cluster_background(bundle.x[bundle.background], m, seed_from(seed, "mm-clusters"))
+
+
+def test_mitigate_bundle_noise_passes_through():
     bundle = gen_world(small_cfg())
-    assert mitigate_bundle(bundle, MitigationConfig("noise", sigma2=5.0)) is bundle
-    assert mitigate_bundle(bundle, MitigationConfig("rand_aug", alpha=0.0)) is bundle
+    assert mitigate_bundle(bundle, MitigationConfig("noise", 5.0), 0, None) is bundle
 
 
 def test_mitigate_bundle_touches_only_private_splits():
     bundle = gen_world(small_cfg())
-    out = mitigate_bundle(bundle, MitigationConfig("rand_aug", alpha=1.0, seed=2))
+    out = mitigate_bundle(bundle, MitigationConfig("rand_aug", 1.0), 2, None)
     assert out.prior is bundle.prior
     assert out.test is bundle.test
     assert out.background is bundle.background
@@ -256,13 +249,20 @@ def test_mitigate_bundle_touches_only_private_splits():
         np.testing.assert_array_equal(out.private[u][:n], bundle.private[u])
 
 
+def test_mitigate_bundle_seeds_each_users_draws_from_the_config_seed():
+    bundle = gen_world(small_cfg())
+    out = mitigate_bundle(bundle, MitigationConfig("bkg_repl", 0.5), 7, None)
+    for u in bundle.user_ids():
+        expect = apply_data_strategy(
+            bundle.private[u], "bkg_repl", 0.5, bundle.background, seed_from(7, "user-data", u)
+        )
+        np.testing.assert_array_equal(out.private[u], expect)
+
+
 def test_mitigate_bundle_mm_aug_draws_from_one_cluster_per_user():
     bundle = gen_world(small_cfg())
-    cfg = MitigationConfig("mm_aug", alpha=1.0, clusters_m=4, seed=5)
-    out = mitigate_bundle(bundle, cfg)
-    result = cluster_background(
-        bundle.x[bundle.background], 4, seed_from(cfg.seed, "mm-clusters")
-    )
+    result = background_clusters(bundle, 4, seed=5)
+    out = mitigate_bundle(bundle, MitigationConfig("mm_aug", 1.0), 5, result)
     cluster_of = dict(zip(bundle.background.tolist(), result.assignments.tolist()))
     used = set()
     for u in bundle.user_ids():
@@ -276,8 +276,26 @@ def test_mitigate_bundle_mm_aug_draws_from_one_cluster_per_user():
 
 def test_mm_aug_with_one_cluster_equals_rand_aug():
     bundle = gen_world(small_cfg())
-    mm = mitigate_bundle(bundle, MitigationConfig("mm_aug", alpha=0.5, clusters_m=1, seed=3))
-    rand = mitigate_bundle(bundle, MitigationConfig("rand_aug", alpha=0.5, seed=3))
+    one = background_clusters(bundle, 1, seed=3)
+    mm = mitigate_bundle(bundle, MitigationConfig("mm_aug", 0.5), 3, one)
+    rand = mitigate_bundle(bundle, MitigationConfig("rand_aug", 0.5), 3, None)
+    for u in bundle.user_ids():
+        np.testing.assert_array_equal(mm.private[u], rand.private[u])
+
+
+def test_mm_aug_user_of_an_empty_cluster_draws_from_the_background():
+    bundle = gen_world(small_cfg())
+    m = 4
+    # every background row in cluster 0, so clusters 1..3 are empty
+    clusters = KMeansResult(
+        assignments=np.zeros(len(bundle.background), dtype=np.int64),
+        centroids=np.zeros((m, bundle.x.shape[1])),
+        sse_history=(0.0,),
+    )
+    mm = mitigate_bundle(bundle, MitigationConfig("mm_aug", 0.5), 3, clusters)
+    rand = mitigate_bundle(bundle, MitigationConfig("rand_aug", 0.5), 3, None)
+    picks = {u: int(rng_from(3, "mm-pick", u).integers(m)) for u in bundle.user_ids()}
+    assert set(picks.values()) > {0}  # some user picks an empty cluster
     for u in bundle.user_ids():
         np.testing.assert_array_equal(mm.private[u], rand.private[u])
 
@@ -286,77 +304,63 @@ def test_mm_aug_with_one_cluster_equals_rand_aug():
 
 
 def tiny_setup():
+    """A small world and federation, and the anchor of its sweep: the
+    attack dataset and final task score of the unmitigated run."""
     bundle = gen_world(small_cfg(users=6, n_per_user=40, background_size=100))
     spec = ModelSpec(kind="linear", input_dim=12, output_dim=5)
     fed = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.5, rounds=3, seed=0)
-    return bundle, spec, fed, ReprConfig("W", normalize=True)
-
-
-def test_tradeoff_requires_anchor():
-    bundle, spec, fed, repr_cfg = tiny_setup()
-    grid = [MitigationConfig("noise", sigma2=0.1)]
-    with pytest.raises(ValueError, match="no-mitigation"):
-        tradeoff_curve(bundle, spec, fed, repr_cfg, grid)
+    repr_cfg = ReprConfig("W", normalize=True)
+    run = run_federated(bundle, spec, fed)
+    anchor = (build_attack_dataset(run.records, repr_cfg), run.utility[-1])
+    return bundle, spec, fed, repr_cfg, anchor
 
 
 def test_tradeoff_anchor_utility_is_exactly_one():
-    bundle, spec, fed, repr_cfg = tiny_setup()
-    grid = [
-        MitigationConfig("noise", sigma2=0.0),
-        MitigationConfig("noise", sigma2=0.5),
-        MitigationConfig("rand_aug", alpha=0.5),
-    ]
-    points = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0)
+    bundle, spec, fed, repr_cfg, anchor = tiny_setup()
+    grid = [MitigationConfig("noise", 0.5), MitigationConfig("rand_aug", 0.5)]
+    points = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, anchor, 0, 4)
     assert [(p.strategy, p.value) for p in points] == [
         ("noise", 0.0),
         ("noise", 0.5),
         ("rand_aug", 0.5),
     ]
-    anchor = points[0]
-    assert anchor.utility == 1.0
+    first = points[0]
+    assert first.utility == 1.0
+    assert first.task_score == anchor[1]
     for p in points:
-        assert p.utility == pytest.approx(p.task_score / anchor.task_score)
+        assert p.utility == pytest.approx(p.task_score / first.task_score)
         assert p.privacy_ioc == pytest.approx(p.attacker_ap / p.chance_ap)
 
 
-def test_tradeoff_reuses_single_baseline_run():
-    bundle, spec, fed, repr_cfg = tiny_setup()
-    grid = [
-        MitigationConfig("noise", sigma2=0.0),
-        MitigationConfig("rand_aug", alpha=0.0),
-    ]
-    points = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0)
-    assert points[0].attacker_ap == points[1].attacker_ap
-    assert points[0].utility == points[1].utility == 1.0
-
-
-def test_tradeoff_anchor_gives_the_points_of_a_fresh_anchor(monkeypatch):
-    bundle, spec, fed, repr_cfg = tiny_setup()
-    grid = [MitigationConfig("noise", sigma2=0.0), MitigationConfig("noise", sigma2=0.5)]
-    fresh = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0)
-    anchor_run = run_federated(bundle, spec, fed)
-    anchor = (build_attack_dataset(anchor_run.records, repr_cfg), anchor_run.utility[-1])
+def test_tradeoff_anchor_row_attacks_the_given_dataset(monkeypatch):
+    bundle, spec, fed, repr_cfg, anchor = tiny_setup()
     calls = []
     for fn in (run_federated, build_attack_dataset):
         monkeypatch.setattr(mitigation, fn.__name__,
                             lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
-    reused = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, attack_seed=0, anchor=anchor)
-    assert reused == fresh
+    points = tradeoff_curve(bundle, spec, fed, repr_cfg, [MitigationConfig("noise", 0.5)],
+                            anchor, 3, 4)
     # only the noise point federates and builds an attack dataset
     assert calls == [run_federated, build_attack_dataset]
+    # every point is fit with the one attack seed derived from the config seed
+    attack_seed = seed_from(seed_from(3, "tradeoff"), "tradeoff-attack")
+    first = points[0]
+    scores = [first.attacker_ap, first.chance_ap, first.privacy_ioc]
+    assert scores == mlp_reid_scores(anchor[0], attack_seed)
 
 
 def test_tradeoff_fits_kmeans_once_for_all_mm_aug_points(monkeypatch):
-    bundle, spec, fed, repr_cfg = tiny_setup()
-    anchor = MitigationConfig("noise", sigma2=0.0, seed=1)
-    mm = [MitigationConfig("mm_aug", alpha=a, clusters_m=4, seed=1) for a in (0.5, 1.0, 2.0)]
+    bundle, spec, fed, repr_cfg, anchor = tiny_setup()
+    mm = [MitigationConfig("mm_aug", a) for a in (0.5, 1.0, 2.0)]
     # each point alone, with its own k-means fit
-    alone = [tradeoff_curve(bundle, spec, fed, repr_cfg, [anchor, cfg])[1] for cfg in mm]
+    alone = [tradeoff_curve(bundle, spec, fed, repr_cfg, [cfg], anchor, 1, 4)[1] for cfg in mm]
     calls = []
     monkeypatch.setattr(
         mitigation, "cluster_background",
-        lambda *a, **k: calls.append(1) or cluster_background(*a, **k),
+        lambda *a, **k: calls.append(a[1:]) or cluster_background(*a, **k),
     )
-    points = tradeoff_curve(bundle, spec, fed, repr_cfg, [anchor, *mm])
-    assert len(calls) == 1
+    points = tradeoff_curve(bundle, spec, fed, repr_cfg, mm, anchor, 1, 4)
+    assert calls == [(4, seed_from(1, "mm-clusters"))]
     assert points[1:] == alone
+    tradeoff_curve(bundle, spec, fed, repr_cfg, [MitigationConfig("rand_aug", 0.5)], anchor, 1, 4)
+    assert len(calls) == 1  # no mm_aug point, no k-means fit
