@@ -3,6 +3,8 @@ stays under a second per run. The acceptance tests run the experiment
 families at the default size, on one `Stages` per seed that their gates
 share, and are the only slow part of the suite."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,44 @@ def openblas():
     threads.set(2)
     yield threads
     threads.set(before)
+
+
+class CallLog:
+    """Calls recorded as one appended line each, so that the calls made in
+    forked children (the mitigation sweep's attack fits) are seen too."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def record(self, *fields) -> None:
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write("\t".join(map(str, fields)) + "\n")
+
+    def lines(self) -> list[list[str]]:
+        return [line.split("\t") for line in self.path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.fixture()
+def call_log(tmp_path):
+    return CallLog(tmp_path / "calls.tsv")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped.
+    Reaping every ended one keeps a leak from failing the tests after it."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    left = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no child at all
+            break
+        left.append(pid or "one still running")
+        if pid == 0:
+            break
+    if left:
+        pytest.fail(f"the test left child processes: {left}")

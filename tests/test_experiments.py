@@ -3,12 +3,14 @@ from one config object, identical configs reproduce identical reports,
 sharing one config's stages across families changes no report byte, and
 each stage runs the fewest times the families need."""
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
 import math
 import re
 import sys
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -209,15 +211,15 @@ def test_run_experiment_rejects_stages_of_another_config():
     assert "world" not in vars(stages)  # rejected before any stage was built
 
 
-def count_calls(monkeypatch) -> dict[str, list]:
+def count_calls(monkeypatch, call_log) -> Callable[[], dict[str, int]]:
     """Record every call of the five stage functions a family can repeat,
-    wherever the families reach them."""
+    wherever the families reach them, in this process or a forked child;
+    returns a function that counts the calls so far."""
     names = ("gen_world", "run_federated", "build_attack_dataset", "nn.train", "MlpReid.fit")
-    calls = {name: [] for name in names}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name].append(1)
+            call_log.record(name)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -229,23 +231,28 @@ def count_calls(monkeypatch) -> dict[str, list]:
     monkeypatch.setattr(nn, "train", counted("nn.train", nn.train))
     fit = counted("MlpReid.fit", MlpReid.fit)
     monkeypatch.setattr(MlpReid, "fit", staticmethod(fit))
-    return calls
+
+    def counts() -> dict[str, int]:
+        seen = collections.Counter(fields[0] for fields in call_log.lines())
+        return {name: seen[name] for name in names}
+
+    return counts
 
 
-def test_stages_build_each_stage_once(monkeypatch):
-    fits = count_calls(monkeypatch)["MlpReid.fit"]
+def test_stages_build_each_stage_once(monkeypatch, call_log):
+    counts = count_calls(monkeypatch, call_log)
     stages = Stages(FAST)
     assert stages.world is stages.world
     assert stages.run is stages.run
     assert len(stages.run.utility) == FAST.rounds
     assert stages.attack_set is stages.attack_set
     assert stages.reference_mlp is stages.reference_mlp
-    assert len(fits) == 1
+    assert counts()["MlpReid.fit"] == 1
     assert stages.reference_mlp.classes == stages.attack_set.users
 
 
-def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch):
-    calls = count_calls(monkeypatch)
+def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch, call_log):
+    counts = count_calls(monkeypatch, call_log)
     stages = Stages(FAST)
     for family in EXPERIMENT_FAMILIES:
         run_experiment(FAST, family, stages)
@@ -257,7 +264,7 @@ def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch)
     # attacks it)
     # MLP fits: reference 1, iid_control 1, layer_sweep 3, train_amount 2,
     # open_world 1, epoch_grid 2, dataspace 1, prior_amount 2, mitigation 5
-    assert {name: len(c) for name, c in calls.items()} == {
+    assert counts() == {
         "gen_world": 1,
         "run_federated": 8,
         "build_attack_dataset": 11,
@@ -266,10 +273,9 @@ def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch)
     }
 
 
-def test_every_attack_fit_goes_through_train_reid_or_train_matcher(monkeypatch):
+def test_every_attack_fit_goes_through_train_reid_or_train_matcher(monkeypatch, call_log):
     # the one place where every attack fit can be timed or inspected
     doors = {attacks.train_reid.__code__, attacks.train_matcher.__code__}
-    fits = []  # (family, fitted class, whether a front door is on the stack)
 
     def watched(cls):
         fit = cls.fit
@@ -278,7 +284,8 @@ def test_every_attack_fit_goes_through_train_reid_or_train_matcher(monkeypatch):
             frame = sys._getframe(1)
             while frame is not None and frame.f_code not in doors:
                 frame = frame.f_back
-            fits.append((family, cls.__name__, frame is not None))
+            # (family, fitted class, the front door on the stack or "-")
+            call_log.record(family, cls.__name__, frame.f_code.co_name if frame else "-")
             return fit(*args, **kwargs)
 
         return staticmethod(wrapper)
@@ -288,8 +295,14 @@ def test_every_attack_fit_goes_through_train_reid_or_train_matcher(monkeypatch):
     stages = Stages(FAST)
     for family in EXPERIMENT_FAMILIES:
         run_experiment(FAST, family, stages)
+    fits = call_log.lines()
     assert {name for _, name, _ in fits} == {"MlpReid", "SvmReid", "SiameseMatcher"}
-    assert [(family, name) for family, name, inside in fits if not inside] == []
+    assert [(family, name) for family, name, door in fits if door == "-"] == []
+    # the mitigation sweep fits in forked children: the anchor and its four
+    # grid points, each through train_reid
+    assert [(name, door) for family, name, door in fits if family == "mitigation"] == [
+        ("MlpReid", "train_reid")
+    ] * 5
 
 
 # sha256 of the CSV of every table of every family at a nine-user config,
@@ -394,15 +407,15 @@ def test_report_bytes_do_not_depend_on_the_blas_pin(monkeypatch, openblas):
     assert pinned == unpinned
 
 
-def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):
+def test_epoch_grid_fits_one_model_per_train_range(monkeypatch, call_log):
     stages = Stages(FAST)
     stages.attack_set
-    calls = count_calls(monkeypatch)
+    counts = count_calls(monkeypatch, call_log)
     table = run_experiment(FAST, "epoch_grid", stages).table("epoch_grid")
     # each range selects its rounds' rows of the shared attack dataset: no
     # dataset is built, and one model is fit per range on its shadow rows
-    assert len(calls["build_attack_dataset"]) == 0
-    assert len(calls["MlpReid.fit"]) == FAST.epoch_ranges
+    assert counts()["build_attack_dataset"] == 0
+    assert counts()["MlpReid.fit"] == FAST.epoch_ranges
     # every cell of a train row is scored by the one model fit with the
     # seed of the row's diagonal cell, on the anonymous rows of the cell's
     # eval range
@@ -417,13 +430,13 @@ def test_epoch_grid_fits_one_model_per_train_range(monkeypatch):
     assert table.rows == expected
 
 
-def test_dataspace_fits_one_model_for_every_set_size(monkeypatch):
+def test_dataspace_fits_one_model_for_every_set_size(monkeypatch, call_log):
     stages = Stages(FAST)
     stages.reference_mlp
-    calls = count_calls(monkeypatch)
+    counts = count_calls(monkeypatch, call_log)
     table = run_experiment(FAST, "dataspace", stages).table("dataspace")
     assert [r[1] for r in table.rows[1:]] == list(FAST.dataspace_set_sizes)
-    assert len(calls["MlpReid.fit"]) == 1
+    assert counts()["MlpReid.fit"] == 1
 
 
 def test_families_quote_the_one_reference_mlp_fit(reports):
