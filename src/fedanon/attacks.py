@@ -125,16 +125,19 @@ class AttackDataset:
                             np.isin(self.test_users, list(test)), unseen, users)
 
     def in_rounds(self, lo: int, hi: int) -> "AttackDataset":
-        """The rows of rounds [lo, hi) on both sides."""
+        """The rows of rounds [lo, hi) on both sides: the dataset itself
+        when that is every row."""
         if lo >= hi:
             raise ValueError(f"empty round range [{lo}, {hi})")
-        return self._select((lo <= self.train_rounds) & (self.train_rounds < hi),
-                            (lo <= self.test_rounds) & (self.test_rounds < hi))
+        on_train = (lo <= self.train_rounds) & (self.train_rounds < hi)
+        on_test = (lo <= self.test_rounds) & (self.test_rounds < hi)
+        return self if on_train.all() and on_test.all() else self._select(on_train, on_test)
 
     def capped(self, k: int, seed: int) -> "AttackDataset":
         """At most `k` train rows per user: of a user u with more, the `k`
         that rng_from(seed, "max-per-user", u) draws from its train rows in
-        order. The test side is kept whole, and both sides keep their order."""
+        order. The test side is kept whole, and both sides keep their order.
+        With no user over the cap, the dataset itself."""
         if k < 1:
             raise ValueError(f"a per-user cap must be >= 1, got {k}")
         on_train = np.zeros(len(self.train_users), dtype=bool)
@@ -144,6 +147,8 @@ class AttackDataset:
                 draw = rng_from(seed, "max-per-user", int(u))
                 rows = rows[draw.choice(len(rows), size=k, replace=False)]
             on_train[rows] = True
+        if on_train.all():
+            return self
         return self._select(on_train, np.ones(len(self.test_users), dtype=bool))
 
 
@@ -340,6 +345,14 @@ def reid_scores(model: ReidModel, ds: AttackDataset) -> list[float]:
     re-identification model on the test side of `ds`."""
     ev = evaluate_reid(model, ds)
     return [float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc)]
+
+
+def reference_seed(seed: int) -> int:
+    """The fit seed of the reference MLP attack at config seed `seed`: the
+    one fit of the default attack dataset that every family scoring that
+    dataset with the MLP quotes, and the seed of every mitigation point's
+    fit, so that a point differs from its anchor only in its data."""
+    return seed_from(seed, "attack", "mlp")
 
 
 def mlp_reid_scores(ds: AttackDataset, seed: int) -> list[float]:
@@ -546,8 +559,8 @@ def train_matcher(ds: AttackDataset, method: str, seed: int = 0) -> MatchModel:
     if method == "chance":
         return ChanceMatcher(seed)
     if method == "mlp_product":
-        reid = train_reid(ds, "mlp", seed)
-        return MlpProductMatcher(reid)
+        raise ValueError("mlp_product matching wraps a fitted MLP re-identification attack: "
+                         "build MlpProductMatcher(train_reid(ds, 'mlp', seed))")
     return SiameseMatcher.fit(ds.rows_by_user("train"), seed)
 
 

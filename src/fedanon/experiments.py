@@ -24,8 +24,8 @@ from .attacks import (
     dataspace_dataset,
     evaluate_matching,
     evaluate_reid,
-    mlp_reid_scores,
     open_world_split,
+    reference_seed,
     reid_scores,
     train_matcher,
     train_reid,
@@ -54,7 +54,11 @@ class Stages:
     federated run on it, its attack dataset and the reference MLP attack
     fit on that dataset, each built on first use and then shared. Families
     derive variant worlds from `world` and never modify what they are
-    handed, so one `Stages` can serve every family in any order."""
+    handed, so one `Stages` can serve every family in any order.
+
+    `federate`, `dataset` and `fit` are the one place that knows about
+    reuse: handed a stage itself (not a copy of it) they return the next
+    stage, so a variant that keeps every row reads the shared numbers."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -66,26 +70,46 @@ class Stages:
 
     @cached_property
     def run(self) -> FederatedRun:
-        return self.federate(self.world)
+        return run_federated(self.world, self.spec, round_config_from(self.cfg))
 
     @cached_property
     def attack_set(self) -> AttackDataset:
         """The attack dataset of `run` at the config's representation."""
-        return self.dataset(self.run)
+        return build_attack_dataset(self.run.records, repr_config_from(self.cfg))
 
     @cached_property
     def reference_mlp(self) -> MlpReid:
         """The MLP re-identification attack fit on `attack_set`: every
         family that attacks the default dataset with the MLP reuses it."""
-        return train_reid(self.attack_set, "mlp", seed_from(self.cfg.seed, "attack", "mlp"))
+        return train_reid(self.attack_set, "mlp", reference_seed(self.cfg.seed))
+
+    def _is(self, value: object, stage: str) -> bool:
+        """Whether `value` is the stage named `stage`; a stage not built yet
+        is nobody's input, so this builds none."""
+        return vars(self).get(stage) is value
 
     def federate(self, bundle: DatasetBundle) -> FederatedRun:
-        """FedAvg at this config on `bundle`, a variant of `world`."""
+        """FedAvg at this config on `bundle`, a variant of `world`: `run`
+        when handed `world`."""
+        if self._is(bundle, "world"):
+            return self.run
         return run_federated(bundle, self.spec, round_config_from(self.cfg))
 
-    def dataset(self, run: FederatedRun) -> AttackDataset:
-        """The attack dataset of `run`'s delta log."""
-        return build_attack_dataset(run.records, repr_config_from(self.cfg))
+    def dataset(self, run: FederatedRun, layer: str | None = None) -> AttackDataset:
+        """The attack dataset of `run`'s delta log at `layer` (default: the
+        config's `attack_layer`): `attack_set` when handed `run` at that
+        layer."""
+        layer = self.cfg.attack_layer if layer is None else layer
+        if layer == self.cfg.attack_layer and self._is(run, "run"):
+            return self.attack_set
+        return build_attack_dataset(run.records, ReprConfig(layer, self.cfg.normalize))
+
+    def fit(self, ds: AttackDataset, seed: int) -> MlpReid:
+        """The MLP re-identification attack fit on `ds` with `seed`:
+        `reference_mlp` when handed `attack_set`, whatever `seed`."""
+        if self._is(ds, "attack_set"):
+            return self.reference_mlp
+        return train_reid(ds, "mlp", seed)
 
 
 def utility_table(run: FederatedRun) -> Table:
@@ -102,10 +126,8 @@ def _reid_closed(stages: Stages) -> list[Table]:
     ds = stages.attack_set
     rows = []
     for method in cfg.attack_methods:
-        if method == "mlp":
-            model = stages.reference_mlp
-        else:
-            model = train_reid(ds, method, seed_from(cfg.seed, "attack", method))
+        seed = seed_from(cfg.seed, "attack", method)
+        model = stages.fit(ds, seed) if method == "mlp" else train_reid(ds, method, seed)
         ev = evaluate_reid(model, ds)
         rows.append(
             [method, float(ev.mean_ap), float(ev.chance_ap), float(ev.ioc), float(ev.top1),
@@ -180,13 +202,15 @@ def _open_world(stages: Stages) -> list[Table]:
 
 def _prior_amount(stages: Stages) -> list[Table]:
     """Shrink every user's prior data before the run (the shadow devices see
-    fewer examples) and re-attack."""
+    fewer examples) and re-attack. A size that cuts no user's prior data
+    reads the default run and its reference fit."""
     cfg = stages.cfg
     rows = []
     for m in cfg.prior_grid:
         bundle = limit_prior(stages.world, m, seed_from(cfg.seed, "prior-amount", m))
         ds = stages.dataset(stages.federate(bundle))
-        rows.append([m, *mlp_reid_scores(ds, seed_from(cfg.seed, "prior-attack", m))])
+        model = stages.fit(ds, seed_from(cfg.seed, "prior-attack", m))
+        rows.append([m, *reid_scores(model, ds)])
     return [
         Table(name="prior_amount", columns=["prior_examples", "ap", "chance_ap", "ioc"], rows=rows)
     ]
@@ -194,14 +218,15 @@ def _prior_amount(stages: Stages) -> list[Table]:
 
 def _train_amount(stages: Stages) -> list[Table]:
     """Cap the number of shadow deltas per user available to the attack:
-    each cap keeps a seeded draw of every user's rows of `attack_set`."""
+    each cap keeps a seeded draw of every user's rows of `attack_set`, and
+    a cap that cuts no row reads the reference fit."""
     cfg = stages.cfg
     rows = []
     for k in cfg.train_grid:
         draw = seed_from(seed_from(cfg.seed, "train-amount", k), "train-side")
         ds = stages.attack_set.capped(k, draw)
-        scores = mlp_reid_scores(ds, seed_from(cfg.seed, "train-attack", k))
-        rows.append([k, ds.train_x.shape[0], *scores])
+        model = stages.fit(ds, seed_from(cfg.seed, "train-attack", k))
+        rows.append([k, ds.train_x.shape[0], *reid_scores(model, ds)])
     return [
         Table(
             name="train_amount",
@@ -215,13 +240,9 @@ def _layer_sweep(stages: Stages) -> list[Table]:
     cfg = stages.cfg
     rows = []
     for layer, shape in stages.spec.layout():
-        if layer == cfg.attack_layer:
-            scores = reid_scores(stages.reference_mlp, stages.attack_set)
-        else:
-            repr_cfg = ReprConfig(layer_name=layer, normalize=cfg.normalize)
-            ds = build_attack_dataset(stages.run.records, repr_cfg)
-            scores = mlp_reid_scores(ds, seed_from(cfg.seed, "layer", layer))
-        rows.append([layer, int(np.prod(shape)), *scores])
+        ds = stages.dataset(stages.run, layer)
+        model = stages.fit(ds, seed_from(cfg.seed, "layer", layer))
+        rows.append([layer, int(np.prod(shape)), *reid_scores(model, ds)])
     return [Table(name="layers", columns=["layer", "dim", "ap", "chance_ap", "ioc"], rows=rows)]
 
 
@@ -244,7 +265,7 @@ def _epoch_grid(stages: Stages) -> list[Table]:
     sets = [stages.attack_set.in_rounds(lo, hi) for lo, hi in ranges]
     rows = []
     for (lo, hi), train_ds in zip(ranges, sets):
-        model = train_reid(train_ds, "mlp", seed_from(cfg.seed, "grid", lo, lo))
+        model = stages.fit(train_ds, seed_from(cfg.seed, "grid", lo, lo))
         for eval_range, eval_ds in zip(ranges, sets):
             rows.append([lo, hi, *eval_range, *reid_scores(model, eval_ds)])
     return [
@@ -259,11 +280,11 @@ def _epoch_grid(stages: Stages) -> list[Table]:
 def _iid_control(stages: Stages) -> list[Table]:
     cfg = stages.cfg
     iid = make_iid_control(stages.world, seed_from(cfg.seed, "iid-control"))
-    iid_ds = stages.dataset(stages.federate(iid))
-    rows = [
-        ["biased", *reid_scores(stages.reference_mlp, stages.attack_set)],
-        ["iid", *mlp_reid_scores(iid_ds, seed_from(cfg.seed, "iid-attack", "iid"))],
-    ]
+    rows = []
+    for world, bundle in (("biased", stages.world), ("iid", iid)):
+        ds = stages.dataset(stages.federate(bundle))
+        model = stages.fit(ds, seed_from(cfg.seed, "iid-attack", world))
+        rows.append([world, *reid_scores(model, ds)])
     return [Table(name="iid_control", columns=["world", "ap", "chance_ap", "ioc"], rows=rows)]
 
 

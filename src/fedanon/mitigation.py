@@ -19,7 +19,13 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .attacks import AttackDataset, ReprConfig, build_attack_dataset, mlp_reid_scores
+from .attacks import (
+    AttackDataset,
+    ReprConfig,
+    build_attack_dataset,
+    mlp_reid_scores,
+    reference_seed,
+)
 from .blas import one_thread
 from .blocks import squared_distances
 from .federated import (
@@ -266,14 +272,19 @@ def tradeoff_curve(
     clusters_m: int,
 ) -> list[TradeoffPoint]:
     """The anchor's row (`noise`, 0.0), then one row per grid point, each
-    attacked with the strongest closed-world attack; utility is normalized
-    to 1.0 at the anchor.
+    attacked by the MLP re-identification attack on the one layer of
+    `repr_cfg` (the config's `attack_layer`, `W2` by default). That need
+    not be the layer that leaks most: the `layer_sweep` family scores each
+    layer. Utility is normalized to 1.0 at the anchor.
 
     `anchor` is the attack dataset (at `repr_cfg`) and the final task score
     of the unmitigated federation of `bundle` at `fed_cfg`. Every grid point
     runs that federation again under its defense. Every seed derives from
     the config seed `seed`, and the `mm_aug` points share one k-means fit of
-    the background at `clusters_m` clusters.
+    the background at `clusters_m` clusters. Every row is fit with the
+    reference fit's seed (`attacks.reference_seed`), so the anchor row is
+    the reference fit's scores and each point differs from it only in its
+    data.
 
     Each point's attack fit runs in a forked child as soon as its dataset
     exists, while this process federates the next point. The forks happen
@@ -281,7 +292,7 @@ def tradeoff_curve(
     it: after a fork, OpenBLAS starts a worker that spins for about 0.1 s at
     the next change of its count.
     """
-    attack_seed = seed_from(seed_from(seed, "tradeoff"), "tradeoff-attack")
+    attack_seed = reference_seed(seed)
     anchor_ds, anchor_score = anchor
 
     def federated(cfg: MitigationConfig) -> float:

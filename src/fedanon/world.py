@@ -329,9 +329,12 @@ def make_iid_control(bundle: DatasetBundle, seed: int) -> DatasetBundle:
 
 
 def limit_prior(bundle: DatasetBundle, max_examples: int, seed: int) -> DatasetBundle:
-    """Cut every user's prior set down to at most `max_examples` (seeded)."""
+    """Cut every user's prior set down to at most `max_examples` (seeded):
+    the bundle itself when no prior set is over the cap."""
     if max_examples < 1:
         raise ValueError("max_examples must be >= 1")
+    if all(len(bundle.prior[u]) <= max_examples for u in bundle.user_ids()):
+        return bundle
     prior: dict[int, np.ndarray] = {}
     for u in bundle.user_ids():
         full = bundle.prior[u]

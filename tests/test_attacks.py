@@ -107,6 +107,10 @@ def test_in_rounds_keeps_a_half_open_range_on_both_sides(cluster_ds):
     # only the shadow devices log rounds 6..10
     with pytest.raises(ValueError, match="at least one row on each side"):
         cluster_ds.in_rounds(6, 11)
+    # a range over every round is the dataset itself; one that cuts a side is not
+    assert cluster_ds.in_rounds(1, 11) is cluster_ds
+    assert cluster_ds.in_rounds(0, 20) is cluster_ds
+    assert cluster_ds.in_rounds(1, 6) is not cluster_ds
 
 
 def test_capped_draws_the_same_train_rows_per_seed(cluster_ds):
@@ -125,9 +129,19 @@ def test_capped_draws_the_same_train_rows_per_seed(cluster_ds):
 
 
 def test_capped_is_a_no_op_under_the_cap(cluster_ds):
-    ds = cluster_ds.capped(10, 0)
-    np.testing.assert_array_equal(ds.train_x, cluster_ds.train_x)
-    np.testing.assert_array_equal(ds.train_rounds, cluster_ds.train_rounds)
+    # every user logs 10 shadow rows: a cap of 10 or more is the dataset itself
+    assert cluster_ds.capped(10, 0) is cluster_ds
+    assert cluster_ds.capped(11, 0) is cluster_ds
+    cut = cluster_ds.capped(9, 0)
+    assert cut is not cluster_ds and cut.train_x.shape[0] == 4 * 9
+    # a cap that cuts one user's rows still makes a new dataset
+    users = cluster_ds.train_users.copy()
+    users[np.flatnonzero(users == 0)[:2]] = 1  # user 0 logs 8 shadow rows, user 1 12
+    uneven = dataclasses.replace(cluster_ds, train_users=users)
+    one_cut = uneven.capped(10, 0)
+    assert one_cut is not uneven
+    assert {u: int((one_cut.train_users == u).sum()) for u in one_cut.users} == {
+        0: 8, 1: 10, 2: 10, 3: 10}
     with pytest.raises(ValueError, match=">= 1"):
         cluster_ds.capped(0, 0)
 
@@ -407,7 +421,7 @@ def test_mlp_product_matcher_hand_values():
 
 
 def test_mlp_product_on_clusters(cluster_ds):
-    matcher = train_matcher(cluster_ds, "mlp_product", seed=0)
+    matcher = MlpProductMatcher(train_reid(cluster_ds, "mlp", 0))
     ev = evaluate_matching(
         matcher, cluster_ds.rows_by_user("train"), cluster_ds.rows_by_user("test"),
         n_pairs=400, seed=0,
@@ -503,6 +517,9 @@ def test_siamese_gradient_matches_finite_differences():
 def test_train_matcher_validation(cluster_ds):
     with pytest.raises(ValueError):
         train_matcher(cluster_ds, "psychic")
+    # the product matcher wraps a fit the caller owns, such as a shared reference fit
+    with pytest.raises(ValueError, match="MlpProductMatcher"):
+        train_matcher(cluster_ds, "mlp_product")
     one_user = cluster_ds.keep([0], [0])
     assert one_user.users == (0,)
     with pytest.raises(ValueError):

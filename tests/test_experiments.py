@@ -60,6 +60,11 @@ FAST = ExperimentConfig(
 )
 
 
+# a cap of 16 shadow rows, 64 prior examples and one epoch range keep every
+# row of the default attack dataset (10 rounds, 14 prior examples a user)
+ONE_FIT = dataclasses.replace(FAST, train_grid=(4, 16), prior_grid=(4, 64), epoch_ranges=1)
+
+
 @pytest.fixture(scope="module")
 def reports():
     return {family: run_experiment(FAST, family) for family in EXPERIMENT_FAMILIES}
@@ -251,25 +256,33 @@ def test_stages_build_each_stage_once(monkeypatch, call_log):
     assert stages.reference_mlp.classes == stages.attack_set.users
 
 
-def test_all_families_on_one_stages_run_each_stage_the_fewest_times(monkeypatch, call_log):
+# federations: the default run, the IID control, one per prior_grid entry
+# that cuts and one per mitigated grid point
+# attack datasets built from a delta log: the shared one 1, iid_control 1,
+# layer_sweep 3, prior_amount 1 per cut, mitigation 4 (train_amount and
+# epoch_grid select rows of the shared one, and mitigation's anchor attacks it)
+# MLP fits: reference 1, iid_control 1, layer_sweep 3, train_amount and
+# prior_amount 1 per cut, open_world 1, epoch_grid 1 per range that cuts,
+# dataspace 1, mitigation 5 (its anchor is fit again in a forked child)
+# A grid value that keeps every row (ONE_FIT's prior size 64, cap 16 and
+# single epoch range) reads the shared stages and builds nothing.
+@pytest.mark.parametrize("cfg, federations, datasets, fits", [
+    pytest.param(FAST, 8, 11, 18, id="cut"),
+    pytest.param(ONE_FIT, 7, 10, 14, id="whole"),
+])
+def test_all_families_on_one_stages_run_each_stage_the_fewest_times(
+    monkeypatch, call_log, cfg, federations, datasets, fits
+):
     counts = count_calls(monkeypatch, call_log)
-    stages = Stages(FAST)
+    stages = Stages(cfg)
     for family in EXPERIMENT_FAMILIES:
-        run_experiment(FAST, family, stages)
-    # federations: the default run, the IID control, one per prior_grid
-    # entry and one per mitigated grid point
-    # attack datasets built from a delta log: the shared one 1, iid_control
-    # 1, layer_sweep 3, prior_amount 2, mitigation 4 (train_amount and
-    # epoch_grid select rows of the shared one, and mitigation's anchor
-    # attacks it)
-    # MLP fits: reference 1, iid_control 1, layer_sweep 3, train_amount 2,
-    # open_world 1, epoch_grid 2, dataspace 1, prior_amount 2, mitigation 5
+        run_experiment(cfg, family, stages)
     assert counts() == {
         "gen_world": 1,
-        "run_federated": 8,
-        "build_attack_dataset": 11,
-        "nn.train": 18,
-        "MlpReid.fit": 18,
+        "run_federated": federations,
+        "build_attack_dataset": datasets,
+        "nn.train": fits,
+        "MlpReid.fit": fits,
     }
 
 
@@ -311,6 +324,10 @@ def test_every_attack_fit_goes_through_train_reid_or_train_matcher(monkeypatch, 
 # had fit and score functions of their own and re-filtered the delta log;
 # the others were taken while devices still held copies of their rows and
 # prediction ran a forward pass of its own. None of those changes moves a byte.
+# The train-amount, prior-amount and mitigation digests were taken once the
+# grid values that keep every row (caps 8 and 16 of 6 rounds, prior sizes 16
+# and 64) quoted the reference fit, and every mitigation point was fit with
+# its seed.
 PINNED = {"users": "9", "rounds": "6", "n_per_user": "60", "background_size": "200"}
 ONE_POINT_PER_STRATEGY = {"noise_grid": "1.0", "repl_grid": "0.5", "aug_grid": "1.0"}
 TABLE_DIGESTS = {
@@ -333,7 +350,7 @@ TABLE_DIGESTS = {
         "layers": "e466117119b9aaad6f2f7435a549d7072ee20c3a782039a4eebee3adea06ff92",
     },
     "train_amount": {
-        "train_amount": "025c2d0e545c1f138ae43586790b2615b7155daa631f10cfe96b636da48b9fee",
+        "train_amount": "bcb38bf89673bcc7fb04050d4702ea08c819481029be49cc8eec9a164350a018",
     },
     "open_world": {
         "open_world": "ea84ef07a5a072c5d6cfbffa7724e95dc745c04e0d6e19af8032633c668ecc46",
@@ -345,10 +362,10 @@ TABLE_DIGESTS = {
         "dataspace": "ed4d799e86b946c5ad81d164e9b642987ebbc30dcec8a8d04cd8f4d13598688e",
     },
     "prior_amount": {
-        "prior_amount": "9bde036018e6f6b13f5d32570dc641be4dd2bcd914574ec31a17b594afdd8290",
+        "prior_amount": "d0f723b72a071106d809d1a9e958409536579e25b35732746a5fd0914c575e66",
     },
     "mitigation": {
-        "tradeoff": "db669691dc1594c327afcadb3d1e19eb28c6f38e5854e68a33ecc651bac3f32e",
+        "tradeoff": "5b311df82c65f60b9202b3024171fb66732c99f9c3e3f278aa236380f84e461d",
     },
 }
 
@@ -699,9 +716,76 @@ def test_stages_federate_accepts_prebuilt_bundle():
 
 def test_stages_dataset_builds_the_dataset_of_the_run_it_is_given():
     stages = Stages(FAST)
-    other = stages.dataset(stages.federate(stages.world))
+    # a copy of the world is another bundle: federated again, to the same rows
+    other = stages.dataset(stages.federate(dataclasses.replace(stages.world)))
+    assert "run" not in vars(stages)  # comparing with a stage builds none
     assert other is not stages.attack_set and other.users == stages.attack_set.users
     for name in ("train_x", "train_users", "train_rounds", "test_x", "test_users", "test_rounds"):
         np.testing.assert_array_equal(getattr(other, name), getattr(stages.attack_set, name))
     for k in (1, 2):
         assert stages.attack_set.capped(k, seed=0).train_x.shape[0] == k * FAST.users
+
+
+def test_stages_hand_back_their_own_stage_for_the_stage_they_built_from():
+    stages = Stages(FAST)
+    assert stages.federate(stages.world) is stages.run
+    assert stages.dataset(stages.run) is stages.attack_set
+    assert stages.dataset(stages.run, FAST.attack_layer) is stages.attack_set
+    assert stages.fit(stages.attack_set, seed=12345) is stages.reference_mlp
+    b2 = stages.dataset(stages.run, "b2")
+    assert b2.train_x.shape[1] == FAST.classes
+    assert stages.fit(b2, seed=1) is not stages.reference_mlp
+    # a selection that keeps every row is the dataset itself
+    assert stages.attack_set.in_rounds(1, FAST.rounds + 1) is stages.attack_set
+
+
+def rows_digest(train_x, train_y, classes) -> str:
+    """One name for the training set of an MLP fit."""
+    digest = hashlib.sha256(np.ascontiguousarray(train_x).tobytes())
+    digest.update(np.ascontiguousarray(train_y).tobytes())
+    digest.update(repr(tuple(int(c) for c in classes)).encode())
+    return digest.hexdigest()
+
+
+def test_each_training_set_is_fit_once_with_one_seed(monkeypatch, call_log):
+    family = None
+    fit = MlpReid.fit
+
+    def recorded(train_x, train_y, classes, seed):
+        call_log.record(family, rows_digest(train_x, train_y, classes), seed)
+        return fit(train_x, train_y, classes, seed)
+
+    monkeypatch.setattr(MlpReid, "fit", staticmethod(recorded))
+    stages = Stages(ONE_FIT)
+    reports = {}
+    for family in EXPERIMENT_FAMILIES:
+        reports[family] = run_experiment(ONE_FIT, family, stages)
+    ds = stages.attack_set
+    reference = rows_digest(ds.train_x, ds.encode(ds.train_users, ds.users), ds.users)
+    first, repeats = {}, []
+    for name, rows, seed in call_log.lines():
+        if rows not in first:
+            first[rows] = (name, seed)
+        # only the mitigation sweep fits a training set again: its anchor,
+        # in a forked child, with the reference fit's seed
+        elif (name, rows, seed) != ("mitigation", reference, first[rows][1]):
+            same_seed = seed == first[rows][1]
+            repeats.append(f"{name} fits {first[rows][0]}'s rows again, "
+                           f"{'with the same' if same_seed else 'with another'} seed")
+    assert repeats == []
+    assert [name for name, rows, _ in call_log.lines() if rows == reference] == [
+        "reid_closed", "mitigation"]
+
+    # so every cell that attacks the default dataset with the MLP reads one number
+    def row(family, key, width):
+        """The scores of the first row of `family`'s first table keyed `key`."""
+        return next(r for r in reports[family].tables[0].rows if r[0] == key)[width:]
+
+    reid = row("reid_closed", "mlp", 1)[:3]
+    assert row("prior_amount", 64, 1) == reid
+    assert row("train_amount", 16, 2) == reid
+    assert row("epoch_grid", 1, 4) == reid
+    assert row("layer_sweep", ONE_FIT.attack_layer, 2) == reid
+    assert row("iid_control", "biased", 1) == reid
+    assert row("dataspace", "delta", 2) == reid
+    assert row("mitigation", "noise", 2)[:3] == reid  # the anchor comes first

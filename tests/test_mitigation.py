@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedanon import mitigation
-from fedanon.attacks import ReprConfig, build_attack_dataset, mlp_reid_scores
+from fedanon.attacks import ReprConfig, build_attack_dataset, mlp_reid_scores, reference_seed
 from fedanon.cli import main
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeviceState, RoundConfig, run_federated
 from fedanon.mitigation import (
@@ -336,21 +336,25 @@ def test_tradeoff_anchor_utility_is_exactly_one():
         assert p.privacy_ioc == pytest.approx(p.attacker_ap / p.chance_ap)
 
 
-def test_tradeoff_anchor_row_attacks_the_given_dataset(monkeypatch):
+def test_tradeoff_anchor_row_attacks_the_given_dataset(monkeypatch, call_log):
     bundle, spec, fed, repr_cfg, anchor = tiny_setup()
     calls = []
     for fn in (run_federated, build_attack_dataset):
         monkeypatch.setattr(mitigation, fn.__name__,
                             lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+    # the fits run in forked children, so they are seen through the log
+    monkeypatch.setattr(mitigation, "mlp_reid_scores", lambda ds, seed: call_log.record(
+        "anchor" if ds is anchor[0] else "point", seed) or mlp_reid_scores(ds, seed))
     points = tradeoff_curve(bundle, spec, fed, repr_cfg, [MitigationConfig("noise", 0.5)],
                             anchor, 3, 4)
     # only the noise point federates and builds an attack dataset
     assert calls == [run_federated, build_attack_dataset]
-    # every point is fit with the one attack seed derived from the config seed
-    attack_seed = seed_from(seed_from(3, "tradeoff"), "tradeoff-attack")
+    # every point is fit with the reference fit's seed at the config seed
+    assert sorted(call_log.lines()) == [["anchor", str(reference_seed(3))],
+                                        ["point", str(reference_seed(3))]]
     first = points[0]
     scores = [first.attacker_ap, first.chance_ap, first.privacy_ioc]
-    assert scores == mlp_reid_scores(anchor[0], attack_seed)
+    assert scores == mlp_reid_scores(anchor[0], reference_seed(3))
 
 
 def test_tradeoff_fits_kmeans_once_for_all_mm_aug_points(monkeypatch):

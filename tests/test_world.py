@@ -310,9 +310,9 @@ def test_limit_prior_caps_and_preserves():
         assert set(cut.prior[u]) <= set(b.prior[u])
         # private side untouched
         np.testing.assert_array_equal(cut.private[u], b.private[u])
-    big = limit_prior(b, 10_000, seed)
-    for u in b.user_ids():
-        np.testing.assert_array_equal(big.prior[u], b.prior[u])
+    # a cap no prior set reaches is the bundle itself
+    assert limit_prior(b, 10_000, seed) is b
+    assert limit_prior(b, max(len(b.prior[u]) for u in b.user_ids()), seed) is b
     with pytest.raises(ValueError):
         limit_prior(b, 0, seed)
 
