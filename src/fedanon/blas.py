@@ -3,9 +3,14 @@
 numpy's bundled OpenBLAS starts one thread per core. At fedanon's sizes a
 product such as the attack MLP's 32-row forward pass is handed to a second
 thread that then spins for the whole fit, and two processes on one machine
-oversubscribe its cores. `one_thread()` pins OpenBLAS to one thread for the
-block it guards. OpenBLAS splits a product's output between its threads,
+oversubscribe its cores. `pin()` sets OpenBLAS to one thread for the rest
+of the process. OpenBLAS splits a product's output between its threads,
 not its reductions, so every result is bitwise the same at any count.
+
+The count is never set back. A fork (see `forks`) runs OpenBLAS's fork
+handler, which shuts its thread pool down, and any later call that sets
+the count starts a new pool whose worker then spins for about 0.1 s of
+CPU. So fedanon sets the count once, and only when it is not 1 already.
 
 Only the OpenBLAS that numpy's wheels bundle is found: numpy >= 2 ships
 `numpy.libs/libscipy_openblas*` with `scipy_openblas_{get,set}_num_threads64_`,
@@ -15,10 +20,9 @@ other BLAS (a system OpenBLAS, MKL, Accelerate) is left alone.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,19 +60,9 @@ def _openblas() -> ThreadControl | None:
     return None
 
 
-@contextlib.contextmanager
-def one_thread() -> Iterator[None]:
-    """Run the block with OpenBLAS at one thread and restore the previous
-    count on the way out, also on an exception; a no-op without a bundled
-    OpenBLAS. The count is process-wide, so enter it from one thread at a
-    time."""
+def pin() -> None:
+    """Set OpenBLAS to one thread unless it is at one already; a no-op
+    without a bundled OpenBLAS. The count is process-wide and stays."""
     blas = _openblas()
-    if blas is None:
-        yield
-        return
-    previous = blas.get()
-    blas.set(1)
-    try:
-        yield
-    finally:
-        blas.set(previous)
+    if blas is not None and blas.get() != 1:
+        blas.set(1)

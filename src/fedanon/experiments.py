@@ -31,7 +31,7 @@ from .attacks import (
     train_reid,
     user_bias_profiles,
 )
-from .blas import one_thread
+from .blas import pin
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -43,6 +43,7 @@ from .config import (
     world_config_from,
 )
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, run_federated, sampled_users
+from .forks import Forks
 from .mitigation import STRATEGIES, MitigationConfig, tradeoff_curve
 from .reporting import Report, Table
 from .seeding import seed_from
@@ -259,15 +260,23 @@ def _epoch_grid(stages: Stages) -> list[Table]:
     another range of anonymous deltas, for every range pair. Each range
     keeps the rows of its rounds of `attack_set`: its shadow side trains
     and its anonymous side is scored. Each range's model is fit once, with
-    the seed of its diagonal cell, and scored on every range's rows."""
+    the seed of its diagonal cell, and scored on every range's rows.
+
+    The ranges' fits are independent, so they are split between this
+    process and forked children (`Forks.map`). Every range's rows are
+    selected here first, so a child builds no stage of its own."""
     cfg = stages.cfg
     ranges = epoch_ranges(cfg.rounds, cfg.epoch_ranges)
     sets = [stages.attack_set.in_rounds(lo, hi) for lo, hi in ranges]
-    rows = []
-    for (lo, hi), train_ds in zip(ranges, sets):
+
+    def train_row(train: tuple[tuple[int, int], AttackDataset]) -> list[list]:
+        (lo, hi), train_ds = train
         model = stages.fit(train_ds, seed_from(cfg.seed, "grid", lo, lo))
-        for eval_range, eval_ds in zip(ranges, sets):
-            rows.append([lo, hi, *eval_range, *reid_scores(model, eval_ds)])
+        return [[lo, hi, *eval_range, *reid_scores(model, eval_ds)]
+                for eval_range, eval_ds in zip(ranges, sets)]
+
+    with Forks() as forks:
+        rows = [row for cells in forks.map(train_row, zip(ranges, sets)) for row in cells]
     return [
         Table(
             name="epoch_grid",
@@ -499,8 +508,8 @@ def run_experiment(cfg: ExperimentConfig, family: str, stages: Stages | None = N
         stages = Stages(cfg)
     elif stages.cfg != cfg:
         raise ValueError("stages were built for another config")
-    with one_thread():
-        tables = FAMILIES[family](stages)
+    pin()
+    tables = FAMILIES[family](stages)
     return Report(
         experiment=family,
         config=snapshot(cfg),

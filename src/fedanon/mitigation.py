@@ -10,12 +10,8 @@ cluster) rewrite the device's private data before the run starts.
 
 from __future__ import annotations
 
-import os
-import pickle
-from collections import deque
-from contextlib import suppress
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +22,6 @@ from .attacks import (
     mlp_reid_scores,
     reference_seed,
 )
-from .blas import one_thread
 from .blocks import squared_distances
 from .federated import (
     ROLE_ANONYMOUS,
@@ -35,6 +30,7 @@ from .federated import (
     RoundConfig,
     run_federated,
 )
+from .forks import Forks
 from .nn import ModelSpec
 from .seeding import rng_from, seed_from
 from .world import DatasetBundle
@@ -184,83 +180,6 @@ def mitigate_bundle(
     return replace(bundle, private=private)
 
 
-class _Forks:
-    """Calls run in forked children, at most one per spare CPU at a time;
-    `join` returns their values in start order. A child reads its arguments
-    from the parent's memory, copy-on-write, pickles `(ok, value)` back over
-    a pipe and always leaves by `os._exit`. A child's exception is raised
-    again here; a child that ends without a result raises
-    `ChildProcessError`. Leaving the block kills and reaps every child not
-    yet joined. Without `os.fork` each call runs in place. The process's
-    only other threads are OpenBLAS's, whose fork handler shuts them down
-    first, so a child holds no lock another thread took."""
-
-    def __init__(self) -> None:
-        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-        self.limit = max(1, (usable or os.cpu_count() or 1) - 1)
-        self.values: list[Any] = []
-        self.running: deque[tuple[int, int]] = deque()  # (pid, read end of its pipe)
-
-    def start(self, fn: Callable[..., Any], *args: Any) -> None:
-        if not hasattr(os, "fork"):
-            self.values.append(fn(*args))
-            return
-        if len(self.running) >= self.limit:
-            self._join_oldest()
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                try:
-                    payload = (True, fn(*args))
-                except BaseException as err:
-                    payload = (False, err)
-                with open(write, "wb") as pipe:
-                    pickle.dump(payload, pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        self.running.append((pid, read))
-
-    def _join_oldest(self) -> None:
-        pid, read = self.running[0]
-        with open(read, "rb", closefd=False) as pipe:
-            data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        self.running.popleft()
-        os.close(read)
-        try:
-            ok, value = pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(
-                f"attack fit in child {pid} ended without a result "
-                f"(exit status {os.waitstatus_to_exitcode(status)})"
-            ) from None
-        if not ok:
-            raise value
-        self.values.append(value)
-
-    def join(self) -> list[Any]:
-        while self.running:
-            self._join_oldest()
-        return self.values
-
-    def __enter__(self) -> _Forks:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        import signal  # here, not at the top: only an error leaves children to kill
-
-        while self.running:
-            pid, read = self.running.popleft()
-            os.close(read)
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def tradeoff_curve(
     bundle: DatasetBundle,
     spec: ModelSpec,
@@ -287,10 +206,7 @@ def tradeoff_curve(
     data.
 
     Each point's attack fit runs in a forked child as soon as its dataset
-    exists, while this process federates the next point. The forks happen
-    at one BLAS thread, so every child inherits that count and never sets
-    it: after a fork, OpenBLAS starts a worker that spins for about 0.1 s at
-    the next change of its count.
+    exists, while this process federates the next point.
     """
     attack_seed = reference_seed(seed)
     anchor_ds, anchor_score = anchor
@@ -304,17 +220,14 @@ def tradeoff_curve(
         fits.start(mlp_reid_scores, build_attack_dataset(run.records, repr_cfg), attack_seed)
         return run.utility[-1]
 
-    with _Forks() as fits:
-        # ends after the last fork, so the worker that OpenBLAS then starts
-        # here spins while the last fits run, not after this returns
-        with one_thread():
-            fits.start(mlp_reid_scores, anchor_ds, attack_seed)
-            clusters = None
-            if any(cfg.strategy == "mm_aug" for cfg in grid):
-                clusters = cluster_background(
-                    bundle.x[bundle.background], clusters_m, seed_from(seed, "mm-clusters")
-                )
-            scores = [anchor_score, *(federated(cfg) for cfg in grid)]
+    with Forks() as fits:
+        fits.start(mlp_reid_scores, anchor_ds, attack_seed)
+        clusters = None
+        if any(cfg.strategy == "mm_aug" for cfg in grid):
+            clusters = cluster_background(
+                bundle.x[bundle.background], clusters_m, seed_from(seed, "mm-clusters")
+            )
+        scores = [anchor_score, *(federated(cfg) for cfg in grid)]
         fitted = fits.join()
     keys = [("noise", 0.0), *((cfg.strategy, cfg.value) for cfg in grid)]
     return [

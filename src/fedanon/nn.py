@@ -232,9 +232,11 @@ def _plan(
     y: np.ndarray, classes: int,
 ) -> list[tuple[int, slice | np.ndarray, np.ndarray, np.ndarray]]:
     """Every stack of the lockstep kernel in training order: its step, its
-    models (a slice when they are all of them), the (G, r) rows of x they
-    visit and the flat position of each row's true-class logit in the
-    stack's (G, r, classes) logits. Model k owns the rows rows[k] of x."""
+    models, the (G, r) rows of x they visit and the flat position of each
+    row's true-class logit in the stack's (G, r, classes) logits. Model k
+    owns the rows rows[k] of x. The models are a slice when their ids are
+    consecutive (all of them, or one of FedAvg's per-role blocks of
+    devices) and an id array otherwise."""
     n = np.array([r.size for r in rows])
     batch = np.minimum(batch_size, n)
     steps_per_epoch = -(-n // batch)
@@ -261,7 +263,9 @@ def _plan(
         hit = (place[m, None] * r + np.arange(r)) * classes + y[idx]
         bounds = np.r_[np.flatnonzero(opens[m]), m.size]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            models = slice(None) if hi - lo == n.size else k[m[lo:hi]]
+            models = k[m[lo:hi]]  # ascending
+            if models[-1] - models[0] == hi - lo - 1:
+                models = slice(int(models[0]), int(models[-1]) + 1)
             plan.append((int(t[m[lo]]), models, idx[lo:hi], hit[lo:hi]))
     return sorted(plan, key=lambda stack: stack[0])
 
@@ -305,7 +309,8 @@ def _train_lockstep(
     layers = [np.repeat(params.get(name)[None], len(rows), axis=0) for name, _ in spec.layout()]
     velocity = [np.zeros_like(a) for a in layers]
     for t, models, idx, hit in plan:
-        # views of the whole population, or a partial stack gathered once
+        # views of a range of models, updated in place, or a stack gathered
+        # once and scattered back
         stack, stack_velocity = [a[models] for a in layers], [v[models] for v in velocity]
         grads = _stack_grads(spec, stack, x[idx], hit)
         for a, v, g in zip(stack, stack_velocity, grads):

@@ -75,7 +75,8 @@ def openblas():
 
 class CallLog:
     """Calls recorded as one appended line each, so that the calls made in
-    forked children (the mitigation sweep's attack fits) are seen too."""
+    forked children (the mitigation sweep's and epoch_grid's attack fits)
+    are seen too."""
 
     def __init__(self, path):
         self.path = path

@@ -4,7 +4,6 @@ sharing one config's stages across families changes no report byte, and
 each stage runs the fewest times the families need."""
 
 import collections
-import contextlib
 import dataclasses
 import hashlib
 import math
@@ -418,7 +417,8 @@ def test_report_bytes_do_not_depend_on_the_blas_pin(monkeypatch, openblas):
                         staticmethod(lambda *a, **k: seen.append(openblas.get()) or fit(*a, **k)))
     pinned = report_to_json(run_experiment(cfg, "reid_closed"))
     assert seen == [1]
-    monkeypatch.setattr(experiments, "one_thread", contextlib.nullcontext)
+    monkeypatch.setattr(experiments, "pin", lambda: None)
+    openblas.set(2)
     unpinned = report_to_json(run_experiment(cfg, "reid_closed"))
     assert seen == [1, 2]
     assert pinned == unpinned

@@ -1,17 +1,15 @@
 """Defense mechanics: noise moments, the k-means pool builder against a
 brute-force 1-d oracle, data rewrite bookkeeping, and the tradeoff curve's
-anchor row and seeds, and the forked children that fit its attacks."""
+anchor row and seeds. The forked children that fit its attacks are tested
+in test_forks."""
 
 import dataclasses
-import os
-import time
 
 import numpy as np
 import pytest
 
 from fedanon import mitigation
 from fedanon.attacks import ReprConfig, build_attack_dataset, mlp_reid_scores, reference_seed
-from fedanon.cli import main
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeviceState, RoundConfig, run_federated
 from fedanon.mitigation import (
     KMeansResult,
@@ -27,7 +25,6 @@ from fedanon.seeding import rng_from, seed_from
 from fedanon.world import gen_world
 
 from broadcast_oracle import broadcast_squared_distances, traced_peak
-from test_cli import TINY
 from test_world import small_cfg
 
 
@@ -372,92 +369,3 @@ def test_tradeoff_fits_kmeans_once_for_all_mm_aug_points(monkeypatch):
     assert points[1:] == alone
     tradeoff_curve(bundle, spec, fed, repr_cfg, [MitigationConfig("rand_aug", 0.5)], anchor, 1, 4)
     assert len(calls) == 1  # no mm_aug point, no k-means fit
-
-
-# ------------------------------------------------- attack fits in children
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
-
-
-def test_forks_start_at_most_one_child_per_spare_cpu_and_join_in_start_order(monkeypatch):
-    for cpus, limit in (({0}, 1), ({0, 1}, 1), ({0, 1, 2}, 2)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-        with mitigation._Forks() as forks:
-            assert forks.limit == limit
-            for value in range(5):
-                forks.start(abs, -value)
-                assert len(forks.running) <= limit
-            assert forks.join() == [0, 1, 2, 3, 4]
-
-
-def test_a_childs_error_is_raised_again_with_its_type(monkeypatch):
-    bundle, spec, fed, repr_cfg, anchor = tiny_setup()
-
-    def failing(ds, seed):
-        raise ValueError(f"fit failed in process {os.getpid()}")
-
-    monkeypatch.setattr(mitigation, "mlp_reid_scores", failing)
-    with pytest.raises(ValueError, match="fit failed in process") as err:
-        tradeoff_curve(bundle, spec, fed, repr_cfg, [MitigationConfig("noise", 0.5)], anchor, 0, 4)
-    if hasattr(os, "fork"):
-        assert str(os.getpid()) not in str(err.value)
-
-
-@needs_fork
-def test_a_child_that_exits_without_a_result_is_an_error(monkeypatch, tmp_path, capsys):
-    bundle, spec, fed, repr_cfg, anchor = tiny_setup()
-    monkeypatch.setattr(mitigation, "mlp_reid_scores", lambda ds, seed: os._exit(3))
-    with pytest.raises(ChildProcessError, match="without a result.*exit status 3"):
-        tradeoff_curve(bundle, spec, fed, repr_cfg, [MitigationConfig("noise", 0.5)], anchor, 0, 4)
-    rc = main(["attack", *TINY, "--family", "mitigation", "--out-dir", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: attack fit in child") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_a_parent_error_partway_through_the_sweep_leaves_no_child(monkeypatch):
-    bundle, spec, fed, repr_cfg, anchor = tiny_setup()
-    # the anchor's fit would outlast the test unless it is killed
-    monkeypatch.setattr(mitigation, "mlp_reid_scores", lambda ds, seed: time.sleep(60))
-
-    def federation_fails(*args, **kwargs):
-        raise KeyError("no such device")
-
-    monkeypatch.setattr(mitigation, "run_federated", federation_fails)
-    grid = [MitigationConfig("noise", 0.5), MitigationConfig("rand_aug", 0.5)]
-    started = time.perf_counter()
-    with pytest.raises(KeyError, match="no such device"):
-        tradeoff_curve(bundle, spec, fed, repr_cfg, grid, anchor, 0, 4)
-    assert time.perf_counter() - started < 30
-    if hasattr(os, "WNOHANG"):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-def test_children_fit_at_one_blas_thread_and_the_callers_count_comes_back(
-    monkeypatch, openblas, call_log
-):
-    bundle, spec, fed, repr_cfg, anchor = tiny_setup()
-    fit = mitigation.mlp_reid_scores
-
-    def recorded(ds, seed):
-        call_log.record(os.getpid(), openblas.get())
-        return fit(ds, seed)
-
-    monkeypatch.setattr(mitigation, "mlp_reid_scores", recorded)
-    grid = [MitigationConfig("noise", 0.5), MitigationConfig("mm_aug", 0.5)]
-    points = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, anchor, 0, 4)
-    assert len(points) == 3
-    assert [threads for _, threads in call_log.lines()] == ["1"] * 3
-    if hasattr(os, "fork"):
-        assert str(os.getpid()) not in {pid for pid, _ in call_log.lines()}
-    assert openblas.get() == 2
-
-
-def test_the_rows_are_the_same_without_fork(monkeypatch):
-    bundle, spec, fed, repr_cfg, anchor = tiny_setup()
-    grid = [MitigationConfig(s, 0.5) for s in ("noise", "bkg_repl", "rand_aug", "mm_aug")]
-    forked = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, anchor, 2, 4)
-    monkeypatch.delattr(os, "fork", raising=False)
-    assert tradeoff_curve(bundle, spec, fed, repr_cfg, grid, anchor, 2, 4) == forked

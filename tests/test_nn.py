@@ -211,6 +211,35 @@ def test_lockstep_momentum_matches_sequential_oracle(kind):
             assert np.array_equal(a[k], b)
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp1"])
+def test_consecutive_models_update_in_place_to_the_bits_of_a_gathered_stack(kind, monkeypatch):
+    # models 2-3 and model 5 always step alone by row count, 0, 1 and 4
+    # together: a range is a slice, updated in place, and the rest is
+    # gathered and written back
+    rng = np.random.default_rng(14)
+    spec = ModelSpec(kind=kind, input_dim=3, hidden_dim=5 if kind == "mlp1" else 0, output_dim=4)
+    params = nn.init_params(spec, seed=7)
+    x, y = rng.normal(size=(20, 3)), rng.integers(0, 4, size=20)
+    rows = [rng.choice(20, size=n, replace=False) for n in (6, 6, 3, 3, 6, 1)]
+    seeds = range(len(rows))
+    plan = nn._plan(rows, 2, 4, seeds, y, spec.output_dim)
+    assert {(m.start, m.stop) for _, m, _, _ in plan if isinstance(m, slice)} == {(2, 4), (5, 6)}
+    assert {tuple(m.tolist()) for _, m, _, _ in plan if not isinstance(m, slice)} == {(0, 1, 4)}
+    config = OptimizerConfig(0.05, momentum=0.9, lr_decay=1e-3)
+
+    def train():
+        return nn._train_lockstep(spec, params, x, y, rows, epochs=2, batch_size=4,
+                                  config=config, seeds=seeds)
+
+    in_place = train()
+    plan_of = nn._plan
+    monkeypatch.setattr(nn, "_plan", lambda *a: [
+        (t, np.arange(m.start, m.stop) if isinstance(m, slice) else m, idx, hit)
+        for t, m, idx, hit in plan_of(*a)])
+    for a, b in zip(in_place, train()):
+        assert np.array_equal(a, b)
+
+
 def test_lockstep_leaves_inputs_untouched():
     rng = np.random.default_rng(13)
     spec = ModelSpec(kind="mlp1", input_dim=3, hidden_dim=5, output_dim=4)
