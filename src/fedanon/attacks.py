@@ -269,16 +269,18 @@ class MlpReid:
             output_dim=len(classes),
             hidden_dim=MLP_HIDDEN,
         )
-        params = nn.init_params(spec, seed_from(seed, "mlp-init"))
-        params = nn.train(
+        layers = nn.train(
             spec,
-            params,
-            (train_x, train_y),
+            nn.init_params(spec, seed_from(seed, "mlp-init")),
+            train_x,
+            train_y,
+            [np.arange(len(train_y))],
             epochs=MLP_EPOCHS,
             batch_size=MLP_BATCH,
             config=nn.OptimizerConfig(MLP_LR, momentum=MLP_MOMENTUM, lr_decay=MLP_LR_DECAY),
-            seed=seed_from(seed, "mlp-train"),
+            seeds=[seed_from(seed, "mlp-train")],
         )
+        params = ParamVector([(name, a[0]) for (name, _), a in zip(spec.layout(), layers)])
         return MlpReid(spec, params, classes)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -288,7 +290,7 @@ class MlpReid:
 ReidModel = ChanceReid | KnnReid | SvmReid | MlpReid
 
 
-def train_reid(ds: AttackDataset, method: str, seed: int = 0) -> ReidModel:
+def train_reid(ds: AttackDataset, method: str, seed: int) -> ReidModel:
     if method not in REID_METHODS:
         raise ValueError(f"unknown reid method {method!r}; expected one of {REID_METHODS}")
     classes = ds.users
@@ -368,7 +370,7 @@ def mlp_reid_scores(ds: AttackDataset, seed: int) -> list[float]:
 class ChanceMatcher:
     """Seeded uniform match probability, independent of the inputs."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int):
         self._rng = rng_from(seed, "chance-matcher")
 
     def predict_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -551,7 +553,7 @@ def sample_balanced_pairs(
     return np.asarray(rows_a, dtype=np.int64), np.asarray(rows_b, dtype=np.int64), labels
 
 
-def train_matcher(ds: AttackDataset, method: str, seed: int = 0) -> MatchModel:
+def train_matcher(ds: AttackDataset, method: str, seed: int) -> MatchModel:
     if method not in MATCH_METHODS:
         raise ValueError(f"unknown match method {method!r}; expected one of {MATCH_METHODS}")
     if len(ds.users) < 2:
@@ -577,7 +579,8 @@ def evaluate_matching(
     side_a: dict[int, np.ndarray],
     side_b: dict[int, np.ndarray],
     n_pairs: int = 2000,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> MatchEvaluation:
     """AP over a balanced set of evaluation pairs, scored a block of pairs
     at a time, each block's rows gathered from the sides' stacks; chance is
@@ -607,7 +610,7 @@ class OpenWorldSplit:
     holdout: tuple[int, ...]
 
 
-def open_world_split(users: Sequence[int], seen_fraction: float, seed: int = 0) -> OpenWorldSplit:
+def open_world_split(users: Sequence[int], seen_fraction: float, seed: int) -> OpenWorldSplit:
     """Hold out round(U/3) users to train the `unseen` class; split the rest
     into seen/unseen by `seen_fraction`."""
     if not 0.0 <= seen_fraction <= 1.0:
@@ -629,7 +632,7 @@ def open_world_split(users: Sequence[int], seen_fraction: float, seed: int = 0) 
 # data-space attack
 
 
-def dataspace_dataset(bundle: DatasetBundle, set_size: int, seed: int = 0) -> AttackDataset:
+def dataspace_dataset(bundle: DatasetBundle, set_size: int, seed: int) -> AttackDataset:
     """Raw examples as an attack dataset: each user's prior examples train,
     and the feature means of the user's private subsets are scored.
 

@@ -146,7 +146,7 @@ def server_round(
     if not devices:
         raise ValueError("no devices")
     sampled = [devices[i] for i in sample_devices(len(devices), cfg, round_t)]
-    stacks = nn._train_lockstep(
+    stacks = nn.train(
         spec, global_params, x, y, [d.rows for d in sampled],
         epochs=cfg.local_epochs, batch_size=cfg.batch_size, config=nn.OptimizerConfig(cfg.eta),
         seeds=[seed_from(cfg.seed, "device-update", round_t, d.device_id) for d in sampled],

@@ -90,7 +90,7 @@ class KMeansResult:
     sse_history: tuple[float, ...]
 
 
-def cluster_background(features: np.ndarray, m: int, seed: int = 0) -> KMeansResult:
+def cluster_background(features: np.ndarray, m: int, seed: int) -> KMeansResult:
     """Deterministic k-means: k-means++ seeding, then Lloyd iterations to an
     assignment fixpoint or 100 iterations."""
     x = np.asarray(features, dtype=np.float64)

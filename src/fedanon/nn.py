@@ -162,9 +162,7 @@ def _coerce_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
     if y.ndim != 1 or y.shape[0] != x.shape[0]:
         raise ValueError("targets must be a class index per example")
     if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(np.equal(np.mod(y, 1), 0)):
-            raise ValueError("targets must be integer class indices")
-        y = y.astype(np.int64)
+        raise ValueError("targets must be integer class indices")
     if y.min() < 0 or y.max() >= spec.output_dim:
         raise ValueError(f"class index out of range [0, {spec.output_dim})")
     return x, y
@@ -270,7 +268,7 @@ def _plan(
     return sorted(plan, key=lambda stack: stack[0])
 
 
-def _train_lockstep(
+def train(
     spec: ModelSpec,
     params: ParamVector,
     x: np.ndarray,
@@ -282,7 +280,9 @@ def _train_lockstep(
     seeds: Sequence[int],
 ) -> list[np.ndarray]:
     """Momentum SGD for len(rows) models of one spec, all starting from
-    `params`, run in lockstep on one (X, Y) pair of inputs and class indices.
+    `params`, run in lockstep on one (X, Y) pair of inputs and class indices:
+    fedanon's one training entry, called once per FedAvg round for its
+    sampled devices and once per MLP fit with one row set.
 
     Model k trains on the rows rows[k] of (x, y) for `epochs` epochs, in
     minibatches of min(batch_size, n_k) rows with the last partial batch
@@ -320,27 +320,6 @@ def _train_lockstep(
             for whole, part in zip(layers + velocity, stack + stack_velocity):
                 whole[models] = part
     return layers
-
-
-def train(
-    spec: ModelSpec,
-    params: ParamVector,
-    data,
-    epochs: int,
-    batch_size: int,
-    config: OptimizerConfig,
-    seed: int,
-) -> ParamVector:
-    """Minibatch momentum SGD with a deterministic per-epoch shuffle: the
-    one-model case of the lockstep kernel.
-
-    `data` is an (X, Y) pair of inputs and class indices. The last partial
-    batch is included. Returns freshly allocated parameters; the inputs
-    are left untouched.
-    """
-    x, y = data
-    layers = _train_lockstep(spec, params, x, y, [np.arange(len(y))], epochs, batch_size, config, [seed])
-    return ParamVector([(name, a[0]) for (name, _), a in zip(spec.layout(), layers)])
 
 
 def predict_proba(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:

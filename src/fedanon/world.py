@@ -206,7 +206,7 @@ def split_prior(
     fraction: float,
     *,
     profile_class: int | None = None,
-    seed: int = 0,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Divide one user's pool rows into the adversary's prior and the
     on-device private set; both keep the order of `rows`.

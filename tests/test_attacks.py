@@ -200,9 +200,10 @@ def test_build_dataset_closed_world_violation():
     assert 3 in set(ds.test_users.tolist())
     violation = r"closed-world violation: test users \[3\] have no training rows"
     with pytest.raises(ValueError, match=violation):
-        evaluate_reid(train_reid(ds, "knn"), ds)
+        evaluate_reid(train_reid(ds, "knn", 0), ds)
     matcher = train_matcher(ds, "siamese", seed=0)
-    ev = evaluate_matching(matcher, ds.rows_by_user("train"), ds.rows_by_user("test"), n_pairs=40)
+    ev = evaluate_matching(matcher, ds.rows_by_user("train"), ds.rows_by_user("test"), n_pairs=40,
+                           seed=0)
     assert 0.0 <= ev.ap <= 1.0
 
 
@@ -245,7 +246,7 @@ def test_keep_selects_each_side_in_order_and_relabels_unseen_users(cluster_ds):
 
 
 def test_chance_reid_uniform(cluster_ds):
-    model = train_reid(cluster_ds, "chance")
+    model = train_reid(cluster_ds, "chance", 0)
     scores = model.predict(cluster_ds.test_x[:3])
     np.testing.assert_array_equal(scores, np.full((3, 4), 0.25))
 
@@ -319,13 +320,13 @@ def test_mlp_fit_trains_through_nn_train(cluster_ds, monkeypatch):
 
 def test_train_reid_rejects_unknown_method(cluster_ds):
     with pytest.raises(ValueError):
-        train_reid(cluster_ds, "oracle")
+        train_reid(cluster_ds, "oracle", 0)
 
 
 def test_train_reid_rejects_userless_class(cluster_ds):
     crippled = dataclasses.replace(cluster_ds, users=(0, 1, 2, 3, 99))
     with pytest.raises(ValueError, match="99"):
-        train_reid(crippled, "knn")
+        train_reid(crippled, "knn", 0)
 
 
 # ------------------------------------------------------------------ matching
@@ -438,7 +439,7 @@ def test_evaluate_matching_scores_pairs_in_blocks():
     rows = {u: rng.normal(u, 0.1, size=(5, 4)) for u in range(4)}
     model = SiameseMatcher(SiameseMatcher.init_params(4, seed=0))
     bound = 5 * 2**20
-    assert traced_peak(evaluate_matching, model, rows, rows, n_pairs=8000) < bound
+    assert traced_peak(evaluate_matching, model, rows, rows, n_pairs=8000, seed=0) < bound
     assert traced_peak(one_batch_matching, model, rows, rows, n_pairs=8000) > 5 * bound
 
 
@@ -449,7 +450,7 @@ def test_evaluate_matching_gathers_the_rows_of_one_block_at_a_time():
     shadow = {u: rng.normal(u, 0.1, size=(10, 160)) for u in range(4)}
     anon = {u: rng.normal(u, 0.1, size=(5, 160)) for u in range(4)}
     model = SiameseMatcher(SiameseMatcher.init_params(160, seed=0))
-    assert traced_peak(evaluate_matching, model, shadow, anon, n_pairs=8000) < 5 * 2**20
+    assert traced_peak(evaluate_matching, model, shadow, anon, n_pairs=8000, seed=0) < 5 * 2**20
 
 
 def test_rmsprop_first_step_value():
@@ -516,14 +517,14 @@ def test_siamese_gradient_matches_finite_differences():
 
 def test_train_matcher_validation(cluster_ds):
     with pytest.raises(ValueError):
-        train_matcher(cluster_ds, "psychic")
+        train_matcher(cluster_ds, "psychic", 0)
     # the product matcher wraps a fit the caller owns, such as a shared reference fit
     with pytest.raises(ValueError, match="MlpProductMatcher"):
-        train_matcher(cluster_ds, "mlp_product")
+        train_matcher(cluster_ds, "mlp_product", 0)
     one_user = cluster_ds.keep([0], [0])
     assert one_user.users == (0,)
     with pytest.raises(ValueError):
-        train_matcher(one_user, "siamese")
+        train_matcher(one_user, "siamese", 0)
 
 
 # ---------------------------------------------------------------- open world
@@ -548,9 +549,9 @@ def test_open_world_split_extremes():
     assert none_seen.seen == ()
     assert len(none_seen.unseen) == 6
     with pytest.raises(ValueError):
-        open_world_split(range(9), 1.5)
+        open_world_split(range(9), 1.5, 0)
     with pytest.raises(ValueError):
-        open_world_split([1, 2], 0.5)
+        open_world_split([1, 2], 0.5, 0)
 
 
 def open_world_dataset(ds, split):
@@ -580,7 +581,7 @@ def test_open_world_training_validation(cluster_ds):
     for holdout in ((), (77,)):
         split = OpenWorldSplit(seen=(0,), unseen=(1,), holdout=holdout)
         with pytest.raises(ValueError, match=r"users \[-1\] have no training rows"):
-            train_reid(open_world_dataset(cluster_ds, split), "mlp")
+            train_reid(open_world_dataset(cluster_ds, split), "mlp", 0)
 
 
 # ---------------------------------------------------------------- data space
@@ -611,7 +612,7 @@ def test_dataspace_dataset_partition_sizes():
     big = dataspace_dataset(bundle, set_size=10_000, seed=0)
     assert int((big.test_users == 0).sum()) == 1
     with pytest.raises(ValueError):
-        dataspace_dataset(bundle, set_size=0)
+        dataspace_dataset(bundle, set_size=0, seed=0)
 
 
 def test_dataspace_one_fit_serves_every_set_size():

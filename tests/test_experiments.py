@@ -280,7 +280,7 @@ def test_all_families_on_one_stages_run_each_stage_the_fewest_times(
         "gen_world": 1,
         "run_federated": federations,
         "build_attack_dataset": datasets,
-        "nn.train": fits,
+        "nn.train": fits + federations * cfg.rounds,  # one call per fit and per round
         "MlpReid.fit": fits,
     }
 

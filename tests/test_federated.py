@@ -18,6 +18,7 @@ from fedanon.federated import (
     build_devices,
     evaluate_task,
     run_federated,
+    sample_devices,
     sampled_users,
     server_round,
 )
@@ -318,6 +319,29 @@ def test_run_federated_shapes_and_determinism():
     again = run_federated(bundle, spec, cfg)
     np.testing.assert_array_equal(flat(run.final_params), flat(again.final_params))
     assert run.utility == again.utility
+
+
+def test_each_round_trains_its_sampled_devices_in_one_nn_train_call(monkeypatch):
+    # nn.train is the one training entry, so whatever wraps it sees the
+    # federation's local training as well as the attack fits
+    bundle = gen_world(small_cfg())
+    spec = ModelSpec(kind="linear", input_dim=12, output_dim=5)
+    cfg = RoundConfig(fraction_c=0.25, batch_size=8, eta=0.5, rounds=4, seed=3)
+    calls, real_train = [], nn.train
+
+    def spy(spec, params, x, y, rows, *args, **kwargs):
+        calls.append([np.array(r) for r in rows])
+        return real_train(spec, params, x, y, rows, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "train", spy)
+    run_federated(bundle, spec, cfg)
+    devices = build_devices(bundle)
+    assert len(calls) == cfg.rounds
+    for t, rows in enumerate(calls, start=1):
+        sampled = sample_devices(len(devices), cfg, t)
+        assert len(rows) == len(sampled)
+        for r, d in zip(rows, sampled):
+            assert np.array_equal(r, devices[d].rows)
 
 
 def test_run_federated_zero_hook_freezes_model():

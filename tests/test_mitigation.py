@@ -149,11 +149,11 @@ def test_kmeans_degenerate_and_invalid():
     perfect = cluster_background(x, m=3, seed=0)
     assert perfect.sse_history[-1] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        cluster_background(x, m=0)
+        cluster_background(x, m=0, seed=0)
     with pytest.raises(ValueError):
-        cluster_background(x, m=4)
+        cluster_background(x, m=4, seed=0)
     with pytest.raises(ValueError):
-        cluster_background(np.zeros((0, 2)), m=1)
+        cluster_background(np.zeros((0, 2)), m=1, seed=0)
 
 
 def test_kmeans_assigns_points_in_blocks():

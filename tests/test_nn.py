@@ -143,8 +143,9 @@ def test_train_loss_decreases_on_separable_data():
     spec = ModelSpec(kind="mlp1", input_dim=2, hidden_dim=6, output_dim=2)
     params = nn.init_params(spec, seed=1)
     before = compute_loss(spec, params, (x, y))
-    trained = nn.train(spec, params, (x, y), epochs=5, batch_size=8,
-                       config=OptimizerConfig(0.1), seed=2)
+    layers = nn.train(spec, params, x, y, [np.arange(80)], epochs=5, batch_size=8,
+                      config=OptimizerConfig(0.1), seeds=[2])
+    trained = ParamVector([(name, a[0]) for (name, _), a in zip(spec.layout(), layers)])
     after = compute_loss(spec, trained, (x, y))
     assert after < before * 0.5
 
@@ -155,12 +156,14 @@ def test_train_is_deterministic():
     y = rng.integers(0, 2, size=30)
     spec = ModelSpec(kind="linear", input_dim=3, output_dim=2)
     params = nn.init_params(spec, seed=4)
-    a = nn.train(spec, params, (x, y), epochs=3, batch_size=7, config=OptimizerConfig(0.05), seed=9)
-    b = nn.train(spec, params, (x, y), epochs=3, batch_size=7, config=OptimizerConfig(0.05), seed=9)
-    assert np.array_equal(flat(a), flat(b))
-    c = nn.train(spec, params, (x, y), epochs=3, batch_size=7, config=OptimizerConfig(0.05),
-                 seed=10)
-    assert not np.array_equal(flat(a), flat(c))
+
+    def train(seed):
+        return nn.train(spec, params, x, y, [np.arange(30)], epochs=3, batch_size=7,
+                        config=OptimizerConfig(0.05), seeds=[seed])
+
+    a, b, c = train(9), train(9), train(10)
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    assert not all(np.array_equal(u, v) for u, v in zip(a, c))
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp1"])
@@ -172,11 +175,12 @@ def test_train_matches_sequential_oracle(kind):
     y = rng.integers(0, 3, size=41)
     params = nn.init_params(spec, seed=3)
     config = OptimizerConfig(0.05, momentum=0.9, lr_decay=1e-2)
-    got = nn.train(spec, params, (x, y), epochs=3, batch_size=8, config=config, seed=4)
+    got = nn.train(spec, params, x, y, [np.arange(41)], epochs=3, batch_size=8, config=config,
+                   seeds=[4])
     want = oracle_train(spec, params, x, y, epochs=3, batch_size=8, config=config, seed=4)
-    assert got.layout() == want.layout()
-    for (_, a), (_, b) in zip(got.layers, want.layers):
-        assert np.array_equal(a, b)
+    assert [a.shape for a in got] == [(1, *shape) for _, shape in want.layout()]
+    for a, (_, b) in zip(got, want.layers):
+        assert np.array_equal(a[0], b)
 
 
 def uneven_models(spec, rng):
@@ -200,8 +204,7 @@ def test_lockstep_momentum_matches_sequential_oracle(kind):
     x, y, rows = uneven_models(spec, rng)
     seeds = [100 + k for k in range(len(rows))]
     config = OptimizerConfig(0.05, momentum=0.9, lr_decay=1e-3)
-    got = nn._train_lockstep(spec, params, x, y, rows, epochs=2, batch_size=4, config=config,
-                             seeds=seeds)
+    got = nn.train(spec, params, x, y, rows, epochs=2, batch_size=4, config=config, seeds=seeds)
     # one stack per layer, model k's parameters at index k
     assert [a.shape for a in got] == [(len(rows), *shape) for _, shape in spec.layout()]
     for k, (r, seed) in enumerate(zip(rows, seeds)):
@@ -228,8 +231,8 @@ def test_consecutive_models_update_in_place_to_the_bits_of_a_gathered_stack(kind
     config = OptimizerConfig(0.05, momentum=0.9, lr_decay=1e-3)
 
     def train():
-        return nn._train_lockstep(spec, params, x, y, rows, epochs=2, batch_size=4,
-                                  config=config, seeds=seeds)
+        return nn.train(spec, params, x, y, rows, epochs=2, batch_size=4, config=config,
+                        seeds=seeds)
 
     in_place = train()
     plan_of = nn._plan
@@ -247,8 +250,8 @@ def test_lockstep_leaves_inputs_untouched():
     x, y, rows = uneven_models(spec, rng)
     params_before = from_flat(params, flat(params))
     before = [a.copy() for a in (x, y, *rows)]
-    got = nn._train_lockstep(spec, params, x, y, rows, epochs=2, batch_size=4,
-                             config=OptimizerConfig(0.05, momentum=0.9), seeds=range(len(rows)))
+    got = nn.train(spec, params, x, y, rows, epochs=2, batch_size=4,
+                   config=OptimizerConfig(0.05, momentum=0.9), seeds=range(len(rows)))
     for (_, a), (_, b) in zip(params.layers, params_before.layers):
         assert np.array_equal(a, b)
     for a, b in zip((x, y, *rows), before):
@@ -264,8 +267,8 @@ def test_lockstep_rejects_seed_count_mismatch_and_bad_row_sets():
     x, y = np.ones((3, 2)), np.array([0, 1, 1])
 
     def train(rows, seeds):
-        nn._train_lockstep(spec, params, x, y, rows, epochs=1, batch_size=2,
-                           config=OptimizerConfig(0.1), seeds=seeds)
+        nn.train(spec, params, x, y, rows, epochs=1, batch_size=2, config=OptimizerConfig(0.1),
+                 seeds=seeds)
 
     with pytest.raises(ValueError, match="1 seeds for 2 row sets"):
         train([[0, 1], [2]], [0])
@@ -274,6 +277,17 @@ def test_lockstep_rejects_seed_count_mismatch_and_bad_row_sets():
     for bad in ([], [0, 3], [-1, 0]):
         with pytest.raises(ValueError, match=r"row ids in \[0, 3\)"):
             train([[0, 1], bad], [0, 1])
+
+
+@pytest.mark.parametrize("labels", [[0.0, 1.0, 1.0], [0.0, 0.5, 1.0]])
+def test_train_rejects_labels_that_are_not_an_integer_array(labels):
+    # both callers pass int64 class indices; a float array is refused even
+    # when every value is whole
+    spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
+    params = nn.init_params(spec, seed=1)
+    with pytest.raises(ValueError, match="targets must be integer class indices"):
+        nn.train(spec, params, np.ones((3, 2)), np.array(labels), [np.arange(3)], epochs=1,
+                 batch_size=2, config=OptimizerConfig(0.1), seeds=[0])
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp1"])
@@ -293,11 +307,10 @@ def test_train_zero_epochs_returns_fresh_arrays():
     spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
     params = nn.init_params(spec, seed=1)
     x, y = np.ones((3, 2)), np.array([0, 1, 1])
-    out = nn.train(spec, params, (x, y), epochs=0, batch_size=2, config=OptimizerConfig(0.1),
-                   seed=0)
-    assert out is not params
-    for (_, a), (_, b) in zip(out.layers, params.layers):
-        assert np.array_equal(a, b)
+    out = nn.train(spec, params, x, y, [np.arange(3)], epochs=0, batch_size=2,
+                   config=OptimizerConfig(0.1), seeds=[0])
+    for a, (_, b) in zip(out, params.layers):
+        assert np.array_equal(a[0], b)
         assert not np.shares_memory(a, b)
 
 

@@ -1,9 +1,14 @@
 """Keyed RNG derivation: identical key paths must reproduce draws exactly,
 distinct paths must diverge, and key order matters."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import fedanon
 from fedanon.seeding import rng_from, seed_from
 
 
@@ -41,3 +46,34 @@ def test_string_and_int_keys_are_distinct_namespaces():
 def test_rejects_other_key_types():
     with pytest.raises(TypeError):
         seed_from(3.5)
+
+
+def defined_functions(module):
+    """The functions written in `module`'s source: its own functions and
+    the methods of its own classes, not generated ones such as a
+    dataclass's __init__."""
+    found = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = vars(obj).values() if inspect.isclass(obj) else [obj]
+        for fn in members:
+            fn = getattr(fn, "__func__", fn)  # staticmethod, classmethod
+            if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                found.append(fn)
+    return found
+
+
+def test_no_fedanon_function_defaults_its_seed():
+    # a forgotten seed would silently draw from stream 0, the stream another
+    # draw may already use
+    defaulted = []
+    for info in pkgutil.iter_modules(fedanon.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"fedanon.{info.name}")
+        for fn in defined_functions(module):
+            seed = inspect.signature(fn).parameters.get("seed")
+            if seed is not None and seed.default is not inspect.Parameter.empty:
+                defaulted.append(f"{module.__name__}.{fn.__qualname__}")
+    assert defaulted == []

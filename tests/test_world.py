@@ -212,15 +212,15 @@ def test_split_prior_rejects_bad_inputs():
     b = gen_world(small_cfg())
     pool = b.user_examples[0]
     with pytest.raises(ValueError):
-        split_prior(b, pool, "nope", 0.3)
+        split_prior(b, pool, "nope", 0.3, seed=0)
     with pytest.raises(ValueError):
-        split_prior(b, pool, "random", 0.0)
+        split_prior(b, pool, "random", 0.0, seed=0)
     with pytest.raises(ValueError):
-        split_prior(b, pool, "random", 1.0)
+        split_prior(b, pool, "random", 1.0, seed=0)
     with pytest.raises(ValueError):
-        split_prior(b, pool[:1], "random", 0.5)
+        split_prior(b, pool[:1], "random", 0.5, seed=0)
     with pytest.raises(ValueError):
-        split_prior(b, pool, "profile", 0.3)
+        split_prior(b, pool, "profile", 0.3, seed=0)
 
 
 @pytest.mark.parametrize("seed", range(8))
