@@ -5,12 +5,12 @@ __version__ = "0.1.0"
 
 from .attacks import ReprConfig
 from .config import ConfigError, ExperimentConfig, build_config
-from .deltastore import DeltaLog, DeltaManifest, DeltaRecord, read_records, write_records
+from .deltastore import DeltaLog, DeltaManifest, DeltaRecord, ParamVector, read_records, write_records
 from .experiments import EXPERIMENT_FAMILIES
 from .federated import DeviceState, RoundConfig, run_federated
 from .metrics import ScoredPredictions, average_precision, increase_over_chance, mean_ap
 from .mitigation import MitigationConfig, TradeoffPoint, tradeoff_curve
-from .nn import ModelSpec, OptimizerConfig, ParamVector
+from .nn import ModelSpec, OptimizerConfig
 from .world import DatasetBundle, UserProfile, WorldConfig, gen_world
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "DeltaLog",
     "DeltaManifest",
     "DeltaRecord",
+    "ParamVector",
     "ReprConfig",
     "read_records",
     "write_records",
@@ -36,7 +37,6 @@ __all__ = [
     "tradeoff_curve",
     "ModelSpec",
     "OptimizerConfig",
-    "ParamVector",
     "DatasetBundle",
     "UserProfile",
     "WorldConfig",

@@ -30,7 +30,7 @@ from .metrics import (
     mean_ap,
     topk_accuracy,
 )
-from .nn import ModelSpec, ParamVector
+from .nn import ModelSpec, Params
 from .seeding import rng_from, seed_from
 from .world import DatasetBundle
 
@@ -256,7 +256,7 @@ class MlpReid:
     """Single-hidden-layer (128 unit) softmax classifier over delta vectors,
     trained with momentum SGD."""
 
-    def __init__(self, spec: ModelSpec, params: ParamVector, classes: Sequence[int]):
+    def __init__(self, spec: ModelSpec, params: Params, classes: Sequence[int]):
         self.spec = spec
         self.params = params
         self.classes = tuple(classes)
@@ -280,7 +280,7 @@ class MlpReid:
             config=nn.OptimizerConfig(MLP_LR, momentum=MLP_MOMENTUM, lr_decay=MLP_LR_DECAY),
             seeds=[seed_from(seed, "mlp-train")],
         )
-        params = ParamVector([(name, a[0]) for (name, _), a in zip(spec.layout(), layers)])
+        params = {name: a[0] for (name, _), a in zip(spec.layout(), layers)}
         return MlpReid(spec, params, classes)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -390,56 +390,40 @@ class MlpProductMatcher:
         return (pa * pb).max(axis=1)
 
 
-def rmsprop_step(
-    params: ParamVector, grad: ParamVector, mean_square: dict[str, np.ndarray] | None
-) -> tuple[ParamVector, dict[str, np.ndarray]]:
-    """One RMSProp update at the siamese learning rate: each layer's running
-    mean square s of its gradient g becomes rho*s + (1-rho)*g^2, and the
-    layer moves by -lr*g/(sqrt(s)+eps). Returns fresh params and mean
-    squares (None starts them at zero); the inputs are left untouched."""
-    if mean_square is None:
-        mean_square = {name: np.zeros_like(w) for name, w in params.layers}
-    layers, new_square = [], {}
-    for (name, w), (_, g) in zip(params.layers, grad.layers):
-        s = SIAMESE_RMS_DECAY * mean_square[name] + (1.0 - SIAMESE_RMS_DECAY) * g**2
-        new_square[name] = s
-        layers.append((name, w - SIAMESE_LR * g / (np.sqrt(s) + SIAMESE_RMS_EPSILON)))
-    return ParamVector(layers), new_square
-
-
 class SiameseMatcher:
     """Shared dense encoder (128 units, ReLU) per branch, elementwise
     absolute difference, then a single sigmoid output; trained with BCE and
     RMSProp on balanced pairs that are resampled every epoch."""
 
-    def __init__(self, params: ParamVector):
+    def __init__(self, params: Params):
         self.params = params
 
     @staticmethod
-    def init_params(input_dim: int, seed: int) -> ParamVector:
+    def init_params(input_dim: int, seed: int) -> Params:
+        """The encoder (enc_W, enc_b) and head (out_w, out_b), in that order."""
         rng = rng_from(seed, "siamese-init")
-        return ParamVector(
-            [
-                ("enc_W", nn.glorot_uniform(rng, (SIAMESE_EMBED, input_dim))),
-                ("enc_b", np.zeros(SIAMESE_EMBED)),
-                ("out_w", nn.glorot_uniform(rng, (1, SIAMESE_EMBED))),
-                ("out_b", np.zeros(1)),
-            ]
-        )
+        return {
+            "enc_W": nn.glorot_uniform(rng, (SIAMESE_EMBED, input_dim)),
+            "enc_b": np.zeros(SIAMESE_EMBED),
+            "out_w": nn.glorot_uniform(rng, (1, SIAMESE_EMBED)),
+            "out_b": np.zeros(1),
+        }
 
     @staticmethod
-    def forward(params: ParamVector, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ea = np.maximum(a @ params.get("enc_W").T + params.get("enc_b"), 0.0)
-        eb = np.maximum(b @ params.get("enc_W").T + params.get("enc_b"), 0.0)
-        z = np.abs(ea - eb) @ params.get("out_w").T + params.get("out_b")
+    def forward(params: Params, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ea = np.maximum(a @ params["enc_W"].T + params["enc_b"], 0.0)
+        eb = np.maximum(b @ params["enc_W"].T + params["enc_b"], 0.0)
+        z = np.abs(ea - eb) @ params["out_w"].T + params["out_b"]
         return nn.sigmoid(z[:, 0])
 
     @staticmethod
     def loss_and_grad(
-        params: ParamVector, a: np.ndarray, b: np.ndarray, y: np.ndarray
-    ) -> tuple[float, ParamVector]:
-        w1, b1 = params.get("enc_W"), params.get("enc_b")
-        w2, b2 = params.get("out_w"), params.get("out_b")
+        params: Params, a: np.ndarray, b: np.ndarray, y: np.ndarray
+    ) -> tuple[float, list[np.ndarray]]:
+        """The mean BCE of the pairs (a, b) with labels y, and its gradient:
+        one fresh array per layer, in `init_params` order."""
+        w1, b1 = params["enc_W"], params["enc_b"]
+        w2, b2 = params["out_w"], params["out_b"]
         n = a.shape[0]
         z1a = a @ w1.T + b1
         z1b = b @ w1.T + b1
@@ -460,14 +444,17 @@ class SiameseMatcher:
         dz1b = -dea * (z1b > 0.0)
         g_w1 = dz1a.T @ a + dz1b.T @ b
         g_b1 = dz1a.sum(axis=0) + dz1b.sum(axis=0)
-        grad = ParamVector([("enc_W", g_w1), ("enc_b", g_b1), ("out_w", g_w2), ("out_b", g_b2)])
-        return loss, grad
+        return loss, [g_w1, g_b1, g_w2, g_b2]
 
     @staticmethod
     def fit(rows_by_user: dict[int, np.ndarray], seed: int) -> "SiameseMatcher":
+        """RMSProp at the siamese learning rate, in place: at each step every
+        layer's running mean square s of its gradient g becomes
+        rho*s + (1-rho)*g^2, from zero, and the layer moves by
+        -lr*g/(sqrt(s)+eps)."""
         x, _ = pair_rows(rows_by_user, rows_by_user)
         params = SiameseMatcher.init_params(x.shape[1], seed)
-        mean_square = None
+        mean_square = [np.zeros_like(w) for w in params.values()]
         for epoch in range(SIAMESE_EPOCHS):
             rng = rng_from(seed, "siamese-pairs", epoch)
             ia, ib, y = sample_balanced_pairs(
@@ -477,7 +464,10 @@ class SiameseMatcher:
             for start in range(0, a.shape[0], SIAMESE_BATCH):
                 sl = slice(start, start + SIAMESE_BATCH)
                 _, grad = SiameseMatcher.loss_and_grad(params, a[sl], b[sl], y[sl])
-                params, mean_square = rmsprop_step(params, grad, mean_square)
+                for w, s, g in zip(params.values(), mean_square, grad):
+                    s *= SIAMESE_RMS_DECAY
+                    s += (1.0 - SIAMESE_RMS_DECAY) * g**2
+                    w -= SIAMESE_LR * g / (np.sqrt(s) + SIAMESE_RMS_EPSILON)
         return SiameseMatcher(params)
 
     def predict_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

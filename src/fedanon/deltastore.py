@@ -22,7 +22,6 @@ from typing import Iterator
 import numpy as np
 
 from .atomic import replace_files
-from .nn import ParamVector
 
 MAGIC = b"DLOG0001"
 FORMAT_NAME = "delta-log"
@@ -52,6 +51,15 @@ class ShapeMismatchError(DeltaStoreError):
 
 class TruncatedPayloadError(DeltaStoreError):
     """deltas.bin is shorter than the record index requires."""
+
+
+@dataclass
+class ParamVector:
+    """One logged delta's (name, array) layers in layout order: the form a
+    `DeltaRecord` carries. A model's parameters are a plain dict instead
+    (`nn.Params`)."""
+
+    layers: list[tuple[str, np.ndarray]]
 
 
 @dataclass
@@ -105,11 +113,6 @@ class DeltaLog:
     def layer(self, name: str) -> np.ndarray:
         """The (R, size) view of layer `name`, each row flattened row-major."""
         return self.deltas[:, self.columns()[name]]
-
-    def params(self, row: np.ndarray) -> ParamVector:
-        """The flat delta `row` as layers in `layout` order, views into it."""
-        return ParamVector([(name, row[cols].reshape(shape))
-                            for (name, shape), cols in zip(self.layout, self.columns().values())])
 
     def __iter__(self) -> Iterator[DeltaRecord]:
         stacks = [(name, self.layer(name).reshape(len(self), *shape)) for name, shape in self.layout]

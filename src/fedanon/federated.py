@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .deltastore import ROLE_ANONYMOUS, ROLE_SHADOW, ROLES, DeltaLog
-from .nn import ModelSpec, ParamVector
+from .nn import ModelSpec, Params
 from .seeding import rng_from, seed_from
 from .world import DatasetBundle
 
@@ -73,7 +73,7 @@ class DeviceState:
 
 @dataclass
 class FederatedRun:
-    final_params: ParamVector
+    final_params: Params
     records: DeltaLog
     utility: list[float]  # per-round held-out task score
 
@@ -88,17 +88,19 @@ def build_devices(bundle: DatasetBundle) -> list[DeviceState]:
             for i, (role, u) in enumerate(owners)]
 
 
-def aggregate(global_params: ParamVector, records: DeltaLog) -> ParamVector:
+def aggregate(global_params: Params, records: DeltaLog) -> Params:
     """Apply the data-weighted average of the log's deltas to the global
-    model. Weights n_k / sum(n_k) are normalized over the log's rows, and
-    the weighted rows are summed into one buffer in log order."""
+    model, a fresh array per layer. Weights n_k / sum(n_k) are normalized
+    over the log's rows, and the weighted rows are summed into one buffer
+    in log order."""
     if not len(records):
         raise ValueError("cannot aggregate zero records")
     weights = records.n_k / float(records.n_k.sum())
     update = records.deltas[0] * weights[0]
     for row, weight in zip(records.deltas[1:], weights[1:]):
         update += row * weight
-    return global_params + records.params(update)
+    return {name: global_params[name] + update[cols].reshape(global_params[name].shape)
+            for name, cols in records.columns().items()}
 
 
 def sample_devices(n_devices: int, cfg: RoundConfig, round_t: int) -> np.ndarray:
@@ -124,7 +126,7 @@ def sampled_users(users: int, cfg: RoundConfig) -> dict[str, list[set[int]]]:
 
 def server_round(
     spec: ModelSpec,
-    global_params: ParamVector,
+    global_params: Params,
     x: np.ndarray,
     y: np.ndarray,
     devices: list[DeviceState],
@@ -132,7 +134,7 @@ def server_round(
     round_t: int,
     delta_hook: Optional[DeltaHook] = None,
     out: Optional[DeltaLog] = None,
-) -> tuple[ParamVector, DeltaLog]:
+) -> tuple[Params, DeltaLog]:
     """Sample max(1, round(C*K)) devices without replacement, train them all
     from the global model in one lockstep local SGD run, apply the delta
     hook in ascending device id order, and aggregate.
@@ -158,7 +160,7 @@ def server_round(
     log.role[:] = [d.role for d in sampled]
     log.n_k[:] = [d.n_k for d in sampled]
     for (name, cols), stack in zip(log.columns().items(), stacks):
-        np.subtract(stack.reshape(len(sampled), -1), global_params.get(name).reshape(-1),
+        np.subtract(stack.reshape(len(sampled), -1), global_params[name].reshape(-1),
                     out=log.deltas[:, cols])
     if delta_hook is not None:
         for device, row in zip(sampled, log.deltas):
@@ -166,7 +168,7 @@ def server_round(
     return aggregate(global_params, log), log
 
 
-def evaluate_task(spec: ModelSpec, params: ParamVector, x: np.ndarray, y: np.ndarray) -> float:
+def evaluate_task(spec: ModelSpec, params: Params, x: np.ndarray, y: np.ndarray) -> float:
     """Held-out task score: top-1 accuracy."""
     scores = nn.predict_proba(spec, params, x)
     return float((scores.argmax(axis=1) == np.asarray(y)).mean())
@@ -179,7 +181,9 @@ def run_federated(
     delta_hook: Optional[DeltaHook] = None,
 ) -> FederatedRun:
     """Full run: T rounds over the bundle's device population, evaluating on
-    the global test split each round and logging every delta."""
+    the global test split each round and logging every delta. A round
+    whose global model holds a non-finite value raises ValueError naming
+    its first such layer."""
     devices = build_devices(bundle)
     params = nn.init_params(spec, seed_from(cfg.seed, "init"))
     test_x, test_y = bundle.x[bundle.test], bundle.y[bundle.test]
@@ -191,6 +195,8 @@ def run_federated(
         params, _ = server_round(
             spec, params, bundle.x, bundle.y, devices, cfg, round_t, delta_hook, block
         )
-        params.validate_finite()
+        for name, a in params.items():
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite values in layer {name!r}")
         utility.append(evaluate_task(spec, params, test_x, test_y))
     return FederatedRun(final_params=params, records=log, utility=utility)

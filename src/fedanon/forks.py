@@ -39,10 +39,17 @@ class Forks:
         self.running: deque[tuple[int, int, str]] = deque()
 
     def _fork(self, fn: Callable[..., Any], call: Callable[[], Any]) -> tuple[int, int, str]:
-        """Run `call()` in a new child; `fn` is the function it calls."""
+        """Run `call()` in a new child; `fn` is the function it calls. If
+        the fork fails, both ends of the pipe are closed before the error
+        is raised."""
         pin()
         read, write = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
         if pid == 0:
             status = 1
             try:

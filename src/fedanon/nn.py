@@ -9,7 +9,7 @@ central finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -18,6 +18,10 @@ from .seeding import rng_from
 
 # probability clamp applied before any log() of a predicted probability
 PROB_EPS = 1e-7
+
+# one model's parameters: each layer of its spec's `layout()` by name, in
+# layout order
+Params = dict[str, np.ndarray]
 
 KINDS = ("linear", "mlp1")
 
@@ -47,50 +51,13 @@ class ModelSpec:
         return "W" if self.kind == "linear" else "W2"
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Ordered (name, shape) pairs defining the parameter vector."""
+        """Ordered (name, shape) pairs defining the model's layers."""
         if self.kind == "linear":
             return [("W", (self.output_dim, self.input_dim)), ("b", (self.output_dim,))]
         return [
             ("W1", (self.hidden_dim, self.input_dim)), ("b1", (self.hidden_dim,)),
             ("W2", (self.output_dim, self.hidden_dim)), ("b2", (self.output_dim,)),
         ]
-
-
-@dataclass
-class ParamVector:
-    """Ordered, named collection of dense float64 arrays.
-
-    Two vectors are combinable only when their layouts (names and shapes,
-    in order) match exactly.
-    """
-
-    layers: list[tuple[str, np.ndarray]]
-    _by_name: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.layers]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate layer names in ParamVector")
-        self._by_name = {n: a for n, a in self.layers}
-
-    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(n, tuple(a.shape)) for n, a in self.layers]
-
-    def get(self, name: str) -> np.ndarray:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no layer named {name!r}; have {list(self._by_name)}") from None
-
-    def __add__(self, other: "ParamVector") -> "ParamVector":
-        if self.layout() != other.layout():
-            raise ValueError(f"incompatible parameter layouts: {self.layout()} vs {other.layout()}")
-        return ParamVector([(n, a + b) for (n, a), (_, b) in zip(self.layers, other.layers)])
-
-    def validate_finite(self) -> None:
-        for n, a in self.layers:
-            if not np.isfinite(a).all():
-                raise ValueError(f"non-finite values in layer {n!r}")
 
 
 @dataclass(frozen=True)
@@ -114,22 +81,20 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return rng.uniform(-a, a, size=shape)
 
 
-def init_params(spec: ModelSpec, seed: int) -> ParamVector:
+def init_params(spec: ModelSpec, seed: int) -> Params:
     """Deterministic init: Glorot-uniform weights, zero biases."""
     rng = rng_from(seed)
-    return ParamVector([
-        (name, glorot_uniform(rng, shape) if name.startswith("W") else np.zeros(shape))
-        for name, shape in spec.layout()
-    ])
+    return {name: glorot_uniform(rng, shape) if name.startswith("W") else np.zeros(shape)
+            for name, shape in spec.layout()}
 
 
-def forward_batch(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
+def forward_batch(spec: ModelSpec, params: Params, x: np.ndarray) -> np.ndarray:
     """Logits for a batch of inputs, shape (n, output_dim): the training
     kernel's forward pass on a stack of one model."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"expected inputs of shape (n, {spec.input_dim}), got {x.shape}")
-    layers = [params.get(name)[None] for name, _ in spec.layout()]
+    layers = [params[name][None] for name, _ in spec.layout()]
     return _stack_forward(spec, layers, x[None])[1][0]
 
 
@@ -270,7 +235,7 @@ def _plan(
 
 def train(
     spec: ModelSpec,
-    params: ParamVector,
+    params: Params,
     x: np.ndarray,
     y: np.ndarray,
     rows: Sequence[np.ndarray],
@@ -306,7 +271,7 @@ def train(
         raise ValueError(f"every row set must be a non-empty list of row ids in [0, {y.size})")
     plan = _plan(rows, epochs, batch_size, seeds, y, spec.output_dim)
 
-    layers = [np.repeat(params.get(name)[None], len(rows), axis=0) for name, _ in spec.layout()]
+    layers = [np.repeat(params[name][None], len(rows), axis=0) for name, _ in spec.layout()]
     velocity = [np.zeros_like(a) for a in layers]
     for t, models, idx, hit in plan:
         # views of a range of models, updated in place, or a stack gathered
@@ -322,6 +287,6 @@ def train(
     return layers
 
 
-def predict_proba(spec: ModelSpec, params: ParamVector, x: np.ndarray) -> np.ndarray:
+def predict_proba(spec: ModelSpec, params: Params, x: np.ndarray) -> np.ndarray:
     """Softmax class probabilities for a batch, one row per input."""
     return softmax(forward_batch(spec, params, x))

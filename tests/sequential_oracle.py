@@ -11,8 +11,7 @@ finite-difference checks use live here too: only tests call them."""
 import numpy as np
 
 from fedanon import nn
-from fedanon.deltastore import DeltaLog, DeltaRecord
-from fedanon.nn import ParamVector
+from fedanon.deltastore import DeltaLog, DeltaRecord, ParamVector
 from fedanon.seeding import rng_from, seed_from
 
 
@@ -30,20 +29,25 @@ def backward(spec, params, batch):
     x, y = nn._coerce_batch(spec, batch)
     names = [name for name, _ in spec.layout()]
     hit = np.arange(y.size) * spec.output_dim + y
-    grads = nn._stack_grads(spec, [params.get(n)[None] for n in names], x[None], hit[None])
-    return ParamVector([(n, g[0]) for n, g in zip(names, grads)])
+    grads = nn._stack_grads(spec, [params[n][None] for n in names], x[None], hit[None])
+    return {n: g[0] for n, g in zip(names, grads)}
 
 
 def flat(params):
-    """Concatenation of all layers of a ParamVector in order (row-major per
-    layer)."""
-    return np.concatenate([a.ravel() for _, a in params.layers])
+    """Concatenation of all layers of a parameter dict in order (row-major
+    per layer)."""
+    return np.concatenate([a.ravel() for a in params.values()])
+
+
+def delta_of(record):
+    """The layers of a DeltaRecord's delta as a parameter dict."""
+    return dict(record.delta.layers)
 
 
 def gradient_step(params, grad, eta):
     """`params` minus `eta` times `grad`, layer by layer."""
-    assert params.layout() == grad.layout()
-    return ParamVector([(n, a - eta * g) for (n, a), (_, g) in zip(params.layers, grad.layers)])
+    assert list(params) == list(grad)
+    return {n: a - eta * grad[n] for n, a in params.items()}
 
 
 def log_of(records, rounds=None):
@@ -52,43 +56,43 @@ def log_of(records, rounds=None):
     fields = ("round_t", "device_id", "user_id", "role", "n_k")
     columns = [np.asarray([getattr(r, f) for r in records]) for f in fields]
     rounds = int(columns[0].max()) if rounds is None else rounds
-    return DeltaLog(*columns, records[0].delta.layout(), rounds,
-                    np.stack([flat(r.delta) for r in records]))
+    layout = [(n, a.shape) for n, a in records[0].delta.layers]
+    return DeltaLog(*columns, layout, rounds, np.stack([flat(delta_of(r)) for r in records]))
 
 
 def from_flat(like, vec):
-    """The vector `vec` cut into the layout of the ParamVector `like`."""
+    """The vector `vec` cut into the layout of the parameter dict `like`."""
     vec = np.asarray(vec, dtype=np.float64)
-    sizes = [a.size for _, a in like.layers]
+    sizes = [a.size for a in like.values()]
     if vec.size != sum(sizes):
-        raise ValueError(f"flat vector of size {vec.size} does not match layout {like.layout()}")
-    out, pos = [], 0
-    for (name, a), size in zip(like.layers, sizes):
-        out.append((name, vec[pos : pos + size].reshape(a.shape).copy()))
+        raise ValueError(f"flat vector of size {vec.size} does not match sizes {sizes}")
+    out, pos = {}, 0
+    for (name, a), size in zip(like.items(), sizes):
+        out[name] = vec[pos : pos + size].reshape(a.shape).copy()
         pos += size
-    return ParamVector(out)
+    return out
 
 
 def optimizer_step(state, params, grad, config, iteration):
     """One momentum SGD update of a lone model; returns fresh params and
     velocities (None starts them at zero), leaving the inputs untouched."""
-    assert params.layout() == grad.layout()
-    new_layers, new_state = [], {}
-    for (name, w), (_, g) in zip(params.layers, grad.layers):
+    assert list(params) == list(grad)
+    new_params, new_state = {}, {}
+    for name, w in params.items():
         v = np.zeros_like(w) if state is None else state[name].copy()
-        nn._sgd_velocity(config, v, g.copy(), iteration)
+        nn._sgd_velocity(config, v, grad[name].copy(), iteration)
         new_state[name] = v
-        new_layers.append((name, w + v))
-    return ParamVector(new_layers), new_state
+        new_params[name] = w + v
+    return new_params, new_state
 
 
 def oracle_forward(spec, params, x):
     """The hidden activations (x itself for linear) and the logits of a
     lone model, through plain 2-D products."""
     if spec.kind == "linear":
-        return x, x @ params.get("W").T + params.get("b")
-    a1 = np.maximum(x @ params.get("W1").T + params.get("b1"), 0.0)
-    return a1, a1 @ params.get("W2").T + params.get("b2")
+        return x, x @ params["W"].T + params["b"]
+    a1 = np.maximum(x @ params["W1"].T + params["b1"], 0.0)
+    return a1, a1 @ params["W2"].T + params["b2"]
 
 
 def oracle_backward(spec, params, x, y):
@@ -98,10 +102,9 @@ def oracle_backward(spec, params, x, y):
     dz[np.arange(x.shape[0]), y] -= 1.0
     dz /= x.shape[0]
     if spec.kind == "linear":
-        return ParamVector([("W", dz.T @ x), ("b", dz.sum(axis=0))])
-    dz1 = (dz @ params.get("W2")) * (a > 0.0)
-    return ParamVector([("W1", dz1.T @ x), ("b1", dz1.sum(axis=0)),
-                        ("W2", dz.T @ a), ("b2", dz.sum(axis=0))])
+        return {"W": dz.T @ x, "b": dz.sum(axis=0)}
+    dz1 = (dz @ params["W2"]) * (a > 0.0)
+    return {"W1": dz1.T @ x, "b1": dz1.sum(axis=0), "W2": dz.T @ a, "b2": dz.sum(axis=0)}
 
 
 def oracle_train(spec, params, x, y, epochs, batch_size, config, seed):
@@ -128,12 +131,13 @@ def oracle_aggregate(global_params, records):
         raise ValueError("cannot aggregate zero records")
     total = float(sum(r.n_k for r in records))
     first = records[0]
-    update = ParamVector([(n, a * (first.n_k / total)) for n, a in first.delta.layers])
+    update = {n: a * (first.n_k / total) for n, a in delta_of(first).items()}
     for r in records[1:]:
-        assert update.layout() == r.delta.layout()
-        for (_, u), (_, d) in zip(update.layers, r.delta.layers):
-            u += d * (r.n_k / total)
-    return global_params + update
+        delta = delta_of(r)
+        assert list(update) == list(delta)
+        for n, u in update.items():
+            u += delta[n] * (r.n_k / total)
+    return {n: a + update[n] for n, a in global_params.items()}
 
 
 def oracle_server_round(spec, global_params, x, y, devices, cfg, round_t, delta_hook=None):
@@ -158,7 +162,6 @@ def oracle_server_round(spec, global_params, x, y, devices, cfg, round_t, delta_
         delta = from_flat(local, flat(local) - flat(global_params))
         if delta_hook is not None:
             delta = from_flat(delta, delta_hook(round_t, device, flat(delta)))
-        records.append(
-            DeltaRecord(round_t, device.device_id, device.user_id, device.role, delta, device.n_k)
-        )
+        records.append(DeltaRecord(round_t, device.device_id, device.user_id, device.role,
+                                   ParamVector(list(delta.items())), device.n_k))
     return oracle_aggregate(global_params, records), records

@@ -29,20 +29,18 @@ from fedanon.attacks import (
     evaluate_reid,
     open_world_split,
     pair_rows,
-    rmsprop_step,
     sample_balanced_pairs,
     train_matcher,
     train_reid,
     user_bias_profiles,
 )
-from fedanon import nn
-from fedanon.deltastore import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord
-from fedanon.nn import ParamVector
+from fedanon import attacks, nn
+from fedanon.deltastore import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord, ParamVector
 from fedanon.seeding import rng_from
 from fedanon.world import gen_world
 
 from broadcast_oracle import one_batch_matching, traced_peak
-from sequential_oracle import flat, from_flat, log_of
+from sequential_oracle import delta_of, flat, from_flat, log_of
 from test_world import small_cfg
 
 LAYER_SHAPE = (2, 4)  # flattens to 8-dim attack vectors
@@ -453,12 +451,43 @@ def test_evaluate_matching_gathers_the_rows_of_one_block_at_a_time():
     assert traced_peak(evaluate_matching, model, shadow, anon, n_pairs=8000, seed=0) < 5 * 2**20
 
 
-def test_rmsprop_first_step_value():
-    # s = 0.1*g^2 = 0.1; step = lr*g/(sqrt(0.1)+1e-7) ~= 0.0031623
-    params = ParamVector([("w", np.array([0.0]))])
-    grad = ParamVector([("w", np.array([1.0]))])
-    p, _ = rmsprop_step(params, grad, None)
-    assert flat(p)[0] == pytest.approx(-0.0031623, abs=1e-6)
+def test_rmsprop_first_step_value(monkeypatch):
+    # one epoch of one batch of unit gradients: s = 0.1*g^2 = 0.1, and every
+    # weight moves by -lr*g/(sqrt(0.1)+1e-7) ~= -0.0031623
+    monkeypatch.setattr(attacks, "SIAMESE_EPOCHS", 1)
+    monkeypatch.setattr(attacks, "SIAMESE_PAIRS_PER_EPOCH", attacks.SIAMESE_BATCH)
+    monkeypatch.setattr(SiameseMatcher, "loss_and_grad", staticmethod(
+        lambda params, a, b, y: (0.0, [np.ones_like(w) for w in params.values()])))
+    rows = {u: np.full((2, 3), float(u)) for u in range(2)}
+    init = SiameseMatcher.init_params(3, seed=0)
+    fitted = SiameseMatcher.fit(rows, seed=0).params
+    assert list(fitted) == list(init)
+    for name, w in fitted.items():
+        np.testing.assert_allclose(w - init[name], -0.0031623, atol=1e-6)
+
+
+def test_siamese_fit_gives_the_bits_of_out_of_place_rmsprop(monkeypatch):
+    # the fit updates its layers and mean squares in place; each step must
+    # equal the rule written out with fresh arrays
+    monkeypatch.setattr(attacks, "SIAMESE_EPOCHS", 3)
+    rng = np.random.default_rng(4)
+    rows = {u: rng.normal(u, 0.5, size=(4, 6)) for u in range(3)}
+    got = SiameseMatcher.fit(rows, seed=2).params
+    x, _ = pair_rows(rows, rows)
+    params = SiameseMatcher.init_params(6, seed=2)
+    square = {name: np.zeros_like(w) for name, w in params.items()}
+    rho, lr, eps = attacks.SIAMESE_RMS_DECAY, attacks.SIAMESE_LR, attacks.SIAMESE_RMS_EPSILON
+    for epoch in range(3):
+        ia, ib, y = sample_balanced_pairs(rows, rows, attacks.SIAMESE_PAIRS_PER_EPOCH,
+                                          rng_from(2, "siamese-pairs", epoch))
+        for start in range(0, len(y), attacks.SIAMESE_BATCH):
+            sl = slice(start, start + attacks.SIAMESE_BATCH)
+            _, grad = SiameseMatcher.loss_and_grad(params, x[ia][sl], x[ib][sl], y[sl])
+            for name, g in zip(list(params), grad):
+                square[name] = rho * square[name] + (1.0 - rho) * g**2
+                params[name] = params[name] - lr * g / (np.sqrt(square[name]) + eps)
+    for name, w in params.items():
+        assert np.array_equal(got[name], w)
 
 
 def test_siamese_is_symmetric_and_constant_on_self():
@@ -471,7 +500,7 @@ def test_siamese_is_symmetric_and_constant_on_self():
     )
     # distance 0 collapses the head to sigmoid(out_b), whatever the input
     self_scores = model.predict_pairs(a, a)
-    expect = 1.0 / (1.0 + np.exp(-float(params.get("out_b")[0])))
+    expect = 1.0 / (1.0 + np.exp(-float(params["out_b"][0])))
     np.testing.assert_allclose(self_scores, expect, atol=1e-12)
 
 
@@ -512,7 +541,7 @@ def test_siamese_gradient_matches_finite_differences():
                 hi = loss
             else:
                 num[i] = (hi - loss) / (2 * eps)
-    np.testing.assert_allclose(flat(grad), num, atol=1e-5)
+    np.testing.assert_allclose(np.concatenate([g.ravel() for g in grad]), num, atol=1e-5)
 
 
 def test_train_matcher_validation(cluster_ds):
@@ -657,7 +686,7 @@ def test_user_bias_profiles_sum_each_users_rows_in_log_order():
     profiles = user_bias_profiles(log_of(records), "W2")
     assert list(profiles) == [(u, role) for u in range(3) for role in (ROLE_ANONYMOUS, ROLE_SHADOW)]
     for (user, role), profile in profiles.items():
-        rows = [r.delta.get("W2") for r in records if (r.user_id, r.role) == (user, role)]
+        rows = [delta_of(r)["W2"] for r in records if (r.user_id, r.role) == (user, role)]
         total = rows[0]
         for w in rows[1:]:
             total = total + w

@@ -1,6 +1,8 @@
 """Log persistence: float32 round-trips must be exact, rewrites byte
 identical, and each corruption mode must raise its own error type."""
 
+import ast
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -18,13 +20,14 @@ from fedanon.deltastore import (
     ROLE_SHADOW,
     CorruptHeaderError,
     DeltaLog,
+    ParamVector,
     ShapeMismatchError,
     TruncatedPayloadError,
     read_records,
     write_records,
 )
 
-from sequential_oracle import flat
+from sequential_oracle import delta_of, flat
 
 LAYOUT = [("W1", (3, 2)), ("W2", (2, 3))]
 
@@ -72,8 +75,8 @@ def test_iterating_a_log_yields_its_rows_as_records():
         assert (rec.round_t, rec.device_id, rec.user_id, rec.role, rec.n_k) == (
             records.round[i], records.device[i], records.user[i], records.role[i], records.n_k[i]
         )
-        assert rec.delta.layout() == LAYOUT
-        np.testing.assert_array_equal(flat(rec.delta), records.deltas[i])
+        assert [(name, a.shape) for name, a in rec.delta.layers] == LAYOUT
+        np.testing.assert_array_equal(flat(delta_of(rec)), records.deltas[i])
         # the layers are views into the log's matrix, not copies
         assert all(np.shares_memory(a, records.deltas) for _, a in rec.delta.layers)
     np.testing.assert_array_equal(records.layer("W2"), records.deltas[:, 6:])
@@ -444,3 +447,36 @@ def test_read_of_a_mutated_log_raises_a_typed_error_or_round_trips(data):
         write_records(again, records)
         for name in ("deltas.bin", "manifest.json"):
             assert (again / name).read_bytes() == (log / name).read_bytes(), name
+
+
+def spells_paramvector(node: ast.AST) -> bool:
+    """Whether `node` names ParamVector: as a name, an attribute, an import,
+    a definition or inside a string."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and "ParamVector" in node.value
+    spelled = (getattr(node, field, None) for field in ("id", "attr", "name", "asname"))
+    return "ParamVector" in spelled
+
+
+def test_paramvector_is_named_only_where_delta_records_need_it():
+    # a model's parameters are a dict in layout order; ParamVector is only
+    # the view a DeltaRecord carries, so no second parameter form can creep
+    # back: deltastore defines it, the package exports it, nothing else
+    # names it
+    assert ParamVector.__module__ == "fedanon.deltastore"
+    assert [f.name for f in dataclasses.fields(ParamVector)] == ["layers"]
+    found = []
+    for path in sorted(Path(deltastore.__file__).parent.glob("*.py")):
+        if path.name == "deltastore.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "__init__.py":
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom) and node.module == "deltastore":
+                    allowed.update(map(id, node.names))
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                    allowed.update(map(id, node.value.elts))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if spells_paramvector(node) and id(node) not in allowed]
+    assert found == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedanon import nn
-from fedanon.deltastore import ROLES, DeltaLog, DeltaRecord
+from fedanon.deltastore import ROLES, DeltaLog, DeltaRecord, ParamVector
 from fedanon.federated import (
     ROLE_ANONYMOUS,
     ROLE_SHADOW,
@@ -22,11 +22,13 @@ from fedanon.federated import (
     sampled_users,
     server_round,
 )
-from fedanon.nn import ModelSpec, ParamVector
+from fedanon.nn import ModelSpec
 from fedanon.seeding import seed_from
 from fedanon.world import gen_world
 
-from sequential_oracle import backward, flat, gradient_step, log_of, oracle_server_round
+from sequential_oracle import (
+    backward, delta_of, flat, gradient_step, log_of, oracle_server_round,
+)
 from test_world import small_cfg
 
 
@@ -43,7 +45,7 @@ LINEAR2 = ModelSpec(kind="linear", input_dim=1, output_dim=2)
 
 
 def zero_params():
-    return ParamVector([("W", np.zeros((2, 1))), ("b", np.zeros(2))])
+    return {"W": np.zeros((2, 1)), "b": np.zeros(2)}
 
 
 def one_device_record(device, cfg, round_t=1, delta_hook=None):
@@ -58,8 +60,8 @@ def test_device_update_one_epoch_hand_value():
     # moves W, and b alike since the input is 1, by eta * [0.5, -0.5]
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.8, rounds=1, seed=0)
     rec = one_device_record(two_class_device(), cfg)
-    np.testing.assert_allclose(rec.delta.get("W"), [[0.4], [-0.4]], atol=1e-15)
-    np.testing.assert_allclose(rec.delta.get("b"), [0.4, -0.4], atol=1e-15)
+    np.testing.assert_allclose(delta_of(rec)["W"], [[0.4], [-0.4]], atol=1e-15)
+    np.testing.assert_allclose(delta_of(rec)["b"], [0.4, -0.4], atol=1e-15)
     assert rec.n_k == 2
     assert rec.round_t == 1
     assert rec.role == ROLE_ANONYMOUS
@@ -72,15 +74,15 @@ def test_device_update_two_epochs_hand_value():
     rec = one_device_record(two_class_device(), cfg)
     p0 = 1.0 / (1.0 + np.exp(-1.6))
     expect = 0.4 + 0.8 * (1.0 - p0)
-    np.testing.assert_allclose(rec.delta.get("W"), [[expect], [-expect]], atol=1e-12)
-    np.testing.assert_allclose(rec.delta.get("b"), [expect, -expect], atol=1e-12)
+    np.testing.assert_allclose(delta_of(rec)["W"], [[expect], [-expect]], atol=1e-12)
+    np.testing.assert_allclose(delta_of(rec)["b"], [expect, -expect], atol=1e-12)
 
 
 def test_device_update_caps_batch_at_device_size():
     # batch_size far above n_k must degrade to full-batch, not crash
     cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=10_000, eta=0.8, rounds=1, seed=0)
     rec = one_device_record(two_class_device(), cfg)
-    np.testing.assert_allclose(rec.delta.get("W"), [[0.4], [-0.4]], atol=1e-15)
+    np.testing.assert_allclose(delta_of(rec)["W"], [[0.4], [-0.4]], atol=1e-15)
 
 
 def test_device_update_delta_hook_applied():
@@ -93,7 +95,7 @@ def test_device_update_delta_hook_applied():
 
     rec = one_device_record(two_class_device(device_id=7), cfg, 3, spy)
     assert seen["args"] == (3, 7)
-    np.testing.assert_array_equal(rec.delta.get("W"), np.zeros((2, 1)))
+    np.testing.assert_array_equal(delta_of(rec)["W"], np.zeros((2, 1)))
 
 
 # device sizes against batch_size 4: 1, 2 and 3 are below it, 5, 9 and 13
@@ -117,8 +119,8 @@ def assorted_devices(spec, sizes=ORACLE_SIZES, seed=0):
 
 
 def assert_params_equal(a, b):
-    assert a.layout() == b.layout()
-    for (_, x), (_, y) in zip(a.layers, b.layers):
+    assert list(a) == list(b)
+    for x, y in zip(a.values(), b.values()):
         assert np.array_equal(x, y)
 
 
@@ -130,7 +132,7 @@ def assert_rounds_equal(got, want):
     assert list(zip(*(c.tolist() for c in columns))) == [
         (r.round_t, r.device_id, r.user_id, r.role, r.n_k) for r in want_records
     ]
-    assert np.array_equal(got_log.deltas, np.stack([flat(r.delta) for r in want_records]))
+    assert np.array_equal(got_log.deltas, np.stack([flat(delta_of(r)) for r in want_records]))
 
 
 ORACLE_SPECS = [
@@ -177,7 +179,7 @@ def test_delta_hook_sees_each_sampled_device_once_in_id_order():
     assert len(calls) == 4
     for (round_t, device_id, role, delta), rec in zip(calls, want[1]):
         assert (round_t, role) == (4, devices[device_id].role)
-        assert np.array_equal(delta, flat(rec.delta))
+        assert np.array_equal(delta, flat(delta_of(rec)))
     halved = oracle_server_round(spec, params, x, y, devices, cfg, 4, lambda t, d, dl: dl * 0.5)
     assert_rounds_equal(got, halved)
 
@@ -211,22 +213,22 @@ def fake_record(delta_w, n_k, device_id=0):
 
 
 def test_aggregate_weights_by_subset_counts():
-    base = ParamVector([("W", np.array([[1.0], [1.0]]))])
+    base = {"W": np.array([[1.0], [1.0]])}
     records = [fake_record([[3.0], [0.0]], n_k=30), fake_record([[0.0], [1.0]], n_k=10)]
     out = aggregate(base, log_of(records))
     # weights 0.75 and 0.25 over the participating records only
-    np.testing.assert_allclose(out.get("W"), [[1.0 + 2.25], [1.0 + 0.25]], atol=1e-15)
+    np.testing.assert_allclose(out["W"], [[1.0 + 2.25], [1.0 + 0.25]], atol=1e-15)
 
 
 def test_aggregate_single_record_is_plain_add():
-    base = ParamVector([("W", np.zeros((2, 1)))])
+    base = {"W": np.zeros((2, 1))}
     out = aggregate(base, log_of([fake_record([[2.0], [-1.0]], n_k=5)]))
-    np.testing.assert_array_equal(out.get("W"), [[2.0], [-1.0]])
+    np.testing.assert_array_equal(out["W"], [[2.0], [-1.0]])
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
-        aggregate(zero_params(), DeltaLog.empty(0, zero_params().layout(), rounds=1))
+        aggregate(zero_params(), DeltaLog.empty(0, LINEAR2.layout(), rounds=1))
 
 
 def test_build_devices_layout():
@@ -353,9 +355,30 @@ def test_run_federated_zero_hook_freezes_model():
     np.testing.assert_array_equal(flat(run.final_params), flat(init))
 
 
+@pytest.mark.parametrize("layer", ["W1", "b2"])
+def test_run_federated_rejects_a_non_finite_global_model(layer):
+    # one anonymous delta of round 2 carries a NaN in one layer: the round's
+    # average, and so the global model, is non-finite in that layer alone
+    bundle = gen_world(small_cfg())
+    spec = ModelSpec(kind="mlp1", input_dim=12, hidden_dim=6, output_dim=5)
+    cfg = RoundConfig(fraction_c=1.0, local_epochs=1, batch_size=8, eta=0.5, rounds=3, seed=3)
+    cols = DeltaLog.empty(0, spec.layout(), cfg.rounds).columns()[layer]
+    rounds = []
+
+    def poison(round_t, device, delta):
+        rounds.append(round_t)
+        if round_t == 2 and device.role == ROLE_ANONYMOUS and device.user_id == 0:
+            delta[cols.start] = np.nan
+        return delta
+
+    with pytest.raises(ValueError, match=f"^non-finite values in layer '{layer}'$"):
+        run_federated(bundle, spec, cfg, delta_hook=poison)
+    assert max(rounds) == 2
+
+
 def test_evaluate_task_softmax_accuracy():
     spec = ModelSpec(kind="linear", input_dim=2, output_dim=2)
-    params = ParamVector([("W", np.array([[1.0, 0.0], [0.0, 1.0]])), ("b", np.zeros(2))])
+    params = {"W": np.array([[1.0, 0.0], [0.0, 1.0]]), "b": np.zeros(2)}
     x = np.array([[3.0, 0.0], [0.0, 3.0], [2.0, 1.0]])
     y = np.array([0, 1, 1])  # third row argmaxes to class 0: wrong
     assert evaluate_task(spec, params, x, y) == pytest.approx(2 / 3)

@@ -155,6 +155,35 @@ def test_a_parent_error_partway_through_the_sweep_leaves_no_child(monkeypatch):
             os.waitpid(-1, os.WNOHANG)
 
 
+@needs_fork
+def test_a_failed_fork_closes_both_ends_of_its_pipe(monkeypatch):
+    # at a process limit os.fork raises BlockingIOError: the pipe made for
+    # the child that never started must not stay open
+    usable_cpus(monkeypatch, {0, 1})
+    opened, real_pipe = [], os.pipe
+
+    def pipe():
+        fds = real_pipe()
+        opened.extend(fds)
+        return fds
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    with Forks() as forks:
+        with pytest.raises(BlockingIOError):
+            forks.start(abs, -1)
+        with pytest.raises(BlockingIOError):
+            forks.map(abs, [1, 2])
+        assert not forks.running
+    assert len(opened) == 4
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 def test_children_fit_at_one_blas_thread_and_the_count_stays_there(
     monkeypatch, openblas, call_log
 ):

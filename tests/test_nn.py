@@ -4,11 +4,9 @@ hand-computable device scenarios are pinned to exact values."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fedanon import nn
-from fedanon.nn import ModelSpec, OptimizerConfig, ParamVector
+from fedanon.nn import ModelSpec, OptimizerConfig
 from sequential_oracle import (
     backward, compute_loss, flat, from_flat, optimizer_step, oracle_forward, oracle_train,
 )
@@ -46,7 +44,7 @@ def numeric_grad(spec, params, batch, h=1e-6):
 def hidden_far_from_kink(spec, params, x):
     if spec.kind != "mlp1":
         return True
-    pre = x @ params.get("W1").T + params.get("b1")
+    pre = x @ params["W1"].T + params["b1"]
     return np.all(np.abs(pre) > RELU_KINK_GUARD)
 
 
@@ -78,13 +76,14 @@ def test_param_layouts():
 def test_init_params_biases_zero_weights_bounded():
     spec = ModelSpec(kind="mlp1", input_dim=5, hidden_dim=4, output_dim=3)
     params = nn.init_params(spec, seed=11)
-    by_name = dict(params.layers)
-    assert np.all(by_name["b1"] == 0.0)
-    assert np.all(by_name["b2"] == 0.0)
+    # one array per layer, in layout order
+    assert [(n, a.shape) for n, a in params.items()] == spec.layout()
+    assert np.all(params["b1"] == 0.0)
+    assert np.all(params["b2"] == 0.0)
     a1 = np.sqrt(6.0 / (5 + 4))
-    assert np.all(np.abs(by_name["W1"]) <= a1)
+    assert np.all(np.abs(params["W1"]) <= a1)
     a2 = np.sqrt(6.0 / (4 + 3))
-    assert np.all(np.abs(by_name["W2"]) <= a2)
+    assert np.all(np.abs(params["W2"]) <= a2)
     again = nn.init_params(spec, seed=11)
     assert np.array_equal(flat(params), flat(again))
 
@@ -108,7 +107,7 @@ def test_sigmoid_extremes_finite():
 def test_softmax_ce_loss_uniform_prediction():
     # zero logits -> uniform softmax -> loss = log(C)
     spec = ModelSpec(kind="linear", input_dim=2, output_dim=4)
-    params = ParamVector([("W", np.zeros((4, 2))), ("b", np.zeros(4))])
+    params = {"W": np.zeros((4, 2)), "b": np.zeros(4)}
     loss = compute_loss(spec, params, (np.ones((3, 2)), np.array([0, 1, 3])))
     assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
@@ -116,8 +115,8 @@ def test_softmax_ce_loss_uniform_prediction():
 def test_sgd_momentum_two_steps():
     # v = mu*v - lr*g; w = w + v, worked by hand for two iterations
     cfg = OptimizerConfig(learning_rate=0.1, momentum=0.9)
-    params = ParamVector([("w", np.array([1.0]))])
-    grad = ParamVector([("w", np.array([2.0]))])
+    params = {"w": np.array([1.0])}
+    grad = {"w": np.array([2.0])}
     p1, state = optimizer_step(None, params, grad, cfg, iteration=0)
     assert flat(p1)[0] == pytest.approx(0.8)
     p2, _ = optimizer_step(state, p1, grad, cfg, iteration=1)
@@ -127,8 +126,8 @@ def test_sgd_momentum_two_steps():
 
 def test_sgd_lr_decay_schedule():
     cfg = OptimizerConfig(learning_rate=1.0, lr_decay=1.0)
-    params = ParamVector([("w", np.array([0.0]))])
-    grad = ParamVector([("w", np.array([1.0]))])
+    params = {"w": np.array([0.0])}
+    grad = {"w": np.array([1.0])}
     p, state = optimizer_step(None, params, grad, cfg, iteration=0)
     assert flat(p)[0] == pytest.approx(-1.0)
     p, _ = optimizer_step(state, p, grad, cfg, iteration=1)
@@ -145,7 +144,7 @@ def test_train_loss_decreases_on_separable_data():
     before = compute_loss(spec, params, (x, y))
     layers = nn.train(spec, params, x, y, [np.arange(80)], epochs=5, batch_size=8,
                       config=OptimizerConfig(0.1), seeds=[2])
-    trained = ParamVector([(name, a[0]) for (name, _), a in zip(spec.layout(), layers)])
+    trained = {name: a[0] for (name, _), a in zip(spec.layout(), layers)}
     after = compute_loss(spec, trained, (x, y))
     assert after < before * 0.5
 
@@ -178,8 +177,8 @@ def test_train_matches_sequential_oracle(kind):
     got = nn.train(spec, params, x, y, [np.arange(41)], epochs=3, batch_size=8, config=config,
                    seeds=[4])
     want = oracle_train(spec, params, x, y, epochs=3, batch_size=8, config=config, seed=4)
-    assert [a.shape for a in got] == [(1, *shape) for _, shape in want.layout()]
-    for a, (_, b) in zip(got, want.layers):
+    assert [a.shape for a in got] == [(1, *b.shape) for b in want.values()]
+    for a, b in zip(got, want.values()):
         assert np.array_equal(a[0], b)
 
 
@@ -210,7 +209,7 @@ def test_lockstep_momentum_matches_sequential_oracle(kind):
     for k, (r, seed) in enumerate(zip(rows, seeds)):
         want = oracle_train(spec, params, x[r], y[r], epochs=2, batch_size=4, config=config,
                             seed=seed)
-        for a, (_, b) in zip(got, want.layers):
+        for a, b in zip(got, want.values()):
             assert np.array_equal(a[k], b)
 
 
@@ -252,12 +251,12 @@ def test_lockstep_leaves_inputs_untouched():
     before = [a.copy() for a in (x, y, *rows)]
     got = nn.train(spec, params, x, y, rows, epochs=2, batch_size=4,
                    config=OptimizerConfig(0.05, momentum=0.9), seeds=range(len(rows)))
-    for (_, a), (_, b) in zip(params.layers, params_before.layers):
+    for a, b in zip(params.values(), params_before.values()):
         assert np.array_equal(a, b)
     for a, b in zip((x, y, *rows), before):
         assert np.array_equal(a, b)
     for i, a in enumerate(got):
-        assert not any(np.shares_memory(a, b) for _, b in params.layers)
+        assert not any(np.shares_memory(a, b) for b in params.values())
         assert not any(np.shares_memory(a, b) for b in got[i + 1:])
 
 
@@ -309,7 +308,7 @@ def test_train_zero_epochs_returns_fresh_arrays():
     x, y = np.ones((3, 2)), np.array([0, 1, 1])
     out = nn.train(spec, params, x, y, [np.arange(3)], epochs=0, batch_size=2,
                    config=OptimizerConfig(0.1), seeds=[0])
-    for a, (_, b) in zip(out, params.layers):
+    for a, b in zip(out, params.values()):
         assert np.array_equal(a[0], b)
         assert not np.shares_memory(a, b)
 
@@ -323,52 +322,20 @@ def test_predict_proba_rows_sum_to_one(small_bundle):
     assert np.allclose(p.sum(axis=1), 1.0)
 
 
-# --- ParamVector algebra ---------------------------------------------------
-
-small_arrays = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.floats(-1e6, 1e6, allow_nan=False, width=64), min_size=n, max_size=n
-    )
-)
+# --- the flat-vector round trip of the finite-difference checks ------------
 
 
-@settings(max_examples=50, deadline=None)
-@given(small_arrays, small_arrays)
-def test_paramvector_add_is_elementwise(a, b):
-    if len(a) != len(b):
-        b = (b * len(a))[: len(a)]
-    pa = ParamVector([("w", np.array(a))])
-    pb = ParamVector([("w", np.array(b))])
-    assert np.array_equal(flat(pa + pb), np.array(a) + np.array(b))
-
-
-def test_paramvector_layout_mismatch_rejected():
-    pa = ParamVector([("w", np.zeros(3))])
-    pb = ParamVector([("v", np.zeros(3))])
-    with pytest.raises(ValueError):
-        pa + pb
-    pc = ParamVector([("w", np.zeros(4))])
-    with pytest.raises(ValueError):
-        pa + pc
-
-
-def test_paramvector_flat_roundtrip():
-    pv = ParamVector([("a", np.arange(6.0).reshape(2, 3).ravel()), ("b", np.ones(2))])
-    vec = flat(pv)
-    back = from_flat(pv, vec * 2.0)
+def test_flat_roundtrip():
+    params = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}
+    vec = flat(params)
+    back = from_flat(params, vec * 2.0)
     assert np.array_equal(flat(back), vec * 2.0)
-    assert [n for n, _ in back.layers] == ["a", "b"]
-
-
-def test_paramvector_validate_finite_rejects_nan():
-    pv = ParamVector([("w", np.array([1.0, np.nan]))])
-    with pytest.raises(ValueError):
-        pv.validate_finite()
+    assert [(n, a.shape) for n, a in back.items()] == [("a", (2, 3)), ("b", (2,))]
 
 
 def test_optimizer_step_does_not_mutate_inputs():
-    params = ParamVector([("w", np.array([1.0, 2.0]))])
-    grad = ParamVector([("w", np.array([0.5, 0.5]))])
+    params = {"w": np.array([1.0, 2.0])}
+    grad = {"w": np.array([0.5, 0.5])}
     snapshot = flat(params).copy()
     optimizer_step(None, params, grad, OptimizerConfig(0.1, momentum=0.5), iteration=0)
     assert np.array_equal(flat(params), snapshot)
