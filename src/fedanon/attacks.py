@@ -92,11 +92,14 @@ class AttackDataset:
         lookup = {u: i for i, u in enumerate(classes)}
         return np.asarray([lookup[int(u)] for u in user_ids], dtype=np.int64)
 
-    def rows_by_user(self, side: str = "train") -> dict[int, np.ndarray]:
-        x, users = (
-            (self.train_x, self.train_users) if side == "train" else (self.test_x, self.test_users)
-        )
-        return {int(u): x[users == u] for u in np.unique(users)}
+    def side(self, name: str) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """The rows of side `name` ("train" or "test") and, for each of its
+        users in ascending order, the int64 indices of that user's rows in
+        side order."""
+        if name not in ("train", "test"):
+            raise ValueError(f"unknown side {name!r}; expected 'train' or 'test'")
+        x, users = (self.train_x, self.train_users) if name == "train" else (self.test_x, self.test_users)
+        return x, {int(u): np.flatnonzero(users == u) for u in np.unique(users)}
 
     def _select(self, on_train: np.ndarray, on_test: np.ndarray, unseen: Collection[int] = (),
                 users: Sequence[int] | None = None) -> "AttackDataset":
@@ -447,19 +450,17 @@ class SiameseMatcher:
         return loss, [g_w1, g_b1, g_w2, g_b2]
 
     @staticmethod
-    def fit(rows_by_user: dict[int, np.ndarray], seed: int) -> "SiameseMatcher":
-        """RMSProp at the siamese learning rate, in place: at each step every
-        layer's running mean square s of its gradient g becomes
-        rho*s + (1-rho)*g^2, from zero, and the layer moves by
-        -lr*g/(sqrt(s)+eps)."""
-        x, _ = pair_rows(rows_by_user, rows_by_user)
+    def fit(ds: AttackDataset, seed: int) -> "SiameseMatcher":
+        """Fit on pairs of `ds`'s train rows by RMSProp at the siamese
+        learning rate, in place: at each step every layer's running mean
+        square s of its gradient g becomes rho*s + (1-rho)*g^2, from zero,
+        and the layer moves by -lr*g/(sqrt(s)+eps)."""
+        x, rows = ds.side("train")
         params = SiameseMatcher.init_params(x.shape[1], seed)
         mean_square = [np.zeros_like(w) for w in params.values()]
         for epoch in range(SIAMESE_EPOCHS):
             rng = rng_from(seed, "siamese-pairs", epoch)
-            ia, ib, y = sample_balanced_pairs(
-                rows_by_user, rows_by_user, SIAMESE_PAIRS_PER_EPOCH, rng
-            )
+            ia, ib, y = sample_balanced_pairs(rows, None, SIAMESE_PAIRS_PER_EPOCH, rng)
             a, b = x[ia], x[ib]
             for start in range(0, a.shape[0], SIAMESE_BATCH):
                 sl = slice(start, start + SIAMESE_BATCH)
@@ -477,70 +478,55 @@ class SiameseMatcher:
 MatchModel = ChanceMatcher | MlpProductMatcher | SiameseMatcher
 
 
-def pair_rows(
-    side_a: dict[int, np.ndarray], side_b: dict[int, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each side's rows stacked in sorted-user order: the rows that the
-    indices of `sample_balanced_pairs` point into. One stack serves both
-    sides of a same-side call."""
-    x_a = np.concatenate([side_a[u] for u in sorted(side_a)])
-    return x_a, x_a if side_b is side_a else np.concatenate([side_b[u] for u in sorted(side_b)])
-
-
-def _first_rows(side: dict[int, np.ndarray], users: list[int]) -> dict[int, int]:
-    """Each user's first row in the stack of `pair_rows`."""
-    counts = [side[u].shape[0] for u in users]
-    return dict(zip(users, np.cumsum([0] + counts[:-1]).tolist()))
-
-
 def sample_balanced_pairs(
-    side_a: dict[int, np.ndarray],
-    side_b: dict[int, np.ndarray],
+    rows_a: dict[int, np.ndarray],
+    rows_b: dict[int, np.ndarray] | None,
     n_pairs: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Half positive (same user), half negative (distinct users) pairs: the
-    int64 row indices of each pair into the two stacks of `pair_rows`, and
-    its label (1.0 positive, 0.0 negative).
+    int64 row indices of each pair into the rows of side a and of side b,
+    drawn from their per-user indices (`AttackDataset.side`), and its label
+    (1.0 positive, 0.0 negative).
 
-    When both sides are the same collection, positive pairs use two distinct
-    rows, so a user needs at least 2 rows to occur as a positive.
+    With `rows_b=None` both rows come from side a, and positive pairs use
+    two distinct rows, so a user needs at least 2 rows to occur as a
+    positive.
     """
-    same_side = side_a is side_b
-    users_a = sorted(side_a)
-    users_b = sorted(side_b)
+    same_side = rows_b is None
+    rows_b = rows_a if same_side else rows_b
+    users_a = sorted(rows_a)
+    users_b = sorted(rows_b)
     if same_side:
-        pos_users = [u for u in users_a if side_a[u].shape[0] >= 2]
+        pos_users = [u for u in users_a if len(rows_a[u]) >= 2]
     else:
-        pos_users = [u for u in users_a if u in side_b]
+        pos_users = [u for u in users_a if u in rows_b]
     if not pos_users:
         raise ValueError("no user can form a positive pair")
     if len(users_a) < 2 or len(users_b) < 2:
         raise ValueError("need at least 2 users on each side for negative pairs")
-    first_a = _first_rows(side_a, users_a)
-    first_b = first_a if same_side else _first_rows(side_b, users_b)
     n_pos = n_pairs // 2
     n_neg = n_pairs - n_pos
-    rows_a, rows_b = [], []
+    pick_a, pick_b = [], []
     for _ in range(n_pos):
         u = pos_users[rng.integers(len(pos_users))]
         if same_side:
-            i, j = rng.choice(side_a[u].shape[0], size=2, replace=False)
-            rows_a.append(first_a[u] + i)
-            rows_b.append(first_a[u] + j)
+            i, j = rng.choice(len(rows_a[u]), size=2, replace=False)
+            pick_a.append(rows_a[u][i])
+            pick_b.append(rows_a[u][j])
         else:
-            rows_a.append(first_a[u] + rng.integers(side_a[u].shape[0]))
-            rows_b.append(first_b[u] + rng.integers(side_b[u].shape[0]))
+            pick_a.append(rows_a[u][rng.integers(len(rows_a[u]))])
+            pick_b.append(rows_b[u][rng.integers(len(rows_b[u]))])
     for _ in range(n_neg):
         while True:
             u = users_a[rng.integers(len(users_a))]
             v = users_b[rng.integers(len(users_b))]
             if u != v:
                 break
-        rows_a.append(first_a[u] + rng.integers(side_a[u].shape[0]))
-        rows_b.append(first_b[v] + rng.integers(side_b[v].shape[0]))
+        pick_a.append(rows_a[u][rng.integers(len(rows_a[u]))])
+        pick_b.append(rows_b[v][rng.integers(len(rows_b[v]))])
     labels = np.concatenate([np.ones(n_pos), np.zeros(n_neg)])
-    return np.asarray(rows_a, dtype=np.int64), np.asarray(rows_b, dtype=np.int64), labels
+    return np.asarray(pick_a, dtype=np.int64), np.asarray(pick_b, dtype=np.int64), labels
 
 
 def train_matcher(ds: AttackDataset, method: str, seed: int) -> MatchModel:
@@ -553,7 +539,7 @@ def train_matcher(ds: AttackDataset, method: str, seed: int) -> MatchModel:
     if method == "mlp_product":
         raise ValueError("mlp_product matching wraps a fitted MLP re-identification attack: "
                          "build MlpProductMatcher(train_reid(ds, 'mlp', seed))")
-    return SiameseMatcher.fit(ds.rows_by_user("train"), seed)
+    return SiameseMatcher.fit(ds, seed)
 
 
 @dataclass
@@ -566,18 +552,21 @@ class MatchEvaluation:
 
 def evaluate_matching(
     model: MatchModel,
-    side_a: dict[int, np.ndarray],
-    side_b: dict[int, np.ndarray],
+    ds: AttackDataset,
+    sides: tuple[str, str],
     n_pairs: int = 2000,
     *,
     seed: int,
 ) -> MatchEvaluation:
-    """AP over a balanced set of evaluation pairs, scored a block of pairs
-    at a time, each block's rows gathered from the sides' stacks; chance is
-    the positive prevalence (0.5 by construction)."""
+    """AP over a balanced set of pairs of a row of `ds`'s side `sides[0]`
+    and a row of side `sides[1]` (two distinct rows when the names are
+    equal), scored a block of pairs at a time, each block's rows gathered
+    from the sides; chance is the positive prevalence (0.5 by
+    construction)."""
     rng = rng_from(seed, "match-eval")
-    ia, ib, y = sample_balanced_pairs(side_a, side_b, n_pairs, rng)
-    x_a, x_b = pair_rows(side_a, side_b)
+    x_a, rows_a = ds.side(sides[0])
+    x_b, rows_b = (x_a, None) if sides[1] == sides[0] else ds.side(sides[1])
+    ia, ib, y = sample_balanced_pairs(rows_a, rows_b, n_pairs, rng)
     # per pair, a matcher holds a row of each side's input or hidden layer
     width = max(x_a.shape[1], SIAMESE_EMBED, MLP_HIDDEN)
     blocks = row_blocks(len(y), 2 * width * x_a.itemsize)

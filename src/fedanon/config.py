@@ -129,8 +129,9 @@ def config_hash(cfg: ExperimentConfig | dict[str, str]) -> str:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Raw key/value strings from a config document."""
+    """Raw key/value strings from a config document, each key set once."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -141,6 +142,9 @@ def read_config_file(path) -> dict[str, str]:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -145,8 +145,6 @@ def _reid_closed(stages: Stages) -> list[Table]:
 def _matching_closed(stages: Stages) -> list[Table]:
     cfg = stages.cfg
     ds = stages.attack_set
-    shadow_rows = ds.rows_by_user("train")
-    anon_rows = ds.rows_by_user("test")
     rows = []
     for method in cfg.match_methods:
         if method == "mlp_product":
@@ -154,7 +152,7 @@ def _matching_closed(stages: Stages) -> list[Table]:
         else:
             model = train_matcher(ds, method, seed_from(cfg.seed, "match", method))
         ev = evaluate_matching(
-            model, shadow_rows, anon_rows, seed=seed_from(cfg.seed, "match-eval", method)
+            model, ds, ("train", "test"), seed=seed_from(cfg.seed, "match-eval", method)
         )
         rows.append([method, float(ev.ap), float(ev.chance_ap), float(ev.ioc), ev.n_pairs])
     return [Table(name="matching", columns=["method", "ap", "chance_ap", "ioc", "n_pairs"], rows=rows)]
@@ -180,9 +178,8 @@ def _open_world(stages: Stages) -> list[Table]:
             reid = [float("nan")] * 3
         known = ds.keep(train, test)
         matcher = train_matcher(known, "siamese", seed_from(cfg.seed, "ow-siamese", repr(fraction)))
-        anon_rows = known.rows_by_user("test")
         ev = evaluate_matching(
-            matcher, anon_rows, anon_rows, seed=seed_from(cfg.seed, "ow-match", repr(fraction))
+            matcher, known, ("test", "test"), seed=seed_from(cfg.seed, "ow-match", repr(fraction))
         )
         rows.append(
             [float(fraction), len(split.seen), len(split.unseen), len(split.holdout), *reid,

@@ -4,8 +4,10 @@ Fixtures put each user's deltas in a well-separated cluster, so any working
 attack must approach AP 1.0 there and collapse under a label permutation;
 the matching heads are additionally pinned by hand values and symmetry."""
 
+import ast
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from fedanon.attacks import (
     evaluate_matching,
     evaluate_reid,
     open_world_split,
-    pair_rows,
     sample_balanced_pairs,
     train_matcher,
     train_reid,
@@ -39,8 +40,9 @@ from fedanon.deltastore import ROLE_ANONYMOUS, ROLE_SHADOW, DeltaRecord, ParamVe
 from fedanon.seeding import rng_from
 from fedanon.world import gen_world
 
-from broadcast_oracle import one_batch_matching, traced_peak
+from broadcast_oracle import dataset_of, one_batch_matching, traced_peak
 from sequential_oracle import delta_of, flat, from_flat, log_of
+from test_deltastore import spells
 from test_world import small_cfg
 
 LAYER_SHAPE = (2, 4)  # flattens to 8-dim attack vectors
@@ -200,8 +202,7 @@ def test_build_dataset_closed_world_violation():
     with pytest.raises(ValueError, match=violation):
         evaluate_reid(train_reid(ds, "knn", 0), ds)
     matcher = train_matcher(ds, "siamese", seed=0)
-    ev = evaluate_matching(matcher, ds.rows_by_user("train"), ds.rows_by_user("test"), n_pairs=40,
-                           seed=0)
+    ev = evaluate_matching(matcher, ds, ("train", "test"), n_pairs=40, seed=0)
     assert 0.0 <= ev.ap <= 1.0
 
 
@@ -211,12 +212,20 @@ def test_build_dataset_needs_both_sides():
         build_attack_dataset(log_of(only_shadow), REPR)
 
 
-def test_rows_by_user_grouping(cluster_ds):
-    rows = cluster_ds.rows_by_user("train")
-    assert set(rows) == {0, 1, 2, 3}
-    assert all(v.shape == (10, 8) for v in rows.values())
-    rows_test = cluster_ds.rows_by_user("test")
-    assert all(v.shape == (5, 8) for v in rows_test.values())
+def test_side_gives_its_rows_and_each_users_row_indices(cluster_ds):
+    for name, x, users, count in (("train", cluster_ds.train_x, cluster_ds.train_users, 10),
+                                  ("test", cluster_ds.test_x, cluster_ds.test_users, 5)):
+        rows, index = cluster_ds.side(name)
+        assert rows is x
+        assert list(index) == [0, 1, 2, 3]
+        for u, idx in index.items():
+            assert idx.dtype == np.int64 and len(idx) == count
+            np.testing.assert_array_equal(idx, np.flatnonzero(users == u))
+
+
+def test_side_rejects_an_unknown_name(cluster_ds):
+    with pytest.raises(ValueError, match="'tset'"):
+        cluster_ds.side("tset")
 
 
 def test_keep_selects_each_side_in_order_and_relabels_unseen_users(cluster_ds):
@@ -333,11 +342,11 @@ def test_train_reid_rejects_userless_class(cluster_ds):
 def test_sample_balanced_pairs_cross_side():
     rng = np.random.default_rng(0)
     # user id sits in the first coordinate, so authorship is observable
-    side_a = {u: np.array([[u, 0.0], [u, 1.0]]) for u in range(4)}
-    side_b = {u: np.array([[u, 2.0], [u, 3.0]]) for u in range(4)}
-    ia, ib, y = sample_balanced_pairs(side_a, side_b, 100, rng)
+    ds = dataset_of({u: np.array([[u, 0.0], [u, 1.0]]) for u in range(4)},
+                    {u: np.array([[u, 2.0], [u, 3.0]]) for u in range(4)})
+    (x_a, rows_a), (x_b, rows_b) = ds.side("train"), ds.side("test")
+    ia, ib, y = sample_balanced_pairs(rows_a, rows_b, 100, rng)
     assert ia.dtype == ib.dtype == np.int64
-    x_a, x_b = pair_rows(side_a, side_b)
     a, b = x_a[ia], x_b[ib]
     assert y.sum() == 50
     same_author = a[:, 0] == b[:, 0]
@@ -346,11 +355,10 @@ def test_sample_balanced_pairs_cross_side():
 
 def test_sample_balanced_pairs_same_side_distinct_rows():
     rng = np.random.default_rng(1)
-    side = {u: np.stack([[u, i] for i in range(3)]).astype(float) for u in range(3)}
-    ia, ib, y = sample_balanced_pairs(side, side, 60, rng)
-    x_a, x_b = pair_rows(side, side)
-    assert x_a is x_b  # one stack serves both sides
-    a, b = x_a[ia], x_b[ib]
+    x, rows = dataset_of({u: np.stack([[u, i] for i in range(3)]).astype(float)
+                          for u in range(3)}).side("train")
+    ia, ib, y = sample_balanced_pairs(rows, None, 60, rng)
+    a, b = x[ia], x[ib]
     pos = y > 0.5
     assert (a[pos, 0] == b[pos, 0]).all()
     assert (a[pos, 1] != b[pos, 1]).all()  # never the same row twice
@@ -359,7 +367,8 @@ def test_sample_balanced_pairs_same_side_distinct_rows():
 
 
 # sha256 of the gathered (a, b, y) bytes, taken when the sampler still
-# returned stacked rows; the index form must pick the same pairs
+# returned stacked rows; indices into a side's own rows must pick the same
+# pairs
 PAIR_DIGESTS = {
     "cross": "ac40dd6a20d9bc56dbcd4d426874ab7deaf21f8c6c2d86d7ba9cf13e32563649",
     "same": "b9203550f4be4100e8ff347abb8c5d1db7a773d5ebfcd7262fb18d30716b92e4",
@@ -373,21 +382,22 @@ def test_sample_balanced_pairs_gathers_the_pinned_pairs(kind):
     side_a = {u: rng.normal(size=(1 + u % 3, 5)) for u in reversed(range(5))}
     side_b = {u: rng.normal(size=(2 + u % 2, 5)) for u in reversed(range(1, 7))}
     same = {u: rng.normal(size=(1 + u % 4, 5)) for u in reversed(range(6))}
-    sides = (side_a, side_b) if kind == "cross" else (same, same)
-    ia, ib, y = sample_balanced_pairs(*sides, 301, np.random.default_rng(3))
-    x_a, x_b = pair_rows(*sides)
+    ds = dataset_of(side_a, side_b) if kind == "cross" else dataset_of(same)
+    x_a, rows_a = ds.side("train")
+    x_b, rows_b = ds.side("test") if kind == "cross" else (x_a, None)
+    ia, ib, y = sample_balanced_pairs(rows_a, rows_b, 301, np.random.default_rng(3))
     gathered = b"".join(v.tobytes() for v in (x_a[ia], x_b[ib], y))
     assert hashlib.sha256(gathered).hexdigest() == PAIR_DIGESTS[kind]
 
 
 def test_sample_balanced_pairs_error_cases():
     rng = np.random.default_rng(2)
-    singles = {u: np.zeros((1, 2)) for u in range(3)}
+    singles = {u: np.array([u]) for u in range(3)}
     with pytest.raises(ValueError, match="positive"):
-        sample_balanced_pairs(singles, singles, 10, rng)
-    lonely = {0: np.zeros((2, 2))}
+        sample_balanced_pairs(singles, None, 10, rng)
+    lonely = {0: np.arange(2)}
     with pytest.raises(ValueError, match="2 users"):
-        sample_balanced_pairs(lonely, lonely, 10, rng)
+        sample_balanced_pairs(lonely, None, 10, rng)
 
 
 def test_chance_matcher_seeded():
@@ -421,10 +431,7 @@ def test_mlp_product_matcher_hand_values():
 
 def test_mlp_product_on_clusters(cluster_ds):
     matcher = MlpProductMatcher(train_reid(cluster_ds, "mlp", 0))
-    ev = evaluate_matching(
-        matcher, cluster_ds.rows_by_user("train"), cluster_ds.rows_by_user("test"),
-        n_pairs=400, seed=0,
-    )
+    ev = evaluate_matching(matcher, cluster_ds, ("train", "test"), n_pairs=400, seed=0)
     assert ev.ap > 0.95
     assert ev.chance_ap == pytest.approx(0.5)
     assert ev.n_pairs == 400
@@ -434,21 +441,61 @@ def test_evaluate_matching_scores_pairs_in_blocks():
     # 8000 pairs of 4-d rows: scored in one batch, the siamese encoder holds
     # several (8000, 128) float64 activations of 8 MB each
     rng = np.random.default_rng(0)
-    rows = {u: rng.normal(u, 0.1, size=(5, 4)) for u in range(4)}
+    ds = dataset_of({u: rng.normal(u, 0.1, size=(5, 4)) for u in range(4)})
     model = SiameseMatcher(SiameseMatcher.init_params(4, seed=0))
     bound = 5 * 2**20
-    assert traced_peak(evaluate_matching, model, rows, rows, n_pairs=8000, seed=0) < bound
-    assert traced_peak(one_batch_matching, model, rows, rows, n_pairs=8000) > 5 * bound
+    sides = ("train", "train")
+    assert traced_peak(evaluate_matching, model, ds, sides, n_pairs=8000, seed=0) < bound
+    assert traced_peak(one_batch_matching, model, ds, sides, n_pairs=8000) > 5 * bound
 
 
 def test_evaluate_matching_gathers_the_rows_of_one_block_at_a_time():
     # 8000 pairs of 160-d rows, the width of a default attack vector: the
     # pairs' rows gathered at once are two 10 MB (8000, 160) float64 arrays
     rng = np.random.default_rng(0)
-    shadow = {u: rng.normal(u, 0.1, size=(10, 160)) for u in range(4)}
-    anon = {u: rng.normal(u, 0.1, size=(5, 160)) for u in range(4)}
+    ds = dataset_of({u: rng.normal(u, 0.1, size=(10, 160)) for u in range(4)},
+                    {u: rng.normal(u, 0.1, size=(5, 160)) for u in range(4)})
     model = SiameseMatcher(SiameseMatcher.init_params(160, seed=0))
-    assert traced_peak(evaluate_matching, model, shadow, anon, n_pairs=8000, seed=0) < 5 * 2**20
+    peak = traced_peak(evaluate_matching, model, ds, ("train", "test"), n_pairs=8000, seed=0)
+    assert peak < 5 * 2**20
+
+
+class _PairRecorder:
+    """Records every pair of rows it is asked to score."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def predict_pairs(self, a, b):
+        self.pairs += zip(map(tuple, a), map(tuple, b))
+        return a[:, 0] - b[:, 0]
+
+
+def test_evaluate_matching_within_one_side_never_pairs_a_row_with_itself():
+    # each row is (user, row id); the test side's ids start at 100
+    ds = dataset_of({u: np.array([[u, 10 * u + i] for i in range(3)], dtype=float) for u in range(3)},
+                    {u: np.array([[u, 100 + 10 * u + i] for i in range(2)], dtype=float)
+                     for u in range(3)})
+    model = _PairRecorder()
+    evaluate_matching(model, ds, ("test", "test"), n_pairs=400, seed=0)
+    assert len(model.pairs) == 400
+    assert all(a[1] >= 100 and b[1] >= 100 for a, b in model.pairs)
+    positives = [(a, b) for a, b in model.pairs if a[0] == b[0]]
+    assert len(positives) == 200
+    assert all(a[1] != b[1] for a, b in positives)
+
+
+def test_matching_reads_the_dataset_sides_and_copies_no_rows_per_user():
+    # a side's rows live once, in the attack dataset, and matching picks
+    # them by index (`AttackDataset.side`); the per-user copies and the
+    # stacks built from them are gone and must not come back
+    gone = ("rows_by_user", "pair_rows", "_first_rows")
+    found = []
+    for path in sorted(Path(attacks.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {word}" for node in ast.walk(tree)
+                  for word in gone if spells(node, word)]
+    assert found == []
 
 
 def test_rmsprop_first_step_value(monkeypatch):
@@ -458,9 +505,9 @@ def test_rmsprop_first_step_value(monkeypatch):
     monkeypatch.setattr(attacks, "SIAMESE_PAIRS_PER_EPOCH", attacks.SIAMESE_BATCH)
     monkeypatch.setattr(SiameseMatcher, "loss_and_grad", staticmethod(
         lambda params, a, b, y: (0.0, [np.ones_like(w) for w in params.values()])))
-    rows = {u: np.full((2, 3), float(u)) for u in range(2)}
+    ds = dataset_of({u: np.full((2, 3), float(u)) for u in range(2)})
     init = SiameseMatcher.init_params(3, seed=0)
-    fitted = SiameseMatcher.fit(rows, seed=0).params
+    fitted = SiameseMatcher.fit(ds, seed=0).params
     assert list(fitted) == list(init)
     for name, w in fitted.items():
         np.testing.assert_allclose(w - init[name], -0.0031623, atol=1e-6)
@@ -471,14 +518,14 @@ def test_siamese_fit_gives_the_bits_of_out_of_place_rmsprop(monkeypatch):
     # equal the rule written out with fresh arrays
     monkeypatch.setattr(attacks, "SIAMESE_EPOCHS", 3)
     rng = np.random.default_rng(4)
-    rows = {u: rng.normal(u, 0.5, size=(4, 6)) for u in range(3)}
-    got = SiameseMatcher.fit(rows, seed=2).params
-    x, _ = pair_rows(rows, rows)
+    ds = dataset_of({u: rng.normal(u, 0.5, size=(4, 6)) for u in range(3)})
+    got = SiameseMatcher.fit(ds, seed=2).params
+    x, rows = ds.side("train")
     params = SiameseMatcher.init_params(6, seed=2)
     square = {name: np.zeros_like(w) for name, w in params.items()}
     rho, lr, eps = attacks.SIAMESE_RMS_DECAY, attacks.SIAMESE_LR, attacks.SIAMESE_RMS_EPSILON
     for epoch in range(3):
-        ia, ib, y = sample_balanced_pairs(rows, rows, attacks.SIAMESE_PAIRS_PER_EPOCH,
+        ia, ib, y = sample_balanced_pairs(rows, None, attacks.SIAMESE_PAIRS_PER_EPOCH,
                                           rng_from(2, "siamese-pairs", epoch))
         for start in range(0, len(y), attacks.SIAMESE_BATCH):
             sl = slice(start, start + attacks.SIAMESE_BATCH)
@@ -506,10 +553,7 @@ def test_siamese_is_symmetric_and_constant_on_self():
 
 def test_siamese_learns_cluster_matching(cluster_ds):
     matcher = train_matcher(cluster_ds, "siamese", seed=0)
-    ev = evaluate_matching(
-        matcher, cluster_ds.rows_by_user("train"), cluster_ds.rows_by_user("test"),
-        n_pairs=400, seed=0,
-    )
+    ev = evaluate_matching(matcher, cluster_ds, ("train", "test"), n_pairs=400, seed=0)
     assert ev.ap > 0.9
 
 
@@ -519,7 +563,7 @@ def test_siamese_fit_needs_two_users():
     rng = np.random.default_rng(0)
     for n_rows in (1, 3):
         with pytest.raises(ValueError):
-            SiameseMatcher.fit({0: rng.normal(size=(n_rows, 4))}, seed=0)
+            SiameseMatcher.fit(dataset_of({0: rng.normal(size=(n_rows, 4))}), seed=0)
 
 
 def test_siamese_gradient_matches_finite_differences():

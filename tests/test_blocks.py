@@ -19,7 +19,12 @@ from fedanon.blocks import BLOCK_BYTES, row_blocks, squared_distances
 from fedanon.mitigation import cluster_background
 from fedanon.world import gen_world, intra_inter_distances
 
-from broadcast_oracle import broadcast_intra_inter, broadcast_squared_distances, one_batch_matching
+from broadcast_oracle import (
+    broadcast_intra_inter,
+    broadcast_squared_distances,
+    dataset_of,
+    one_batch_matching,
+)
 from test_world import small_cfg
 
 
@@ -80,23 +85,22 @@ class _RecordingMatcher:
 
 def test_evaluate_matching_scores_consecutive_blocks_of_pairs():
     rng = np.random.default_rng(0)
-    rows = {u: rng.normal(u, 1.0, size=(4, 3)) for u in range(3)}
+    ds = dataset_of({u: rng.normal(u, 1.0, size=(4, 3)) for u in range(3)})
     model = _RecordingMatcher()
-    ev = evaluate_matching(model, rows, rows, n_pairs=1300, seed=1)
+    ev = evaluate_matching(model, ds, ("train", "train"), n_pairs=1300, seed=1)
     step = BLOCK_BYTES // (2 * MLP_HIDDEN * 8)  # 3 input columns < the 128-unit hidden layer
     assert model.batches == [step, step, 1300 - 2 * step]
-    assert ev.ap == one_batch_matching(_RecordingMatcher(), rows, rows, 1300, seed=1)[1]
+    assert ev.ap == one_batch_matching(_RecordingMatcher(), ds, ("train", "train"), 1300, seed=1)[1]
 
 
 @pytest.mark.parametrize("n_pairs", [1300, 2000])
 def test_evaluate_matching_equals_one_batch(small_dataset, n_pairs):
-    shadow, anon = small_dataset.rows_by_user("train"), small_dataset.rows_by_user("test")
     models = [
         ChanceMatcher(seed=3),
         MlpProductMatcher(train_reid(small_dataset, "mlp", seed=1)),
-        SiameseMatcher.fit(shadow, seed=2),
+        SiameseMatcher.fit(small_dataset, seed=2),
     ]
     for model in models:
         oracle = ChanceMatcher(seed=3) if isinstance(model, ChanceMatcher) else model
-        ev = evaluate_matching(model, shadow, anon, n_pairs=n_pairs, seed=5)
-        assert ev.ap == one_batch_matching(oracle, shadow, anon, n_pairs, seed=5)[1]
+        ev = evaluate_matching(model, small_dataset, ("train", "test"), n_pairs=n_pairs, seed=5)
+        assert ev.ap == one_batch_matching(oracle, small_dataset, ("train", "test"), n_pairs, seed=5)[1]

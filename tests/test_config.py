@@ -62,6 +62,12 @@ def test_unknown_key_in_file_names_position(tmp_path):
     assert ":2" in str(err.value)  # file:line prefix
 
 
+def test_a_key_set_twice_in_file_names_both_lines(tmp_path):
+    path = write_cfg(tmp_path, "users = 5\nrounds = 5\nusers = 6\n")
+    with pytest.raises(ConfigError, match=r":3: config key 'users' is already set on line 1"):
+        build_config(file_path=path)
+
+
 def test_unknown_override_key():
     with pytest.raises(ConfigError, match="warp_speed"):
         build_config(overrides={"warp_speed": "9"})

@@ -449,13 +449,13 @@ def test_read_of_a_mutated_log_raises_a_typed_error_or_round_trips(data):
             assert (again / name).read_bytes() == (log / name).read_bytes(), name
 
 
-def spells_paramvector(node: ast.AST) -> bool:
-    """Whether `node` names ParamVector: as a name, an attribute, an import,
-    a definition or inside a string."""
+def spells(node: ast.AST, word: str) -> bool:
+    """Whether `node` names `word`: as a name, an attribute, an import, a
+    definition or inside a string."""
     if isinstance(node, ast.Constant):
-        return isinstance(node.value, str) and "ParamVector" in node.value
+        return isinstance(node.value, str) and word in node.value
     spelled = (getattr(node, field, None) for field in ("id", "attr", "name", "asname"))
-    return "ParamVector" in spelled
+    return word in spelled
 
 
 def test_paramvector_is_named_only_where_delta_records_need_it():
@@ -478,5 +478,5 @@ def test_paramvector_is_named_only_where_delta_records_need_it():
                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
                     allowed.update(map(id, node.value.elts))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if spells_paramvector(node) and id(node) not in allowed]
+                  if spells(node, "ParamVector") and id(node) not in allowed]
     assert found == []
