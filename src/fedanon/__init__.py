@@ -9,7 +9,7 @@ from .deltastore import DeltaLog, DeltaManifest, DeltaRecord, ParamVector, read_
 from .experiments import EXPERIMENT_FAMILIES
 from .federated import DeviceState, RoundConfig, run_federated
 from .metrics import ScoredPredictions, average_precision, increase_over_chance, mean_ap
-from .mitigation import MitigationConfig, TradeoffPoint, tradeoff_curve
+from .mitigation import MitigationConfig, tradeoff_curve
 from .nn import ModelSpec, OptimizerConfig
 from .world import DatasetBundle, UserProfile, WorldConfig, gen_world
 
@@ -33,7 +33,6 @@ __all__ = [
     "increase_over_chance",
     "mean_ap",
     "MitigationConfig",
-    "TradeoffPoint",
     "tradeoff_curve",
     "ModelSpec",
     "OptimizerConfig",

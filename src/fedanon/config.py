@@ -252,6 +252,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                         ("dataspace_set_sizes", cfg.dataspace_set_sizes)):
         _require(len(values) > 0, key, "must not be empty", values)
         _require(all(v >= 1 for v in values), key, "entries must be >= 1", values)
+    _require(len(cfg.seen_fractions) > 0, "seen_fractions", "must not be empty", cfg.seen_fractions)
     _require(
         all(0.0 <= v <= 1.0 for v in cfg.seen_fractions),
         "seen_fractions", "entries must be in [0, 1]", cfg.seen_fractions,

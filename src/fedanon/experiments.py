@@ -44,7 +44,7 @@ from .config import (
 )
 from .federated import ROLE_ANONYMOUS, ROLE_SHADOW, FederatedRun, run_federated, sampled_users
 from .forks import Forks
-from .mitigation import STRATEGIES, MitigationConfig, tradeoff_curve
+from .mitigation import STRATEGIES, TRADEOFF_COLUMNS, MitigationConfig, tradeoff_curve
 from .reporting import Report, Table
 from .seeding import seed_from
 from .world import DatasetBundle, gen_world, intra_inter_distances, limit_prior, make_iid_control
@@ -348,25 +348,11 @@ def _mitigation(stages: Stages) -> list[Table]:
         for strategy in STRATEGIES if strategy in cfg.mitigation_strategies
         for value in grids[strategy] if value > 0
     ]
-    points = tradeoff_curve(
+    rows = tradeoff_curve(
         stages.world, stages.spec, round_config_from(cfg), repr_config_from(cfg), grid,
         (stages.attack_set, stages.run.utility[-1]), cfg.seed, cfg.clusters_m,
     )
-    rows = [
-        [
-            p.strategy, float(p.value), float(p.attacker_ap), float(p.chance_ap),
-            float(p.privacy_ioc), float(p.task_score), float(p.utility),
-        ]
-        for p in points
-    ]
-    return [
-        Table(
-            name="tradeoff",
-            columns=["strategy", "value", "attacker_ap", "chance_ap", "privacy_ioc",
-                     "task_score", "utility"],
-            rows=rows,
-        )
-    ]
+    return [Table(name="tradeoff", columns=list(TRADEOFF_COLUMNS), rows=rows)]
 
 
 # cheap families first, so an interrupted run over all of them still leaves

@@ -39,6 +39,11 @@ STRATEGIES = ("noise", "bkg_repl", "rand_aug", "mm_aug")
 
 KMEANS_MAX_ITER = 100
 
+# the cells of each `tradeoff_curve` row; utility is the task score
+# normalized to 1.0 at the no-mitigation anchor
+TRADEOFF_COLUMNS = ("strategy", "value", "attacker_ap", "chance_ap", "privacy_ioc",
+                    "task_score", "utility")
+
 
 @dataclass(frozen=True)
 class MitigationConfig:
@@ -56,17 +61,6 @@ class MitigationConfig:
             raise ValueError("value must be > 0")
         if self.strategy == "bkg_repl" and self.value > 1.0:
             raise ValueError("bkg_repl value must be in (0, 1]")
-
-
-@dataclass
-class TradeoffPoint:
-    strategy: str
-    value: float
-    attacker_ap: float
-    chance_ap: float
-    privacy_ioc: float
-    task_score: float
-    utility: float  # task score normalized to 1.0 at the no-mitigation anchor
 
 
 def make_noise_hook(sigma2: float, seed: int) -> DeltaHook:
@@ -189,12 +183,13 @@ def tradeoff_curve(
     anchor: tuple[AttackDataset, float],
     seed: int,
     clusters_m: int,
-) -> list[TradeoffPoint]:
-    """The anchor's row (`noise`, 0.0), then one row per grid point, each
-    attacked by the MLP re-identification attack on the one layer of
-    `repr_cfg` (the config's `attack_layer`, `W2` by default). That need
-    not be the layer that leaks most: the `layer_sweep` family scores each
-    layer. Utility is normalized to 1.0 at the anchor.
+) -> list[list]:
+    """The `tradeoff` table's rows, in `TRADEOFF_COLUMNS` order: the
+    anchor's row (`noise`, 0.0), then one row per grid point, each attacked
+    by the MLP re-identification attack on the one layer of `repr_cfg` (the
+    config's `attack_layer`, `W2` by default). That need not be the layer
+    that leaks most: the `layer_sweep` family scores each layer. Utility is
+    normalized to 1.0 at the anchor.
 
     `anchor` is the attack dataset (at `repr_cfg`) and the final task score
     of the unmitigated federation of `bundle` at `fed_cfg`. Every grid point
@@ -211,14 +206,15 @@ def tradeoff_curve(
     attack_seed = reference_seed(seed)
     anchor_ds, anchor_score = anchor
 
-    def federated(cfg: MitigationConfig) -> float:
+    def federated(cfg: MitigationConfig) -> tuple[str, float, float]:
         """Run the federation under `cfg`, start the fit on its deltas and
-        return its final task score; the run is freed on return."""
+        return the point's strategy, value and final task score; the run is
+        freed on return."""
         hook = make_noise_hook(cfg.value, seed) if cfg.strategy == "noise" else None
         run = run_federated(mitigate_bundle(bundle, cfg, seed, clusters), spec, fed_cfg,
                             delta_hook=hook)
         fits.start(mlp_reid_scores, build_attack_dataset(run.records, repr_cfg), attack_seed)
-        return run.utility[-1]
+        return cfg.strategy, cfg.value, run.utility[-1]
 
     with Forks() as fits:
         fits.start(mlp_reid_scores, anchor_ds, attack_seed)
@@ -227,18 +223,10 @@ def tradeoff_curve(
             clusters = cluster_background(
                 bundle.x[bundle.background], clusters_m, seed_from(seed, "mm-clusters")
             )
-        scores = [anchor_score, *(federated(cfg) for cfg in grid)]
+        points = [("noise", 0.0, anchor_score), *(federated(cfg) for cfg in grid)]
         fitted = fits.join()
-    keys = [("noise", 0.0), *((cfg.strategy, cfg.value) for cfg in grid)]
     return [
-        TradeoffPoint(
-            strategy=strategy,
-            value=value,
-            attacker_ap=ap,
-            chance_ap=chance,
-            privacy_ioc=ioc,
-            task_score=score,
-            utility=score / anchor_score if anchor_score != 0.0 else float("nan"),
-        )
-        for (strategy, value), score, (ap, chance, ioc) in zip(keys, scores, fitted)
+        [strategy, float(value), float(ap), float(chance), float(ioc), float(score),
+         float(score / anchor_score if anchor_score != 0.0 else float("nan"))]
+        for (strategy, value, score), (ap, chance, ioc) in zip(points, fitted)
     ]

@@ -160,10 +160,11 @@ def write_report(
 def summarize(tables: list[Table]) -> Table:
     """Collapse one table's per-seed copies, matching rows by position.
 
-    A column is a key, written once, when it is not a float column or when
-    it lies in the leading run of columns that agree across seeds in every
-    row, as a grid value such as mitigation's `value` does. Every other
-    float column becomes mean/lo/hi. Key cells must agree across seeds."""
+    A column is a key, written once, when it lies in the leading run of
+    columns that agree across seeds in every row, as a grid value such as
+    mitigation's `value` does. After that run, a float column and an int
+    column that differs between seeds (a count such as `skipped_labels`)
+    become mean/lo/hi. Key cells must agree across seeds."""
     base = tables[0]
     if any(len(t.rows) != len(base.rows) for t in tables):
         raise ValueError(f"table {base.name!r}: row counts differ across seeds")
@@ -171,7 +172,8 @@ def summarize(tables: list[Table]) -> Table:
     agrees = [all(row[i] == copies[0][i] for copies in by_position for row in copies)
               for i in range(len(base.columns))]
     leading = agrees.index(False) if False in agrees else len(agrees)
-    is_stat = [i >= leading and any(isinstance(r[i], float) for r in base.rows)
+    is_stat = [i >= leading and (any(isinstance(r[i], float) for r in base.rows) or not agrees[i]
+                                 and all(type(row[i]) is int for c in by_position for row in c))
                for i in range(len(base.columns))]
     columns: list[str] = []
     for name, stat in zip(base.columns, is_stat):

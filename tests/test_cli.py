@@ -298,6 +298,16 @@ def test_readme_layout_lists_every_script():
     assert sorted(line.split(", ")) == scripts
 
 
+def test_readme_layout_names_every_module():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout\n\n```\nsrc/fedanon/\n")[1].split("\n```")[0]
+    documented = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
+    modules = [p.name for p in (root / "src" / "fedanon").glob("*.py")
+               if not p.name.startswith("__")]
+    assert sorted(documented) == sorted(modules)
+
+
 def test_every_exported_name_resolves():
     assert all(hasattr(fedanon, name) for name in fedanon.__all__)
     namespace = {}
@@ -574,6 +584,20 @@ def test_attack_seed_means_match_mitigation_rows_by_position(tmp_path):
     for row, *seed_rows in zip(summary.rows, *(t.rows for t in per_seed)):
         aps = [r[2] for r in seed_rows]
         assert row[2:5] == [sum(aps) / 3, min(aps), max(aps)]
+
+
+def test_attack_seed_means_average_a_count_that_differs_between_seeds(tmp_path):
+    # the reid table's skipped_labels reads 1 at seed 0 and 0 at seed 5
+    rc = main(["attack", "--family", "reid_closed", "--seeds", "0", "5", "--users", "6",
+               "--rounds", "8", "--n-per-user", "40", "--background-size", "60",
+               "--epoch-ranges", "2", "--client-fraction", "0.25", "--attack-methods", "mlp",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    summary = report_from_json(
+        (tmp_path / "report_reid_closed_seedmean.json").read_text(encoding="utf-8")
+    ).table("reid")
+    cells = dict(zip(summary.columns, summary.rows[0]))
+    assert [cells[f"skipped_labels_{s}"] for s in ("mean", "lo", "hi")] == [0.5, 0, 1]
 
 
 def test_attack_seeds_0_writes_the_bytes_of_no_flag(tmp_path):

@@ -107,6 +107,20 @@ def test_range_violations_name_the_key():
 
 
 @pytest.mark.parametrize(
+    "key", ["prior_grid", "train_grid", "dataspace_set_sizes", "seen_fractions"]
+)
+def test_an_empty_grid_names_the_key(key):
+    with pytest.raises(ConfigError, match=f"config key '{key}': must not be empty"):
+        build_config(overrides={key: ""})
+
+
+def test_an_empty_mitigation_grid_means_no_points():
+    # a grid value of 0 already means "no point", so an empty grid is allowed
+    cfg = build_config(overrides={"noise_grid": "", "repl_grid": "", "aug_grid": ""})
+    assert (cfg.noise_grid, cfg.repl_grid, cfg.aug_grid) == ((), (), ())
+
+
+@pytest.mark.parametrize(
     "key, raw",
     [("beta", "nan"), ("eta", "nan"), ("eta", "inf"), ("sigma_x", "inf"),
      ("aug_grid", "0.5, inf"), ("noise_grid", "nan"), ("seen_fractions", "-inf")],

@@ -404,6 +404,14 @@ def test_mitigation_grid_is_strategies_order_without_zero_entries():
     assert [float(v) for v in values].count(0.0) == 1
 
 
+def test_mitigation_sweep_without_grid_points_writes_the_anchor_row_alone():
+    stages = Stages(build_config(overrides={**PINNED, "mitigation_strategies": "noise",
+                                            "noise_grid": ""}))
+    table = run_experiment(stages.cfg, "mitigation", stages).table("tradeoff")
+    scores = reid_scores(stages.reference_mlp, stages.attack_set)
+    assert table.rows == [["noise", 0.0, *scores, float(stages.run.utility[-1]), 1.0]]
+
+
 # 48 shadow rows, so the attack MLP trains on 32-row batches, whose forward
 # product OpenBLAS splits between its threads when it is not pinned
 THREADED = {"users": "6", "rounds": "8", "n_per_user": "60", "background_size": "200"}

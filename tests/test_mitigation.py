@@ -12,6 +12,7 @@ from fedanon import mitigation
 from fedanon.attacks import ReprConfig, build_attack_dataset, mlp_reid_scores, reference_seed
 from fedanon.federated import ROLE_ANONYMOUS, ROLE_SHADOW, DeviceState, RoundConfig, run_federated
 from fedanon.mitigation import (
+    TRADEOFF_COLUMNS,
     KMeansResult,
     MitigationConfig,
     apply_data_strategy,
@@ -319,18 +320,19 @@ def tiny_setup():
 def test_tradeoff_anchor_utility_is_exactly_one():
     bundle, spec, fed, repr_cfg, anchor = tiny_setup()
     grid = [MitigationConfig("noise", 0.5), MitigationConfig("rand_aug", 0.5)]
-    points = tradeoff_curve(bundle, spec, fed, repr_cfg, grid, anchor, 0, 4)
-    assert [(p.strategy, p.value) for p in points] == [
+    points = [dict(zip(TRADEOFF_COLUMNS, row))
+              for row in tradeoff_curve(bundle, spec, fed, repr_cfg, grid, anchor, 0, 4)]
+    assert [(p["strategy"], p["value"]) for p in points] == [
         ("noise", 0.0),
         ("noise", 0.5),
         ("rand_aug", 0.5),
     ]
     first = points[0]
-    assert first.utility == 1.0
-    assert first.task_score == anchor[1]
+    assert first["utility"] == 1.0
+    assert first["task_score"] == anchor[1]
     for p in points:
-        assert p.utility == pytest.approx(p.task_score / first.task_score)
-        assert p.privacy_ioc == pytest.approx(p.attacker_ap / p.chance_ap)
+        assert p["utility"] == pytest.approx(p["task_score"] / first["task_score"])
+        assert p["privacy_ioc"] == pytest.approx(p["attacker_ap"] / p["chance_ap"])
 
 
 def test_tradeoff_anchor_row_attacks_the_given_dataset(monkeypatch, call_log):
@@ -349,8 +351,8 @@ def test_tradeoff_anchor_row_attacks_the_given_dataset(monkeypatch, call_log):
     # every point is fit with the reference fit's seed at the config seed
     assert sorted(call_log.lines()) == [["anchor", str(reference_seed(3))],
                                         ["point", str(reference_seed(3))]]
-    first = points[0]
-    scores = [first.attacker_ap, first.chance_ap, first.privacy_ioc]
+    first = dict(zip(TRADEOFF_COLUMNS, points[0]))
+    scores = [first["attacker_ap"], first["chance_ap"], first["privacy_ioc"]]
     assert scores == mlp_reid_scores(anchor[0], reference_seed(3))
 
 

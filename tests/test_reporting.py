@@ -229,3 +229,17 @@ def test_seed_mean_summary_rejects_rows_that_do_not_line_up(rows, message):
     other = Table(name="tradeoff", columns=["strategy", "value"], rows=rows)
     with pytest.raises(ValueError, match=message):
         summarize([first, other])
+
+
+def test_seed_mean_summary_averages_a_count_that_differs_between_seeds():
+    columns = ["method", "ap", "skipped_labels", "classes", "note"]
+    first = Table(name="reid", columns=columns, rows=[["mlp", 0.5, 1, 5, "x"]])
+    other = Table(name="reid", columns=columns, rows=[["mlp", 0.7, 0, 5, "x"]])
+    summary = summarize([first, other])
+    # a count that agrees stays one key column, as a string column does
+    assert summary.columns == ["method", "ap_mean", "ap_lo", "ap_hi", "skipped_labels_mean",
+                               "skipped_labels_lo", "skipped_labels_hi", "classes", "note"]
+    assert summary.rows == [["mlp", 0.6, 0.5, 0.7, 0.5, 0, 1, 5, "x"]]
+    other.rows[0][4] = "y"
+    with pytest.raises(ValueError, match="row 0 differs across seeds"):
+        summarize([first, other])
